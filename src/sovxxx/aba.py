@@ -19,8 +19,11 @@ weighted sums agree.  The substituted column evaluated exactly on an
 inhomogeneity is singular as a literal entry substitution (the lattice
 shift ratio has a pole there); the finite object entering the expansion
 is the residue column, dressed per column by the a/d ratio at the
-replaced root.  Any remaining column-independent normalization drops
-out of the difference of the two sums, which is the testable content.
+replaced root.  The substituted determinants come from
+``determinants.column_substituted_slavnov``, built on the same two-pole
+kernel matrix builder as every other Slavnov-type determinant.  Any
+remaining column-independent normalization drops out of the difference
+of the two sums, which is the testable content.
 """
 
 from __future__ import annotations
@@ -28,18 +31,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import dense
-from .chain import ChainParams, a_of, d_of, vandermonde
-from .determinants import (
-    _require_on_shell,
-    _slavnov_entry,
-    slavnov_determinant,
-    two_pole_kernel,
-)
-from .errors import PairingError, PoleCollisionError
-from .formfactors import ff_sigma_minus
+from .chain import ChainParams, a_of, d_of
+from .determinants import column_substituted_slavnov, slavnov_determinant
+from .errors import PairingError
+from .formfactors import eigenstate_vectors, ff_sigma_minus
 from .spectrum import EigenRecord
 
-_NODE_TOL = 1e-8
 _MASK_TOL = 1e-12
 
 LOWER_ON_UP = "lower_on_up"
@@ -122,24 +119,6 @@ def product_bethe_residuals(params: ChainParams, roots) -> np.ndarray:
     return out
 
 
-def _eigen_vector(params: ChainParams, record: EigenRecord) -> np.ndarray:
-    """Dense separated eigenstate of the antiperiodic transfer matrix in
-    the normalization fixed by the record's monic Q polynomial."""
-    from .sov import SeparateStateSpec, separate_state_dense
-
-    values = np.asarray([record.q_tau(x) for x in params.xi], dtype=complex)
-    shifted = np.asarray(
-        [record.q_tau(x - params.eta) for x in params.xi], dtype=complex
-    )
-    sspec = SeparateStateSpec(
-        side="right",
-        values_at_xi=values,
-        values_at_xi_minus_eta=shifted,
-        roots=np.asarray(record.bethe_roots, dtype=complex),
-    )
-    return separate_state_dense(params, sspec)
-
-
 def _masked_ratio(target: np.ndarray, candidate: np.ndarray) -> tuple[complex, float]:
     """Componentwise target/candidate over the well-conditioned support;
     returns the mean ratio and the largest spread around it."""
@@ -161,20 +140,6 @@ def expected_correspondence_constant(n_sites: int, n_roots: int) -> complex:
     )
 
 
-def correspondence_check(
-    params: ChainParams, record: EigenRecord
-) -> tuple[complex, complex]:
-    """Measured and expected constant linking a separated eigenstate to
-    the back-rotated raise-on-down product state on the same roots.
-
-    The measured value is the componentwise ratio (constant across
-    components for a genuine eigen-pair; the spread is available from
-    ``correspondence_report``).
-    """
-    report = correspondence_report(params, record)
-    return report["ratio"], report["expected"]
-
-
 def correspondence_report(params: ChainParams, record: EigenRecord) -> dict:
     """Both sides of the eigenstate dictionary for one record.
 
@@ -182,27 +147,10 @@ def correspondence_report(params: ChainParams, record: EigenRecord) -> dict:
     ``left_ratio``/``left_spread`` for the row states, and the shared
     ``expected`` constant.  The same constant governs both sides.
     """
+    left_target, target = eigenstate_vectors(params, record)
     rotation = dense.basis_rotation(params)
-    product = bethe_state(params, record.bethe_roots, RAISE_ON_DOWN)
-    candidate = rotation.T @ product
-    target = _eigen_vector(params, record)
+    candidate = rotation.T @ bethe_state(params, record.bethe_roots, RAISE_ON_DOWN)
     ratio, spread = _masked_ratio(target, candidate)
-
-    from .sov import SeparateStateSpec, separate_state_dense
-
-    values = np.asarray([record.q_tau(x) for x in params.xi], dtype=complex)
-    shifted = np.asarray(
-        [record.q_tau(x - params.eta) for x in params.xi], dtype=complex
-    )
-    left_target = separate_state_dense(
-        params,
-        SeparateStateSpec(
-            side="left",
-            values_at_xi=values,
-            values_at_xi_minus_eta=shifted,
-            roots=np.asarray(record.bethe_roots, dtype=complex),
-        ),
-    )
     left_candidate = left_bethe_state(params, record.bethe_roots) @ rotation
     left_ratio, left_spread = _masked_ratio(left_target, left_candidate)
     return {
@@ -228,63 +176,6 @@ def reference_state_identity(params: ChainParams) -> float:
     return float(
         np.max(np.abs(target - candidate)) / max(np.max(np.abs(target)), 1e-300)
     )
-
-
-def column_substituted_slavnov(
-    params: ChainParams, mu: complex, xs, ys, m: int, z: complex
-) -> complex:
-    """Scalar-product determinant with one column moved to a new point.
-
-    Column ``m`` (1-based) of the matrix is evaluated at ``z`` in place
-    of the m-th free point; the external products and Vandermonde
-    normalization keep the original free set, so ``z`` equal to the m-th
-    free point reproduces the plain determinant exactly.  At generic
-    ``z`` the literal entries are used.  When ``z`` lands on an
-    inhomogeneity the literal entry has a simple pole (through the
-    lattice shift ratio); the returned value is then the residue of the
-    determinant at that pole: the singular part of the column, which is
-    the two-pole kernel column scaled by the pole-free part of the
-    lattice shift ratio.
-    """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    if xs.size != ys.size:
-        raise ValueError("the two point sets must have equal size")
-    size = xs.size
-    if not 1 <= m <= size:
-        raise ValueError("column index out of range")
-    _require_on_shell(params, mu, xs)
-    eta = params.eta
-    scale = max(
-        float(np.max(np.abs(xs))) if size else 0.0,
-        float(np.max(np.abs(params.xi))),
-        abs(eta),
-        abs(z),
-        1.0,
-    )
-    mat = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        for k in range(size):
-            if k != m - 1:
-                mat[j, k] = _slavnov_entry(params, mu, xs, xs[j], ys[k])
-    gaps = np.abs(z - params.xi)
-    node = int(np.argmin(gaps))
-    if gaps[node] < _NODE_TOL * scale:
-        others = np.delete(params.xi, node)
-        residue = complex(
-            np.prod(z - params.xi + eta)
-            / (np.prod(z - others) if others.size else 1.0)
-        )
-        for j in range(size):
-            mat[j, m - 1] = mu * residue * two_pole_kernel(xs[j] - z, eta)
-    else:
-        for j in range(size):
-            mat[j, m - 1] = _slavnov_entry(params, mu, xs, xs[j], z)
-    pref = complex(np.prod(xs[:, None] - ys[None, :] + eta)) if size else 1.0 + 0.0j
-    denom = vandermonde(xs) * vandermonde(ys[::-1])
-    if denom == 0:
-        raise PoleCollisionError("Vandermonde degenerates: coinciding points")
-    return complex(pref * np.linalg.det(mat) / denom)
 
 
 def weighted_expansion_terms(

@@ -50,6 +50,8 @@ class ChainParams:
             raise ValueError("xi must provide one inhomogeneity per site")
         if self.eta == 0:
             raise ValueError("the crossing parameter must be nonzero")
+        if not (np.isfinite(self.eta) and np.all(np.isfinite(xi))):
+            raise ValueError("eta and the inhomogeneities must be finite")
 
     @property
     def dim(self) -> int:
@@ -72,13 +74,6 @@ def separation_deficit(params: ChainParams) -> float:
             for h in (-1, 0, 1):
                 vals.append(abs(xi[a] - xi[b] - h * params.eta))
     return min(vals)
-
-
-def is_generic(params: ChainParams, margin: float | None = None) -> bool:
-    m = params.margin if margin is None else margin
-    if m <= 0:
-        raise ValueError("genericity needs a positive margin")
-    return separation_deficit(params) >= m
 
 
 def require_generic(params: ChainParams, margin: float | None = None) -> None:

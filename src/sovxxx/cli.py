@@ -118,6 +118,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n_sites <= 8:
             raise ValueError("site count must be between 1 and 8")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         for suite, tol in self.tolerances.items():

@@ -1,8 +1,8 @@
 """Exact dense tensor-product representation of the twisted chain.
 
-Everything downstream is validated against this module: it builds the
-rational 4x4 two-spin scattering matrix, multiplies it into the 2x2
-auxiliary-space monodromy whose entries act on the full 2^N quantum
+Everything downstream is validated against this module: it multiplies
+the 2x2 auxiliary-space blocks of the rational two-spin scattering
+matrix into the monodromy whose entries act on the full 2^N quantum
 space, forms the spin-flip-twisted transfer matrix (off-diagonal entry
 sum) and its companion twisted by the diagonal Pauli matrix, and
 diagonalizes the former with biorthogonal left/right eigenvector pairs.
@@ -27,28 +27,6 @@ SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 U_ROTATION = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2.0)
 for _m in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS, U_ROTATION):
     _m.setflags(write=False)
-
-_ENTRY_INDEX = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
-
-
-def build_r_matrix(lam: complex, eta: complex) -> np.ndarray:
-    """The rational two-spin scattering matrix on a pair of spaces.
-
-    Acts on (auxiliary tensor local); equals lam times the identity plus
-    eta times the permutation operator.
-    """
-    lam = complex(lam)
-    eta = complex(eta)
-    return np.array(
-        [
-            [lam + eta, 0, 0, 0],
-            [0, lam, eta, 0],
-            [0, eta, lam, 0],
-            [0, 0, 0, lam + eta],
-        ],
-        dtype=complex,
-    )
-
 
 def _r_local_blocks(mu: complex, eta: complex) -> list[list[np.ndarray]]:
     """2x2 auxiliary-space blocks of the scattering matrix, each a local
@@ -122,15 +100,6 @@ def monodromy_with_derivative(
                         dnew[i][k] += np.kron(blocks[j][k], IDENTITY_2)
         blocks, dblocks = new, dnew
     return blocks, dblocks
-
-
-def monodromy_entry(params: ChainParams, which: str, lam: complex) -> np.ndarray:
-    """One monodromy entry, ``which`` in {"A", "B", "C", "D"}."""
-    try:
-        i, j = _ENTRY_INDEX[which]
-    except KeyError:
-        raise ValueError('monodromy entry must be one of "A", "B", "C", "D"') from None
-    return monodromy(params, lam)[i][j]
 
 
 def transfer_antiperiodic(params: ChainParams, lam: complex) -> np.ndarray:
@@ -226,15 +195,6 @@ def site_sigma(params: ChainParams, site: int, kind: str) -> np.ndarray:
         "-": SIGMA_MINUS,
     }[kind]
     return site_operator(params.n_sites, site, local)
-
-
-def global_operators(params: ChainParams) -> dict[str, np.ndarray]:
-    """The conserved and symmetry operators used by the checks."""
-    return {
-        "total_sx": total_sx(params),
-        "global_flip": global_flip(params),
-        "basis_rotation": basis_rotation(params),
-    }
 
 
 _LAM0_DIRECTIONS = (

@@ -9,10 +9,15 @@ determinants (Izergin and Slavnov types) that reduce to it.  Weight
 functions always enter as value lists evaluated by the caller, never as
 callbacks, so the identities can be tested point set by point set.
 
-Entries of the Slavnov-type matrices have removable singularities when
-a column point collides with an on-shell row point; those entries are
-evaluated through their closed-form limits, which is what makes norms
-(coinciding point sets) directly computable.
+Every Slavnov-type matrix in the package -- on-shell, rectangular,
+lattice-column and column-substituted here, the closed form-factor
+determinants in ``formfactors`` -- is built by ``_kernel_matrix``,
+alpha_k K(x_j - y_k) + beta_k K(y_k - x_j) with K(u) = 1/u - 1/(u + eta);
+only the per-column weights differ.  Entries of the on-shell matrices
+have removable singularities when a column point collides with an
+on-shell row point; those entries are evaluated through their
+closed-form limits, which is what makes norms (coinciding point sets)
+directly computable.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ def dressed_vandermonde(points, eta: complex, f_values, sign: int) -> complex:
     shifted = points + sign * eta
     num = shifted[:, None] - points[None, :]
     den = points[:, None] - points[None, :]
-    if m > 1 and np.min(np.abs(den + np.eye(m))) == 0:
+    gaps = np.abs(den[~np.eye(m, dtype=bool)])
+    if gaps.size and np.min(gaps) < _POLE_TOL * _scale_of(points, [eta]):
         raise PoleCollisionError("dressed Vandermonde over coinciding points")
     gmat = np.empty((m, m), dtype=complex)
     for b in range(m):
@@ -201,41 +207,90 @@ def _require_on_shell(params: ChainParams, mu: complex, xs, tol: float = 1e-7) -
         )
 
 
-def _slavnov_entry(
-    params: ChainParams, mu: complex, xs, x_j: complex, y_k: complex
-) -> complex:
-    """One Slavnov-matrix entry, with the removable singularity at
-    y_k -> x_j evaluated in closed form.
+def _kernel_matrix(xs, ys, alpha, beta, eta: complex) -> np.ndarray:
+    """The two-pole kernel matrix alpha_k K(x_j - y_k) + beta_k K(y_k - x_j),
+    K(u) = 1/u - 1/(u + eta), with rows at ``xs`` and columns at ``ys``.
 
-    Generic entry: mu E+(y_k; xi) t(x_j - y_k) - rho(y_k) t(y_k - x_j),
-    with rho the balanced shift ratio over the row set.  On shell the
-    two pole terms cancel as y_k approaches x_j, leaving
-    -g'(x_j) - rho'(x_j) - 2 g(x_j)/eta with g = mu E+(.; xi).
+    This is the one builder behind every Slavnov-type determinant of the
+    package: the on-shell scalar products, their rectangular and
+    lattice-column extensions, the column-substituted determinants and
+    the closed form-factor determinants differ only in the per-column
+    weights.
+    """
+    u = np.asarray(xs, dtype=complex)[:, None] - np.asarray(ys, dtype=complex)[None, :]
+    alpha = np.asarray(alpha, dtype=complex)[None, :]
+    beta = np.asarray(beta, dtype=complex)[None, :]
+    return alpha * two_pole_kernel(u, eta) + beta * two_pole_kernel(-u, eta)
+
+
+def _column_weights(
+    params: ChainParams, mu: complex, xs, ys
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column weights of the on-shell matrix, once per column point y:
+    g = mu E+(y; xi) and rho = the balanced shift ratio over the row set."""
+    eta = params.eta
+    g = np.array([mu * shift_ratio(params.xi, eta, y, +1) for y in ys], dtype=complex)
+    rho = np.array([balanced_shift_ratio(xs, eta, y) for y in ys], dtype=complex)
+    return g, rho
+
+
+def _coincident_entry(params: ChainParams, mu: complex, xs, x: complex) -> complex:
+    """On-shell matrix entry in the limit where its column point reaches
+    its row point x.
+
+    The generic entry is g(y) K(x - y) - rho(y) K(y - x); on shell the
+    two poles cancel as y -> x, leaving -g'(x) - rho'(x) - 2 g(x)/eta.
     """
     eta = params.eta
-    scale = _scale_of(xs, params.xi, [eta, x_j, y_k])
-    u = y_k - x_j
-    if abs(u) >= _POLE_TOL * scale:
-        g = mu * shift_ratio(params.xi, eta, y_k, +1)
-        rho = balanced_shift_ratio(xs, eta, y_k)
-        return g * two_pole_kernel(x_j - y_k, eta) - rho * two_pole_kernel(
-            y_k - x_j, eta
-        )
-    if abs(u) > _COINCIDE_TOL * scale:
+    g = mu * shift_ratio(params.xi, eta, x, +1)
+    g_prime = g * complex(
+        np.sum(1.0 / (x - params.xi + eta) - 1.0 / (x - params.xi))
+    )
+    rho = balanced_shift_ratio(xs, eta, x)
+    rho_prime = rho * complex(np.sum(1.0 / (x - xs + eta) - 1.0 / (x - xs - eta)))
+    return -g_prime - rho_prime - 2.0 * g / eta
+
+
+def _on_shell_matrix(params: ChainParams, mu: complex, xs, ys, g, rho) -> np.ndarray:
+    """Kernel rows g K(x - y) - rho K(y - x) against the on-shell set,
+    followed by |ys| - |xs| moment rows g y^p - rho (y + eta)^p.
+
+    Entries whose column point coincides with their row point take the
+    closed-form limit; a column point close to a row point but not
+    coincident with it is refused.
+    """
+    eta = params.eta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mat = _kernel_matrix(xs, ys, g, -rho, eta)
+    scale = np.maximum(_scale_of(xs, params.xi, [eta]), np.abs(ys))
+    gaps = np.abs(ys[None, :] - xs[:, None])
+    near = gaps < _POLE_TOL * scale
+    if np.any(near & (gaps > _COINCIDE_TOL * scale)):
         raise PoleCollisionError(
             "column point ambiguously close to a row point "
             "(neither separated nor coincident)"
         )
-    g = mu * shift_ratio(params.xi, eta, x_j, +1)
-    g_prime = g * complex(
-        np.sum(1.0 / (x_j - params.xi + eta) - 1.0 / (x_j - params.xi))
-    )
-    rho = balanced_shift_ratio(xs, eta, x_j)
-    xs_arr = np.asarray(xs, dtype=complex).ravel()
-    rho_prime = rho * complex(
-        np.sum(1.0 / (x_j - xs_arr + eta) - 1.0 / (x_j - xs_arr - eta))
-    )
-    return -g_prime - rho_prime - 2.0 * g / eta
+    for j, k in zip(*np.nonzero(near)):
+        mat[j, k] = _coincident_entry(params, mu, xs, xs[j])
+    powers = np.arange(ys.size - xs.size)[:, None]
+    return np.vstack([mat, g * ys**powers - rho * (ys + eta) ** powers])
+
+
+def _normalized_det(mat: np.ndarray, xs, ys, eta: complex) -> complex:
+    """pref det(mat) / (V(xs) V(reversed ys)), pref the product of every
+    x - y + eta."""
+    denom = vandermonde(xs) * vandermonde(ys[::-1])
+    if denom == 0:
+        raise PoleCollisionError("Vandermonde degenerates: coinciding points")
+    pref = complex(np.prod(xs[:, None] - ys[None, :] + eta))
+    return complex(pref * np.linalg.det(mat) / denom)
+
+
+def _on_shell_determinant(params: ChainParams, mu: complex, xs, ys) -> complex:
+    _require_on_shell(params, mu, xs)
+    g, rho = _column_weights(params, mu, xs, ys)
+    mat = _on_shell_matrix(params, mu, xs, ys, g, rho)
+    return _normalized_det(mat, xs, ys, params.eta)
 
 
 def slavnov_determinant(params: ChainParams, mu: complex, xs, ys) -> complex:
@@ -250,20 +305,7 @@ def slavnov_determinant(params: ChainParams, mu: complex, xs, ys) -> complex:
     ys = np.asarray(ys, dtype=complex).ravel()
     if xs.size != ys.size:
         raise ValueError("the two point sets must have equal size")
-    m = xs.size
-    if m == 0:
-        return 1.0 + 0.0j
-    _require_on_shell(params, mu, xs)
-    eta = params.eta
-    mat = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            mat[j, k] = _slavnov_entry(params, mu, xs, xs[j], ys[k])
-    pref = complex(np.prod(xs[:, None] - ys[None, :] + eta))
-    denom = vandermonde(xs) * vandermonde(ys[::-1])
-    if denom == 0:
-        raise PoleCollisionError("Vandermonde degenerates: coinciding points")
-    return complex(pref * np.linalg.det(mat) / denom)
+    return _on_shell_determinant(params, mu, xs, ys)
 
 
 def gen_slavnov_determinant(params: ChainParams, mu: complex, xs, ys) -> complex:
@@ -276,35 +318,9 @@ def gen_slavnov_determinant(params: ChainParams, mu: complex, xs, ys) -> complex
     """
     xs = np.asarray(xs, dtype=complex).ravel()
     ys = np.asarray(ys, dtype=complex).ravel()
-    m = xs.size
-    s = ys.size - m
-    if s < 0:
+    if ys.size < xs.size:
         raise ValueError("the free set cannot be smaller than the on-shell set")
-    if s == 0:
-        return slavnov_determinant(params, mu, xs, ys)
-    if ys.size == 0:
-        return 1.0 + 0.0j
-    _require_on_shell(params, mu, xs)
-    eta = params.eta
-    size = m + s
-    mat = np.zeros((size, size), dtype=complex)
-    for j in range(m):
-        for k in range(size):
-            mat[j, k] = _slavnov_entry(params, mu, xs, xs[j], ys[k])
-    for j in range(m, size):
-        p = j - m
-        for k in range(size):
-            g = mu * shift_ratio(params.xi, eta, ys[k], +1)
-            rho = balanced_shift_ratio(xs, eta, ys[k])
-            mat[j, k] = g * ys[k] ** p - rho * (ys[k] + eta) ** p
-    if m:
-        pref = complex(np.prod(xs[:, None] - ys[None, :] + eta))
-    else:
-        pref = 1.0 + 0.0j
-    denom = vandermonde(xs) * vandermonde(ys[::-1])
-    if denom == 0:
-        raise PoleCollisionError("Vandermonde degenerates: coinciding points")
-    return complex(pref * np.linalg.det(mat) / denom)
+    return _on_shell_determinant(params, mu, xs, ys)
 
 
 def gen_slavnov_sign(m: int, s: int) -> int:
@@ -323,47 +339,66 @@ def lattice_column_determinant(
     rectangular determinant blow up (the dressing has a pole there)
     while the accompanying d-product vanishes; the product of the two
     has a finite limit.  This evaluates that limit directly: the node's
-    column is replaced by its pole residue -- two-pole-kernel entries
-    against the on-shell rows, bare node powers in the moment rows --
-    and the whole thing is scaled by mu times the eta-shifted lattice
-    product at the node.  The remaining free points may still coincide
-    with on-shell rows; those entries go through the usual closed-form
-    limits.
+    column is replaced by its pole residue -- weights g = 1 and rho = 0,
+    so two-pole-kernel entries against the on-shell rows and bare node
+    powers in the moment rows -- and the whole thing is scaled by mu
+    times the eta-shifted lattice product at the node.  The remaining
+    free points may still coincide with on-shell rows; those entries go
+    through the usual closed-form limits.
     """
     xs = np.asarray(xs, dtype=complex).ravel()
     ys_free = np.asarray(ys_free, dtype=complex).ravel()
     if not 1 <= site <= params.n_sites:
         raise ValueError("site index out of range")
     node = params.xi[site - 1]
-    ys = np.concatenate([ys_free, [node]])
-    m = xs.size
-    s = ys.size - m
-    if s < 0:
+    ys = np.append(ys_free, node)
+    if ys.size < xs.size:
         raise ValueError("the free set cannot be smaller than the on-shell set")
-    if m:
-        _require_on_shell(params, mu, xs)
+    _require_on_shell(params, mu, xs)
+    g, rho = _column_weights(params, mu, xs, ys_free)
+    mat = _on_shell_matrix(params, mu, xs, ys, np.append(g, 1.0), np.append(rho, 0.0))
+    residue = complex(np.prod(node - params.xi + params.eta))
+    return complex(mu * residue * _normalized_det(mat, xs, ys, params.eta))
+
+
+def column_substituted_slavnov(
+    params: ChainParams, mu: complex, xs, ys, m: int, z: complex
+) -> complex:
+    """Scalar-product determinant with one column moved to a new point.
+
+    Column ``m`` (1-based) of the matrix is evaluated at ``z`` in place
+    of the m-th free point; the external products and Vandermonde
+    normalization keep the original free set, so ``z`` equal to the m-th
+    free point reproduces the plain determinant exactly.  At generic
+    ``z`` the literal entries are used.  When ``z`` lands on an
+    inhomogeneity the literal entry has a simple pole (through the
+    lattice shift ratio); the returned value is then the residue of the
+    determinant at that pole: the singular part of the column, which is
+    the two-pole kernel column scaled by the pole-free part of the
+    lattice shift ratio.
+    """
+    xs = np.asarray(xs, dtype=complex).ravel()
+    ys = np.asarray(ys, dtype=complex).ravel()
+    if xs.size != ys.size:
+        raise ValueError("the two point sets must have equal size")
+    if not 1 <= m <= ys.size:
+        raise ValueError("column index out of range")
+    _require_on_shell(params, mu, xs)
     eta = params.eta
-    size = ys.size
-    mat = np.zeros((size, size), dtype=complex)
-    for j in range(m):
-        for k in range(size - 1):
-            mat[j, k] = _slavnov_entry(params, mu, xs, xs[j], ys[k])
-        mat[j, size - 1] = two_pole_kernel(xs[j] - node, eta)
-    for j in range(m, size):
-        p = j - m
-        for k in range(size - 1):
-            g = mu * shift_ratio(params.xi, eta, ys[k], +1)
-            rho = balanced_shift_ratio(xs, eta, ys[k])
-            mat[j, k] = g * ys[k] ** p - rho * (ys[k] + eta) ** p
-        mat[j, size - 1] = node**p
-    pref = complex(np.prod(xs[:, None] - ys[None, :] + eta)) if m else 1.0 + 0.0j
-    denom = vandermonde(xs) * vandermonde(ys[::-1])
-    if denom == 0:
-        raise PoleCollisionError(
-            "lattice-column determinant over coinciding points"
-        )
-    residue = complex(np.prod(node - params.xi + eta))
-    return complex(mu * residue * pref * np.linalg.det(mat) / denom)
+    cols = ys.copy()
+    cols[m - 1] = z
+    gaps = np.abs(z - params.xi)
+    node = int(np.argmin(gaps))
+    if gaps[node] < _POLE_TOL * _scale_of(xs, params.xi, [eta, z]):
+        others = np.delete(params.xi, node)
+        residue = mu * complex(np.prod(z - params.xi + eta) / np.prod(z - others))
+        g, rho = _column_weights(params, mu, xs, np.delete(ys, m - 1))
+        g = np.insert(g, m - 1, residue)
+        rho = np.insert(rho, m - 1, 0.0)
+    else:
+        g, rho = _column_weights(params, mu, xs, cols)
+    mat = _on_shell_matrix(params, mu, xs, cols, g, rho)
+    return _normalized_det(mat, xs, ys, eta)
 
 
 def dressed_vandermonde_unbalanced_check(

@@ -11,9 +11,12 @@ Three layers, each checked against the one below it in the tests:
   reconstruction between eigenstates: the element reduces to a pairing
   with a root-augmented partner polynomial and is evaluated through the
   lattice-column determinant;
-* the case-by-case closed determinants (sector-lowering, sector-raising
-  and equal-sector), sharing the two-pole kernel and site-split
-  products, with sign prefactors pinned by the dense oracle.
+* the closed determinants of the three adjacent cases (sector lowering,
+  sector raising and equal sector), one evaluator over the package's
+  single two-pole kernel matrix builder (``determinants._kernel_matrix``)
+  whose cases differ only in which record supplies the rows and in how
+  the site's node column enters, with sign prefactors pinned by the
+  dense oracle.
 
 Raw bilinear normalization throughout: values are pairings of the
 un-normalized left and right separate states, so they can be compared
@@ -34,9 +37,9 @@ from .chain import (
 )
 from . import dense
 from .determinants import (
+    _kernel_matrix,
     gen_slavnov_sign,
     lattice_column_determinant,
-    two_pole_kernel,
 )
 from .errors import PoleCollisionError
 from .sov import SeparateStateSpec, bilinear, separate_state_dense
@@ -45,19 +48,6 @@ from .spectrum import EigenRecord
 # below this relative size a determinant-formula divisor counts as a
 # pole hit and the evaluation falls back to the lattice-column route
 _DIVISOR_TOL = 1e-10
-
-
-def transfer_node_product(params: ChainParams) -> np.ndarray:
-    """Ordered product over all sites of T(xi_j)/a(xi_j).
-
-    Equals the global spin flip exactly; the reconstruction formulas
-    rely on this to trade an inverted transfer string for a forward one.
-    """
-    out = np.eye(2**params.n_sites, dtype=complex)
-    for j in range(params.n_sites):
-        node = params.xi[j]
-        out = out @ (dense.transfer_antiperiodic(params, node) / a_of(params, node))
-    return out
 
 
 def _node_string(params: ChainParams, sites) -> np.ndarray:
@@ -209,138 +199,54 @@ def ff_sigma_minus_unified(
     return complex((-1.0) ** r_ket * pre * pairing)
 
 
-def _ff_det_lowering(
+def _ff_det(
     params: ChainParams,
     bra_record: EigenRecord,
     ket_record: EigenRecord,
     site: int,
 ) -> complex:
-    """Closed determinant for the sector-lowering case (bra has one root
-    more than the ket); rows follow the bra roots, the last column is
-    the two-pole kernel against the site's node."""
+    """Closed determinant for an adjacent-sector element between DISTINCT
+    eigenstates.
+
+    Rows follow the roots of the record with more roots (the bra when
+    the sectors are equal), columns the other record's roots, with the
+    kernel weights alpha = (a/d)(y) q(y - eta) and beta = q(y + eta)
+    taken from the row record's polynomial q.  Sector lowering and
+    raising append a last column holding the two-pole kernel against
+    the site's node, and evaluate the outer polynomial ratio at the node
+    and at the down-shifted node respectively; the equal sector adds
+    the node kernel as a rank-one term weighted by alpha + beta
+    instead.  Sign prefactors are pinned by the dense oracle.
+    """
     eta = params.eta
     n = params.n_sites
     node = params.xi[site - 1]
-    x = np.asarray(bra_record.bethe_roots, dtype=complex)
-    y = np.asarray(ket_record.bethe_roots, dtype=complex)
-    r = x.size
-    q_bra = bra_record.q_tau
-    denom_q = ket_record.q_tau(node)
+    raising = ket_record.n_roots == bra_record.n_roots + 1
+    rows, cols = (ket_record, bra_record) if raising else (bra_record, ket_record)
+    at = node - eta if raising else node
+    x = np.asarray(rows.bethe_roots, dtype=complex)
+    y = np.asarray(cols.bethe_roots, dtype=complex)
+    denom_q = cols.q_tau(at)
     scale = max(1.0, float(np.max(np.abs(params.xi))))
     if abs(denom_q) < _DIVISOR_TOL * scale ** max(y.size, 1):
-        raise PoleCollisionError("ket polynomial vanishes at the site's node")
-    mat = np.empty((r, r), dtype=complex)
-    for k in range(y.size):
-        col_a = (a_of(params, y[k]) / d_of(params, y[k])) * q_bra(y[k] - eta)
-        col_b = q_bra(y[k] + eta)
-        for j in range(r):
-            mat[j, k] = col_a * two_pole_kernel(x[j] - y[k], eta) + col_b * (
-                two_pole_kernel(y[k] - x[j], eta)
-            )
-    for j in range(r):
-        mat[j, r - 1] = two_pole_kernel(x[j] - node, eta)
-    site_a = complex(np.prod([a_site_split(params, site, xj) for xj in x])) if r else 1.0
-    site_d = (
-        complex(np.prod([d_site_split(params, site, yj) for yj in y]))
-        if y.size
-        else 1.0
-    )
+        raise PoleCollisionError("column polynomial vanishes next to the site's node")
+    q = rows.q_tau
+    alpha = a_of(params, y) / d_of(params, y) * q(y - eta)
+    beta = q(y + eta)
+    mat = _kernel_matrix(x, y, alpha, beta, eta)
+    node_column = _kernel_matrix(x, [node], [1.0], [0.0], eta)
+    if x.size == y.size:
+        mat = mat + node_column * (alpha + beta)
+        sign = 0.5
+    else:
+        mat = np.hstack([mat, node_column])
+        sign = (-1.0) ** (n + x.size + (not raising))
+    site_a = complex(np.prod(a_site_split(params, site, bra_record.bethe_roots)))
+    site_d = complex(np.prod(d_site_split(params, site, ket_record.bethe_roots)))
     pref = (
-        (-1.0) ** (n + r - 1)
-        * 2.0 ** (n - 2 * r)
-        * (q_bra(node) / denom_q)
-        * site_a
-        * site_d
-        / (vandermonde(x) * vandermonde(y[::-1]))
-    )
-    return complex(pref * np.linalg.det(mat))
-
-
-def _ff_det_raising(
-    params: ChainParams,
-    bra_record: EigenRecord,
-    ket_record: EigenRecord,
-    site: int,
-) -> complex:
-    """Closed determinant for the sector-raising case (ket has one root
-    more than the bra); mirrored layout -- rows follow the ket roots and
-    the entry polynomial is the ket's, evaluated around the down-shifted
-    node in the outer ratio."""
-    eta = params.eta
-    n = params.n_sites
-    node = params.xi[site - 1]
-    x = np.asarray(bra_record.bethe_roots, dtype=complex)
-    y = np.asarray(ket_record.bethe_roots, dtype=complex)
-    r2 = y.size
-    q_ket = ket_record.q_tau
-    denom_q = bra_record.q_tau(node - eta)
-    scale = max(1.0, float(np.max(np.abs(params.xi))))
-    if abs(denom_q) < _DIVISOR_TOL * scale ** max(x.size, 1):
-        raise PoleCollisionError(
-            "bra polynomial vanishes at the down-shifted node"
-        )
-    mat = np.empty((r2, r2), dtype=complex)
-    for k in range(x.size):
-        col_a = (a_of(params, x[k]) / d_of(params, x[k])) * q_ket(x[k] - eta)
-        col_b = q_ket(x[k] + eta)
-        for j in range(r2):
-            mat[j, k] = col_a * two_pole_kernel(y[j] - x[k], eta) + col_b * (
-                two_pole_kernel(x[k] - y[j], eta)
-            )
-    for j in range(r2):
-        mat[j, r2 - 1] = two_pole_kernel(y[j] - node, eta)
-    site_a = (
-        complex(np.prod([a_site_split(params, site, xj) for xj in x]))
-        if x.size
-        else 1.0
-    )
-    site_d = complex(np.prod([d_site_split(params, site, yj) for yj in y])) if r2 else 1.0
-    pref = (
-        (-1.0) ** (n + r2)
-        * 2.0 ** (n - 2 * r2)
-        * (q_ket(node - eta) / denom_q)
-        * site_a
-        * site_d
-        / (vandermonde(x[::-1]) * vandermonde(y))
-    )
-    return complex(pref * np.linalg.det(mat))
-
-
-def _ff_det_equal(
-    params: ChainParams,
-    bra_record: EigenRecord,
-    ket_record: EigenRecord,
-    site: int,
-) -> complex:
-    """Closed determinant for the equal-sector case between DISTINCT
-    eigenstates: the square two-pole matrix plus a rank-one kernel
-    column against the site's node."""
-    eta = params.eta
-    n = params.n_sites
-    node = params.xi[site - 1]
-    x = np.asarray(bra_record.bethe_roots, dtype=complex)
-    y = np.asarray(ket_record.bethe_roots, dtype=complex)
-    r = x.size
-    q_bra = bra_record.q_tau
-    denom_q = ket_record.q_tau(node)
-    scale = max(1.0, float(np.max(np.abs(params.xi))))
-    if abs(denom_q) < _DIVISOR_TOL * scale ** max(y.size, 1):
-        raise PoleCollisionError("ket polynomial vanishes at the site's node")
-    mat = np.empty((r, r), dtype=complex)
-    for k in range(r):
-        col_a = (a_of(params, y[k]) / d_of(params, y[k])) * q_bra(y[k] - eta)
-        col_b = q_bra(y[k] + eta)
-        for j in range(r):
-            mat[j, k] = (
-                col_a * two_pole_kernel(x[j] - y[k], eta)
-                + col_b * two_pole_kernel(y[k] - x[j], eta)
-                + (col_a + col_b) * two_pole_kernel(x[j] - node, eta)
-            )
-    site_a = complex(np.prod([a_site_split(params, site, xj) for xj in x])) if r else 1.0
-    site_d = complex(np.prod([d_site_split(params, site, yj) for yj in y])) if r else 1.0
-    pref = (
-        2.0 ** (n - 2 * r - 1)
-        * (q_bra(node) / denom_q)
+        sign
+        * 2.0 ** (n - 2 * x.size)
+        * (q(at) / denom_q)
         * site_a
         * site_d
         / (vandermonde(x) * vandermonde(y[::-1]))
@@ -373,11 +279,7 @@ def ff_sigma_minus(
     if is_same_eigenstate(bra_record, ket_record):
         return ff_sigma_minus_unified(params, bra_record, ket_record, site)
     try:
-        if r_bra == r_ket + 1:
-            return _ff_det_lowering(params, bra_record, ket_record, site)
-        if r_ket == r_bra + 1:
-            return _ff_det_raising(params, bra_record, ket_record, site)
-        return _ff_det_equal(params, bra_record, ket_record, site)
+        return _ff_det(params, bra_record, ket_record, site)
     except PoleCollisionError:
         return ff_sigma_minus_unified(params, bra_record, ket_record, site)
 

@@ -87,11 +87,6 @@ def poly_from_roots(roots) -> ComplexPoly:
     return ComplexPoly(npoly.polyfromroots(roots))
 
 
-def poly_eval(poly: ComplexPoly, z):
-    """Evaluate ``poly`` at a scalar or array argument."""
-    return poly(z)
-
-
 def poly_mul(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     return ComplexPoly(npoly.polymul(p.coeffs, q.coeffs))
 

@@ -191,10 +191,10 @@ def sp_with_eigenstate(
     """Pairing of a polynomial left separate state with an eigenstate.
 
     Dispatch on the left root count M against the eigenstate root count
-    R: below R the pairing vanishes identically; at M = R both the
-    twist-(+1) domain-wall form over the complementary roots and the
-    twist-(-1) on-shell determinant apply and are cross-checked; above R
-    the rectangular on-shell determinant takes over.
+    R: below R the pairing vanishes identically; at M = R it is the
+    twist-(-1) on-shell determinant (equal to the twist-(+1) domain-wall
+    form over the left roots pooled with the complementary roots); above
+    R the rectangular on-shell determinant takes over.
     """
     left_roots = np.asarray(left_roots, dtype=complex).ravel()
     m = left_roots.size
@@ -206,25 +206,12 @@ def sp_with_eigenstate(
         params, record.bethe_roots
     )
     if m == r:
-        pooled = np.concatenate([left_roots, record.q_minus_roots])
-        via_izergin = (
-            (-1.0) ** n
-            * pref
-            * izergin_determinant(1.0, pooled, params.xi, params.eta)
-        )
-        via_slavnov = (
+        return complex(
             (-1.0) ** m
             * 2.0 ** (n - 2 * m)
             * pref
             * slavnov_determinant(params, -1.0, record.bethe_roots, left_roots)
         )
-        scale = max(1.0, abs(via_izergin), abs(via_slavnov))
-        if abs(via_izergin - via_slavnov) > 1e-8 * scale:
-            raise ArithmeticError(
-                "domain-wall and on-shell forms of the eigenstate pairing "
-                f"disagree ({via_izergin} vs {via_slavnov})"
-            )
-        return complex(via_slavnov)
     sign = (-1.0) ** (n * (r + m)) * gen_slavnov_sign(r, m - r)
     return complex(
         sign

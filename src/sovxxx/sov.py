@@ -13,7 +13,7 @@ determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _cartesian
 
 import numpy as np
@@ -27,7 +27,7 @@ from .chain import (
     vandermonde,
 )
 from .dense import monodromy, reference_state
-from .polynomials import ComplexPoly, poly_from_roots
+from .polynomials import poly_from_roots
 
 _BASIS_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -166,30 +166,6 @@ class SeparateStateSpec:
             roots = np.asarray(self.roots, dtype=complex).ravel().copy()
             roots.setflags(write=False)
             object.__setattr__(self, "roots", roots)
-
-    def to_json(self) -> dict:
-        out = {
-            "side": self.side,
-            "xi_values": [[z.real, z.imag] for z in self.values_at_xi],
-            "shifted_values": [[z.real, z.imag] for z in self.values_at_xi_minus_eta],
-        }
-        if self.roots is not None:
-            out["roots"] = [[z.real, z.imag] for z in self.roots]
-        return out
-
-    @staticmethod
-    def from_json(data: dict) -> "SeparateStateSpec":
-        roots = None
-        if "roots" in data and data["roots"] is not None:
-            roots = np.array([complex(re, im) for re, im in data["roots"]])
-        return SeparateStateSpec(
-            side=data["side"],
-            values_at_xi=np.array([complex(re, im) for re, im in data["xi_values"]]),
-            values_at_xi_minus_eta=np.array(
-                [complex(re, im) for re, im in data["shifted_values"]]
-            ),
-            roots=roots,
-        )
 
 
 def spec_from_roots(params: ChainParams, roots, side: str) -> SeparateStateSpec:

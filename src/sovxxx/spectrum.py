@@ -279,11 +279,6 @@ def _pq_from_polys(
     )
 
 
-def pq_decomposition(params: ChainParams, record: EigenRecord) -> PQData:
-    """Average-free decomposition of a spectrum record."""
-    return _pq_from_polys(params, record.tau, record.q_tau, record.q_minus_tau)
-
-
 def build_record(
     params: ChainParams,
     right: np.ndarray,
@@ -373,13 +368,3 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
         )
     )
     return records
-
-
-def record_for_tau_value(
-    records: list[EigenRecord], params: ChainParams, value: complex, at: complex
-) -> EigenRecord:
-    """The record whose eigenvalue polynomial takes ``value`` at ``at``."""
-    best = min(records, key=lambda rec: abs(rec.tau(at) - value))
-    if abs(best.tau(at) - value) > 1e-6 * max(1.0, abs(value)):
-        raise SpectrumError("no spectrum record matches the requested value")
-    return best

@@ -8,6 +8,7 @@ import pytest
 from sovxxx.aba import (
     weighted_expansion_crosscheck,
     bethe_state,
+    column_substituted_slavnov,
     completeness_check,
     correspondence_report,
     expected_correspondence_constant,
@@ -19,8 +20,9 @@ from sovxxx.aba import (
     twisted_eigen_residual,
 )
 from sovxxx.chain import fixture_params
+from sovxxx.determinants import slavnov_determinant
 
-from conftest import cached_params, cached_spectrum
+from conftest import cached_params, cached_spectrum, separated_cloud
 
 
 @pytest.mark.parametrize("n_sites", [2, 3])
@@ -122,3 +124,23 @@ def test_single_site_product_state_is_bare_spin():
     params = fixture_params(1)
     empty = bethe_state(params, np.zeros(0, dtype=complex))
     assert np.allclose(empty, np.array([0.0, 1.0]))
+
+
+def test_substituting_a_column_by_its_own_point_is_the_plain_determinant():
+    params = cached_params(3, 0)
+    rng = np.random.Generator(np.random.Philox(key=811))
+    xi = np.asarray(params.xi, dtype=complex)
+    checked = 0
+    for rec in cached_spectrum(3, 0):
+        if rec.n_roots == 0:
+            continue
+        xs = rec.bethe_roots
+        ys = separated_cloud(
+            rng, xs.size, params.eta, avoid=np.concatenate([xs, xi])
+        )
+        plain = slavnov_determinant(params, -1.0, xs, ys)
+        for m in range(1, xs.size + 1):
+            value = column_substituted_slavnov(params, -1.0, xs, ys, m, ys[m - 1])
+            assert abs(value - plain) <= 1e-13 * abs(plain)
+            checked += 1
+    assert checked > 0

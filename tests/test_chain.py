@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sovxxx.chain import (
+    ChainParams,
     a_of,
     d_of,
     fixture_params,
@@ -98,3 +99,16 @@ def test_json_roundtrip():
     assert back.n_sites == params.n_sites
     assert back.eta == pytest.approx(params.eta)
     assert np.allclose(np.asarray(back.xi), np.asarray(params.xi))
+
+
+@pytest.mark.parametrize(
+    "eta, xi",
+    [
+        (float("nan"), (0.0, 2.0)),
+        (1.0, (0.0, float("nan"))),
+        (1.0, (complex(0.0, np.inf), 2.0)),
+    ],
+)
+def test_non_finite_parameters_are_rejected(eta, xi):
+    with pytest.raises(ValueError):
+        ChainParams(n_sites=2, eta=eta, xi=xi)

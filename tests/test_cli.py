@@ -110,3 +110,14 @@ def test_tolerance_lookup_prefers_override():
     config = RunConfig(n_sites=2, tolerances={"identities": 1e-6})
     assert config.tol("identities", 1e-10) == 1e-6
     assert config.tol("oracle", 1e-9) == 1e-9
+
+
+def test_negative_seed_exits_once_before_any_suite(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    with pytest.raises(SystemExit) as info:
+        main(["all", "--n", "2", "--seed", "-1", "--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+    assert "seed" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        RunConfig(n_sites=2, seed=-1)

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from sovxxx.determinants import (
+    balanced_shift_ratio,
     dressed_vandermonde,
     dressed_vandermonde_unbalanced_check,
     gen_slavnov_determinant,
     gen_slavnov_sign,
     izergin_determinant,
     izergin_determinant_clustered,
+    lattice_column_determinant,
     richardson_limit,
     shift_ratio,
     slavnov_determinant,
+    two_pole_kernel,
     vandermonde,
 )
-from sovxxx.errors import LimitFailureError, NotOnShellError
+from sovxxx.chain import d_of
+from sovxxx.errors import LimitFailureError, NotOnShellError, PoleCollisionError
 
 from conftest import cached_params, cached_spectrum, separated_cloud
 
@@ -217,3 +221,63 @@ def test_empty_sets_give_unit_determinants():
     assert izergin_determinant(0.3, [], [], 1.0) == 1.0
     assert dressed_vandermonde([], 1.0, [], +1) == 1.0
     assert vandermonde([0.5]) == 1.0
+
+
+def test_lattice_column_is_the_limit_onto_a_node():
+    params = cached_params(3, 0)
+    eta = params.eta
+    xi = np.asarray(params.xi, dtype=complex)
+    rng = np.random.Generator(np.random.Philox(key=611))
+    checked = 0
+    for rec in cached_spectrum(3, 0):
+        xs = rec.bethe_roots
+        avoid = np.concatenate([xs, xi])
+        for extra in (0, 1):
+            free = separated_cloud(rng, max(xs.size - 1 + extra, 0), eta, avoid=avoid)
+            for site in range(1, params.n_sites + 1):
+                node = xi[site - 1]
+                direction = np.exp(2j * np.pi * rng.uniform())
+
+                def dressed(eps, free=free, node=node, direction=direction):
+                    y = node + eps * direction
+                    ys = np.concatenate([free, [y]])
+                    det = gen_slavnov_determinant(params, -1.0, xs, ys)
+                    return complex(d_of(params, y) * det)
+
+                limit, _ = richardson_limit(dressed)
+                value = lattice_column_determinant(params, -1.0, xs, free, site)
+                assert abs(value - limit) <= 1e-10 * max(abs(value), 1e-300)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("gap", [1e-300, 1e-15])
+def test_dressed_functional_rejects_numerically_coinciding_points(gap):
+    with pytest.raises(PoleCollisionError):
+        dressed_vandermonde([0.0, gap], 1.0, [0.5, 0.5], +1)
+
+
+def test_on_shell_determinants_match_entrywise_reference():
+    # the matrix written out one entry at a time, as in the definition:
+    # g K(x - y) - rho K(y - x) on the rows, g y^p - rho (y + eta)^p below
+    params = cached_params(3, 0)
+    eta = params.eta
+    rng = np.random.Generator(np.random.Philox(key=612))
+    for rec in cached_spectrum(3, 0):
+        xs = rec.bethe_roots
+        avoid = np.concatenate([xs, np.asarray(params.xi, dtype=complex)])
+        for extra in (0, 1, 2):
+            ys = separated_cloud(rng, xs.size + extra, eta, avoid=avoid)
+            mat = np.zeros((ys.size, ys.size), dtype=complex)
+            for k, y in enumerate(ys):
+                g = -shift_ratio(params.xi, eta, y, +1)
+                rho = balanced_shift_ratio(xs, eta, y)
+                for j, x in enumerate(xs):
+                    mat[j, k] = g * two_pole_kernel(x - y, eta)
+                    mat[j, k] -= rho * two_pole_kernel(y - x, eta)
+                for p in range(extra):
+                    mat[xs.size + p, k] = g * y**p - rho * (y + eta) ** p
+            pref = np.prod(xs[:, None] - ys[None, :] + eta)
+            ref = pref * np.linalg.det(mat) / (vandermonde(xs) * vandermonde(ys[::-1]))
+            value = gen_slavnov_determinant(params, -1.0, xs, ys)
+            assert abs(value - ref) <= 1e-12 * abs(ref)

@@ -11,6 +11,7 @@ from sovxxx.formfactors import (
     eigenstate_vectors,
     ff_dense,
     ff_sigma_minus,
+    ff_sigma_minus_unified,
     ff_sigma_plus,
     ff_sigma_z,
     is_same_eigenstate,
@@ -166,3 +167,21 @@ def test_site_index_bounds_are_enforced():
         ff_sigma_minus(params, records[0], records[1], 0)
     with pytest.raises(ValueError):
         ff_sigma_minus(params, records[0], records[1], 4)
+
+
+def test_lattice_column_route_matches_dense_on_every_adjacent_element():
+    n_sites = 3
+    params = cached_params(n_sites, 0)
+    records = cached_spectrum(n_sites, 0)
+    checked = 0
+    for bra in records:
+        for ket in records:
+            if abs(bra.n_roots - ket.n_roots) > 1:
+                continue
+            scale = _pair_scale(params, bra, ket)
+            for site in range(1, n_sites + 1):
+                value = ff_sigma_minus_unified(params, bra, ket, site)
+                dense_val = ff_dense(params, bra, ket, site, "-")
+                assert abs(value - dense_val) <= 1e-8 * scale
+                checked += 1
+    assert checked > 0

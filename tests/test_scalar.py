@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from sovxxx.chain import a_of, d_of, fixture_params
-from sovxxx.determinants import richardson_limit, slavnov_determinant
+from sovxxx.determinants import (
+    izergin_determinant,
+    richardson_limit,
+    slavnov_determinant,
+)
 from sovxxx.formfactors import eigenstate_vectors
 from sovxxx.scalar import (
     gaudin_matrix,
@@ -189,3 +193,25 @@ def test_stress_sweep_routes_stay_coherent_on_short_schedule():
     trends = stress_trends(rows)
     assert len(trends["b_form_diffs"]) == 1
     assert trends["condition_numbers"][1] > trends["condition_numbers"][0]
+
+
+@pytest.mark.parametrize("n_sites", [3, 4])
+def test_equal_count_eigenstate_pairing_equals_domain_wall_form(n_sites):
+    params = cached_params(n_sites, 0)
+    rng = np.random.Generator(np.random.Philox(key=705 + n_sites))
+    xi = np.asarray(params.xi, dtype=complex)
+    for rec in cached_spectrum(n_sites, 0):
+        avoid = np.concatenate([xi, rec.bethe_roots, rec.q_minus_roots])
+        left_roots = separated_cloud(rng, rec.n_roots, params.eta, avoid=avoid)
+        via_slavnov = sp_with_eigenstate(params, left_roots, rec)
+        pooled = np.concatenate([left_roots, rec.q_minus_roots])
+        pref = np.prod(d_of(params, left_roots)) * np.prod(
+            d_of(params, rec.bethe_roots)
+        )
+        via_izergin = (
+            (-1.0) ** n_sites
+            * pref
+            * izergin_determinant(1.0, pooled, params.xi, params.eta)
+        )
+        scale = max(1.0, abs(via_izergin), abs(via_slavnov))
+        assert abs(via_izergin - via_slavnov) <= 1e-8 * scale
