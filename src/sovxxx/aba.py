@@ -262,6 +262,26 @@ def translation_constant(n_sites: int, n_bra_roots: int, sector_gap: int) -> com
     raise ValueError("sector gap beyond one has no matching single operator")
 
 
+def _translation_gap(
+    params: ChainParams,
+    bra: EigenRecord,
+    ket: EigenRecord,
+    site: int,
+    row: np.ndarray,
+    col: np.ndarray,
+    sigma: np.ndarray,
+) -> tuple[complex, complex, float]:
+    """One translated element from prebuilt product states: ``row`` is the
+    bra's left product state, ``col`` the ket's raise-on-down state and
+    ``sigma`` the site operator matching the sector gap (at most one)."""
+    gap = bra.n_roots - ket.n_roots
+    sov_side = ff_sigma_minus(params, bra, ket, site)
+    element = complex(row @ (sigma @ col))
+    aba_side = translation_constant(params.n_sites, bra.n_roots, gap) * element
+    scale = max(abs(sov_side), abs(aba_side), 1e-300)
+    return sov_side, aba_side, float(abs(sov_side - aba_side) / scale)
+
+
 def translation_check(
     params: ChainParams, bra: EigenRecord, ket: EigenRecord, site: int
 ) -> tuple[complex, complex, float]:
@@ -274,16 +294,47 @@ def translation_check(
     relative gap.  Sector gaps beyond one return exact zeros.
     """
     gap = bra.n_roots - ket.n_roots
-    sov_side = ff_sigma_minus(params, bra, ket, site)
     if abs(gap) > 1:
+        sov_side = ff_sigma_minus(params, bra, ket, site)
         return sov_side, 0.0 + 0.0j, float(abs(sov_side))
-    op = _TRANSLATION_CASES[gap]
-    row = left_bethe_state(params, bra.bethe_roots)
-    col = bethe_state(params, ket.bethe_roots, RAISE_ON_DOWN)
-    element = complex(row @ (dense.site_sigma(params, site, op) @ col))
-    aba_side = translation_constant(params.n_sites, bra.n_roots, gap) * element
-    scale = max(abs(sov_side), abs(aba_side), 1e-300)
-    return sov_side, aba_side, float(abs(sov_side - aba_side) / scale)
+    return _translation_gap(
+        params,
+        bra,
+        ket,
+        site,
+        left_bethe_state(params, bra.bethe_roots),
+        bethe_state(params, ket.bethe_roots, RAISE_ON_DOWN),
+        dense.site_sigma(params, site, _TRANSLATION_CASES[gap]),
+    )
+
+
+def translation_residual(params: ChainParams, records) -> float:
+    """Worst relative gap of ``translation_check`` over every ordered pair
+    of records at most one sector apart and every site.
+
+    Each record's two product states and each site operator are built
+    once for the whole sweep instead of once per element.
+    """
+    rows = [left_bethe_state(params, rec.bethe_roots) for rec in records]
+    cols = [bethe_state(params, rec.bethe_roots, RAISE_ON_DOWN) for rec in records]
+    sigmas = {
+        (site, op): dense.site_sigma(params, site, op)
+        for site in range(1, params.n_sites + 1)
+        for op in _TRANSLATION_CASES.values()
+    }
+    worst = 0.0
+    for i, bra in enumerate(records):
+        for j, ket in enumerate(records):
+            gap = bra.n_roots - ket.n_roots
+            if abs(gap) > 1:
+                continue
+            op = _TRANSLATION_CASES[gap]
+            for site in range(1, params.n_sites + 1):
+                rel = _translation_gap(
+                    params, bra, ket, site, rows[i], cols[j], sigmas[site, op]
+                )[2]
+                worst = max(worst, rel)
+    return worst
 
 
 def isospectrality_check(params: ChainParams, lam: complex | None = None) -> float:

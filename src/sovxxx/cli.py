@@ -7,6 +7,12 @@ configuration emit byte-identical reports.  Each check row carries the
 measured value, the reference it is held against, a relative error, and
 a pass flag; the process exit status is zero exactly when every
 selected check passes and no suite aborted.
+
+One run draws each chain length it needs once (the form-factors and
+aba-check suites cap N at 4, so they draw their own chain above that)
+and builds that chain's spectrum records and dense eigenstate vectors at
+most once, on first use; every suite of the run reads the same shared,
+read-only objects, so sharing changes no reported number.
 """
 
 from __future__ import annotations
@@ -15,8 +21,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +36,7 @@ from .aba import (
     expected_correspondence_constant,
     isospectrality_check,
     reference_state_identity,
-    translation_check,
+    translation_residual,
 )
 from .chain import ChainParams, d_of, fixture_params, sample_generic_params
 from .dense import (
@@ -37,6 +46,7 @@ from .dense import (
     hamiltonian_limit_check,
     monodromy,
     quantum_det_check,
+    site_sigma,
     transfer_antiperiodic,
     transfer_twisted,
 )
@@ -53,7 +63,6 @@ from .determinants import (
 from .errors import SamplingFailureError
 from .formfactors import (
     eigenstate_vectors,
-    ff_dense,
     ff_sigma_minus,
     ff_sigma_plus,
     ff_sigma_z,
@@ -120,13 +129,13 @@ class RunConfig:
             raise ValueError("site count must be between 1 and 8")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError("margin must be finite and nonnegative")
         for suite, tol in self.tolerances.items():
             if suite not in SUITE_ORDER:
                 raise ValueError(f"unknown suite in tolerance override: {suite}")
-            if not tol > 0:
-                raise ValueError("tolerance overrides must be positive")
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError("tolerance overrides must be finite and positive")
         for suite in self.suites:
             if suite not in SUITE_ORDER:
                 raise ValueError(f"unknown suite: {suite}")
@@ -176,10 +185,30 @@ def _match_row(name: str, value, reference, tol: float) -> dict:
     return _row(name, value, reference, rel, rel <= tol)
 
 
-def _suite_params(config: RunConfig, n_sites: int | None = None) -> ChainParams:
-    n = config.n_sites if n_sites is None else n_sites
-    margin = config.margin if config.margin > 0 else None
-    return sample_generic_params(n, config.seed, margin)
+class _Chain:
+    """One drawn chain of a run with its spectrum records and their dense
+    (left row, right column) eigenstate vectors, each built on first use
+    and then shared by every suite.  A build that raises is not kept, so
+    every suite needing it raises the same error."""
+
+    def __init__(self, params: ChainParams, seed: int) -> None:
+        self.params = params
+        self.seed = seed
+
+    @cached_property
+    def records(self) -> tuple:
+        return tuple(full_spectrum(self.params, self.seed))
+
+    @cached_property
+    def vectors(self) -> tuple:
+        pairs = tuple(eigenstate_vectors(self.params, rec) for rec in self.records)
+        for pair in pairs:
+            for vec in pair:
+                vec.setflags(write=False)
+        return pairs
+
+
+Chains = Callable[[int], _Chain]
 
 
 def _mat_scale(mat: np.ndarray) -> float:
@@ -189,8 +218,8 @@ def _mat_scale(mat: np.ndarray) -> float:
 # ---------------------------------------------------------------- suites
 
 
-def _suite_oracle(config: RunConfig):
-    params = _suite_params(config)
+def _suite_oracle(config: RunConfig, chains: Chains):
+    params = chains(config.n_sites).params
     tol = config.tol("oracle", 1e-9)
     pts = [default_eval_point(params, i) for i in range(3)]
     mats = [transfer_antiperiodic(params, z) for z in pts]
@@ -225,8 +254,8 @@ def _suite_oracle(config: RunConfig):
     return rows, None
 
 
-def _suite_sov(config: RunConfig):
-    params = _suite_params(config)
+def _suite_sov(config: RunConfig, chains: Chains):
+    params = chains(config.n_sites).params
     tol = config.tol("sov", 1e-9)
     gram = sov_gram_check(params)
     rows = [
@@ -251,9 +280,9 @@ def _suite_sov(config: RunConfig):
     return rows, None
 
 
-def _suite_spectrum(config: RunConfig):
-    params = _suite_params(config)
-    records = full_spectrum(params, config.seed)
+def _suite_spectrum(config: RunConfig, chains: Chains):
+    chain = chains(config.n_sites)
+    params, records = chain.params, chain.records
     n = params.n_sites
     rows = [
         _row(
@@ -334,7 +363,7 @@ def _draw_separated(
     return np.array(accepted, dtype=complex)
 
 
-def _suite_identities(config: RunConfig):
+def _suite_identities(config: RunConfig, chains: Chains):
     tol_alg = config.tol("identities", 1e-10)
     tol_shell = config.tol("identities", 1e-9)
     rows = []
@@ -411,8 +440,8 @@ def _suite_identities(config: RunConfig):
                 worst = max(worst, zero / scale)
     rows.append(_residual_row("identities/oversized_weight_overlap_vanishes", worst, tol_alg))
 
-    params = _suite_params(config)
-    records = full_spectrum(params, config.seed)
+    chain = chains(config.n_sites)
+    params, records = chain.params, chain.records
     eta = params.eta
     worst3 = 0.0
     worst4 = 0.0
@@ -495,8 +524,9 @@ def _suite_identities(config: RunConfig):
     return rows, None
 
 
-def _suite_scalar_products(config: RunConfig):
-    params = _suite_params(config)
+def _suite_scalar_products(config: RunConfig, chains: Chains):
+    chain = chains(config.n_sites)
+    params = chain.params
     tol = config.tol("scalar-products", 1e-9)
     n = params.n_sites
     rng = np.random.Generator(np.random.Philox(key=[config.seed, 0x5CA1]))
@@ -527,11 +557,9 @@ def _suite_scalar_products(config: RunConfig):
             "scalar-products/closed_forms_agree_with_dense", worst_closed, tol
         )
     ]
-    records = full_spectrum(params, config.seed)
     worst_eig = 0.0
     worst_vanish = 0.0
-    for rec in records:
-        vec = eigenstate_vectors(params, rec)[1]
+    for rec, (_, vec) in zip(chain.records, chain.vectors):
         for m_left in range(0, n + 2):
             left_roots = _draw_separated(
                 rng, m_left, params.eta, avoid=np.concatenate([xi, rec.bethe_roots])
@@ -556,19 +584,17 @@ def _suite_scalar_products(config: RunConfig):
     return rows, None
 
 
-def _suite_form_factors(config: RunConfig):
+def _suite_form_factors(config: RunConfig, chains: Chains):
     n_eff = min(config.n_sites, 4)
-    params = _suite_params(config, n_eff)
+    chain = chains(n_eff)
+    params, records, vectors = chain.params, chain.records, chain.vectors
     tol = config.tol("form-factors", 1e-8)
-    records = full_spectrum(params, config.seed)
     ops = {"-": ff_sigma_minus, "+": ff_sigma_plus, "z": ff_sigma_z}
     worst = {key: 0.0 for key in ops}
     worst_zero = 0.0
-    norms = [
-        tuple(float(np.linalg.norm(v)) for v in eigenstate_vectors(params, rec))
-        for rec in records
-    ]
+    norms = [tuple(float(np.linalg.norm(v)) for v in pair) for pair in vectors]
     for op_key, op_fn in ops.items():
+        sigmas = [site_sigma(params, site, op_key) for site in range(1, n_eff + 1)]
         for i, bra in enumerate(records):
             for j, ket in enumerate(records):
                 gap = abs(bra.n_roots - ket.n_roots)
@@ -578,7 +604,8 @@ def _suite_form_factors(config: RunConfig):
                 # high enough that only that noise is absorbed
                 floor = 1e-3 * max(norms[i][0] * norms[j][1], _TINY)
                 for site in range(1, n_eff + 1):
-                    dense = ff_dense(params, bra, ket, site, op_key)
+                    # the element ff_dense evaluates, from the shared vectors
+                    dense = bilinear(vectors[i][0], sigmas[site - 1] @ vectors[j][1])
                     value = op_fn(params, bra, ket, site)
                     if gap > 1:
                         worst_zero = max(
@@ -620,11 +647,11 @@ def _suite_form_factors(config: RunConfig):
     return rows, {"n_used": n_eff}
 
 
-def _suite_aba_check(config: RunConfig):
+def _suite_aba_check(config: RunConfig, chains: Chains):
     n_eff = min(config.n_sites, 4)
-    params = _suite_params(config, n_eff)
+    chain = chains(n_eff)
+    params, records = chain.params, chain.records
     tol = config.tol("aba-check", 1e-9)
-    records = full_spectrum(params, config.seed)
     worst_const = 0.0
     worst_spread = 0.0
     for rec in records:
@@ -659,29 +686,26 @@ def _suite_aba_check(config: RunConfig):
         )
     )
     worst_expansion = 0.0
-    worst_translation = 0.0
     for bra in records:
         for ket in records:
-            gap = bra.n_roots - ket.n_roots
+            if bra.n_roots != ket.n_roots or bra.n_roots == 0:
+                continue
             for site in range(1, n_eff + 1):
-                if gap == 0 and bra.n_roots >= 1:
-                    sov_val, aba_val, diff = weighted_expansion_crosscheck(
-                        params, bra, ket, site
-                    )
-                    worst_expansion = max(
-                        worst_expansion,
-                        diff / max(abs(sov_val), abs(aba_val), 1.0),
-                    )
-                if abs(gap) <= 1:
-                    worst_translation = max(
-                        worst_translation, translation_check(params, bra, ket, site)[2]
-                    )
+                sov_val, aba_val, diff = weighted_expansion_crosscheck(
+                    params, bra, ket, site
+                )
+                worst_expansion = max(
+                    worst_expansion,
+                    diff / max(abs(sov_val), abs(aba_val), 1.0),
+                )
     rows.append(
         _residual_row("aba-check/weighted_expansions_agree", worst_expansion, tol)
     )
     rows.append(
         _residual_row(
-            "aba-check/operator_translation_constants", worst_translation, tol
+            "aba-check/operator_translation_constants",
+            translation_residual(params, records),
+            tol,
         )
     )
     rep = next((r for r in records if r.n_roots > 0), records[0])
@@ -699,7 +723,7 @@ def _suite_aba_check(config: RunConfig):
     return rows, summary
 
 
-def _suite_homogeneous_stress(config: RunConfig):
+def _suite_homogeneous_stress(config: RunConfig, chains: Chains):
     sweep_rows = homogeneous_stress_sweep(n_sites=4, seed=config.seed)
     trends = stress_trends(sweep_rows)
     tol_ratio = config.tol("homogeneous-stress", 0.3)
@@ -784,11 +808,21 @@ def run(config: RunConfig) -> dict:
     rows: list[dict] = []
     summaries: dict = {}
     aborted: dict = {}
+    drawn: dict[int, _Chain] = {}
+
+    def chains(n_sites: int) -> _Chain:
+        # the run's chain of this length; a draw that raises is not kept
+        if n_sites not in drawn:
+            margin = config.margin if config.margin > 0 else None
+            params = sample_generic_params(n_sites, config.seed, margin)
+            drawn[n_sites] = _Chain(params, config.seed)
+        return drawn[n_sites]
+
     for suite in SUITE_ORDER:
         if suite not in config.suites:
             continue
         try:
-            suite_rows, summary = _SUITES[suite](config)
+            suite_rows, summary = _SUITES[suite](config, chains)
         except Exception as exc:  # a suite abort is recorded, others continue
             aborted[suite] = f"{type(exc).__name__}: {exc}"
             continue

@@ -41,7 +41,7 @@ from .determinants import (
     gen_slavnov_sign,
     lattice_column_determinant,
 )
-from .errors import PoleCollisionError
+from .errors import PairingError, PoleCollisionError
 from .sov import SeparateStateSpec, bilinear, separate_state_dense
 from .spectrum import EigenRecord
 
@@ -328,7 +328,7 @@ def sx_eigenvalue_check(
     left, right = eigenstate_vectors(params, record)
     overlap = bilinear(left, right)
     if abs(overlap) < 1e-12 * max(np.max(np.abs(left)) * np.max(np.abs(right)), 1e-300):
-        raise ArithmeticError("left/right overlap vanished; cannot form quotient")
+        raise PairingError("left/right overlap vanished; cannot form quotient")
     measured = bilinear(left, dense.total_sx(params) @ right) / overlap
     predicted = 2 * record.n_roots - params.n_sites
     return predicted, complex(measured)

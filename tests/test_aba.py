@@ -17,6 +17,7 @@ from sovxxx.aba import (
     reference_state_identity,
     translation_check,
     translation_constant,
+    translation_residual,
     twisted_eigen_residual,
 )
 from sovxxx.chain import fixture_params
@@ -118,6 +119,20 @@ def test_lowering_element_translates_to_product_frame(n_sites):
             for site in range(1, n_sites + 1):
                 _, _, rel = translation_check(params, bra, ket, site)
                 assert rel <= 1e-9, (bra.n_roots, ket.n_roots, site)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_translation_sweep_is_the_worst_single_element(n_sites):
+    params = cached_params(n_sites, 0)
+    records = cached_spectrum(n_sites, 0)
+    worst = 0.0
+    for bra in records:
+        for ket in records:
+            if abs(bra.n_roots - ket.n_roots) > 1:
+                continue
+            for site in range(1, n_sites + 1):
+                worst = max(worst, translation_check(params, bra, ket, site)[2])
+    assert translation_residual(params, records) == worst
 
 
 def test_single_site_product_state_is_bare_spin():

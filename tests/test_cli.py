@@ -6,9 +6,19 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from sovxxx.cli import RunConfig, main, render_csv, render_json, run
+from sovxxx import cli
+from sovxxx.chain import sample_generic_params
+from sovxxx.cli import SUITE_ORDER, RunConfig, main, render_csv, render_json, run
+from sovxxx.errors import SpectrumError
+from sovxxx.formfactors import eigenstate_vectors
+from sovxxx.spectrum import full_spectrum
+
+# the suites that draw a chain, and of those the ones that need its spectrum
+CHAIN_SUITES = tuple(s for s in SUITE_ORDER if s != "homogeneous-stress")
+SPECTRUM_SUITES = tuple(s for s in CHAIN_SUITES if s not in ("oracle", "sov"))
 
 
 def test_equal_configs_render_byte_identical_reports():
@@ -88,7 +98,8 @@ def test_csv_rendering_round_trips_every_check(tmp_path):
         ["spectrum", "--n", "2", "--out", str(out), "--format", "csv"]
     )
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as handle:
+        rows = list(csv.reader(handle))
     assert rows[0][0] == "name"
     assert len(rows) > 1
 
@@ -121,3 +132,102 @@ def test_negative_seed_exits_once_before_any_suite(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
     with pytest.raises(ValueError):
         RunConfig(n_sites=2, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "2", "--margin", "nan"],
+        ["spectrum", "--n", "2", "--margin", "inf"],
+        ["spectrum", "--n", "2", "--tol", "spectrum=inf"],
+    ],
+    ids=["margin-nan", "margin-inf", "tol-inf"],
+)
+def test_non_finite_margin_or_tolerance_exits_once(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("finite") == 1
+
+
+def _rows_of(report: dict, suite: str) -> list[str]:
+    return [
+        json.dumps(row, sort_keys=True)
+        for row in report["checks"]
+        if row["name"].startswith(suite + "/")
+    ]
+
+
+def test_suites_sharing_a_chain_report_what_they_report_alone():
+    full = run(RunConfig(n_sites=3, seed=0))
+    assert full["aborted"] == {}
+    for suite in SUITE_ORDER:
+        alone = run(RunConfig(n_sites=3, seed=0, suites=(suite,)))
+        assert alone["aborted"] == {}
+        assert _rows_of(alone, suite), suite
+        assert _rows_of(alone, suite) == _rows_of(full, suite), suite
+        assert alone["summaries"].get(suite) == full["summaries"].get(suite), suite
+
+
+def test_shared_vectors_are_read_only_copies_of_the_library_build():
+    params = sample_generic_params(2, 0, None)
+    chain = cli._Chain(params, 0)
+    assert len(chain.vectors) == len(chain.records) == 4
+    for rec, pair in zip(chain.records, chain.vectors):
+        for shared, fresh in zip(pair, eigenstate_vectors(params, rec)):
+            assert not shared.flags.writeable
+            assert np.array_equal(shared, fresh)
+    assert chain.vectors is chain.vectors
+
+
+def test_full_run_builds_each_spectrum_once(monkeypatch, tmp_path):
+    calls = {"full_spectrum": 0, "eigenstate_vectors": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "full_spectrum", counting("full_spectrum", full_spectrum))
+    monkeypatch.setattr(
+        cli, "eigenstate_vectors", counting("eigenstate_vectors", eigenstate_vectors)
+    )
+    assert main(["all", "--n", "3", "--out", str(tmp_path / "r.json")]) == 0
+    # the N = 3 chain and the one-site fixture of the form-factors suite
+    assert calls["full_spectrum"] == 2
+    assert calls["eigenstate_vectors"] == 2**3
+
+
+def test_failed_spectrum_build_is_not_cached(monkeypatch):
+    calls = []
+
+    def failing(params, seed=0):
+        calls.append(params.n_sites)
+        raise SpectrumError("no spectrum")
+
+    unaffected = ("oracle", "sov", "homogeneous-stress")
+    clean = run(RunConfig(n_sites=2, seed=0, suites=unaffected))
+    monkeypatch.setattr(cli, "full_spectrum", failing)
+    report = run(RunConfig(n_sites=2, seed=0))
+    assert report["aborted"] == {
+        suite: "SpectrumError: no spectrum" for suite in SPECTRUM_SUITES
+    }
+    assert calls == [2] * len(SPECTRUM_SUITES)
+    for suite in unaffected:
+        assert _rows_of(report, suite) == _rows_of(clean, suite), suite
+        assert report["summaries"].get(suite) == clean["summaries"].get(suite)
+
+
+def test_failed_chain_draw_aborts_every_suite_that_draws(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["all", "--n", "2", "--margin", "1e6", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert sorted(report["aborted"]) == sorted(CHAIN_SUITES)
+    messages = set(report["aborted"].values())
+    assert len(messages) == 1
+    assert messages.pop().startswith("SamplingFailureError: ")
+    assert _rows_of(report, "homogeneous-stress")

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sovxxx import formfactors
 from sovxxx.chain import fixture_params
 from sovxxx.dense import global_flip, site_sigma
+from sovxxx.errors import PairingError
 from sovxxx.formfactors import (
     eigenstate_vectors,
     ff_dense,
@@ -185,3 +187,15 @@ def test_lattice_column_route_matches_dense_on_every_adjacent_element():
                 assert abs(value - dense_val) <= 1e-8 * scale
                 checked += 1
     assert checked > 0
+
+
+def test_sx_check_raises_pairing_error_on_vanishing_overlap(monkeypatch):
+    params = cached_params(2, 0)
+    rec = cached_spectrum(2, 0)[0]
+    dim = 2**params.n_sites
+    left = np.zeros(dim, dtype=complex)
+    right = np.zeros(dim, dtype=complex)
+    left[0] = right[1] = 1.0
+    monkeypatch.setattr(formfactors, "eigenstate_vectors", lambda p, r: (left, right))
+    with pytest.raises(PairingError, match="overlap vanished"):
+        sx_eigenvalue_check(params, rec)
