@@ -654,8 +654,8 @@ def _suite_aba_check(config: RunConfig, chains: Chains):
     tol = config.tol("aba-check", 1e-9)
     worst_const = 0.0
     worst_spread = 0.0
-    for rec in records:
-        report = correspondence_report(params, rec)
+    reports = [correspondence_report(params, rec) for rec in records]
+    for report in reports:
         expected = report["expected"]
         worst_const = max(
             worst_const,
@@ -708,8 +708,8 @@ def _suite_aba_check(config: RunConfig, chains: Chains):
             tol,
         )
     )
-    rep = next((r for r in records if r.n_roots > 0), records[0])
-    rep_report = correspondence_report(params, rep)
+    rep_index = next((i for i, r in enumerate(records) if r.n_roots > 0), 0)
+    rep, rep_report = records[rep_index], reports[rep_index]
     summary = {
         "N": n_eff,
         "seed": config.seed,

@@ -3,9 +3,11 @@
 Everything downstream is validated against this module: it multiplies
 the 2x2 auxiliary-space blocks of the rational two-spin scattering
 matrix into the monodromy whose entries act on the full 2^N quantum
-space, forms the spin-flip-twisted transfer matrix (off-diagonal entry
-sum) and its companion twisted by the diagonal Pauli matrix, and
-diagonalizes the former with biorthogonal left/right eigenvector pairs.
+space (its four entries stacked in one array and advanced one site at
+a time by a single broadcast product), forms the spin-flip-twisted
+transfer matrix (off-diagonal entry sum) and its companion twisted by
+the diagonal Pauli matrix, and diagonalizes the former with
+biorthogonal left/right eigenvector pairs.
 Dense linear algebra keeps every object explicit; the intended regime
 is at most eight sites.
 """
@@ -28,16 +30,15 @@ U_ROTATION = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2.0)
 for _m in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS, U_ROTATION):
     _m.setflags(write=False)
 
-def _r_local_blocks(mu: complex, eta: complex) -> list[list[np.ndarray]]:
-    """2x2 auxiliary-space blocks of the scattering matrix, each a local
-    2x2 operator: block[i][j] = mu*delta_ij*Id + eta*E_ji."""
-    blocks = [[None, None], [None, None]]
+def _r_local_blocks(mu: complex, eta: complex) -> np.ndarray:
+    """2x2 auxiliary-space blocks of the scattering matrix, stacked as
+    ``(2, 2, 2, 2)``; each is a local 2x2 operator:
+    block[i, j] = mu*delta_ij*Id + eta*E_ji."""
+    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
     for i in range(2):
+        blocks[i, i] = mu * IDENTITY_2
         for j in range(2):
-            blk = mu * IDENTITY_2.copy() if i == j else np.zeros((2, 2), dtype=complex)
-            blk = np.array(blk, dtype=complex)
-            blk[j, i] += eta
-            blocks[i][j] = blk
+            blocks[i, j, j, i] += eta
     return blocks
 
 
@@ -51,55 +52,66 @@ def site_operator(n_sites: int, site: int, local: np.ndarray) -> np.ndarray:
     return op
 
 
+def _site_step(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Advance stacked monodromy entries by one site.
+
+    ``blocks[j, k]`` is entry (j, k) on the sites so far and ``r[i, j]``
+    the 2x2 local block of the new site's factor; the result is
+    ``new[i, k] = sum_j kron(blocks[j, k], r[i, j])``.  One broadcast
+    product forms every elementwise product ``np.kron`` would, and they
+    are added to zeros in the order j = 0, 1, so every entry, signed
+    zeros included, equals the block-by-block kron sum bit for bit.
+    """
+    dim = blocks.shape[-1]
+    prod = blocks[None, :, :, :, None, :, None] * r[:, :, None, None, :, None, :]
+    out = np.zeros((2, 2, dim, 2, dim, 2), dtype=complex)
+    out += prod[:, 0]
+    out += prod[:, 1]
+    return out.reshape(2, 2, 2 * dim, 2 * dim)
+
+
+# Derivative of every site factor in the spectral parameter: the identity
+# in both the auxiliary and the local space, in ``_r_local_blocks`` layout.
+_IDENTITY_FACTOR = np.multiply.outer(IDENTITY_2, IDENTITY_2)
+_IDENTITY_FACTOR.setflags(write=False)
+
+
+def _unstack(blocks: np.ndarray) -> list[list[np.ndarray]]:
+    return [[blocks[0, 0], blocks[0, 1]], [blocks[1, 0], blocks[1, 1]]]
+
+
 def monodromy(params: ChainParams, lam: complex) -> list[list[np.ndarray]]:
     """The 2x2 auxiliary-space monodromy, entries acting on the chain.
 
     Ordered product of site scattering matrices with the highest site
-    leftmost, built one site at a time so the cost stays linear in the
-    chain length times the dense dimension.
+    leftmost.  The four entries are kept as one stacked ``(2, 2, d, d)``
+    array and advanced one site at a time by a single broadcast product
+    (``_site_step``).
     Returns ``[[A, B], [C, D]]``.
     """
-    blocks = [
-        [np.eye(1, dtype=complex) * (1 if i == j else 0) for j in range(2)]
-        for i in range(2)
-    ]
+    blocks = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
     for n in range(params.n_sites):
-        r = _r_local_blocks(lam - params.xi[n], params.eta)
-        dim = blocks[0][0].shape[0] * 2
-        new = [[np.zeros((dim, dim), dtype=complex) for _ in range(2)] for _ in range(2)]
-        for i in range(2):
-            for k in range(2):
-                for j in range(2):
-                    new[i][k] += np.kron(blocks[j][k], r[i][j])
-        blocks = new
-    return blocks
+        blocks = _site_step(blocks, _r_local_blocks(lam - params.xi[n], params.eta))
+    return _unstack(blocks)
 
 
 def monodromy_with_derivative(
     params: ChainParams, lam: complex
 ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
     """Monodromy blocks together with their derivatives in the spectral
-    parameter, via the product rule applied factor by factor."""
-    blocks = [
-        [np.eye(1, dtype=complex) * (1 if i == j else 0) for j in range(2)]
-        for i in range(2)
-    ]
-    dblocks = [[np.zeros((1, 1), dtype=complex) for _ in range(2)] for _ in range(2)]
+    parameter, via the product rule applied factor by factor: the
+    derivative of a site factor is the identity in both spaces."""
+    blocks = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
+    dblocks = np.zeros((2, 2, 1, 1), dtype=complex)
     for n in range(params.n_sites):
         r = _r_local_blocks(lam - params.xi[n], params.eta)
-        dim = blocks[0][0].shape[0] * 2
-        new = [[np.zeros((dim, dim), dtype=complex) for _ in range(2)] for _ in range(2)]
-        dnew = [[np.zeros((dim, dim), dtype=complex) for _ in range(2)] for _ in range(2)]
-        for i in range(2):
-            for k in range(2):
-                for j in range(2):
-                    new[i][k] += np.kron(blocks[j][k], r[i][j])
-                    dnew[i][k] += np.kron(dblocks[j][k], r[i][j])
-                    if i == j:
-                        # derivative of the scattering factor is the identity block
-                        dnew[i][k] += np.kron(blocks[j][k], IDENTITY_2)
-        blocks, dblocks = new, dnew
-    return blocks, dblocks
+        # Adding the identity term after both r terms rather than between
+        # them changes no bit: wherever it is nonzero, the off-diagonal
+        # local block of r contributes an exact zero (kron-sum reference
+        # in the tests).
+        dblocks = _site_step(dblocks, r) + _site_step(blocks, _IDENTITY_FACTOR)
+        blocks = _site_step(blocks, r)
+    return _unstack(blocks), _unstack(dblocks)
 
 
 def transfer_antiperiodic(params: ChainParams, lam: complex) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateNodesError
+from .errors import DegenerateNodesError, SpectrumError
 
 # Relative magnitude below which trailing coefficients are treated as noise.
 TRIM_TOL = 1e-10
@@ -28,13 +28,17 @@ class ComplexPoly:
     ``coeffs[k]`` multiplies ``z**k``.  Trailing coefficients whose
     modulus is below ``TRIM_TOL`` times the largest modulus are removed
     on construction.  The zero polynomial is stored as a single zero
-    coefficient and reports ``degree == -1``.
+    coefficient and reports ``degree == -1``.  Non-finite coefficients
+    raise ``ValueError``: the trimming rule would otherwise read them as
+    the zero polynomial.
     """
 
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=complex))
 
     def __post_init__(self) -> None:
         raw = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).ravel()
+        if not np.all(np.isfinite(raw)):
+            raise ValueError("polynomial coefficients must be finite")
         scale = np.max(np.abs(raw)) if raw.size else 0.0
         if scale == 0.0:
             trimmed = np.zeros(1, dtype=complex)
@@ -109,6 +113,8 @@ def lagrange_interpolate(nodes, values) -> ComplexPoly:
         raise ValueError("nodes and values must have equal length")
     if nodes.size == 0:
         raise ValueError("need at least one interpolation node")
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
+        raise ValueError("interpolation nodes and values must be finite")
     scale = max(1.0, float(np.max(np.abs(nodes))))
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, np.inf)
@@ -131,7 +137,7 @@ def poly_roots(poly: ComplexPoly) -> np.ndarray:
 
     The monic re-expansion of the computed roots must reproduce the
     input coefficients to relative 1e-8, otherwise the root set is not
-    trustworthy and a ``RuntimeError`` is raised.
+    trustworthy and a ``SpectrumError`` is raised.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial does not have a root set")
@@ -142,7 +148,7 @@ def poly_roots(poly: ComplexPoly) -> np.ndarray:
     scale = np.max(np.abs(poly.coeffs))
     err = np.max(np.abs(rebuilt - poly.coeffs)) / scale
     if err > 1e-8:
-        raise RuntimeError(
+        raise SpectrumError(
             f"companion-matrix roots failed the re-expansion check (residual {err:.3e})"
         )
     return roots

@@ -82,7 +82,38 @@ def probe_points(params: ChainParams, count: int, seed: int = 777) -> np.ndarray
     return center + spread * (draws[:, 0] + 1j * draws[:, 1])
 
 
-def extract_tau(params: ChainParams, right: np.ndarray, left: np.ndarray) -> ComplexPoly:
+@dataclass(frozen=True, eq=False)
+class SpectrumTransfers:
+    """The antiperiodic transfer matrices every record of one spectrum
+    reads, built once: at the inhomogeneities and at the held-out point
+    (``extract_tau``), and at the eigenstate-check point
+    (``build_record``)."""
+
+    at_nodes: tuple[np.ndarray, ...]
+    held_point: complex
+    at_held: np.ndarray
+    check_point: complex
+    at_check: np.ndarray
+
+
+def spectrum_transfers(params: ChainParams) -> SpectrumTransfers:
+    held = default_eval_point(params, 3)
+    check = default_eval_point(params, 1)
+    return SpectrumTransfers(
+        at_nodes=tuple(transfer_antiperiodic(params, x) for x in params.xi),
+        held_point=held,
+        at_held=transfer_antiperiodic(params, held),
+        check_point=check,
+        at_check=transfer_antiperiodic(params, check),
+    )
+
+
+def extract_tau(
+    params: ChainParams,
+    right: np.ndarray,
+    left: np.ndarray,
+    transfers: SpectrumTransfers,
+) -> ComplexPoly:
     """Eigenvalue polynomial from one biorthogonal eigenvector pair.
 
     Rayleigh quotients at the inhomogeneities determine the polynomial
@@ -93,14 +124,12 @@ def extract_tau(params: ChainParams, right: np.ndarray, left: np.ndarray) -> Com
     scale = np.linalg.norm(left) * np.linalg.norm(right)
     if abs(pairing) < 1e-12 * scale:
         raise PairingError("left/right eigenvectors are numerically orthogonal")
-    values = []
-    for x in params.xi:
-        tmat = transfer_antiperiodic(params, x)
-        values.append(complex(np.dot(left, tmat @ right)) / pairing)
+    values = [
+        complex(np.dot(left, tmat @ right)) / pairing for tmat in transfers.at_nodes
+    ]
     tau = lagrange_interpolate(params.xi, values)
-    held = default_eval_point(params, 3)
-    tmat = transfer_antiperiodic(params, held)
-    direct = complex(np.dot(left, tmat @ right)) / pairing
+    held = transfers.held_point
+    direct = complex(np.dot(left, transfers.at_held @ right)) / pairing
     if abs(tau(held) - direct) > 1e-9 * max(1.0, abs(direct)):
         raise SpectrumError(
             "interpolated eigenvalue polynomial failed the held-out check"
@@ -190,6 +219,9 @@ def solve_q_from_tau(
             failures.append("linear system ill-conditioned")
             continue
         values = np.append(np.linalg.solve(mat, rhs), 1.0)
+        if not np.all(np.isfinite(values)):
+            failures.append("solved values are not finite")
+            continue
         raw = lagrange_interpolate(nodes, values)
         degree = effective_degree(raw, tol=1e-8)
         if degree < 0:
@@ -283,11 +315,12 @@ def build_record(
     params: ChainParams,
     right: np.ndarray,
     left: np.ndarray,
+    transfers: SpectrumTransfers,
     seed: int = 0,
 ) -> EigenRecord:
     """Full record for one eigenvector pair, with every structural gate."""
     n = params.n_sites
-    tau = extract_tau(params, right, left)
+    tau = extract_tau(params, right, left, transfers)
     ds_res = check_discrete_system(params, tau)
     if ds_res > 1e-9:
         raise SpectrumError(f"discrete-system residual {ds_res:.3e} too large")
@@ -304,10 +337,9 @@ def build_record(
     pq = _pq_from_polys(params, tau, q_tau, q_minus)
     # eigenvector property of the separate state built on the auxiliary values
     vec = separate_state_dense(params, spec_from_roots(params, roots, "right"))
-    lam_ref = default_eval_point(params, 1)
-    tmat = transfer_antiperiodic(params, lam_ref)
+    lam_ref = transfers.check_point
     eig_res = float(
-        np.linalg.norm(tmat @ vec - tau(lam_ref) * vec)
+        np.linalg.norm(transfers.at_check @ vec - tau(lam_ref) * vec)
         / (abs(tau(lam_ref)) * np.linalg.norm(vec))
     )
     residuals = {
@@ -353,7 +385,8 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
     """All 2^N spectrum records, gated, paired and deterministically sorted."""
     require_generic(params)
     triples = diagonalize_transfer(params)
-    records = [build_record(params, r, l, seed=seed) for _, r, l in triples]
+    transfers = spectrum_transfers(params)
+    records = [build_record(params, r, l, transfers, seed=seed) for _, r, l in triples]
     lam_ref = default_eval_point(params, 0)
     vals = np.array([rec.tau(lam_ref) for rec in records])
     diff = np.abs(vals[:, None] - vals[None, :])

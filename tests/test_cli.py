@@ -202,6 +202,20 @@ def test_full_run_builds_each_spectrum_once(monkeypatch, tmp_path):
     assert calls["eigenstate_vectors"] == 2**3
 
 
+def test_aba_check_reports_each_record_once(monkeypatch):
+    reported = []
+    correspondence_report = cli.correspondence_report
+
+    def counting(params, rec):
+        reported.append(id(rec))
+        return correspondence_report(params, rec)
+
+    monkeypatch.setattr(cli, "correspondence_report", counting)
+    report = run(RunConfig(n_sites=3, seed=0, suites=("aba-check",)))
+    assert report["aborted"] == {}
+    assert len(reported) == len(set(reported)) == 2**3
+
+
 def test_failed_spectrum_build_is_not_cached(monkeypatch):
     calls = []
 

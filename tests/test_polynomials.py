@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from sovxxx.errors import SpectrumError
 from sovxxx.polynomials import (
     ComplexPoly,
     effective_degree,
@@ -82,3 +84,28 @@ def test_empty_and_constant_behaviour():
     assert const(123.0) == 3.5
     assert poly_from_roots([]).degree == 0
     assert poly_from_roots([])(7.0 + 1j) == 1.0
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[1.0, np.nan], [1.0, 2.0, np.inf], [np.nan], [complex(1.0, -np.inf)]]
+)
+def test_non_finite_coefficients_are_rejected(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        ComplexPoly(coeffs)
+
+
+@pytest.mark.parametrize(
+    "nodes, values",
+    [([0.0, 1.0, 2.0], [1.0, np.inf, 3.0]), ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0])],
+)
+def test_interpolating_non_finite_input_is_rejected(nodes, values):
+    with pytest.raises(ValueError, match="finite"):
+        lagrange_interpolate(nodes, values)
+
+
+def test_failed_re_expansion_raises_spectrum_error(monkeypatch):
+    poly = poly_from_roots([0.5, -1.25j, 1.0 + 1.0j])
+    exact = npoly.polyroots
+    monkeypatch.setattr(npoly, "polyroots", lambda c: exact(c) + 1e-3)
+    with pytest.raises(SpectrumError, match="re-expansion"):
+        poly_roots(poly)

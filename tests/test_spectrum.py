@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sovxxx import dense, spectrum
 from sovxxx.chain import a_of, d_of, fixture_params
 from sovxxx.dense import transfer_antiperiodic
 from sovxxx.errors import PoleCollisionError
@@ -125,6 +126,45 @@ def test_q_solution_is_independent_of_auxiliary_node():
             assert again.degree == rec.q_tau.degree
             scale = float(np.max(np.abs(rec.q_tau.coeffs)))
             assert np.max(np.abs(again.coeffs - rec.q_tau.coeffs)) <= 1e-9 * scale
+
+
+def test_non_finite_solve_counts_as_a_failed_attempt(monkeypatch):
+    params = cached_params(3, 0)
+    rec = next(r for r in cached_spectrum(3, 0) if r.n_roots >= 1)
+    real_solve = np.linalg.solve
+    calls = []
+
+    def first_solve_not_finite(mat, rhs):
+        calls.append(1)
+        out = real_solve(mat, rhs)
+        return out * np.nan if len(calls) == 1 else out
+
+    monkeypatch.setattr(np.linalg, "solve", first_solve_not_finite)
+    again = solve_q_from_tau(params, rec.tau, seed=0)
+    assert len(calls) == 2
+    assert again.degree == rec.q_tau.degree
+    scale = float(np.max(np.abs(rec.q_tau.coeffs)))
+    assert np.max(np.abs(again.coeffs - rec.q_tau.coeffs)) <= 1e-9 * scale
+
+
+def test_full_spectrum_builds_each_transfer_matrix_once(monkeypatch):
+    n_sites = 3
+    counts = {spectrum: 0, dense: 0}
+
+    def counting(module):
+        def build(params, lam):
+            counts[module] += 1
+            return transfer_antiperiodic(params, lam)
+
+        return build
+
+    for module in counts:
+        monkeypatch.setattr(module, "transfer_antiperiodic", counting(module))
+    full_spectrum(cached_params(n_sites, 0), 0)
+    # the nodes, the held-out point and the eigenstate-check point, shared
+    # by all 2^N records, plus the candidate points diagonalize_transfer tried
+    assert counts[spectrum] == n_sites + 2
+    assert counts[dense] >= 1
 
 
 def test_bethe_residuals_flag_off_shell_sets():
