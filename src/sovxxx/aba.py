@@ -34,7 +34,7 @@ from . import dense
 from .chain import ChainParams, a_of, d_of
 from .determinants import column_substituted_slavnov, slavnov_determinant
 from .errors import PairingError
-from .formfactors import eigenstate_vectors, ff_sigma_minus
+from .formfactors import ff_sigma_minus
 from .spectrum import EigenRecord
 
 _MASK_TOL = 1e-12
@@ -140,14 +140,18 @@ def expected_correspondence_constant(n_sites: int, n_roots: int) -> complex:
     )
 
 
-def correspondence_report(params: ChainParams, record: EigenRecord) -> dict:
+def correspondence_report(
+    params: ChainParams, record: EigenRecord, vectors: tuple[np.ndarray, np.ndarray]
+) -> dict:
     """Both sides of the eigenstate dictionary for one record.
 
-    Keys: ``ratio``/``spread`` for the right (column) states,
+    ``vectors`` is the record's dense (left row, right column) eigenstate
+    pair, as ``formfactors.eigenstate_vectors`` builds it.  Keys:
+    ``ratio``/``spread`` for the right (column) states,
     ``left_ratio``/``left_spread`` for the row states, and the shared
     ``expected`` constant.  The same constant governs both sides.
     """
-    left_target, target = eigenstate_vectors(params, record)
+    left_target, target = vectors
     rotation = dense.basis_rotation(params)
     candidate = rotation.T @ bethe_state(params, record.bethe_roots, RAISE_ON_DOWN)
     ratio, spread = _masked_ratio(target, candidate)

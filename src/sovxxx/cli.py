@@ -61,12 +61,7 @@ from .determinants import (
     slavnov_determinant,
 )
 from .errors import SamplingFailureError
-from .formfactors import (
-    eigenstate_vectors,
-    ff_sigma_minus,
-    ff_sigma_plus,
-    ff_sigma_z,
-)
+from .formfactors import eigenstate_vectors, ff_from_lowering, ff_sigma_minus
 from .scalar import (
     gaudin_norm,
     homogeneous_stress_sweep,
@@ -589,24 +584,29 @@ def _suite_form_factors(config: RunConfig, chains: Chains):
     chain = chains(n_eff)
     params, records, vectors = chain.params, chain.records, chain.vectors
     tol = config.tol("form-factors", 1e-8)
-    ops = {"-": ff_sigma_minus, "+": ff_sigma_plus, "z": ff_sigma_z}
+    ops = ("-", "+", "z")
     worst = {key: 0.0 for key in ops}
     worst_zero = 0.0
     norms = [tuple(float(np.linalg.norm(v)) for v in pair) for pair in vectors]
-    for op_key, op_fn in ops.items():
-        sigmas = [site_sigma(params, site, op_key) for site in range(1, n_eff + 1)]
-        for i, bra in enumerate(records):
-            for j, ket in enumerate(records):
-                gap = abs(bra.n_roots - ket.n_roots)
-                # elements forced to zero sit at the dense oracle's own
-                # eigensolver noise (well below 1e-6 of the pairing's
-                # magnitude scale), so the error denominator is floored
-                # high enough that only that noise is absorbed
-                floor = 1e-3 * max(norms[i][0] * norms[j][1], _TINY)
-                for site in range(1, n_eff + 1):
+    sites = range(1, n_eff + 1)
+    sigmas = {(op, site): site_sigma(params, site, op) for op in ops for site in sites}
+    for i, bra in enumerate(records):
+        for j, ket in enumerate(records):
+            gap = abs(bra.n_roots - ket.n_roots)
+            # elements forced to zero sit at the dense oracle's own
+            # eigensolver noise (well below 1e-6 of the pairing's
+            # magnitude scale), so the error denominator is floored
+            # high enough that only that noise is absorbed
+            floor = 1e-3 * max(norms[i][0] * norms[j][1], _TINY)
+            for site in sites:
+                lowering = ff_sigma_minus(params, bra, ket, site)
+                values = ff_from_lowering(bra, ket, lowering)
+                for op_key in ops:
                     # the element ff_dense evaluates, from the shared vectors
-                    dense = bilinear(vectors[i][0], sigmas[site - 1] @ vectors[j][1])
-                    value = op_fn(params, bra, ket, site)
+                    dense = bilinear(
+                        vectors[i][0], sigmas[op_key, site] @ vectors[j][1]
+                    )
+                    value = values[op_key]
                     if gap > 1:
                         worst_zero = max(
                             worst_zero, max(abs(value), abs(dense)) / floor
@@ -625,9 +625,8 @@ def _suite_form_factors(config: RunConfig, chains: Chains):
     fix_records = full_spectrum(fix, config.seed)
     up = next(r for r in fix_records if r.n_roots == 1)
     down = next(r for r in fix_records if r.n_roots == 0)
-    minus = ff_sigma_minus(fix, down, up, 1)
-    plus = ff_sigma_plus(fix, down, up, 1)
-    zval = ff_sigma_z(fix, down, up, 1)
+    fixture = ff_from_lowering(down, up, ff_sigma_minus(fix, down, up, 1))
+    minus, plus, zval = fixture["-"], fixture["+"], fixture["z"]
     fix_tol = config.tol("form-factors", 1e-10)
     rows.append(
         _match_row("form-factors/single_site_lowering_fixture", minus, -0.5, fix_tol)
@@ -654,7 +653,10 @@ def _suite_aba_check(config: RunConfig, chains: Chains):
     tol = config.tol("aba-check", 1e-9)
     worst_const = 0.0
     worst_spread = 0.0
-    reports = [correspondence_report(params, rec) for rec in records]
+    reports = [
+        correspondence_report(params, rec, pair)
+        for rec, pair in zip(records, chain.vectors)
+    ]
     for report in reports:
         expected = report["expected"]
         worst_const = max(

@@ -43,6 +43,19 @@ def _scale_of(*arrays) -> float:
     return max(vals)
 
 
+def _require_distinct(points: np.ndarray, scale: float) -> None:
+    """Refuse a point set holding two points closer than the pole guard.
+
+    Every determinant here divides by the set's point differences (its
+    Vandermonde); such a pair leaves the quotient a plausible-looking but
+    wrong number rather than an exact zero.
+    """
+    pts = points.tolist()
+    gaps = (abs(p - q) for a, p in enumerate(pts) for q in pts[:a])
+    if any(gap < _POLE_TOL * scale for gap in gaps):
+        raise PoleCollisionError("coinciding points within one set")
+
+
 def two_pole_kernel(x: complex, eta: complex, mu: complex = 1.0) -> complex:
     """The kernel mu/x - 1/(x + eta); for mu = 1 this is
     eta/(x (x + eta))."""
@@ -55,11 +68,11 @@ def shift_ratio(points, eta: complex, y: complex, sign: int) -> complex:
     Evaluation on top of a set point is a pole and raises
     ``PoleCollisionError``.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     points = np.asarray(points, dtype=complex).ravel()
     if points.size == 0:
         return 1.0 + 0.0j
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     scale = _scale_of(points, [eta, y])
     diffs = y - points
     if np.min(np.abs(diffs)) < _POLE_TOL * scale:
@@ -103,12 +116,10 @@ def dressed_vandermonde(points, eta: complex, f_values, sign: int) -> complex:
     # det(I - diag(f) G) with G holding Lagrange cardinal values at the
     # shifted points; every entry is a product of point differences, so
     # no high powers or Vandermonde quotients are ever formed
+    _require_distinct(points, _scale_of(points, [eta]))
     shifted = points + sign * eta
     num = shifted[:, None] - points[None, :]
     den = points[:, None] - points[None, :]
-    gaps = np.abs(den[~np.eye(m, dtype=bool)])
-    if gaps.size and np.min(gaps) < _POLE_TOL * _scale_of(points, [eta]):
-        raise PoleCollisionError("dressed Vandermonde over coinciding points")
     gmat = np.empty((m, m), dtype=complex)
     for b in range(m):
         keep = np.arange(m) != b
@@ -136,11 +147,11 @@ def izergin_determinant(mu: complex, xs, ys, eta: complex) -> complex:
         raise PoleCollisionError("kernel pole: point sets overlap")
     if np.min(np.abs(diffs + eta)) < _POLE_TOL * scale:
         raise PoleCollisionError("kernel pole: point sets overlap after shift")
+    _require_distinct(xs, scale)
+    _require_distinct(ys, scale)
     kernel = mu / diffs - 1.0 / (diffs + eta)
     pref = complex(np.prod(diffs + eta))
     denom = vandermonde(xs) * vandermonde(ys[::-1])
-    if denom == 0:
-        raise PoleCollisionError("Vandermonde degenerates: coinciding points")
     return complex(pref * np.linalg.det(kernel) / denom)
 
 
@@ -169,16 +180,15 @@ def izergin_determinant_clustered(mu: complex, xs, ys, eta: complex) -> complex:
         raise PoleCollisionError("kernel pole: point sets overlap")
     if np.min(np.abs(diffs + eta)) < _POLE_TOL * scale:
         raise PoleCollisionError("kernel pole: point sets overlap after shift")
+    # only the first set: clustering of the second is what this route is for
+    _require_distinct(xs, scale)
     # column k holds the order-k divided difference over ys[:k+1]
     plain = np.cumprod(diffs, axis=1)
     shifted = np.cumprod(diffs + eta, axis=1)
     dd = mu / plain - 1.0 / shifted
     pref = complex(np.prod(diffs + eta))
     sign = (-1.0) ** (n * (n - 1) // 2)
-    denom = vandermonde(xs)
-    if denom == 0:
-        raise PoleCollisionError("Vandermonde degenerates: coinciding points")
-    return complex(sign * pref * np.linalg.det(dd) / denom)
+    return complex(sign * pref * np.linalg.det(dd) / vandermonde(xs))
 
 
 def mu_bethe_residuals(params: ChainParams, mu: complex, roots) -> np.ndarray:
@@ -279,9 +289,10 @@ def _on_shell_matrix(params: ChainParams, mu: complex, xs, ys, g, rho) -> np.nda
 def _normalized_det(mat: np.ndarray, xs, ys, eta: complex) -> complex:
     """pref det(mat) / (V(xs) V(reversed ys)), pref the product of every
     x - y + eta."""
+    scale = max(1.0, abs(eta), *np.abs(xs), *np.abs(ys))
+    _require_distinct(xs, scale)
+    _require_distinct(ys, scale)
     denom = vandermonde(xs) * vandermonde(ys[::-1])
-    if denom == 0:
-        raise PoleCollisionError("Vandermonde degenerates: coinciding points")
     pref = complex(np.prod(xs[:, None] - ys[None, :] + eta))
     return complex(pref * np.linalg.det(mat) / denom)
 

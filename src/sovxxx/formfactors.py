@@ -284,19 +284,35 @@ def ff_sigma_minus(
         return ff_sigma_minus_unified(params, bra_record, ket_record, site)
 
 
+def ff_from_lowering(
+    bra_record: EigenRecord, ket_record: EigenRecord, lowering: complex
+) -> dict[str, complex]:
+    """The three single-site elements of one (bra, ket, site), keyed like
+    ``dense.site_sigma``, from its lowering element.
+
+    The raising element is the lowering one times the parity of the
+    sector difference (the flip symmetry exchanges the two operators and
+    multiplies each eigenstate by its flip parity); the z element is
+    twice the sector difference (bra count minus ket count) times it, so
+    equal sectors give 0.
+    """
+    diff = bra_record.n_roots - ket_record.n_roots
+    return {
+        "-": lowering,
+        "+": complex((-1.0) ** diff * lowering),
+        "z": complex(2.0 * diff * lowering) if diff else 0.0 + 0.0j,
+    }
+
+
 def ff_sigma_plus(
     params: ChainParams,
     bra_record: EigenRecord,
     ket_record: EigenRecord,
     site: int,
 ) -> complex:
-    """Raising-operator matrix element: the lowering element times the
-    parity of the sector difference (the flip symmetry exchanges the two
-    operators and multiplies each eigenstate by its flip parity)."""
-    diff = bra_record.n_roots - ket_record.n_roots
-    return complex(
-        (-1.0) ** diff * ff_sigma_minus(params, bra_record, ket_record, site)
-    )
+    """Raising-operator matrix element (see ``ff_from_lowering``)."""
+    lowering = ff_sigma_minus(params, bra_record, ket_record, site)
+    return ff_from_lowering(bra_record, ket_record, lowering)["+"]
 
 
 def ff_sigma_z(
@@ -305,14 +321,11 @@ def ff_sigma_z(
     ket_record: EigenRecord,
     site: int,
 ) -> complex:
-    """Z-operator matrix element: twice the sector difference (bra count
-    minus ket count) times the lowering element; equal sectors give 0."""
-    diff = bra_record.n_roots - ket_record.n_roots
-    if diff == 0:
-        return 0.0 + 0.0j
-    return complex(
-        2.0 * diff * ff_sigma_minus(params, bra_record, ket_record, site)
-    )
+    """Z-operator matrix element (see ``ff_from_lowering``)."""
+    if bra_record.n_roots == ket_record.n_roots:
+        return 0.0 + 0.0j  # no lowering element needed
+    lowering = ff_sigma_minus(params, bra_record, ket_record, site)
+    return ff_from_lowering(bra_record, ket_record, lowering)["z"]
 
 
 def sx_eigenvalue_check(

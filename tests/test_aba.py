@@ -22,6 +22,7 @@ from sovxxx.aba import (
 )
 from sovxxx.chain import fixture_params
 from sovxxx.determinants import slavnov_determinant
+from sovxxx.formfactors import eigenstate_vectors
 
 from conftest import cached_params, cached_spectrum, separated_cloud
 
@@ -30,7 +31,7 @@ from conftest import cached_params, cached_spectrum, separated_cloud
 def test_eigenstate_dictionary_constant_on_both_sides(n_sites):
     params = cached_params(n_sites, 0)
     for rec in cached_spectrum(n_sites, 0):
-        report = correspondence_report(params, rec)
+        report = correspondence_report(params, rec, eigenstate_vectors(params, rec))
         assert report["spread"] <= 1e-9
         assert report["left_spread"] <= 1e-9
         expected = report["expected"]

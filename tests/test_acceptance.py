@@ -1,79 +1,188 @@
 """Acceptance gate: one test per release criterion, run with ``pytest -v``.
 
-Each test prints a one-line quantitative summary of what it measured, so
-the verbose log doubles as the acceptance report.
+Each criterion runs the ``sovxxx`` suites that implement it on the seed-0
+chain (the chain every other test draws) at each N of its range, and
+requires every report row that gates it to pass at the CLI's tolerance.
+Only what no row checks, or what a criterion holds to a stricter bound
+than its row, is computed here.  Each test prints the worst relative
+error of its rows, so the verbose log doubles as the acceptance report.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sovxxx.aba import (
-    weighted_expansion_crosscheck,
-    correspondence_report,
-    expected_correspondence_constant,
-    reference_state_identity,
-)
-from sovxxx.chain import d_of, fixture_params
-from sovxxx.dense import (
-    basis_rotation,
-    default_eval_point,
-    global_flip,
-    hamiltonian_limit_check,
-    monodromy,
-    quantum_det_check,
-    site_sigma,
-    transfer_antiperiodic,
-    transfer_twisted,
-)
-from sovxxx.determinants import (
-    dressed_vandermonde,
-    dressed_vandermonde_unbalanced_check,
-    gen_slavnov_determinant,
-    gen_slavnov_sign,
-    izergin_determinant,
-    richardson_limit,
-    shift_ratio,
-    slavnov_determinant,
-)
-from sovxxx.formfactors import (
-    eigenstate_vectors,
-    ff_sigma_minus,
-    ff_sigma_plus,
-    ff_sigma_z,
-)
-from sovxxx.scalar import (
-    gaudin_norm,
-    homogeneous_stress_sweep,
-    sp_a_form,
-    sp_b_form,
-    sp_direct,
-    sp_dense,
-    sp_izergin_form,
-    sp_with_eigenstate,
-    stress_trends,
-)
-from sovxxx.sov import (
-    bilinear,
-    diagonal_eigenvalue,
-    occupation_patterns,
-    separate_state_dense,
-    sov_basis_state,
-    sov_gram_check,
-    spec_constant_one,
-    spec_from_roots,
-)
+from sovxxx.chain import fixture_params
+from sovxxx.cli import SUITE_ORDER, RunConfig, run
+from sovxxx.dense import default_eval_point, hamiltonian_limit_check
+from sovxxx.scalar import gaudin_norm, sp_direct
+from sovxxx.sov import spec_constant_one
 from sovxxx.spectrum import full_spectrum, pairing_indices, solve_q_from_tau
 
-from conftest import cached_params, cached_spectrum, separated_cloud
+from conftest import cached_params, cached_spectrum
 
 _TINY = 1e-300
 
+# criterion -> (chain lengths its suites run at, the report rows gating it);
+# every row of ``sovxxx all`` gates exactly one criterion
+GATES = {
+    1: (
+        (1,),
+        (
+            "form-factors/single_site_lowering_fixture",
+            "form-factors/single_site_raising_fixture",
+            "form-factors/single_site_z_fixture",
+        ),
+    ),
+    2: (
+        range(1, 6),
+        (
+            "oracle/transfer_family_commutes",
+            "oracle/quantum_determinant_factorizes",
+            "oracle/global_flip_fixes_antiperiodic_transfer",
+            "oracle/global_flip_negates_twisted_transfer",
+            "oracle/rotation_maps_antiperiodic_to_twisted",
+        ),
+    ),
+    3: (
+        range(1, 6),
+        (
+            "sov/basis_gram_is_known_diagonal",
+            "sov/basis_resolves_identity",
+            "sov/basis_diagonal_eigenrelation",
+        ),
+    ),
+    4: (
+        range(1, 7),
+        (
+            "spectrum/eigenvalue_count_complete",
+            "spectrum/worst_functional_tq_residual",
+            "spectrum/worst_bethe_residual",
+            "spectrum/worst_wronskian_residual",
+            "spectrum/worst_discrete_system_residual",
+            "spectrum/worst_eigenstate_residual",
+            "spectrum/negation_pairing_is_involution",
+            "spectrum/auxiliary_solve_seed_independent",
+        ),
+    ),
+    5: (
+        range(2, 6),
+        (
+            "identities/plus_minus_weight_exchange",
+            "identities/domain_wall_equals_dressed_functional",
+            "identities/unbalanced_weight_exchange_grid",
+            "identities/oversized_weight_overlap_vanishes",
+            "identities/on_shell_determinant_reduction",
+            "identities/rectangular_on_shell_reduction",
+            "identities/saturated_on_shell_equals_domain_wall",
+            "identities/coinciding_root_limit_matches_norm",
+        ),
+    ),
+    6: (
+        range(2, 6),
+        (
+            "scalar-products/closed_forms_agree_with_dense",
+            "scalar-products/eigenstate_dispatch_matches_dense",
+            "scalar-products/below_sector_pairings_vanish",
+        ),
+    ),
+    7: (
+        range(1, 5),
+        (
+            "form-factors/lowering_matches_dense",
+            "form-factors/raising_matches_dense",
+            "form-factors/z_matches_dense",
+            "form-factors/distant_sectors_vanish",
+            "form-factors/z_sign_follows_flip_parity_derivation",
+        ),
+    ),
+    8: (
+        range(1, 5),
+        (
+            "aba-check/correspondence_constant_matches",
+            "aba-check/correspondence_ratio_spread",
+            "aba-check/weighted_expansions_agree",
+            "aba-check/reference_state_identity",
+            "aba-check/antiperiodic_twisted_isospectral",
+            "aba-check/product_state_completeness",
+            "aba-check/operator_translation_constants",
+        ),
+    ),
+    # the stress sweep always collapses a 4-site lattice
+    9: (
+        (4,),
+        (
+            "homogeneous-stress/b_form_cauchy_in_eps",
+            "homogeneous-stress/slavnov_form_cauchy_in_eps",
+            "homogeneous-stress/izergin_form_cauchy_in_eps",
+            "homogeneous-stress/smooth_routes_mutually_agree",
+            "homogeneous-stress/raw_matrix_condition_grows_inverse_cubed",
+            "homogeneous-stress/plain_lattice_route_degrades",
+        ),
+    ),
+    # the row compares the Hamiltonian forms at N = 2 and 3 whatever the run's N
+    10: ((1,), ("oracle/hamiltonian_forms_agree_at_zero_lattice",)),
+}
+
+
+@functools.cache
+def _report(n_sites: int) -> tuple[dict, float]:
+    """The seed-0 report at this N over every suite some criterion runs
+    there, with its wall time in seconds."""
+    suites = tuple(
+        suite
+        for suite in SUITE_ORDER
+        if any(
+            n_sites in sizes and name.startswith(suite + "/")
+            for sizes, names in GATES.values()
+            for name in names
+        )
+    )
+    start = time.perf_counter()
+    report = run(RunConfig(n_sites=n_sites, seed=0, suites=suites))
+    return report, time.perf_counter() - start
+
+
+def _gated_rows(criterion: int) -> dict[int, dict]:
+    """Require every row gating the criterion to pass at each of its N;
+    print each row's worst relative error and return the rows by N and
+    name."""
+    sizes, names = GATES[criterion]
+    by_n = {}
+    for n_sites in sizes:
+        report, _ = _report(n_sites)
+        assert report["aborted"] == {}, (n_sites, report["aborted"])
+        rows = {row["name"]: row for row in report["checks"]}
+        failed = [rows[name] for name in names if not rows[name]["pass"]]
+        assert not failed, (n_sites, failed)
+        by_n[n_sites] = rows
+    worst = ", ".join(
+        f"{name} {max(rows[name]['rel_err'] for rows in by_n.values()):.2e}"
+        for name in names
+    )
+    print(f"\ncriterion {criterion}, N in {list(sizes)}: {worst}")
+    return by_n
+
+
+def _sectors(n_sites: int) -> Counter:
+    """Number of seed-0 records in each root-count sector."""
+    return Counter(rec.n_roots for rec in cached_spectrum(n_sites, 0))
+
+
+def test_every_report_row_gates_one_criterion():
+    report, _ = _report(4)
+    assert report["config"]["suites"] == list(SUITE_ORDER)
+    gated = [name for _, names in GATES.values() for name in names]
+    assert sorted(gated) == [row["name"] for row in report["checks"]]
+
 
 def test_criterion_01_single_site_closed_forms():
+    _gated_rows(1)
     start = time.perf_counter()
     params = fixture_params(1)
     records = full_spectrum(params, 0)
@@ -88,482 +197,119 @@ def test_criterion_01_single_site_closed_forms():
         params, spec_constant_one(params, "left"), spec_constant_one(params, "right")
     )
     assert abs(one - 2.0) <= 1e-10
-
-    norms = {r: gaudin_norm(params, rec) for r, rec in ((0, minus), (1, plus))}
-    assert abs(norms[0] - 2.0) <= 1e-10
-    assert abs(norms[1] - 0.5) <= 1e-10
-
-    lowering = ff_sigma_minus(params, minus, plus, 1)
-    raising = ff_sigma_plus(params, minus, plus, 1)
-    z_elem = ff_sigma_z(params, minus, plus, 1)
-    assert abs(lowering - (-0.5)) <= 1e-10
-    assert abs(raising - 0.5) <= 1e-10
-    assert abs(z_elem - 1.0) <= 1e-10
+    assert abs(gaudin_norm(params, minus) - 2.0) <= 1e-10
+    assert abs(gaudin_norm(params, plus) - 0.5) <= 1e-10
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(
-        f"\ncriterion 1: spectrum {{+1,-1}}, norms {{2, 1/2}}, elements "
-        f"{{-1/2, +1/2, +1}} all within 1e-10 in {elapsed:.3f}s"
+        f"criterion 1: spectrum {{+1,-1}}, Q {{1, x + 1/2}}, <1|1> = 2, "
+        f"norms {{2, 1/2}} within 1e-10 in {elapsed:.3f}s"
     )
 
 
 def test_criterion_02_dense_oracle_gates():
-    start = time.perf_counter()
-    worst = 0.0
-    for n_sites in range(1, 6):
-        params = cached_params(n_sites, 0)
-        pts = [default_eval_point(params, k) for k in range(3)]
-        mats = [transfer_antiperiodic(params, lam) for lam in pts]
-        scale = max(float(np.max(np.abs(m))) for m in mats)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                worst = max(worst, float(np.max(np.abs(comm))) / scale**2)
-        for lam in pts[:2]:
-            worst = max(worst, quantum_det_check(params, lam))
-        flip = global_flip(params)
-        rot = basis_rotation(params)
-        t_anti = mats[0]
-        t_tw = transfer_twisted(params, pts[0])
-        anti_scale = max(float(np.max(np.abs(t_anti))), _TINY)
-        tw_scale = max(float(np.max(np.abs(t_tw))), _TINY)
-        worst = max(
-            worst,
-            float(np.max(np.abs(flip @ t_anti @ flip - t_anti))) / anti_scale,
-            float(np.max(np.abs(flip @ t_tw @ flip + t_tw))) / tw_scale,
-            float(np.max(np.abs(rot @ t_anti @ rot.T - t_tw))) / tw_scale,
-        )
-    elapsed = time.perf_counter() - start
-    assert worst <= 1e-9
+    _gated_rows(2)
+    elapsed = sum(_report(n)[1] for n in GATES[2][0])
     assert elapsed < 30.0
-    print(
-        f"\ncriterion 2: dense gates N<=5 worst residual {worst:.2e} "
-        f"(tol 1e-9) in {elapsed:.2f}s"
-    )
+    print(f"criterion 2: every suite gated at N <= 5 ran in {elapsed:.2f}s")
 
 
 def test_criterion_03_separated_basis_structure():
-    worst = 0.0
-    for n_sites in range(1, 6):
-        params = cached_params(n_sites, 0)
-        gram = sov_gram_check(params)
-        worst = max(worst, gram["gram"], gram["identity"])
-        for lam in (default_eval_point(params, 0), default_eval_point(params, 2)):
-            dmat = monodromy(params, lam)[1][1]
-            for h in occupation_patterns(n_sites):
-                val = diagonal_eigenvalue(params, h, lam)
-                right = sov_basis_state(params, h, "right")
-                left = sov_basis_state(params, h, "left")
-                s_r = max(abs(val) * float(np.max(np.abs(right))), _TINY)
-                s_l = max(abs(val) * float(np.max(np.abs(left))), _TINY)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(dmat @ right - val * right))) / s_r,
-                    float(np.max(np.abs(left @ dmat - val * left))) / s_l,
-                )
-    assert worst <= 1e-9
-    print(f"\ncriterion 3: separated-basis structure N<=5 worst {worst:.2e} (tol 1e-9)")
+    _gated_rows(3)
 
 
 def test_criterion_04_spectrum_completeness():
-    worst = {
-        "functional_tq": 0.0,
-        "bethe": 0.0,
-        "wronskian": 0.0,
-        "q_redo": 0.0,
-        "pairing": 0.0,
-    }
-    for n_sites in range(1, 7):
+    _gated_rows(4)
+    worst_redo = 0.0
+    worst_pairing = 0.0
+    for n_sites in GATES[4][0]:
         params = cached_params(n_sites, 0)
         records = cached_spectrum(n_sites, 0)
-        assert len(records) == 2**n_sites
         probe = default_eval_point(params, 5)
         values = np.array([rec.tau(probe) for rec in records])
         gaps = np.abs(values[:, None] - values[None, :]) + np.eye(len(records))
         assert float(np.min(gaps)) > 1e-6
         for rec in records:
-            worst["functional_tq"] = max(
-                worst["functional_tq"], rec.residuals["functional_tq"]
-            )
-            worst["bethe"] = max(worst["bethe"], rec.residuals["bethe"])
-            worst["wronskian"] = max(worst["wronskian"], rec.residuals["wronskian"])
             again = solve_q_from_tau(params, rec.tau, seed=9)
             ca, cb = rec.q_tau.coeffs, again.coeffs
             assert len(ca) == len(cb)
             scale = max(float(np.max(np.abs(ca))), _TINY)
-            worst["q_redo"] = max(
-                worst["q_redo"], float(np.max(np.abs(np.subtract(ca, cb)))) / scale
-            )
+            worst_redo = max(worst_redo, float(np.max(np.abs(ca - cb))) / scale)
         partners = pairing_indices(records)
-        assert sorted(partners) == list(range(len(records)))
-        for j, pj in enumerate(partners):
-            assert partners[pj] == j
-            gap = abs(records[j].tau(probe) + records[pj].tau(probe))
-            worst["pairing"] = max(
-                worst["pairing"], gap / max(abs(values[j]), _TINY)
-            )
-    assert worst["functional_tq"] <= 1e-8
-    assert worst["bethe"] <= 1e-7
-    assert worst["wronskian"] <= 1e-8
-    assert worst["q_redo"] <= 1e-9
-    assert worst["pairing"] <= 1e-9
+        negation = np.abs(values + values[partners]) / np.maximum(np.abs(values), _TINY)
+        worst_pairing = max(worst_pairing, float(np.max(negation)))
+    assert worst_redo <= 1e-9
+    assert worst_pairing <= 1e-9
     print(
-        "\ncriterion 4: N<=6 complete; worst functional "
-        f"{worst['functional_tq']:.2e}, bethe {worst['bethe']:.2e}, "
-        f"wronskian {worst['wronskian']:.2e}, re-solved Q {worst['q_redo']:.2e}, "
-        f"pairing {worst['pairing']:.2e}"
+        f"criterion 4: every record re-solved {worst_redo:.2e}, "
+        f"tau negation {worst_pairing:.2e} (tol 1e-9)"
     )
 
 
 def test_criterion_05_determinant_identities():
-    rng = np.random.Generator(np.random.Philox(key=0xACC5))
-
-    worst_ex = 0.0
-    for _ in range(100):
-        m = int(rng.integers(1, 6))
-        eta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2))
-        xs = separated_cloud(rng, m, eta)
-        f = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
-        g = np.array(
-            [
-                -f[a] * np.prod((xs[a] - xs + eta) / (xs[a] - xs - eta))
-                for a in range(m)
-            ]
-        )
-        lhs = dressed_vandermonde(xs, eta, f, +1)
-        rhs = dressed_vandermonde(xs, eta, g, -1)
-        worst_ex = max(worst_ex, abs(lhs - rhs) / max(abs(lhs), abs(rhs), _TINY))
-    assert worst_ex <= 1e-10
-
-    worst_dw = 0.0
-    for _ in range(100):
-        m = int(rng.integers(1, 6))
-        eta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2))
-        xs = separated_cloud(rng, m, eta)
-        ys = separated_cloud(rng, m, eta, avoid=xs)
-        mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        iz = izergin_determinant(mu, xs, ys, eta)
-        f_x = np.array([mu * shift_ratio(ys, eta, x, +1) for x in xs])
-        f_y = np.array([mu * shift_ratio(xs, eta, y, -1) for y in ys])
-        alt_a = (-1.0) ** m * dressed_vandermonde(xs, eta, f_x, -1)
-        alt_b = (-1.0) ** m * dressed_vandermonde(ys, eta, f_y, +1)
-        scale = max(abs(iz), abs(alt_a), abs(alt_b), _TINY)
-        worst_dw = max(worst_dw, abs(iz - alt_a) / scale, abs(iz - alt_b) / scale)
-    assert worst_dw <= 1e-10
-
-    worst_un = 0.0
-    count_un = 0
-    while count_un < 100:
-        m = int(rng.integers(0, 5))
-        n = int(rng.integers(0, 5))
-        mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))
-        if m > n and abs(mu - 1.0) < 0.2:
-            continue
-        eta = complex(rng.uniform(0.7, 1.3), rng.uniform(-0.15, 0.15))
-        xs = separated_cloud(rng, m, eta)
-        ys = separated_cloud(rng, n, eta, avoid=xs)
-        lhs, rhs = dressed_vandermonde_unbalanced_check(mu, xs, ys, eta)
-        worst_un = max(worst_un, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-        count_un += 1
-    assert worst_un <= 1e-10
-
-    worst_zero = 0.0
-    count_zero = 0
-    while count_zero < 100:
-        small = int(rng.integers(0, 5))
-        big = int(rng.integers(small + 1, 6))
-        eta = complex(rng.uniform(0.8, 1.2), rng.uniform(-0.15, 0.15))
-        xs = separated_cloud(rng, small, eta, min_sep=0.4, box=1.5)
-        ys = separated_cloud(rng, big, eta, avoid=xs, min_sep=0.4, box=1.5)
-        for f, sgn in (
-            (np.array([shift_ratio(xs, eta, y, -1) for y in ys]), +1),
-            (np.array([shift_ratio(xs, eta, y, +1) for y in ys]), -1),
-        ):
-            worst_zero = max(worst_zero, abs(dressed_vandermonde(ys, eta, f, sgn)))
-            count_zero += 1
-    assert worst_zero <= 1e-10
-
-    worst_shell = 0.0
-    worst_sat = 0.0
-    n_sat = 0
-    for n_sites in range(2, 6):
-        params = cached_params(n_sites, 0)
-        eta = params.eta
-        xi = np.asarray(params.xi, dtype=complex)
-        for rec in cached_spectrum(n_sites, 0):
-            for roots in (rec.bethe_roots, rec.q_minus_roots):
-                m = roots.size
-                if m == 0:
-                    continue
-                avoid = np.concatenate([roots, xi])
-                for _ in range(10):
-                    ys = separated_cloud(
-                        rng, m, eta, avoid=avoid, min_sep=0.3, box=2.4
-                    )
-                    lhs = slavnov_determinant(params, -1.0, roots, ys)
-                    pooled = np.concatenate([roots, ys])
-                    f_vals = np.array(
-                        [-shift_ratio(xi, eta, z, +1) for z in pooled]
-                    )
-                    rhs = dressed_vandermonde(pooled, eta, f_vals, -1)
-                    scale = max(abs(lhs), abs(rhs), _TINY)
-                    worst_shell = max(
-                        worst_shell,
-                        abs(gen_slavnov_sign(m, 0) * lhs - rhs) / scale,
-                    )
-                    if 2 * m == n_sites:
-                        sat = (-1.0) ** m * izergin_determinant(-1.0, pooled, xi, eta)
-                        worst_sat = max(
-                            worst_sat, abs(lhs - sat) / max(abs(lhs), _TINY)
-                        )
-                        n_sat += 1
-                    extra = int(rng.integers(1, 3))
-                    ys4 = separated_cloud(
-                        rng, m + extra, eta, avoid=avoid, min_sep=0.3, box=2.4
-                    )
-                    lhs4 = gen_slavnov_determinant(params, -1.0, roots, ys4)
-                    pooled4 = np.concatenate([roots, ys4])
-                    f4 = np.array([-shift_ratio(xi, eta, z, +1) for z in pooled4])
-                    rhs4 = dressed_vandermonde(pooled4, eta, f4, -1)
-                    scale4 = max(abs(lhs4), abs(rhs4), _TINY)
-                    worst_shell = max(
-                        worst_shell,
-                        abs(gen_slavnov_sign(m, extra) * lhs4 - rhs4) / scale4,
-                    )
-    assert n_sat > 0
-    assert worst_shell <= 1e-9
-    assert worst_sat <= 1e-9
-
-    params = cached_params(3, 0)
-    rec = next(r for r in cached_spectrum(3, 0) if r.n_roots >= 1)
-    roots = rec.bethe_roots
-    r_count = roots.size
-    dirs = np.exp(2j * np.pi * rng.uniform(size=r_count))
-
-    def displaced_norm(eps: float) -> complex:
-        ys = roots + eps * dirs
-        pref = complex(
-            np.prod([d_of(params, z) for z in roots])
-            * np.prod([d_of(params, z) for z in ys])
-        )
-        det = slavnov_determinant(params, -1.0, roots, ys)
-        return complex(
-            (-1.0) ** r_count * 2.0 ** (params.n_sites - 2 * r_count) * pref * det
-        )
-
-    limit, _ = richardson_limit(displaced_norm)
-    target = gaudin_norm(params, rec)
-    rel_limit = abs(limit - target) / abs(target)
-    assert rel_limit <= 1e-6
-
-    print(
-        "\ncriterion 5: weight exchange "
-        f"{worst_ex:.2e}, domain wall {worst_dw:.2e}, unbalanced "
-        f"{worst_un:.2e}, structural zero {worst_zero:.2e} (tol 1e-10); "
-        f"on-shell reductions {worst_shell:.2e}, saturated x{n_sat} "
-        f"{worst_sat:.2e} (tol 1e-9); coinciding-root limit {rel_limit:.2e} "
-        "(tol 1e-6)"
+    _gated_rows(5)
+    # the saturated row reads 0 unless some root set fills half the chain
+    assert any(
+        2 * roots.size == n_sites
+        for n_sites in GATES[5][0]
+        for rec in cached_spectrum(n_sites, 0)
+        for roots in (rec.bethe_roots, rec.q_minus_roots)
     )
 
 
 def test_criterion_06_scalar_product_coherence():
-    rng = np.random.Generator(np.random.Philox(key=0xACC6))
-    worst = 0.0
-    n_pairs = 0
-    for n_sites in (2, 3, 4, 5):
-        params = cached_params(n_sites, 0)
-        xi = np.asarray(params.xi, dtype=complex)
-        for _ in range(13):
-            m_left = int(rng.integers(0, n_sites + 1))
-            m_right = int(rng.integers(0, n_sites + 1))
-            left_roots = separated_cloud(rng, m_left, params.eta, avoid=xi)
-            right_roots = separated_cloud(
-                rng, m_right, params.eta, avoid=np.concatenate([xi, left_roots])
-            )
-            left = spec_from_roots(params, left_roots, "left")
-            right = spec_from_roots(params, right_roots, "right")
-            values = [
-                sp_dense(params, left, right),
-                sp_direct(params, left, right),
-                sp_a_form(params, left_roots, right_roots),
-                sp_b_form(params, left_roots, right_roots),
-            ]
-            if m_left + m_right == n_sites:
-                values.append(sp_izergin_form(params, left_roots, right_roots))
-            scale = max(max(abs(v) for v in values), _TINY)
-            for v in values[1:]:
-                worst = max(worst, abs(v - values[0]) / scale)
-            n_pairs += 1
-    assert n_pairs >= 50
-    assert worst <= 1e-9
-
-    n_sites = 3
-    params = cached_params(n_sites, 0)
-    xi = np.asarray(params.xi, dtype=complex)
-    worst_eig = 0.0
-    worst_vanish = 0.0
-    for rec in cached_spectrum(n_sites, 0):
-        vec = eigenstate_vectors(params, rec)[1]
-        for m_left in range(0, n_sites + 2):
-            left_roots = separated_cloud(
-                rng, m_left, params.eta, avoid=np.concatenate([xi, rec.bethe_roots])
-            )
-            value = sp_with_eigenstate(params, left_roots, rec)
-            left = separate_state_dense(
-                params, spec_from_roots(params, left_roots, "left")
-            )
-            dense_val = bilinear(left, vec)
-            scale = max(
-                float(np.linalg.norm(left)) * float(np.linalg.norm(vec)), _TINY
-            )
-            worst_eig = max(worst_eig, abs(value - dense_val) / scale)
-            if m_left < rec.n_roots:
-                worst_vanish = max(worst_vanish, abs(value) / scale)
-    assert worst_eig <= 1e-9
-    assert worst_vanish <= 1e-9
-    print(
-        f"\ncriterion 6: {n_pairs} route-coherence pairs worst {worst:.2e}; "
-        f"eigenstate dispatch {worst_eig:.2e}; vanishing sector "
-        f"{worst_vanish:.2e} (tol 1e-9)"
-    )
+    _gated_rows(6)
 
 
 def test_criterion_07_form_factors_full_spectrum():
-    ops = {"-": ff_sigma_minus, "+": ff_sigma_plus, "z": ff_sigma_z}
-    worst = 0.0
-    n_far = 0
-    n_equal_offdiag = 0
-    for n_sites in range(1, 5):
-        params = cached_params(n_sites, 0)
-        records = cached_spectrum(n_sites, 0)
-        vectors = [eigenstate_vectors(params, rec) for rec in records]
-        sigma = {
-            (site, op): site_sigma(params, site, op)
-            for site in range(1, n_sites + 1)
-            for op in ops
-        }
-        for i, bra in enumerate(records):
-            left = vectors[i][0]
-            for j, ket in enumerate(records):
-                right = vectors[j][1]
-                scale = float(np.linalg.norm(left) * np.linalg.norm(right))
-                gap = abs(bra.n_roots - ket.n_roots)
-                if gap > 1:
-                    n_far += 1
-                if i != j and gap == 0:
-                    n_equal_offdiag += 1
-                for site in range(1, n_sites + 1):
-                    for op_key, op_fn in ops.items():
-                        value = op_fn(params, bra, ket, site)
-                        dense_val = bilinear(left, sigma[(site, op_key)] @ right)
-                        worst = max(worst, abs(value - dense_val) / scale)
-    assert n_far > 0
-    assert n_equal_offdiag > 0
-    assert worst <= 1e-8
-
-    params = fixture_params(1)
-    records = full_spectrum(params, 0)
-    up = next(r for r in records if r.n_roots == 1)
-    down = next(r for r in records if r.n_roots == 0)
-    z_derived = ff_sigma_z(params, down, up, 1)
-    z_printed = -z_derived
-    assert abs(z_derived - 1.0) <= 1e-10
-    assert abs(z_printed - 1.0) > 1.0
-    print(
-        f"\ncriterion 7: N<=4 full-spectrum elements worst {worst:.2e} "
-        f"(tol 1e-8, {n_far} distant-sector zeros, {n_equal_offdiag} "
-        "equal-sector off-diagonal pairs); z sign: derived +1 passes, "
-        "opposite printed sign fails"
-    )
+    _gated_rows(7)
+    sectors = [_sectors(n) for n in GATES[7][0]]
+    # distant-sector zeros and equal-sector off-diagonal pairs both occur
+    assert any(max(s) - min(s) > 1 for s in sectors)
+    assert any(count > 1 for s in sectors for count in s.values())
 
 
 def test_criterion_08_product_state_bridge():
-    worst_spread = 0.0
-    worst_const = 0.0
-    worst_expansion = 0.0
-    worst_reference = 0.0
-    n_expansion = 0
-    for n_sites in range(1, 5):
-        params = cached_params(n_sites, 0)
-        records = cached_spectrum(n_sites, 0)
-        for rec in records:
-            report = correspondence_report(params, rec)
-            expected = expected_correspondence_constant(n_sites, rec.n_roots)
-            worst_spread = max(
-                worst_spread, report["spread"], report["left_spread"]
-            )
-            worst_const = max(
-                worst_const,
-                abs(report["ratio"] - expected) / abs(expected),
-                abs(report["left_ratio"] - expected) / abs(expected),
-            )
-        for bra in records:
-            for ket in records:
-                if bra.n_roots != ket.n_roots or not 1 <= bra.n_roots < n_sites:
-                    continue
-                for site in range(1, n_sites + 1):
-                    sov_value, aba_value, diff = weighted_expansion_crosscheck(
-                        params, bra, ket, site
-                    )
-                    scale = max(abs(sov_value), abs(aba_value), 1.0)
-                    worst_expansion = max(worst_expansion, diff / scale)
-                    n_expansion += 1
-        worst_reference = max(worst_reference, reference_state_identity(params))
-    assert worst_spread <= 1e-9
-    assert worst_const <= 1e-9
-    assert n_expansion > 0
-    assert worst_expansion <= 1e-9
-    assert worst_reference <= 1e-12
-    print(
-        f"\ncriterion 8: correspondence spread {worst_spread:.2e}, constant "
-        f"{worst_const:.2e}, weighted expansions ({n_expansion} pairs) "
-        f"{worst_expansion:.2e} (tol 1e-9); root-free closed form "
-        f"{worst_reference:.2e}"
+    by_n = _gated_rows(8)
+    # some equal-sector pair inside the chain feeds the weighted expansions
+    assert any(1 <= r < n for n in GATES[8][0] for r in _sectors(n))
+    reference = max(
+        float(rows["aba-check/reference_state_identity"]["value"])
+        for rows in by_n.values()
     )
+    assert reference <= 1e-12
+    print(f"criterion 8: root-free closed form {reference:.2e} (tol 1e-12)")
 
 
 def test_criterion_09_homogeneous_limit_smoothness():
-    eps_values = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    rows = homogeneous_stress_sweep(n_sites=4, eps_values=eps_values, seed=0)
-    trends = stress_trends(rows)
-    lines = ["criterion 9 sweep (N=4):"]
-    for row in rows:
-        lines.append(
-            f"  eps={row['eps']:.0e}  b_form={row['b_form']:.12g}  "
-            f"cond={row['raw_condition']:.3e}  "
-            f"bethe_residual={row['bethe_residual']:.2e}"
-        )
-    for key in ("b_form", "slavnov_form", "izergin_form"):
-        diffs = trends[key + "_diffs"]
-        assert diffs is not None
-        for k in range(1, len(diffs)):
-            ratio = diffs[k] / max(diffs[k - 1], _TINY)
-            assert ratio <= 0.3, (key, k, ratio)
-        lines.append(f"  {key} successive diffs: " + ", ".join(f"{d:.3e}" for d in diffs))
-    conds = trends["condition_numbers"]
-    for eps, cond in list(zip(eps_values, conds))[:3]:
-        assert cond * eps**3 >= 0.01, (eps, cond)
-    lines.append(
-        "  condition numbers: " + ", ".join(f"{c:.3e}" for c in conds)
+    _gated_rows(9)
+    summary = _report(4)[0]["summaries"]["homogeneous-stress"]
+    exponent = float(summary["condition_growth_exponent"])
+    assert exponent >= 2.0
+    print(
+        f"criterion 9: b-form successive diffs {', '.join(summary['b_form_diffs'])}; "
+        f"condition growth exponent {exponent:.2f} (cubic-like expected)"
     )
-    lines.append(
-        f"  condition growth exponent {trends['condition_growth_exponent']:.2f} "
-        "(cubic-like expected)"
-    )
-    assert trends["condition_growth_exponent"] >= 2.0
-    print("\n" + "\n".join(lines))
 
 
 def test_criterion_10_local_hamiltonian_limit():
-    at_zero = [hamiltonian_limit_check(n, 0.0) for n in (2, 3)]
-    assert max(at_zero) <= 1e-9
-    eps_values = (1e-2, 1e-3, 1e-4)
-    devs = [hamiltonian_limit_check(3, eps) for eps in eps_values]
+    _gated_rows(10)
+    devs = [hamiltonian_limit_check(3, eps) for eps in (1e-2, 1e-3, 1e-4)]
     for k in range(1, len(devs)):
         assert devs[k] <= 0.2 * devs[k - 1]
-    print(
-        "\ncriterion 10: exact-lattice deviations "
-        f"{at_zero[0]:.2e}/{at_zero[1]:.2e} (tol 1e-9); near-lattice decay "
-        + " -> ".join(f"{d:.2e}" for d in devs)
-    )
+    print("criterion 10: near-lattice decay " + " -> ".join(f"{d:.2e}" for d in devs))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open defect: at N = 4 form-factors/distant_sectors_vanish and "
+    "z_matches_dense exceed 1e-8 at both seeds; at seed 27 the on-shell "
+    "identities and aba-check/operator_translation_constants exceed 1e-9",
+)
+@pytest.mark.parametrize("seed", [14, 27])
+def test_spectrum_backed_suites_pass_at_four_sites(seed):
+    suites = ("identities", "form-factors", "aba-check")
+    report = run(RunConfig(n_sites=4, seed=seed, suites=suites))
+    failed = [row["name"] for row in report["checks"] if not row["pass"]]
+    assert report["aborted"] == {} and not failed, failed

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from sovxxx import cli
+from sovxxx import cli, formfactors
 from sovxxx.chain import sample_generic_params
 from sovxxx.cli import SUITE_ORDER, RunConfig, main, render_csv, render_json, run
 from sovxxx.errors import SpectrumError
@@ -206,14 +206,31 @@ def test_aba_check_reports_each_record_once(monkeypatch):
     reported = []
     correspondence_report = cli.correspondence_report
 
-    def counting(params, rec):
+    def counting(params, rec, vectors):
         reported.append(id(rec))
-        return correspondence_report(params, rec)
+        return correspondence_report(params, rec, vectors)
 
     monkeypatch.setattr(cli, "correspondence_report", counting)
     report = run(RunConfig(n_sites=3, seed=0, suites=("aba-check",)))
     assert report["aborted"] == {}
     assert len(reported) == len(set(reported)) == 2**3
+
+
+def test_form_factors_suite_evaluates_each_lowering_element_once(monkeypatch):
+    calls = []
+    lowering = formfactors.ff_sigma_minus
+
+    def counting(params, bra, ket, site):
+        calls.append((id(bra), id(ket), site))
+        return lowering(params, bra, ket, site)
+
+    # the suite's own binding and the one the raising/z evaluators call
+    monkeypatch.setattr(cli, "ff_sigma_minus", counting)
+    monkeypatch.setattr(formfactors, "ff_sigma_minus", counting)
+    report = run(RunConfig(n_sites=2, seed=0, suites=("form-factors",)))
+    assert report["aborted"] == {}
+    # every (bra, ket, site) of the 2-site chain, plus the one-site fixture
+    assert len(calls) == len(set(calls)) == 4 * 4 * 2 + 1
 
 
 def test_failed_spectrum_build_is_not_cached(monkeypatch):

@@ -87,7 +87,7 @@ def test_oversized_weight_sets_annihilate():
     # structural zero shows up at working precision in absolute terms
     rng = np.random.Generator(np.random.Philox(key=605))
     eta = 1.1 - 0.15j
-    for small in range(0, 4):
+    for small in range(0, 5):
         for big in range(small + 1, 6):
             xs = separated_cloud(rng, small, eta, min_sep=0.4, box=1.5)
             ys = separated_cloud(rng, big, eta, avoid=xs, min_sep=0.4, box=1.5)
@@ -253,8 +253,24 @@ def test_lattice_column_is_the_limit_onto_a_node():
 
 @pytest.mark.parametrize("gap", [1e-300, 1e-15])
 def test_dressed_functional_rejects_numerically_coinciding_points(gap):
-    with pytest.raises(PoleCollisionError):
-        dressed_vandermonde([0.0, gap], 1.0, [0.5, 0.5], +1)
+    pair, other = [0.0, gap], [0.3 + 0.2j, -0.4 + 0.1j]
+    params = cached_params(3, 0)
+    on_shell = next(r for r in cached_spectrum(3, 0) if r.n_roots == 2).bethe_roots
+    evaluators = [
+        lambda: dressed_vandermonde(pair, 1.0, [0.5, 0.5], +1),
+        lambda: izergin_determinant(0.7, pair, other, 1.0),
+        lambda: izergin_determinant(0.7, other, pair, 1.0),
+        lambda: izergin_determinant_clustered(0.7, pair, other, 1.0),
+        lambda: slavnov_determinant(params, -1.0, on_shell, np.add(pair, 0.1j)),
+    ]
+    for evaluate in evaluators:
+        with pytest.raises(PoleCollisionError):
+            evaluate()
+
+
+def test_shift_ratio_checks_sign_on_the_empty_set():
+    with pytest.raises(ValueError):
+        shift_ratio([], 1.0, 0.5, 5)
 
 
 def test_on_shell_determinants_match_entrywise_reference():
