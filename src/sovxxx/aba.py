@@ -270,16 +270,15 @@ def _translation_gap(
     params: ChainParams,
     bra: EigenRecord,
     ket: EigenRecord,
-    site: int,
+    sov_side: complex,
     row: np.ndarray,
     col: np.ndarray,
     sigma: np.ndarray,
 ) -> tuple[complex, complex, float]:
-    """One translated element from prebuilt product states: ``row`` is the
-    bra's left product state, ``col`` the ket's raise-on-down state and
-    ``sigma`` the site operator matching the sector gap (at most one)."""
+    """One translated element from its lowering element ``sov_side`` and
+    prebuilt product states: the bra's left ``row``, the ket's raise-on-down
+    ``col`` and the ``sigma`` matching the sector gap (at most one)."""
     gap = bra.n_roots - ket.n_roots
-    sov_side = ff_sigma_minus(params, bra, ket, site)
     element = complex(row @ (sigma @ col))
     aba_side = translation_constant(params.n_sites, bra.n_roots, gap) * element
     scale = max(abs(sov_side), abs(aba_side), 1e-300)
@@ -298,26 +297,27 @@ def translation_check(
     relative gap.  Sector gaps beyond one return exact zeros.
     """
     gap = bra.n_roots - ket.n_roots
+    sov_side = ff_sigma_minus(params, bra, ket, site)
     if abs(gap) > 1:
-        sov_side = ff_sigma_minus(params, bra, ket, site)
         return sov_side, 0.0 + 0.0j, float(abs(sov_side))
     return _translation_gap(
         params,
         bra,
         ket,
-        site,
+        sov_side,
         left_bethe_state(params, bra.bethe_roots),
         bethe_state(params, ket.bethe_roots, RAISE_ON_DOWN),
         dense.site_sigma(params, site, _TRANSLATION_CASES[gap]),
     )
 
 
-def translation_residual(params: ChainParams, records) -> float:
+def translation_residual(params: ChainParams, records, lowering) -> float:
     """Worst relative gap of ``translation_check`` over every ordered pair
     of records at most one sector apart and every site.
 
-    Each record's two product states and each site operator are built
-    once for the whole sweep instead of once per element.
+    ``lowering[i, j, site - 1]`` is ``ff_sigma_minus`` between records i
+    and j.  Each record's two product states and each site operator are
+    built once for the whole sweep instead of once per element.
     """
     rows = [left_bethe_state(params, rec.bethe_roots) for rec in records]
     cols = [bethe_state(params, rec.bethe_roots, RAISE_ON_DOWN) for rec in records]
@@ -334,8 +334,9 @@ def translation_residual(params: ChainParams, records) -> float:
                 continue
             op = _TRANSLATION_CASES[gap]
             for site in range(1, params.n_sites + 1):
+                sov_side, sigma = lowering[i, j, site - 1], sigmas[site, op]
                 rel = _translation_gap(
-                    params, bra, ket, site, rows[i], cols[j], sigmas[site, op]
+                    params, bra, ket, sov_side, rows[i], cols[j], sigma
                 )[2]
                 worst = max(worst, rel)
     return worst

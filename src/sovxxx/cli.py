@@ -51,6 +51,7 @@ from .dense import (
     transfer_twisted,
 )
 from .determinants import (
+    balanced_shift_ratio,
     dressed_vandermonde,
     dressed_vandermonde_unbalanced_check,
     gen_slavnov_determinant,
@@ -105,6 +106,8 @@ _SUBCOMMANDS = {
 }
 
 _TINY = 1e-300
+# seed + 1 (the spectrum suite's redraw) must stay an exact int64 Philox key
+_MAX_SEED = 2**63 - 2
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n_sites <= 8:
             raise ValueError("site count must be between 1 and 8")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed <= _MAX_SEED:
+            raise ValueError(f"seed must be between 0 and {_MAX_SEED}")
         if not (math.isfinite(self.margin) and self.margin >= 0):
             raise ValueError("margin must be finite and nonnegative")
         for suite, tol in self.tolerances.items():
@@ -181,10 +184,11 @@ def _match_row(name: str, value, reference, tol: float) -> dict:
 
 
 class _Chain:
-    """One drawn chain of a run with its spectrum records and their dense
-    (left row, right column) eigenstate vectors, each built on first use
-    and then shared by every suite.  A build that raises is not kept, so
-    every suite needing it raises the same error."""
+    """One drawn chain of a run with its spectrum records, their dense
+    (left row, right column) eigenstate vectors and their lowering
+    elements, each built on first use and then shared by every suite.  A
+    build that raises is not kept, so every suite needing it raises the
+    same error."""
 
     def __init__(self, params: ChainParams, seed: int) -> None:
         self.params = params
@@ -201,6 +205,19 @@ class _Chain:
             for vec in pair:
                 vec.setflags(write=False)
         return pairs
+
+    @cached_property
+    def lowering(self) -> np.ndarray:
+        """``ff_sigma_minus`` between records i and j at site s, at
+        ``[i, j, s - 1]``."""
+        params, recs = self.params, self.records
+        sites = range(1, params.n_sites + 1)
+        flat = [
+            ff_sigma_minus(params, b, k, s) for b in recs for k in recs for s in sites
+        ]
+        out = np.array(flat, dtype=complex).reshape(len(recs), len(recs), len(sites))
+        out.setflags(write=False)
+        return out
 
 
 Chains = Callable[[int], _Chain]
@@ -370,12 +387,7 @@ def _suite_identities(config: RunConfig, chains: Chains):
         eta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2))
         xs = _draw_separated(rng, m, eta)
         f = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
-        g = np.array(
-            [
-                -f[a] * np.prod((xs[a] - xs + eta) / (xs[a] - xs - eta))
-                for a in range(m)
-            ]
-        )
+        g = -f * balanced_shift_ratio(xs, eta, xs)
         lhs = dressed_vandermonde(xs, eta, f, +1)
         rhs = dressed_vandermonde(xs, eta, g, -1)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), _TINY))
@@ -389,9 +401,9 @@ def _suite_identities(config: RunConfig, chains: Chains):
         ys = _draw_separated(rng, m, eta, avoid=xs)
         mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         iz = izergin_determinant(mu, xs, ys, eta)
-        f_on_x = np.array([mu * shift_ratio(ys, eta, x, +1) for x in xs])
+        f_on_x = mu * shift_ratio(ys, eta, xs, +1)
         alt_a = (-1.0) ** m * dressed_vandermonde(xs, eta, f_on_x, -1)
-        f_on_y = np.array([mu * shift_ratio(xs, eta, y, -1) for y in ys])
+        f_on_y = mu * shift_ratio(xs, eta, ys, -1)
         alt_b = (-1.0) ** m * dressed_vandermonde(ys, eta, f_on_y, +1)
         scale = max(abs(iz), abs(alt_a), abs(alt_b), _TINY)
         worst = max(worst, abs(iz - alt_a) / scale, abs(iz - alt_b) / scale)
@@ -421,8 +433,8 @@ def _suite_identities(config: RunConfig, chains: Chains):
             xs = _draw_separated(rng, small, eta)
             ys = _draw_separated(rng, big, eta, avoid=xs)
             for f, sgn in (
-                (np.array([shift_ratio(xs, eta, y, -1) for y in ys]), +1),
-                (np.array([shift_ratio(xs, eta, y, +1) for y in ys]), -1),
+                (shift_ratio(xs, eta, ys, -1), +1),
+                (shift_ratio(xs, eta, ys, +1), -1),
             ):
                 zero = abs(dressed_vandermonde(ys, eta, f, sgn))
                 # the vanishing is structural; doubling the weights breaks
@@ -451,9 +463,7 @@ def _suite_identities(config: RunConfig, chains: Chains):
                 ys = _draw_separated(rng, m, eta, avoid=avoid, min_sep=0.3, box=2.4)
                 lhs = slavnov_determinant(params, -1.0, roots, ys)
                 pooled = np.concatenate([roots, ys])
-                f_vals = np.array(
-                    [-shift_ratio(params.xi, eta, z, +1) for z in pooled]
-                )
+                f_vals = -shift_ratio(params.xi, eta, pooled, +1)
                 rhs = dressed_vandermonde(pooled, eta, f_vals, -1)
                 scale = max(abs(lhs), abs(rhs), _TINY)
                 worst3 = max(
@@ -470,7 +480,7 @@ def _suite_identities(config: RunConfig, chains: Chains):
                 )
                 lhs4 = gen_slavnov_determinant(params, -1.0, roots, ys4)
                 pooled4 = np.concatenate([roots, ys4])
-                f4 = np.array([-shift_ratio(params.xi, eta, z, +1) for z in pooled4])
+                f4 = -shift_ratio(params.xi, eta, pooled4, +1)
                 rhs4 = dressed_vandermonde(pooled4, eta, f4, -1)
                 scale4 = max(abs(lhs4), abs(rhs4), _TINY)
                 worst4 = max(
@@ -599,8 +609,7 @@ def _suite_form_factors(config: RunConfig, chains: Chains):
             # high enough that only that noise is absorbed
             floor = 1e-3 * max(norms[i][0] * norms[j][1], _TINY)
             for site in sites:
-                lowering = ff_sigma_minus(params, bra, ket, site)
-                values = ff_from_lowering(bra, ket, lowering)
+                values = ff_from_lowering(bra, ket, chain.lowering[i, j, site - 1])
                 for op_key in ops:
                     # the element ff_dense evaluates, from the shared vectors
                     dense = bilinear(
@@ -706,7 +715,7 @@ def _suite_aba_check(config: RunConfig, chains: Chains):
     rows.append(
         _residual_row(
             "aba-check/operator_translation_constants",
-            translation_residual(params, records),
+            translation_residual(params, records, chain.lowering),
             tol,
         )
     )

@@ -34,15 +34,6 @@ _POLE_TOL = 1e-8
 _COINCIDE_TOL = 1e-12
 
 
-def _scale_of(*arrays) -> float:
-    vals = [1.0]
-    for arr in arrays:
-        arr = np.asarray(arr)
-        if arr.size:
-            vals.append(float(np.max(np.abs(arr))))
-    return max(vals)
-
-
 def _require_distinct(points: np.ndarray, scale: float) -> None:
     """Refuse a point set holding two points closer than the pole guard.
 
@@ -62,46 +53,56 @@ def two_pole_kernel(x: complex, eta: complex, mu: complex = 1.0) -> complex:
     return mu / x - 1.0 / (x + eta)
 
 
-def shift_ratio(points, eta: complex, y: complex, sign: int) -> complex:
+def _guarded_ratio(points, eta: complex, y, up: complex, down: complex, what: str):
+    """Product over the set of (y - x + up)/(y - x + down) at each entry of
+    ``y``, guarding each denominator against max(1, |eta|, max|x|, |y_k|)."""
+    points = np.asarray(points, dtype=complex).ravel()
+    y = np.asarray(y, dtype=complex)
+    if points.size == 0:
+        out = np.ones(y.shape, dtype=complex)
+    else:
+        diffs = y[..., None] - points
+        den = diffs + down
+        scale = np.maximum(np.abs(y), max(1.0, abs(eta), np.abs(points).max()))
+        if (np.abs(den) < _POLE_TOL * scale[..., None]).any():
+            raise PoleCollisionError(what)
+        out = ((diffs + up) / den).prod(axis=-1)
+    return complex(out) if out.ndim == 0 else out
+
+
+def shift_ratio(points, eta: complex, y, sign: int):
     """Product over the set of (y - x + sign*eta)/(y - x); empty set gives 1.
 
-    Evaluation on top of a set point is a pole and raises
-    ``PoleCollisionError``.
+    ``y`` may be an array of evaluation points, giving an array of its
+    shape; a scalar ``y`` gives a ``complex``.  Evaluation on top of a set
+    point is a pole and raises ``PoleCollisionError``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    points = np.asarray(points, dtype=complex).ravel()
-    if points.size == 0:
-        return 1.0 + 0.0j
-    scale = _scale_of(points, [eta, y])
-    diffs = y - points
-    if np.min(np.abs(diffs)) < _POLE_TOL * scale:
-        raise PoleCollisionError("shift-ratio product evaluated on a set point")
-    return complex(np.prod((diffs + sign * eta) / diffs))
+    return _guarded_ratio(
+        points, eta, y, sign * eta, 0.0, "shift-ratio product evaluated on a set point"
+    )
 
 
-def balanced_shift_ratio(points, eta: complex, y: complex) -> complex:
-    """Product over the set of (y - x + eta)/(y - x - eta).
+def balanced_shift_ratio(points, eta: complex, y):
+    """Product over the set of (y - x + eta)/(y - x - eta), at ``y`` as in
+    ``shift_ratio``.
 
     This is the pole-cancelled ratio of the two shift-ratio products; it
     stays regular on the set itself, where the self factor contributes
     -1.
     """
-    points = np.asarray(points, dtype=complex).ravel()
-    if points.size == 0:
-        return 1.0 + 0.0j
-    scale = _scale_of(points, [eta, y])
-    down = y - points - eta
-    if np.min(np.abs(down)) < _POLE_TOL * scale:
-        raise PoleCollisionError("balanced shift ratio evaluated on a shifted point")
-    return complex(np.prod((y - points + eta) / down))
+    return _guarded_ratio(
+        points, eta, y, eta, -eta, "balanced shift ratio evaluated on a shifted point"
+    )
 
 
 def dressed_vandermonde(points, eta: complex, f_values, sign: int) -> complex:
     """det[x_a^(b-1) - f(x_a) (x_a + sign*eta)^(b-1)] / V(x).
 
     ``f_values`` lists the weight at each point.  The empty set gives 1;
-    identically zero weights give 1 for any set.
+    identically zero weights give 1 for any set of distinct points, while
+    a coinciding set raises ``PoleCollisionError`` whatever the weights.
     """
     points = np.asarray(points, dtype=complex).ravel()
     f_values = np.asarray(f_values, dtype=complex).ravel()
@@ -116,15 +117,32 @@ def dressed_vandermonde(points, eta: complex, f_values, sign: int) -> complex:
     # det(I - diag(f) G) with G holding Lagrange cardinal values at the
     # shifted points; every entry is a product of point differences, so
     # no high powers or Vandermonde quotients are ever formed
-    _require_distinct(points, _scale_of(points, [eta]))
-    shifted = points + sign * eta
-    num = shifted[:, None] - points[None, :]
-    den = points[:, None] - points[None, :]
-    gmat = np.empty((m, m), dtype=complex)
-    for b in range(m):
-        keep = np.arange(m) != b
-        gmat[:, b] = np.prod(num[:, keep], axis=1) / np.prod(den[b, keep])
+    _require_distinct(points, max(1.0, abs(eta), np.abs(points).max()))
+    diag = np.arange(m)
+    # num[a, b, c] = x_a + sign*eta - x_c, with the c = b factor set to 1
+    num = np.repeat((points + sign * eta)[:, None, None] - points, m, axis=1)
+    num[:, diag, diag] = 1.0
+    den = points[:, None] - points
+    den[diag, diag] = 1.0
+    gmat = num.prod(axis=2) / den.prod(axis=1)
     return complex(np.linalg.det(np.eye(m) - f_values[:, None] * gmat))
+
+
+def _kernel_differences(xs, ys, eta: complex):
+    """Equal-size point sets, their differences x - y and the pole guard's
+    scale, refusing an x on a kernel pole (y or y - eta) or two equal x."""
+    xs = np.asarray(xs, dtype=complex).ravel()
+    ys = np.asarray(ys, dtype=complex).ravel()
+    if xs.size != ys.size:
+        raise ValueError("the two point sets must have equal size")
+    scale = max(abs(eta), np.abs(xs).max(initial=1.0), np.abs(ys).max(initial=1.0))
+    diffs = xs[:, None] - ys[None, :]
+    if (np.abs(diffs) < _POLE_TOL * scale).any():
+        raise PoleCollisionError("kernel pole: point sets overlap")
+    if (np.abs(diffs + eta) < _POLE_TOL * scale).any():
+        raise PoleCollisionError("kernel pole: point sets overlap after shift")
+    _require_distinct(xs, scale)
+    return xs, ys, diffs, scale
 
 
 def izergin_determinant(mu: complex, xs, ys, eta: complex) -> complex:
@@ -134,20 +152,7 @@ def izergin_determinant(mu: complex, xs, ys, eta: complex) -> complex:
     and the reversed-order Vandermonde of the y set, times
     det[mu/(x_a - y_b) - 1/(x_a - y_b + eta)].
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    if xs.size != ys.size:
-        raise ValueError("the two point sets must have equal size")
-    n = xs.size
-    if n == 0:
-        return 1.0 + 0.0j
-    scale = _scale_of(xs, ys, [eta])
-    diffs = xs[:, None] - ys[None, :]
-    if np.min(np.abs(diffs)) < _POLE_TOL * scale:
-        raise PoleCollisionError("kernel pole: point sets overlap")
-    if np.min(np.abs(diffs + eta)) < _POLE_TOL * scale:
-        raise PoleCollisionError("kernel pole: point sets overlap after shift")
-    _require_distinct(xs, scale)
+    xs, ys, diffs, scale = _kernel_differences(xs, ys, eta)
     _require_distinct(ys, scale)
     kernel = mu / diffs - 1.0 / (diffs + eta)
     pref = complex(np.prod(diffs + eta))
@@ -167,27 +172,15 @@ def izergin_determinant_clustered(mu: complex, xs, ys, eta: complex) -> complex:
     regime where the plain determinant loses one Vandermonde order of
     accuracy per cluster point.
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    if xs.size != ys.size:
-        raise ValueError("the two point sets must have equal size")
-    n = xs.size
-    if n == 0:
-        return 1.0 + 0.0j
-    scale = _scale_of(xs, ys, [eta])
-    diffs = xs[:, None] - ys[None, :]
-    if np.min(np.abs(diffs)) < _POLE_TOL * scale:
-        raise PoleCollisionError("kernel pole: point sets overlap")
-    if np.min(np.abs(diffs + eta)) < _POLE_TOL * scale:
-        raise PoleCollisionError("kernel pole: point sets overlap after shift")
-    # only the first set: clustering of the second is what this route is for
-    _require_distinct(xs, scale)
+    # the second set is not refused when it clusters: that is what this
+    # route is for
+    xs, _, diffs, _ = _kernel_differences(xs, ys, eta)
     # column k holds the order-k divided difference over ys[:k+1]
     plain = np.cumprod(diffs, axis=1)
     shifted = np.cumprod(diffs + eta, axis=1)
     dd = mu / plain - 1.0 / shifted
     pref = complex(np.prod(diffs + eta))
-    sign = (-1.0) ** (n * (n - 1) // 2)
+    sign = (-1.0) ** (xs.size * (xs.size - 1) // 2)
     return complex(sign * pref * np.linalg.det(dd) / vandermonde(xs))
 
 
@@ -197,23 +190,21 @@ def mu_bethe_residuals(params: ChainParams, mu: complex, roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex).ravel()
     if roots.size == 0:
         return np.zeros(0)
-    res = np.zeros(roots.size)
-    scale = _scale_of(roots, params.xi, [params.eta])
-    for m, x in enumerate(roots):
-        if np.min(np.abs(x - params.xi)) < _POLE_TOL * scale:
-            raise PoleCollisionError("Bethe root collides with an inhomogeneity")
-        lhs = mu * a_of(params, x) / d_of(params, x)
-        rhs = -balanced_shift_ratio(roots, params.eta, x)
-        res[m] = abs(lhs / rhs - 1.0)
-    return res
+    xi, eta = params.xi, params.eta
+    scale = max(1.0, abs(eta), np.abs(roots).max(), np.abs(xi).max())
+    if (np.abs(roots[:, None] - xi) < _POLE_TOL * scale).any():
+        raise PoleCollisionError("Bethe root collides with an inhomogeneity")
+    lhs = mu * a_of(params, roots) / d_of(params, roots)
+    return np.abs(lhs / -balanced_shift_ratio(roots, eta, roots) - 1.0)
 
 
 def _require_on_shell(params: ChainParams, mu: complex, xs, tol: float = 1e-7) -> None:
     res = mu_bethe_residuals(params, mu, xs)
-    if res.size and np.max(res) > tol:
+    worst = res.max(initial=0.0)
+    if worst > tol:
         raise NotOnShellError(
             f"row points violate the twist-{mu} Bethe system "
-            f"(worst residual {np.max(res):.3e})"
+            f"(worst residual {worst:.3e})"
         )
 
 
@@ -239,9 +230,7 @@ def _column_weights(
     """Per-column weights of the on-shell matrix, once per column point y:
     g = mu E+(y; xi) and rho = the balanced shift ratio over the row set."""
     eta = params.eta
-    g = np.array([mu * shift_ratio(params.xi, eta, y, +1) for y in ys], dtype=complex)
-    rho = np.array([balanced_shift_ratio(xs, eta, y) for y in ys], dtype=complex)
-    return g, rho
+    return mu * shift_ratio(params.xi, eta, ys, +1), balanced_shift_ratio(xs, eta, ys)
 
 
 def _coincident_entry(params: ChainParams, mu: complex, xs, x: complex) -> complex:
@@ -272,7 +261,8 @@ def _on_shell_matrix(params: ChainParams, mu: complex, xs, ys, g, rho) -> np.nda
     eta = params.eta
     with np.errstate(divide="ignore", invalid="ignore"):
         mat = _kernel_matrix(xs, ys, g, -rho, eta)
-    scale = np.maximum(_scale_of(xs, params.xi, [eta]), np.abs(ys))
+    bound = max(abs(eta), np.abs(xs).max(initial=1.0), np.abs(params.xi).max())
+    scale = np.maximum(bound, np.abs(ys))
     gaps = np.abs(ys[None, :] - xs[:, None])
     near = gaps < _POLE_TOL * scale
     if np.any(near & (gaps > _COINCIDE_TOL * scale)):
@@ -400,7 +390,8 @@ def column_substituted_slavnov(
     cols[m - 1] = z
     gaps = np.abs(z - params.xi)
     node = int(np.argmin(gaps))
-    if gaps[node] < _POLE_TOL * _scale_of(xs, params.xi, [eta, z]):
+    scale = max(abs(eta), abs(z), np.abs(xs).max(initial=1.0), np.abs(params.xi).max())
+    if gaps[node] < _POLE_TOL * scale:
         others = np.delete(params.xi, node)
         residue = mu * complex(np.prod(z - params.xi + eta) / np.prod(z - others))
         g, rho = _column_weights(params, mu, xs, np.delete(ys, m - 1))
@@ -424,10 +415,8 @@ def dressed_vandermonde_unbalanced_check(
     """
     xs = np.asarray(xs, dtype=complex).ravel()
     ys = np.asarray(ys, dtype=complex).ravel()
-    f_on_y = np.array([mu * shift_ratio(xs, eta, y, -1) for y in ys])
-    lhs = dressed_vandermonde(ys, eta, f_on_y, +1)
-    f_on_x = np.array([mu * shift_ratio(ys, eta, x, +1) for x in xs])
-    rhs_core = dressed_vandermonde(xs, eta, f_on_x, -1)
+    lhs = dressed_vandermonde(ys, eta, mu * shift_ratio(xs, eta, ys, -1), +1)
+    rhs_core = dressed_vandermonde(xs, eta, mu * shift_ratio(ys, eta, xs, +1), -1)
     power = ys.size - xs.size
     if power < 0 and mu == 1.0:
         raise ValueError("the shrinking direction needs a twist different from 1")

@@ -108,7 +108,7 @@ def sp_a_form(params: ChainParams, left_roots, right_roots) -> complex:
     n = params.n_sites
     sign = (-1.0) ** (n * pooled.size)
     pref = _root_prefactor(params, left_roots) * _root_prefactor(params, right_roots)
-    f_vals = np.array([-shift_ratio(pooled, params.eta, x, -1) for x in params.xi])
+    f_vals = -shift_ratio(pooled, params.eta, params.xi, -1)
     return complex(
         sign * pref * dressed_vandermonde(params.xi, params.eta, f_vals, +1)
     )
@@ -129,7 +129,7 @@ def sp_b_form(params: ChainParams, left_roots, right_roots) -> complex:
     n = params.n_sites
     sign = (-1.0) ** (n * pooled.size)
     pref = _root_prefactor(params, left_roots) * _root_prefactor(params, right_roots)
-    f_vals = np.array([-shift_ratio(params.xi, params.eta, z, +1) for z in pooled])
+    f_vals = -shift_ratio(params.xi, params.eta, pooled, +1)
     return complex(
         sign
         * 2.0 ** (n - pooled.size)

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from sovxxx import cli, formfactors
+from sovxxx import aba, cli, formfactors
 from sovxxx.chain import sample_generic_params
 from sovxxx.cli import SUITE_ORDER, RunConfig, main, render_csv, render_json, run
 from sovxxx.errors import SpectrumError
@@ -134,6 +134,20 @@ def test_negative_seed_exits_once_before_any_suite(tmp_path, capsys):
         RunConfig(n_sites=2, seed=-1)
 
 
+def test_seed_beyond_the_int64_key_range_exits(tmp_path, capsys):
+    # seed + 1 must still be an exact int64 Philox key
+    RunConfig(n_sites=2, seed=2**63 - 2)
+    for seed in (2**63 - 1, 2**63, 2**64):
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--n", "2", "--seed", str(seed), "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+        assert "seed" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            RunConfig(n_sites=2, seed=seed)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -231,6 +245,23 @@ def test_form_factors_suite_evaluates_each_lowering_element_once(monkeypatch):
     assert report["aborted"] == {}
     # every (bra, ket, site) of the 2-site chain, plus the one-site fixture
     assert len(calls) == len(set(calls)) == 4 * 4 * 2 + 1
+
+
+def test_full_run_evaluates_each_lowering_element_once(monkeypatch, tmp_path):
+    calls = []
+    lowering = formfactors.ff_sigma_minus
+
+    def counting(params, bra, ket, site):
+        calls.append((id(bra), id(ket), site))
+        return lowering(params, bra, ket, site)
+
+    # every module that binds the evaluator
+    for module in (cli, aba, formfactors):
+        monkeypatch.setattr(module, "ff_sigma_minus", counting)
+    assert main(["all", "--n", "3", "--out", str(tmp_path / "r.json")]) == 0
+    # every (bra, ket, site) of the 3-site chain, shared by the form-factors
+    # and aba-check suites, plus the one-site fixture
+    assert len(calls) == len(set(calls)) == 8 * 8 * 3 + 1
 
 
 def test_failed_spectrum_build_is_not_cached(monkeypatch):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sovxxx.determinants import (
     balanced_shift_ratio,
@@ -14,13 +16,14 @@ from sovxxx.determinants import (
     izergin_determinant,
     izergin_determinant_clustered,
     lattice_column_determinant,
+    mu_bethe_residuals,
     richardson_limit,
     shift_ratio,
     slavnov_determinant,
     two_pole_kernel,
     vandermonde,
 )
-from sovxxx.chain import d_of
+from sovxxx.chain import a_of, d_of
 from sovxxx.errors import LimitFailureError, NotOnShellError, PoleCollisionError
 
 from conftest import cached_params, cached_spectrum, separated_cloud
@@ -297,3 +300,145 @@ def test_on_shell_determinants_match_entrywise_reference():
             ref = pref * np.linalg.det(mat) / (vandermonde(xs) * vandermonde(ys[::-1]))
             value = gen_slavnov_determinant(params, -1.0, xs, ys)
             assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+# ------------------------------------------- per-point reference routes
+# The array evaluators above replaced these one-point-at-a-time builders;
+# they stay here as references the array forms must reproduce.
+
+
+def _per_root_residuals(params, mu, roots):
+    return np.array(
+        [
+            abs(
+                mu * a_of(params, x) / d_of(params, x)
+                / -balanced_shift_ratio(roots, params.eta, x)
+                - 1.0
+            )
+            for x in roots
+        ]
+    )
+
+
+def _per_column_dressed_vandermonde(points, eta, f_values, sign):
+    m = points.size
+    if m == 0:
+        return 1.0 + 0.0j
+    num = (points + sign * eta)[:, None] - points[None, :]
+    den = points[:, None] - points[None, :]
+    gmat = np.empty((m, m), dtype=complex)
+    for b in range(m):
+        keep = np.arange(m) != b
+        gmat[:, b] = np.prod(num[:, keep], axis=1) / np.prod(den[b, keep])
+    return complex(np.linalg.det(np.eye(m) - f_values[:, None] * gmat))
+
+
+def _assert_relative(value, reference, rel=1e-12):
+    value, reference = np.asarray(value), np.asarray(reference)
+    assert value.shape == reference.shape
+    assert np.all(np.abs(value - reference) <= rel * np.abs(reference))
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_array_evaluators_match_their_per_point_routes(m):
+    rng = np.random.Generator(np.random.Philox(key=[613, m]))
+    for trial in range(20):
+        eta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2))
+        xs = separated_cloud(rng, m, eta, min_sep=0.2, box=2.5)
+        ys = separated_cloud(rng, 5, eta, avoid=xs, min_sep=0.2, box=2.5)
+        for sign in (1, -1):
+            _assert_relative(
+                shift_ratio(xs, eta, ys, sign),
+                [shift_ratio(xs, eta, y, sign) for y in ys],
+            )
+        _assert_relative(
+            balanced_shift_ratio(xs, eta, ys),
+            [balanced_shift_ratio(xs, eta, y) for y in ys],
+        )
+        f = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+        for sign in (1, -1):
+            _assert_relative(
+                dressed_vandermonde(xs, eta, f, sign),
+                _per_column_dressed_vandermonde(xs, eta, f, sign),
+            )
+        params = cached_params(1 + trial % 4, 0)
+        roots = separated_cloud(
+            rng, m, params.eta, avoid=params.xi, min_sep=0.2, box=2.5
+        )
+        mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        _assert_relative(
+            mu_bethe_residuals(params, mu, roots),
+            _per_root_residuals(params, mu, roots),
+        )
+
+
+def test_scalar_point_gives_a_complex_and_the_empty_set_ones():
+    for value in (
+        shift_ratio([0.3, -0.2j], 1.0, 0.5, 1),
+        shift_ratio([], 1.0, 0.5, -1),
+        balanced_shift_ratio([0.3, -0.2j], 1.0, 0.5),
+        balanced_shift_ratio([], 1.0, 0.5),
+    ):
+        assert type(value) is complex
+    ys = np.arange(6.0).reshape(2, 3)
+    for value in (shift_ratio([], 1.0, ys, 1), balanced_shift_ratio([], 1.0, ys)):
+        assert value.shape == ys.shape
+        assert np.all(value == 1.0)
+
+
+# --------------------------------- typed pole errors near a collision
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _near_collision(draw):
+    """A point set on a lattice of spacing at least 0.05 (far apart
+    against the pole guard), eta, up to four free evaluation points, an
+    index choosing the pole to approach and the approach angle."""
+    spacing = draw(st.floats(0.05, 1.0))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    origin = complex(draw(_UNIT), draw(_UNIT))
+    points = np.array([origin + spacing * complex(a, b) for a, b in cells])
+    eta = 2.0 * complex(draw(_UNIT), draw(_UNIT))
+    count = draw(st.integers(0, 4))
+    others = [2.0 * complex(draw(_UNIT), draw(_UNIT)) for _ in range(count)]
+    return points, eta, others, draw(st.integers(0, 100)), draw(st.floats(0.0, 6.3))
+
+
+def _guard_scale(points, eta, y):
+    return max(1.0, abs(eta), float(np.max(np.abs(points))), abs(y))
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "balanced"])
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_near_collision())
+def test_one_entry_inside_the_pole_guard_raises(kind, case):
+    points, eta, others, pick, angle = case
+    shift = eta if kind == "balanced" else 0.0
+    poles = points + shift
+    # the free entries keep clear of every pole; only one entry approaches
+    for y in others:
+        assume(np.min(np.abs(y - poles)) >= 1e-4 * _guard_scale(points, eta, y))
+    target = poles[pick % points.size]
+    step = _guard_scale(points, eta, target) * np.exp(1j * angle)
+
+    def evaluate(offset: float):
+        ys = list(others)
+        ys.insert(pick % (len(others) + 1), target + offset * step)
+        ys = np.array(ys, dtype=complex)
+        if kind == "balanced":
+            return balanced_shift_ratio(points, eta, ys)
+        return shift_ratio(points, eta, ys, 1 if kind == "plus" else -1)
+
+    with pytest.raises(PoleCollisionError):
+        evaluate(1e-10)
+    assert np.all(np.isfinite(evaluate(1e-6)))
