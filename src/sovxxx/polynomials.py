@@ -84,11 +84,22 @@ class ComplexPoly:
 
 
 def poly_from_roots(roots) -> ComplexPoly:
-    """Monic polynomial with the given roots; an empty set gives 1."""
+    """Monic polynomial with the given roots; an empty set gives 1.
+
+    Raises ``ValueError`` when the trimming rule would drop the leading
+    coefficient, which happens when the other coefficients exceed it by
+    more than ``1 / TRIM_TOL`` (roots of modulus about 1e3 at degree 4).
+    """
     roots = np.asarray(roots, dtype=complex).ravel()
     if roots.size == 0:
         return ComplexPoly(np.ones(1, dtype=complex))
-    return ComplexPoly(npoly.polyfromroots(roots))
+    poly = ComplexPoly(npoly.polyfromroots(roots))
+    if poly.degree != roots.size:
+        raise ValueError(
+            f"{roots.size} roots expand to a polynomial of degree {poly.degree}: "
+            "the leading coefficient is below the trimming threshold"
+        )
+    return poly
 
 
 def poly_mul(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:

@@ -9,10 +9,18 @@ no complex conjugation anywhere).  On top of the basis sit the separate
 states: states whose basis weights factorize into per-site values of a
 single function, which is the structure that turns scalar products into
 determinants.
+
+Everything here that depends on the chain alone is built once per chain
+and held by one ``SovTables`` object: the occupation bits of every
+pattern, the shifted-set Vandermonde of every pattern and, on first use,
+the left and right bases.  The tables are kept in a map keyed weakly by
+the ``ChainParams`` instance (which hashes by identity), so they live
+exactly as long as that instance and are never shared between chains.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
@@ -27,9 +35,6 @@ from .chain import (
     vandermonde,
 )
 from .dense import monodromy, reference_state
-from .polynomials import poly_from_roots
-
-_BASIS_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def occupation_patterns(n_sites: int):
@@ -45,8 +50,45 @@ def pattern_index(h) -> int:
     return idx
 
 
-def _fingerprint(params: ChainParams) -> tuple:
-    return (params.n_sites, params.eta, params.xi.tobytes())
+class SovTables:
+    """The separated-basis tables of one chain.
+
+    ``bits[k, a]`` is the occupation of site ``a`` in pattern ``k``
+    (bitmask order, site 1 most significant).  ``shifted_vandermonde[k]``
+    is ``vandermonde(shifted_xi(params, bits[k], -1))``, evaluated pattern
+    by pattern with exactly that arithmetic.  ``bases`` maps a side to its
+    basis once ``sov_basis`` has built it.  The object holds no reference
+    to its ``ChainParams``, so the weak map can drop it.
+    """
+
+    def __init__(self, params: ChainParams) -> None:
+        require_generic(params)
+        n = params.n_sites
+        index = np.arange(2**n)[:, None]
+        self.bits = ((index >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+        self.shifted_vandermonde = np.array(
+            [vandermonde(shifted_xi(params, h, direction=-1)) for h in self.bits],
+            dtype=complex,
+        )
+        self.bits.setflags(write=False)
+        self.shifted_vandermonde.setflags(write=False)
+        self.bases: dict[str, np.ndarray] = {}
+
+
+_TABLES: weakref.WeakKeyDictionary[ChainParams, SovTables] = weakref.WeakKeyDictionary()
+
+
+def sov_tables(params: ChainParams) -> SovTables:
+    """The chain's tables, built on the first call for this instance.
+
+    Raises ``ValueError`` (and keeps nothing) when the inhomogeneities
+    are not separated enough for the separated-basis construction.
+    """
+    tables = _TABLES.get(params)
+    if tables is None:
+        tables = SovTables(params)
+        _TABLES[params] = tables
+    return tables
 
 
 def sov_basis(params: ChainParams, side: str) -> np.ndarray:
@@ -60,9 +102,8 @@ def sov_basis(params: ChainParams, side: str) -> np.ndarray:
     """
     if side not in ("left", "right"):
         raise ValueError('side must be "left" or "right"')
-    require_generic(params)
-    key = (_fingerprint(params), side)
-    cached = _BASIS_CACHE.get(key)
+    tables = sov_tables(params)
+    cached = tables.bases.get(side)
     if cached is not None:
         return cached
     n = params.n_sites
@@ -92,7 +133,7 @@ def sov_basis(params: ChainParams, side: str) -> np.ndarray:
             basis[idx] = basis[parent] @ ladders[a]
     basis *= inv_v
     basis.setflags(write=False)
-    _BASIS_CACHE[key] = basis
+    tables.bases[side] = basis
     return basis
 
 
@@ -124,14 +165,14 @@ def sov_gram_check(params: ChainParams) -> dict[str, float]:
     n = params.n_sites
     right = sov_basis(params, "right")
     left = sov_basis(params, "left")
+    tables = sov_tables(params)
     gram = left @ right.T
     v_xi = vandermonde(params.xi)
     gram_res = 0.0
     recon = np.zeros((params.dim, params.dim), dtype=complex)
-    for h in occupation_patterns(n):
-        idx = pattern_index(h)
-        parity = (-1) ** sum(h)
-        weight = v_xi * vandermonde(shifted_xi(params, np.asarray(h), direction=-1))
+    for idx, h in enumerate(tables.bits):
+        parity = (-1) ** int(h.sum())
+        weight = v_xi * complex(tables.shifted_vandermonde[idx])
         # normalized row: G[idx, :] * parity * weight should be the unit row
         row = gram[idx] * parity * weight
         target = np.zeros(2**n)
@@ -158,6 +199,8 @@ class SeparateStateSpec:
             raise ValueError('side must be "left" or "right"')
         for name in ("values_at_xi", "values_at_xi_minus_eta"):
             arr = np.asarray(getattr(self, name), dtype=complex).ravel().copy()
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.values_at_xi.size != self.values_at_xi_minus_eta.size:
@@ -169,13 +212,18 @@ class SeparateStateSpec:
 
 
 def spec_from_roots(params: ChainParams, roots, side: str) -> SeparateStateSpec:
-    """Separate-state data for the monic polynomial with the given roots."""
-    poly = poly_from_roots(roots)
+    """Separate-state data for the monic polynomial with the given roots:
+    the product of (x - r) over the roots, at every inhomogeneity and at
+    its down-shift, in one broadcast product (no expanded coefficients).
+    Non-finite roots give non-finite values, which the spec rejects."""
+    roots = np.asarray(roots, dtype=complex).ravel()
+    points = np.stack((params.xi, params.xi - params.eta))
+    at_xi, at_xi_minus_eta = np.prod(points[..., None] - roots, axis=-1)
     return SeparateStateSpec(
         side=side,
-        values_at_xi=np.asarray(poly(params.xi), dtype=complex),
-        values_at_xi_minus_eta=np.asarray(poly(params.xi - params.eta), dtype=complex),
-        roots=np.asarray(roots, dtype=complex),
+        values_at_xi=at_xi,
+        values_at_xi_minus_eta=at_xi_minus_eta,
+        roots=roots,
     )
 
 
@@ -194,18 +242,6 @@ def spec_alternating_one(params: ChainParams, side: str) -> SeparateStateSpec:
     )
 
 
-def _kahan_weighted_sum(weights, vectors: np.ndarray) -> np.ndarray:
-    """Compensated accumulation of sum_k weights[k] * vectors[k]."""
-    total = np.zeros(vectors.shape[1], dtype=complex)
-    comp = np.zeros_like(total)
-    for w, vec in zip(weights, vectors):
-        term = w * vec - comp
-        new_total = total + term
-        comp = (new_total - total) - term
-        total = new_total
-    return total
-
-
 def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.ndarray:
     """Dense vector of a separate state from its per-site weight values.
 
@@ -214,13 +250,16 @@ def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.nd
     Vandermonde.  Right states use the same structure with the value at
     the down-shifted point dressed by the local ratio a(xi)/d(xi-eta) on
     occupied sites; that dressing is what makes the right family
-    biorthogonal to the left one with factorized weights.  The 2^N-term
-    accumulation is compensated to keep cancellation error at bay.
+    biorthogonal to the left one with factorized weights.  The weights of
+    all 2^N patterns are one product over the chain's occupation table,
+    and the vector is one plain (uncompensated) matrix-vector product with
+    the basis.
     """
     n = params.n_sites
     if sspec.values_at_xi.size != n:
         raise ValueError("separate-state values must cover every site")
     basis = sov_basis(params, sspec.side)
+    tables = sov_tables(params)
     xi = params.xi
     eta = params.eta
     site_w0 = sspec.values_at_xi
@@ -229,13 +268,8 @@ def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.nd
     else:
         dressing = a_of(params, xi) / d_of(params, xi - eta)
         site_w1 = dressing * sspec.values_at_xi_minus_eta
-    weights = []
-    for h in occupation_patterns(n):
-        arr = np.asarray(h)
-        w = np.prod(np.where(arr == 1, site_w1, site_w0))
-        w *= vandermonde(shifted_xi(params, arr, direction=-1))
-        weights.append(w)
-    return _kahan_weighted_sum(weights, basis)
+    weights = np.where(tables.bits, site_w1, site_w0).prod(axis=1)
+    return (weights * tables.shifted_vandermonde) @ basis
 
 
 def separate_state_aba(

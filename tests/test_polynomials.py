@@ -86,6 +86,13 @@ def test_empty_and_constant_behaviour():
     assert poly_from_roots([])(7.0 + 1j) == 1.0
 
 
+def test_monic_expansion_that_loses_its_leading_one_is_rejected():
+    # the constant term is about 3e12, so the relative trim reads the
+    # leading 1 as noise
+    with pytest.raises(ValueError, match="degree 3"):
+        poly_from_roots([1e3 + 1j, 2e3, -1.5e3, 1e3j])
+
+
 @pytest.mark.parametrize(
     "coeffs", [[1.0, np.nan], [1.0, 2.0, np.inf], [np.nan], [complex(1.0, -np.inf)]]
 )

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from sovxxx import sov
+from sovxxx.chain import a_of, d_of, sample_generic_params, shifted_xi, vandermonde
 from sovxxx.dense import basis_rotation, flipped_reference_state, monodromy
 from sovxxx.sov import (
     SeparateStateSpec,
@@ -14,14 +20,143 @@ from sovxxx.sov import (
     pattern_index,
     separate_state_aba,
     separate_state_dense,
+    sov_basis,
     sov_basis_state,
     sov_gram_check,
+    sov_tables,
     spec_alternating_one,
     spec_constant_one,
     spec_from_roots,
 )
 
 from conftest import cached_params, separated_cloud
+
+
+def _compensated_separate_state(params, sspec) -> np.ndarray:
+    """Reference for ``separate_state_dense``: one shifted Vandermonde and
+    one site product per pattern, accumulated with Kahan compensation."""
+    xi = params.xi
+    site_w0 = sspec.values_at_xi
+    if sspec.side == "left":
+        site_w1 = sspec.values_at_xi_minus_eta
+    else:
+        dressing = a_of(params, xi) / d_of(params, xi - params.eta)
+        site_w1 = dressing * sspec.values_at_xi_minus_eta
+    basis = sov_basis(params, sspec.side)
+    total = np.zeros(params.dim, dtype=complex)
+    comp = np.zeros_like(total)
+    for h in occupation_patterns(params.n_sites):
+        arr = np.asarray(h)
+        w = np.prod(np.where(arr == 1, site_w1, site_w0))
+        w *= vandermonde(shifted_xi(params, arr, direction=-1))
+        term = w * basis[pattern_index(h)] - comp
+        new_total = total + term
+        comp = (new_total - total) - term
+        total = new_total
+    return total
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
+def test_table_product_matches_compensated_reference(n_sites, spectrum_of):
+    params = cached_params(n_sites, 0)
+    rng = np.random.Generator(np.random.Philox(key=404 + n_sites))
+    specs = []
+    for m in range(n_sites + 1):
+        roots = separated_cloud(rng, m, params.eta, avoid=params.xi)
+        specs += [spec_from_roots(params, roots, side) for side in ("left", "right")]
+    for rec in spectrum_of(n_sites, 0):
+        for side in ("left", "right"):
+            specs.append(
+                SeparateStateSpec(
+                    side,
+                    rec.q_tau(params.xi),
+                    rec.q_tau(params.xi - params.eta),
+                    rec.bethe_roots,
+                )
+            )
+    for spec in specs:
+        ref = _compensated_separate_state(params, spec)
+        got = separate_state_dense(params, spec)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
+def test_tables_match_per_pattern_evaluation(n_sites):
+    params = cached_params(n_sites, 0)
+    tables = sov_tables(params)
+    patterns = list(occupation_patterns(n_sites))
+    assert tables.bits.astype(int).tolist() == [list(h) for h in patterns]
+    ref = np.array(
+        [vandermonde(shifted_xi(params, np.asarray(h), direction=-1)) for h in patterns],
+        dtype=complex,
+    )
+    assert tables.shifted_vandermonde.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n_sites", [1, 3, 5])
+def test_root_spec_values_match_horner(n_sites):
+    params = cached_params(n_sites, 0)
+    rng = np.random.Generator(np.random.Philox(key=405 + n_sites))
+    for m in range(n_sites + 2):
+        roots = separated_cloud(rng, m, params.eta)
+        coeffs = npoly.polyfromroots(roots)
+        spec = spec_from_roots(params, roots, "right")
+        for got, points in (
+            (spec.values_at_xi, params.xi),
+            (spec.values_at_xi_minus_eta, params.xi - params.eta),
+        ):
+            ref = npoly.polyval(points, coeffs)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+def test_tables_are_built_once_per_chain(monkeypatch):
+    params = sample_generic_params(3, 7, None)
+    calls = {"monodromy": 0, "vandermonde": 0}
+    for name in calls:
+        real = getattr(sov, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sov, name, counted)
+    spec = spec_from_roots(params, [0.3 + 0.2j], "right")
+    first = separate_state_dense(params, spec)
+    assert calls["monodromy"] == 3
+    calls.update(monodromy=0, vandermonde=0)
+    second = separate_state_dense(params, spec)
+    assert calls == {"monodromy": 0, "vandermonde": 0}
+    assert np.array_equal(first, second)
+
+
+def test_tables_live_only_as_long_as_their_chain():
+    refs = []
+    for seed in range(20):
+        params = sample_generic_params(3, 1000 + seed, None)
+        for side in ("left", "right"):
+            separate_state_dense(params, spec_constant_one(params, side))
+            refs.append(weakref.ref(sov_basis(params, side)))
+        refs.append(weakref.ref(sov_tables(params)))
+    del params
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("field", ["values_at_xi", "values_at_xi_minus_eta"])
+def test_non_finite_spec_values_are_rejected(field, bad):
+    values = {"values_at_xi": [1, 1, 1], "values_at_xi_minus_eta": [1, 1, 1]}
+    values[field] = [1, bad, 1]
+    with pytest.raises(ValueError, match="finite"):
+        SeparateStateSpec("left", **values)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_roots_are_rejected(side, bad):
+    with pytest.raises(ValueError, match="finite"):
+        spec_from_roots(cached_params(3, 0), [0.5, bad], side)
 
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
