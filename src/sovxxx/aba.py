@@ -203,20 +203,17 @@ def weighted_expansion_terms(
     ys = np.asarray(ket.bethe_roots, dtype=complex)
     node = params.xi[site - 1]
     base = slavnov_determinant(params, -1, xs, ys)
-    r = xs.size
-    terms = np.zeros(r, dtype=complex)
-    w_sov = np.zeros(r, dtype=complex)
-    w_aba = np.zeros(r, dtype=complex)
-    for m in range(r):
-        ym = ys[m]
-        a_val = complex(a_of(params, ym))
-        d_val = complex(d_of(params, ym))
-        q_minus = bra.q_tau(ym - params.eta)
-        q_plus = bra.q_tau(ym + params.eta)
-        w_sov[m] = (a_val * q_minus + d_val * q_plus) / (a_val * q_minus)
-        w_aba[m] = 2.0 * ket.q_tau(ym - params.eta) / q_minus
-        column = column_substituted_slavnov(params, -1, xs, ys, m + 1, node)
-        terms[m] = (a_val / d_val) * column
+    a_val = a_of(params, ys)
+    d_val = d_of(params, ys)
+    q_minus = bra.q_tau(ys - params.eta)
+    q_plus = bra.q_tau(ys + params.eta)
+    w_sov = (a_val * q_minus + d_val * q_plus) / (a_val * q_minus)
+    w_aba = 2.0 * ket.q_tau(ys - params.eta) / q_minus
+    # every column moved onto the node, as one stack of r determinants
+    columns = column_substituted_slavnov(
+        params, -1, xs, ys, np.arange(1, ys.size + 1), node
+    )
+    terms = (a_val / d_val) * columns
     return base, terms, w_sov, w_aba
 
 

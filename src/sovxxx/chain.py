@@ -192,18 +192,23 @@ def log_derivative_d(params: ChainParams, lam) -> complex:
     return np.sum(1.0 / (lam[..., None] - params.xi), axis=-1)
 
 
-def vandermonde(values) -> complex:
+def vandermonde(values) -> complex | np.ndarray:
     """Ordered Vandermonde product over pairs b < a of (v_a - v_b).
 
     Empty and singleton tuples give 1.  The ordering convention matters:
     all separated-basis weights in this package use the product in the
-    natural site order of the argument.
+    natural site order of the argument.  Leading axes index a stack of
+    sets, giving one product per set in the same order; a 1-D set gives
+    a ``complex``.
     """
-    values = np.asarray(values, dtype=complex).ravel()
+    values = np.asarray(values, dtype=complex)
+    if values.shape[-1] < 2:
+        return 1.0 + 0.0j if values.ndim == 1 else np.ones(values.shape[:-1], complex)
+    diffs = values[..., :, None] - values[..., None, :]
     out = 1.0 + 0.0j
-    for a in range(1, values.size):
-        out *= np.prod(values[a] - values[:a])
-    return complex(out)
+    for a in range(1, values.shape[-1]):
+        out = out * diffs[..., a, :a].prod(axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def shifted_xi(params: ChainParams, h, direction: int = -1) -> np.ndarray:

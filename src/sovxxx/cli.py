@@ -375,43 +375,73 @@ def _draw_separated(
     return np.array(accepted, dtype=complex)
 
 
+def _stacks(samples) -> list[tuple]:
+    """Group samples (tuples of point sets and per-sample scalars) by the
+    shapes of their fields, in order of first appearance, and stack each
+    group field by field, so each group is one call of a determinant
+    evaluator."""
+    groups: dict[tuple, list] = {}
+    for sample in samples:
+        groups.setdefault(tuple(np.shape(v) for v in sample), []).append(sample)
+    return [tuple(map(np.stack, zip(*group))) for group in groups.values()]
+
+
+def _worst_gap(diff, *values, floor: float = _TINY) -> float:
+    """Largest |diff| over max(|values|..., floor), over a stack."""
+    scale = np.maximum(np.max(np.abs(values), axis=0), floor)
+    return float(np.max(np.abs(diff) / scale))
+
+
 def _suite_identities(config: RunConfig, chains: Chains):
     tol_alg = config.tol("identities", 1e-10)
     tol_shell = config.tol("identities", 1e-9)
     rows = []
     rng = np.random.Generator(np.random.Philox(key=[config.seed, 0x1D5]))
+    # each block draws all of its samples first, in the order the
+    # generator serves them, and then evaluates each size group in one
+    # stacked call per determinant
 
-    worst = 0.0
+    samples = []
     for _ in range(100):
         m = int(rng.integers(1, 6))
         eta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2))
         xs = _draw_separated(rng, m, eta)
         f = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+        samples.append((xs, eta, f))
+    worst = 0.0
+    for xs, eta, f in _stacks(samples):
         g = -f * balanced_shift_ratio(xs, eta, xs)
         lhs = dressed_vandermonde(xs, eta, f, +1)
         rhs = dressed_vandermonde(xs, eta, g, -1)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), _TINY))
+        worst = max(worst, _worst_gap(lhs - rhs, lhs, rhs))
     rows.append(_residual_row("identities/plus_minus_weight_exchange", worst, tol_alg))
 
-    worst = 0.0
+    samples = []
     for _ in range(100):
         m = int(rng.integers(1, 6))
         eta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2))
         xs = _draw_separated(rng, m, eta)
         ys = _draw_separated(rng, m, eta, avoid=xs)
         mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        samples.append((xs, ys, eta, mu))
+    worst = 0.0
+    for xs, ys, eta, mu in _stacks(samples):
+        sign = (-1.0) ** xs.shape[-1]
         iz = izergin_determinant(mu, xs, ys, eta)
-        f_on_x = mu * shift_ratio(ys, eta, xs, +1)
-        alt_a = (-1.0) ** m * dressed_vandermonde(xs, eta, f_on_x, -1)
-        f_on_y = mu * shift_ratio(xs, eta, ys, -1)
-        alt_b = (-1.0) ** m * dressed_vandermonde(ys, eta, f_on_y, +1)
-        scale = max(abs(iz), abs(alt_a), abs(alt_b), _TINY)
-        worst = max(worst, abs(iz - alt_a) / scale, abs(iz - alt_b) / scale)
+        f_on_x = mu[:, None] * shift_ratio(ys, eta, xs, +1)
+        alt_a = sign * dressed_vandermonde(xs, eta, f_on_x, -1)
+        f_on_y = mu[:, None] * shift_ratio(xs, eta, ys, -1)
+        alt_b = sign * dressed_vandermonde(ys, eta, f_on_y, +1)
+        worst = max(
+            worst,
+            _worst_gap(iz - alt_a, iz, alt_a, alt_b),
+            _worst_gap(iz - alt_b, iz, alt_a, alt_b),
+        )
     rows.append(
         _residual_row("identities/domain_wall_equals_dressed_functional", worst, tol_alg)
     )
 
-    worst = 0.0
+    samples = []
     for m in range(5):
         for n in range(5):
             for mu in (-1.0, 2.0, 0.5 + 0.5j):
@@ -420,36 +450,53 @@ def _suite_identities(config: RunConfig, chains: Chains):
                 eta = complex(0.9, 0.2 * ((m + n) % 3 - 1))
                 xs = _draw_separated(rng, m, eta)
                 ys = _draw_separated(rng, n, eta, avoid=xs)
-                lhs, rhs = dressed_vandermonde_unbalanced_check(mu, xs, ys, eta)
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+                samples.append((xs, ys, eta, mu))
+    worst = 0.0
+    for xs, ys, eta, mu in _stacks(samples):
+        lhs, rhs = dressed_vandermonde_unbalanced_check(mu, xs, ys, eta)
+        worst = max(worst, _worst_gap(lhs - rhs, lhs, rhs, floor=1.0))
     rows.append(
         _residual_row("identities/unbalanced_weight_exchange_grid", worst, tol_alg)
     )
 
-    worst = 0.0
+    eta = complex(1.1, -0.15)
+    samples = []
     for small in range(0, 5):
         for big in range(small + 1, 6):
-            eta = complex(1.1, -0.15)
             xs = _draw_separated(rng, small, eta)
             ys = _draw_separated(rng, big, eta, avoid=xs)
-            for f, sgn in (
-                (shift_ratio(xs, eta, ys, -1), +1),
-                (shift_ratio(xs, eta, ys, +1), -1),
-            ):
-                zero = abs(dressed_vandermonde(ys, eta, f, sgn))
-                # the vanishing is structural; doubling the weights breaks
-                # it and exposes the determinant's natural magnitude
-                scale = max(
-                    1.0,
-                    abs(dressed_vandermonde(ys, eta, 2.0 * f, sgn)),
-                    abs(dressed_vandermonde(ys, eta, 1j * f, sgn)),
-                )
-                worst = max(worst, zero / scale)
+            samples.append(
+                (ys, shift_ratio(xs, eta, ys, -1), shift_ratio(xs, eta, ys, +1))
+            )
+    worst = 0.0
+    for ys, minus, plus in _stacks(samples):
+        for f, sgn in ((minus, +1), (plus, -1)):
+            # the vanishing is structural; doubling the weights breaks
+            # it and exposes the determinant's natural magnitude
+            weights = f[:, None, :] * np.array([1.0, 2.0, 1j])[:, None]
+            values = np.abs(dressed_vandermonde(ys[:, None, :], eta, weights, sgn))
+            worst = max(
+                worst, _worst_gap(values[:, 0], *values[:, 1:].T, floor=1.0)
+            )
     rows.append(_residual_row("identities/oversized_weight_overlap_vanishes", worst, tol_alg))
 
     chain = chains(config.n_sites)
     params, records = chain.params, chain.records
     eta = params.eta
+
+    def reduction(evaluate, roots, ys):
+        """The on-shell determinants of ``roots`` against a stack of free
+        sets, the pooled sets and the worst relative gap to the dressed
+        functional they reduce to."""
+        lhs = evaluate(params, -1.0, roots, ys)
+        pooled = np.concatenate(
+            [np.broadcast_to(roots, ys.shape[:-1] + roots.shape), ys], axis=-1
+        )
+        f_vals = -shift_ratio(params.xi, eta, pooled, +1)
+        rhs = dressed_vandermonde(pooled, eta, f_vals, -1)
+        sign = gen_slavnov_sign(roots.size, ys.shape[-1] - roots.size)
+        return lhs, pooled, _worst_gap(sign * lhs - rhs, lhs, rhs)
+
     worst3 = 0.0
     worst4 = 0.0
     worst_sat = 0.0
@@ -459,33 +506,23 @@ def _suite_identities(config: RunConfig, chains: Chains):
             if m == 0:
                 continue
             avoid = np.concatenate([roots, np.asarray(params.xi, dtype=complex)])
+            square, rectangular = [], []
             for _ in range(10):
-                ys = _draw_separated(rng, m, eta, avoid=avoid, min_sep=0.3, box=2.4)
-                lhs = slavnov_determinant(params, -1.0, roots, ys)
-                pooled = np.concatenate([roots, ys])
-                f_vals = -shift_ratio(params.xi, eta, pooled, +1)
-                rhs = dressed_vandermonde(pooled, eta, f_vals, -1)
-                scale = max(abs(lhs), abs(rhs), _TINY)
-                worst3 = max(
-                    worst3, abs(gen_slavnov_sign(m, 0) * lhs - rhs) / scale
+                square.append(
+                    _draw_separated(rng, m, eta, avoid=avoid, min_sep=0.3, box=2.4)
                 )
-                if 2 * m == params.n_sites:
-                    sat = (-1.0) ** m * izergin_determinant(
-                        -1.0, pooled, params.xi, eta
-                    )
-                    worst_sat = max(worst_sat, abs(lhs - sat) / max(abs(lhs), _TINY))
                 extra = int(rng.integers(1, 3))
-                ys4 = _draw_separated(
+                wide = _draw_separated(
                     rng, m + extra, eta, avoid=avoid, min_sep=0.3, box=2.4
                 )
-                lhs4 = gen_slavnov_determinant(params, -1.0, roots, ys4)
-                pooled4 = np.concatenate([roots, ys4])
-                f4 = -shift_ratio(params.xi, eta, pooled4, +1)
-                rhs4 = dressed_vandermonde(pooled4, eta, f4, -1)
-                scale4 = max(abs(lhs4), abs(rhs4), _TINY)
-                worst4 = max(
-                    worst4, abs(gen_slavnov_sign(m, extra) * lhs4 - rhs4) / scale4
-                )
+                rectangular.append((wide,))
+            lhs, pooled, gap = reduction(slavnov_determinant, roots, np.stack(square))
+            worst3 = max(worst3, gap)
+            if 2 * m == params.n_sites:
+                sat = (-1.0) ** m * izergin_determinant(-1.0, pooled, params.xi, eta)
+                worst_sat = max(worst_sat, _worst_gap(lhs - sat, lhs))
+            for (ys4,) in _stacks(rectangular):
+                worst4 = max(worst4, reduction(gen_slavnov_determinant, roots, ys4)[2])
     rows.append(
         _residual_row("identities/on_shell_determinant_reduction", worst3, tol_shell)
     )

@@ -18,6 +18,20 @@ have removable singularities when a column point collides with an
 on-shell row point; those entries are evaluated through their
 closed-form limits, which is what makes norms (coinciding point sets)
 directly computable.
+
+Stacks: every point-set argument of a determinant evaluator (all but
+``lattice_column_determinant``) is an array whose last axis runs over
+the set and whose leading axes, if any, index a stack of sets of that
+size; the sets of one call broadcast against each other.  The free
+parameters of the chain-free evaluators (``eta`` and ``mu`` of the
+dressed Vandermonde and Izergin forms) may be arrays of the stack shape,
+one per set, as may the substituted column and its point; the on-shell
+evaluators take one chain and one twist per call.  One call makes one
+guard pass, builds one (..., m, m) matrix stack and takes one batched
+``det``, returning an array of the stack shape; a 1-D set is the
+no-stack case of the same code and gives a ``complex``.  The on-shell
+gate runs once per call on the row sets as given, so a row set shared
+by a stack of column sets is checked once.
 """
 
 from __future__ import annotations
@@ -34,17 +48,47 @@ _POLE_TOL = 1e-8
 _COINCIDE_TOL = 1e-12
 
 
-def _require_distinct(points: np.ndarray, scale: float) -> None:
-    """Refuse a point set holding two points closer than the pole guard.
+def _result(value) -> complex | np.ndarray:
+    """A ``complex`` for the no-stack case, the array of the stack shape
+    otherwise."""
+    return value if np.ndim(value) else complex(value)
+
+
+def _per_set(value) -> np.ndarray:
+    """A per-set scalar (or array of the stack shape) with a trailing axis,
+    so it broadcasts against the points of each set."""
+    return np.asarray(value)[..., None]
+
+
+def _per_matrix(value) -> np.ndarray:
+    """A per-set scalar with two trailing axes, against each set's matrix."""
+    return np.asarray(value)[..., None, None]
+
+
+def _set_bound(points, floor=1.0) -> np.ndarray:
+    """max(1, floor, max |x|) over each set of a stack: every pole guard
+    here is relative to the largest of 1, |eta| and the points involved."""
+    return np.maximum(np.maximum.reduce(np.abs(points), axis=-1, initial=1.0), floor)
+
+
+def _require_distinct(points: np.ndarray, scale) -> np.ndarray:
+    """Refuse a point set holding two points closer than the pole guard,
+    and return its pairwise differences x_a - x_b for reuse.
 
     Every determinant here divides by the set's point differences (its
     Vandermonde); such a pair leaves the quotient a plausible-looking but
-    wrong number rather than an exact zero.
+    wrong number rather than an exact zero.  ``points`` may be a stack of
+    sets and ``scale`` one value per set; all pairs are checked at once.
     """
-    pts = points.tolist()
-    gaps = (abs(p - q) for a, p in enumerate(pts) for q in pts[:a])
-    if any(gap < _POLE_TOL * scale for gap in gaps):
+    diffs = points[..., :, None] - points[..., None, :]
+    if points.shape[-1] < 2:
+        return diffs
+    close = np.abs(diffs) < _POLE_TOL * np.asarray(scale)[..., None, None]
+    # each point is within the guard of itself, so a set is distinct
+    # exactly when its diagonal holds all of its close pairs
+    if np.count_nonzero(close) > close.size // points.shape[-1]:
         raise PoleCollisionError("coinciding points within one set")
+    return diffs
 
 
 def two_pole_kernel(x: complex, eta: complex, mu: complex = 1.0) -> complex:
@@ -55,27 +99,37 @@ def two_pole_kernel(x: complex, eta: complex, mu: complex = 1.0) -> complex:
 
 def _guarded_ratio(points, eta: complex, y, up: complex, down: complex, what: str):
     """Product over the set of (y - x + up)/(y - x + down) at each entry of
-    ``y``, guarding each denominator against max(1, |eta|, max|x|, |y_k|)."""
-    points = np.asarray(points, dtype=complex).ravel()
+    ``y``, guarding each denominator against max(1, |eta|, max|x|, |y_k|).
+
+    A 1-D set is evaluated at ``y`` of any shape.  A stack of sets
+    (..., m) is evaluated set by set at points (..., k); ``eta``, ``up``
+    and ``down`` are then scalars or one value per set.
+    """
+    points = np.asarray(points, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if points.size == 0:
-        out = np.ones(y.shape, dtype=complex)
-    else:
-        diffs = y[..., None] - points
-        den = diffs + down
-        scale = np.maximum(np.abs(y), max(1.0, abs(eta), np.abs(points).max()))
-        if (np.abs(den) < _POLE_TOL * scale[..., None]).any():
-            raise PoleCollisionError(what)
-        out = ((diffs + up) / den).prod(axis=-1)
-    return complex(out) if out.ndim == 0 else out
+    bound = _set_bound(points, abs(eta))
+    if points.ndim > 1:
+        points = points[..., None, :]
+        bound = bound[..., None]
+        up, down = _per_matrix(up), _per_matrix(down)
+    if points.shape[-1] == 0:
+        empty = np.ones(np.broadcast_shapes(y.shape, points.shape[:-1]), complex)
+        return _result(empty)
+    diffs = y[..., None] - points
+    den = diffs + down
+    if (np.abs(den) < _POLE_TOL * np.maximum(np.abs(y), bound)[..., None]).any():
+        raise PoleCollisionError(what)
+    return _result(((diffs + up) / den).prod(axis=-1))
 
 
 def shift_ratio(points, eta: complex, y, sign: int):
     """Product over the set of (y - x + sign*eta)/(y - x); empty set gives 1.
 
     ``y`` may be an array of evaluation points, giving an array of its
-    shape; a scalar ``y`` gives a ``complex``.  Evaluation on top of a set
-    point is a pole and raises ``PoleCollisionError``.
+    shape; a scalar ``y`` gives a ``complex``.  A stack of sets takes
+    one row of evaluation points per set (see ``_guarded_ratio``).
+    Evaluation on top of a set point is a pole and raises
+    ``PoleCollisionError``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -97,70 +151,74 @@ def balanced_shift_ratio(points, eta: complex, y):
     )
 
 
-def dressed_vandermonde(points, eta: complex, f_values, sign: int) -> complex:
+def dressed_vandermonde(
+    points, eta: complex, f_values, sign: int
+) -> complex | np.ndarray:
     """det[x_a^(b-1) - f(x_a) (x_a + sign*eta)^(b-1)] / V(x).
 
     ``f_values`` lists the weight at each point.  The empty set gives 1;
     identically zero weights give 1 for any set of distinct points, while
     a coinciding set raises ``PoleCollisionError`` whatever the weights.
+    Points, weights and ``eta`` may carry stack axes (module docstring).
     """
-    points = np.asarray(points, dtype=complex).ravel()
-    f_values = np.asarray(f_values, dtype=complex).ravel()
-    if points.size != f_values.size:
+    points = np.asarray(points, dtype=complex)
+    f_values = np.asarray(f_values, dtype=complex)
+    if points.shape[-1] != f_values.shape[-1]:
         raise ValueError("need exactly one weight value per point")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    m = points.size
-    if m == 0:
-        return 1.0 + 0.0j
     # factoring the plain power matrix out of the determinant leaves
     # det(I - diag(f) G) with G holding Lagrange cardinal values at the
     # shifted points; every entry is a product of point differences, so
     # no high powers or Vandermonde quotients are ever formed
-    _require_distinct(points, max(1.0, abs(eta), np.abs(points).max()))
-    diag = np.arange(m)
-    # num[a, b, c] = x_a + sign*eta - x_c, with the c = b factor set to 1
-    num = np.repeat((points + sign * eta)[:, None, None] - points, m, axis=1)
-    num[:, diag, diag] = 1.0
-    den = points[:, None] - points
-    den[diag, diag] = 1.0
-    gmat = num.prod(axis=2) / den.prod(axis=1)
-    return complex(np.linalg.det(np.eye(m) - f_values[:, None] * gmat))
+    diffs = _require_distinct(points, _set_bound(points, abs(eta)))
+    eye = np.eye(points.shape[-1], dtype=bool)
+    # num[..., a, b, c] = x_a + sign*eta - x_c, with the c = b factor set to 1
+    shifted = (points + sign * _per_set(eta))[..., :, None] - points[..., None, :]
+    num = np.where(eye, 1.0, shifted[..., :, None, :])
+    den = np.where(eye, 1.0, diffs)
+    gmat = num.prod(axis=-1) / den.prod(axis=-1)[..., None, :]
+    return _result(np.linalg.det(eye - f_values[..., :, None] * gmat))
 
 
 def _kernel_differences(xs, ys, eta: complex):
-    """Equal-size point sets, their differences x - y and the pole guard's
-    scale, refusing an x on a kernel pole (y or y - eta) or two equal x."""
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    if xs.size != ys.size:
+    """Equal-size point sets, their differences x - y and x - y + eta and
+    the pole guard's scale per set, refusing an x on a kernel pole (y or
+    y - eta) or two equal x."""
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    if xs.shape[-1] != ys.shape[-1]:
         raise ValueError("the two point sets must have equal size")
-    scale = max(abs(eta), np.abs(xs).max(initial=1.0), np.abs(ys).max(initial=1.0))
-    diffs = xs[:, None] - ys[None, :]
-    if (np.abs(diffs) < _POLE_TOL * scale).any():
+    scale = _set_bound(ys, _set_bound(xs, abs(eta)))
+    guard = _POLE_TOL * scale[..., None, None]
+    diffs = xs[..., :, None] - ys[..., None, :]
+    if (np.abs(diffs) < guard).any():
         raise PoleCollisionError("kernel pole: point sets overlap")
-    if (np.abs(diffs + eta) < _POLE_TOL * scale).any():
+    shifted = diffs + _per_matrix(eta)
+    if (np.abs(shifted) < guard).any():
         raise PoleCollisionError("kernel pole: point sets overlap after shift")
     _require_distinct(xs, scale)
-    return xs, ys, diffs, scale
+    return xs, ys, diffs, shifted, scale
 
 
-def izergin_determinant(mu: complex, xs, ys, eta: complex) -> complex:
+def izergin_determinant(mu: complex, xs, ys, eta: complex) -> complex | np.ndarray:
     """Two-pole-kernel determinant over equal-size point sets.
 
     Product of all (x_a - y_b + eta) over the Vandermonde of the x set
     and the reversed-order Vandermonde of the y set, times
     det[mu/(x_a - y_b) - 1/(x_a - y_b + eta)].
     """
-    xs, ys, diffs, scale = _kernel_differences(xs, ys, eta)
+    xs, ys, diffs, shifted, scale = _kernel_differences(xs, ys, eta)
     _require_distinct(ys, scale)
-    kernel = mu / diffs - 1.0 / (diffs + eta)
-    pref = complex(np.prod(diffs + eta))
-    denom = vandermonde(xs) * vandermonde(ys[::-1])
-    return complex(pref * np.linalg.det(kernel) / denom)
+    kernel = _per_matrix(mu) / diffs - 1.0 / shifted
+    pref = np.prod(shifted, axis=(-2, -1))
+    denom = vandermonde(xs) * vandermonde(ys[..., ::-1])
+    return _result(pref * np.linalg.det(kernel) / denom)
 
 
-def izergin_determinant_clustered(mu: complex, xs, ys, eta: complex) -> complex:
+def izergin_determinant_clustered(
+    mu: complex, xs, ys, eta: complex
+) -> complex | np.ndarray:
     """Two-pole-kernel determinant, stable when the second set clusters.
 
     Same value as ``izergin_determinant``, evaluated through the
@@ -174,25 +232,29 @@ def izergin_determinant_clustered(mu: complex, xs, ys, eta: complex) -> complex:
     """
     # the second set is not refused when it clusters: that is what this
     # route is for
-    xs, _, diffs, _ = _kernel_differences(xs, ys, eta)
+    xs, _, diffs, shifted, _ = _kernel_differences(xs, ys, eta)
     # column k holds the order-k divided difference over ys[:k+1]
-    plain = np.cumprod(diffs, axis=1)
-    shifted = np.cumprod(diffs + eta, axis=1)
-    dd = mu / plain - 1.0 / shifted
-    pref = complex(np.prod(diffs + eta))
-    sign = (-1.0) ** (xs.size * (xs.size - 1) // 2)
-    return complex(sign * pref * np.linalg.det(dd) / vandermonde(xs))
+    dd = _per_matrix(mu) / np.cumprod(diffs, axis=-1) - 1.0 / np.cumprod(
+        shifted, axis=-1
+    )
+    pref = np.prod(shifted, axis=(-2, -1))
+    m = xs.shape[-1]
+    sign = (-1.0) ** (m * (m - 1) // 2)
+    return _result(sign * pref * np.linalg.det(dd) / vandermonde(xs))
 
 
 def mu_bethe_residuals(params: ChainParams, mu: complex, roots) -> np.ndarray:
     """Per-root residuals of the twist-mu Bethe system
-    mu a(x)/d(x) = - prod (x - x_m + eta)/(x - x_m - eta) (self factor -1)."""
-    roots = np.asarray(roots, dtype=complex).ravel()
-    if roots.size == 0:
-        return np.zeros(0)
+    mu a(x)/d(x) = - prod (x - x_m + eta)/(x - x_m - eta) (self factor -1).
+
+    ``roots`` may be a stack of root sets, giving residuals of its shape.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    if roots.shape[-1] == 0:
+        return np.zeros(roots.shape)
     xi, eta = params.xi, params.eta
-    scale = max(1.0, abs(eta), np.abs(roots).max(), np.abs(xi).max())
-    if (np.abs(roots[:, None] - xi) < _POLE_TOL * scale).any():
+    scale = _set_bound(roots, max(abs(eta), np.abs(xi).max()))
+    if (np.abs(roots[..., None] - xi) < _POLE_TOL * scale[..., None, None]).any():
         raise PoleCollisionError("Bethe root collides with an inhomogeneity")
     lhs = mu * a_of(params, roots) / d_of(params, roots)
     return np.abs(lhs / -balanced_shift_ratio(roots, eta, roots) - 1.0)
@@ -216,11 +278,12 @@ def _kernel_matrix(xs, ys, alpha, beta, eta: complex) -> np.ndarray:
     package: the on-shell scalar products, their rectangular and
     lattice-column extensions, the column-substituted determinants and
     the closed form-factor determinants differ only in the per-column
-    weights.
+    weights.  Stacks of sets give a stack of matrices.
     """
-    u = np.asarray(xs, dtype=complex)[:, None] - np.asarray(ys, dtype=complex)[None, :]
-    alpha = np.asarray(alpha, dtype=complex)[None, :]
-    beta = np.asarray(beta, dtype=complex)[None, :]
+    xs = np.asarray(xs, dtype=complex)
+    u = xs[..., :, None] - np.asarray(ys, dtype=complex)[..., None, :]
+    alpha = np.asarray(alpha, dtype=complex)[..., None, :]
+    beta = np.asarray(beta, dtype=complex)[..., None, :]
     return alpha * two_pole_kernel(u, eta) + beta * two_pole_kernel(-u, eta)
 
 
@@ -230,23 +293,24 @@ def _column_weights(
     """Per-column weights of the on-shell matrix, once per column point y:
     g = mu E+(y; xi) and rho = the balanced shift ratio over the row set."""
     eta = params.eta
-    return mu * shift_ratio(params.xi, eta, ys, +1), balanced_shift_ratio(xs, eta, ys)
+    g = mu * shift_ratio(params.xi, eta, ys, +1)
+    return g, balanced_shift_ratio(xs, eta, ys)
 
 
-def _coincident_entry(params: ChainParams, mu: complex, xs, x: complex) -> complex:
-    """On-shell matrix entry in the limit where its column point reaches
-    its row point x.
+def _coincident_entries(params: ChainParams, mu: complex, xs) -> np.ndarray:
+    """On-shell matrix entries in the limit where a column point reaches
+    a row point x, one per row point.
 
     The generic entry is g(y) K(x - y) - rho(y) K(y - x); on shell the
     two poles cancel as y -> x, leaving -g'(x) - rho'(x) - 2 g(x)/eta.
     """
-    eta = params.eta
-    g = mu * shift_ratio(params.xi, eta, x, +1)
-    g_prime = g * complex(
-        np.sum(1.0 / (x - params.xi + eta) - 1.0 / (x - params.xi))
-    )
-    rho = balanced_shift_ratio(xs, eta, x)
-    rho_prime = rho * complex(np.sum(1.0 / (x - xs + eta) - 1.0 / (x - xs - eta)))
+    eta, xi = params.eta, params.xi
+    g = mu * shift_ratio(xi, eta, xs, +1)
+    to_xi = xs[..., None] - xi
+    g_prime = g * np.sum(1.0 / (to_xi + eta) - 1.0 / to_xi, axis=-1)
+    rho = balanced_shift_ratio(xs, eta, xs)
+    to_xs = xs[..., :, None] - xs[..., None, :]
+    rho_prime = rho * np.sum(1.0 / (to_xs + eta) - 1.0 / (to_xs - eta), axis=-1)
     return -g_prime - rho_prime - 2.0 * g / eta
 
 
@@ -261,40 +325,50 @@ def _on_shell_matrix(params: ChainParams, mu: complex, xs, ys, g, rho) -> np.nda
     eta = params.eta
     with np.errstate(divide="ignore", invalid="ignore"):
         mat = _kernel_matrix(xs, ys, g, -rho, eta)
-    bound = max(abs(eta), np.abs(xs).max(initial=1.0), np.abs(params.xi).max())
-    scale = np.maximum(bound, np.abs(ys))
-    gaps = np.abs(ys[None, :] - xs[:, None])
+    bound = _set_bound(xs, max(abs(eta), np.abs(params.xi).max()))
+    scale = np.maximum(bound[..., None], np.abs(ys))[..., None, :]
+    gaps = np.abs(ys[..., None, :] - xs[..., :, None])
     near = gaps < _POLE_TOL * scale
-    if np.any(near & (gaps > _COINCIDE_TOL * scale)):
-        raise PoleCollisionError(
-            "column point ambiguously close to a row point "
-            "(neither separated nor coincident)"
-        )
-    for j, k in zip(*np.nonzero(near)):
-        mat[j, k] = _coincident_entry(params, mu, xs, xs[j])
-    powers = np.arange(ys.size - xs.size)[:, None]
-    return np.vstack([mat, g * ys**powers - rho * (ys + eta) ** powers])
+    if near.any():
+        if (near & (gaps > _COINCIDE_TOL * scale)).any():
+            raise PoleCollisionError(
+                "column point ambiguously close to a row point "
+                "(neither separated nor coincident)"
+            )
+        mat = np.where(near, _coincident_entries(params, mu, xs)[..., :, None], mat)
+    extra = ys.shape[-1] - xs.shape[-1]
+    if extra:
+        powers = np.arange(extra)[:, None]
+        g, rho, ys = g[..., None, :], rho[..., None, :], ys[..., None, :]
+        moments = g * ys**powers - rho * (ys + eta) ** powers
+        moments = np.broadcast_to(moments, mat.shape[:-2] + moments.shape[-2:])
+        mat = np.concatenate([mat, moments], axis=-2)
+    return mat
 
 
-def _normalized_det(mat: np.ndarray, xs, ys, eta: complex) -> complex:
+def _normalized_det(mat: np.ndarray, xs, ys, eta: complex) -> complex | np.ndarray:
     """pref det(mat) / (V(xs) V(reversed ys)), pref the product of every
     x - y + eta."""
-    scale = max(1.0, abs(eta), *np.abs(xs), *np.abs(ys))
+    scale = _set_bound(ys, _set_bound(xs, abs(eta)))
     _require_distinct(xs, scale)
     _require_distinct(ys, scale)
-    denom = vandermonde(xs) * vandermonde(ys[::-1])
-    pref = complex(np.prod(xs[:, None] - ys[None, :] + eta))
-    return complex(pref * np.linalg.det(mat) / denom)
+    denom = vandermonde(xs) * vandermonde(ys[..., ::-1])
+    pref = np.prod(xs[..., :, None] - ys[..., None, :] + eta, axis=(-2, -1))
+    return _result(pref * np.linalg.det(mat) / denom)
 
 
-def _on_shell_determinant(params: ChainParams, mu: complex, xs, ys) -> complex:
+def _on_shell_determinant(
+    params: ChainParams, mu: complex, xs, ys
+) -> complex | np.ndarray:
     _require_on_shell(params, mu, xs)
     g, rho = _column_weights(params, mu, xs, ys)
     mat = _on_shell_matrix(params, mu, xs, ys, g, rho)
     return _normalized_det(mat, xs, ys, params.eta)
 
 
-def slavnov_determinant(params: ChainParams, mu: complex, xs, ys) -> complex:
+def slavnov_determinant(
+    params: ChainParams, mu: complex, xs, ys
+) -> complex | np.ndarray:
     """On-shell scalar-product determinant over equal-size point sets.
 
     Rows are indexed by the on-shell set, columns by the free set.  Row
@@ -302,14 +376,16 @@ def slavnov_determinant(params: ChainParams, mu: complex, xs, ys) -> complex:
     column points are handled through the closed-form limit entries, so
     the fully coinciding case (a norm) works directly.
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    if xs.size != ys.size:
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    if xs.shape[-1] != ys.shape[-1]:
         raise ValueError("the two point sets must have equal size")
     return _on_shell_determinant(params, mu, xs, ys)
 
 
-def gen_slavnov_determinant(params: ChainParams, mu: complex, xs, ys) -> complex:
+def gen_slavnov_determinant(
+    params: ChainParams, mu: complex, xs, ys
+) -> complex | np.ndarray:
     """Rectangular extension of the on-shell determinant.
 
     The free set may exceed the on-shell set by ``s`` points; the matrix
@@ -317,9 +393,9 @@ def gen_slavnov_determinant(params: ChainParams, mu: complex, xs, ys) -> complex
     balanced shift ratio times (y_k + eta)^(p) for p = 0..s-1.  With
     equal sizes this reduces exactly to ``slavnov_determinant``.
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    if ys.size < xs.size:
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    if ys.shape[-1] < xs.shape[-1]:
         raise ValueError("the free set cannot be smaller than the on-shell set")
     return _on_shell_determinant(params, mu, xs, ys)
 
@@ -345,7 +421,8 @@ def lattice_column_determinant(
     powers in the moment rows -- and the whole thing is scaled by mu
     times the eta-shifted lattice product at the node.  The remaining
     free points may still coincide with on-shell rows; those entries go
-    through the usual closed-form limits.
+    through the usual closed-form limits.  It takes one pair of sets per
+    call: its callers evaluate one form-factor element at a time.
     """
     xs = np.asarray(xs, dtype=complex).ravel()
     ys_free = np.asarray(ys_free, dtype=complex).ravel()
@@ -363,8 +440,8 @@ def lattice_column_determinant(
 
 
 def column_substituted_slavnov(
-    params: ChainParams, mu: complex, xs, ys, m: int, z: complex
-) -> complex:
+    params: ChainParams, mu: complex, xs, ys, m, z
+) -> complex | np.ndarray:
     """Scalar-product determinant with one column moved to a new point.
 
     Column ``m`` (1-based) of the matrix is evaluated at ``z`` in place
@@ -376,52 +453,60 @@ def column_substituted_slavnov(
     lattice shift ratio); the returned value is then the residue of the
     determinant at that pole: the singular part of the column, which is
     the two-pole kernel column scaled by the pole-free part of the
-    lattice shift ratio.
+    lattice shift ratio.  ``m`` and ``z`` are per-set scalars, so one
+    call can substitute every column of one pair of sets.
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    if xs.size != ys.size:
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    if xs.shape[-1] != ys.shape[-1]:
         raise ValueError("the two point sets must have equal size")
-    if not 1 <= m <= ys.size:
+    column = np.asarray(m) - 1
+    if np.any((column < 0) | (column >= ys.shape[-1])):
         raise ValueError("column index out of range")
     _require_on_shell(params, mu, xs)
-    eta = params.eta
-    cols = ys.copy()
-    cols[m - 1] = z
-    gaps = np.abs(z - params.xi)
-    node = int(np.argmin(gaps))
-    scale = max(abs(eta), abs(z), np.abs(xs).max(initial=1.0), np.abs(params.xi).max())
-    if gaps[node] < _POLE_TOL * scale:
-        others = np.delete(params.xi, node)
-        residue = mu * complex(np.prod(z - params.xi + eta) / np.prod(z - others))
-        g, rho = _column_weights(params, mu, xs, np.delete(ys, m - 1))
-        g = np.insert(g, m - 1, residue)
-        rho = np.insert(rho, m - 1, 0.0)
-    else:
-        g, rho = _column_weights(params, mu, xs, cols)
+    eta, xi = params.eta, params.xi
+    z = np.asarray(z, dtype=complex)
+    moved = np.arange(ys.shape[-1]) == column[..., None]
+    cols = np.where(moved, z[..., None], ys)
+    to_xi = z[..., None] - xi
+    gaps = np.abs(to_xi)
+    node = gaps.argmin(axis=-1)
+    scale = np.maximum(_set_bound(xs, max(abs(eta), np.abs(xi).max())), np.abs(z))
+    on_node = gaps.min(axis=-1) < _POLE_TOL * scale
+    # a column moved onto a node keeps the weights of its old point until
+    # they are replaced by the residue below, so no pole is evaluated
+    residue_column = moved & on_node[..., None]
+    g, rho = _column_weights(params, mu, xs, np.where(residue_column, ys, cols))
+    if on_node.any():
+        others = np.where(np.arange(xi.size) == node[..., None], 1.0, to_xi)
+        residue = mu * (np.prod(to_xi + eta, axis=-1) / np.prod(others, axis=-1))
+        g = np.where(residue_column, residue[..., None], g)
+        rho = np.where(residue_column, 0.0, rho)
     mat = _on_shell_matrix(params, mu, xs, cols, g, rho)
     return _normalized_det(mat, xs, ys, eta)
 
 
 def dressed_vandermonde_unbalanced_check(
     mu: complex, xs, ys, eta: complex
-) -> tuple[complex, complex]:
+) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     """Both sides of the unequal-size functional relation.
 
     lhs: the plus functional over the y set weighted by mu times the
     minus shift-ratio product of the x set; rhs: (1 - mu)^(|y| - |x|)
     times the minus functional over the x set weighted by mu times the
     plus shift-ratio product of the y set.  Callers compare the two.
+    Stacks of sets, with ``mu`` and ``eta`` per set, give two arrays.
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    lhs = dressed_vandermonde(ys, eta, mu * shift_ratio(xs, eta, ys, -1), +1)
-    rhs_core = dressed_vandermonde(xs, eta, mu * shift_ratio(ys, eta, xs, +1), -1)
-    power = ys.size - xs.size
-    if power < 0 and mu == 1.0:
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    power = ys.shape[-1] - xs.shape[-1]
+    if power < 0 and np.any(np.asarray(mu) == 1.0):
         raise ValueError("the shrinking direction needs a twist different from 1")
-    rhs = (1.0 - mu) ** power * rhs_core
-    return complex(lhs), complex(rhs)
+    weight = _per_set(mu)
+    lhs = dressed_vandermonde(ys, eta, weight * shift_ratio(xs, eta, ys, -1), +1)
+    rhs_core = dressed_vandermonde(xs, eta, weight * shift_ratio(ys, eta, xs, +1), -1)
+    rhs = (1.0 - np.asarray(mu)) ** power * rhs_core
+    return _result(lhs), _result(rhs)
 
 
 def richardson_limit(evaluator, schedule=None) -> tuple[complex, float]:

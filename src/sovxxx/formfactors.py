@@ -104,7 +104,6 @@ def _eigen_spec(params: ChainParams, record: EigenRecord, side: str) -> Separate
         values_at_xi_minus_eta=np.asarray(
             record.q_tau(params.xi - params.eta), dtype=complex
         ),
-        roots=np.asarray(record.bethe_roots, dtype=complex),
     )
 
 

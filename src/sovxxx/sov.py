@@ -186,13 +186,11 @@ def sov_gram_check(params: ChainParams) -> dict[str, float]:
 @dataclass(frozen=True, eq=False)
 class SeparateStateSpec:
     """Defining data of a separate state: the per-site values of its
-    weight function on the inhomogeneity lattice, plus optional roots
-    when the function is a known polynomial."""
+    weight function on the inhomogeneity lattice."""
 
     side: str
     values_at_xi: np.ndarray
     values_at_xi_minus_eta: np.ndarray
-    roots: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.side not in ("left", "right"):
@@ -205,10 +203,6 @@ class SeparateStateSpec:
             object.__setattr__(self, name, arr)
         if self.values_at_xi.size != self.values_at_xi_minus_eta.size:
             raise ValueError("value arrays must have equal length")
-        if self.roots is not None:
-            roots = np.asarray(self.roots, dtype=complex).ravel().copy()
-            roots.setflags(write=False)
-            object.__setattr__(self, "roots", roots)
 
 
 def spec_from_roots(params: ChainParams, roots, side: str) -> SeparateStateSpec:
@@ -223,7 +217,6 @@ def spec_from_roots(params: ChainParams, roots, side: str) -> SeparateStateSpec:
         side=side,
         values_at_xi=at_xi,
         values_at_xi_minus_eta=at_xi_minus_eta,
-        roots=roots,
     )
 
 

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from sovxxx import aba, cli, formfactors
+from sovxxx import aba, cli, determinants, formfactors
 from sovxxx.chain import sample_generic_params
 from sovxxx.cli import SUITE_ORDER, RunConfig, main, render_csv, render_json, run
 from sovxxx.errors import SpectrumError
@@ -262,6 +262,37 @@ def test_full_run_evaluates_each_lowering_element_once(monkeypatch, tmp_path):
     # every (bra, ket, site) of the 3-site chain, shared by the form-factors
     # and aba-check suites, plus the one-site fixture
     assert len(calls) == len(set(calls)) == 8 * 8 * 3 + 1
+
+
+def test_identities_suite_checks_each_row_set_once_per_stack(monkeypatch):
+    checks = []
+    residuals = determinants.mu_bethe_residuals
+    rectangular = []
+    rectangular_det = cli.gen_slavnov_determinant
+
+    def counting(params, mu, roots):
+        checks.append(np.shape(roots))
+        return residuals(params, mu, roots)
+
+    def counting_rectangular(params, mu, xs, ys):
+        rectangular.append(np.shape(ys))
+        return rectangular_det(params, mu, xs, ys)
+
+    monkeypatch.setattr(determinants, "mu_bethe_residuals", counting)
+    monkeypatch.setattr(cli, "gen_slavnov_determinant", counting_rectangular)
+    report = run(RunConfig(n_sites=3, seed=0, suites=("identities",)))
+    assert not report["aborted"]
+    params = sample_generic_params(3, 0)
+    row_sets = sum(
+        (rec.bethe_roots.size > 0) + (rec.q_minus_roots.size > 0)
+        for rec in full_spectrum(params, 0)
+    )
+    # one square stack per root set, one rectangular stack per free-set
+    # size drawn for it (one or two extra points) and the six evaluations
+    # of the coinciding-root limit; one call per determinant made 286
+    assert row_sets <= len(rectangular) <= 2 * row_sets
+    assert len(checks) == row_sets + len(rectangular) + 6
+    assert sum(shape[0] for shape in rectangular) == 10 * row_sets
 
 
 def test_failed_spectrum_build_is_not_cached(monkeypatch):

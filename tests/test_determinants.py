@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sovxxx.determinants import (
     balanced_shift_ratio,
+    column_substituted_slavnov,
     dressed_vandermonde,
     dressed_vandermonde_unbalanced_check,
     gen_slavnov_determinant,
@@ -370,6 +371,93 @@ def test_array_evaluators_match_their_per_point_routes(m):
             mu_bethe_residuals(params, mu, roots),
             _per_root_residuals(params, mu, roots),
         )
+    if m <= 6:
+        for size in (1, 7):
+            _assert_stacks_match_per_set_loops(rng, m, size)
+
+
+def _assert_stack_matches(stacked, loop):
+    """A stacked evaluation against one 1-D call per member, each of
+    which gives a ``complex``."""
+    assert all(type(value) is complex for value in loop)
+    _assert_relative(stacked, loop)
+
+
+def _assert_stacks_match_per_set_loops(rng, m, size):
+    """One call over a stack of ``size`` sets of ``m`` points against a
+    loop calling the same evaluator once per set."""
+    eta = rng.uniform(0.5, 1.5, size) + 1j * rng.uniform(-0.2, 0.2, size)
+    xs = np.array([separated_cloud(rng, m, e, min_sep=0.2, box=2.5) for e in eta])
+    ys = np.array(
+        [
+            separated_cloud(rng, m, e, avoid=x, min_sep=0.2, box=2.5)
+            for e, x in zip(eta, xs)
+        ]
+    )
+    f = rng.uniform(-1, 1, (size, m)) + 1j * rng.uniform(-1, 1, (size, m))
+    mu = rng.uniform(-1.5, 1.5, size) + 1j * rng.uniform(-1.5, 1.5, size)
+    for sign in (1, -1):
+        _assert_stack_matches(
+            dressed_vandermonde(xs, eta, f, sign),
+            [dressed_vandermonde(*one, sign) for one in zip(xs, eta, f)],
+        )
+    _assert_stack_matches(
+        izergin_determinant(mu, xs, ys, eta),
+        [izergin_determinant(*one) for one in zip(mu, xs, ys, eta)],
+    )
+    # on-shell rows of the six-site chain: one set shared by the stack,
+    # or a different set per member
+    params = cached_params(6, 0)
+    sets = [
+        roots
+        for rec in cached_spectrum(6, 0)
+        for roots in (rec.bethe_roots, rec.q_minus_roots)
+        if roots.size == m
+    ]
+    stacked_rows = np.array([sets[k % len(sets)] for k in range(size)])
+    avoid = np.concatenate([stacked_rows.ravel(), params.xi])
+    free = np.array(
+        [
+            separated_cloud(rng, m + 3, params.eta, avoid=avoid, min_sep=0.1, box=2.5)
+            for _ in range(size)
+        ]
+    )
+    # even members move their column onto a lattice node (a residue),
+    # odd ones onto a free point
+    members = np.arange(size)
+    columns = 1 + members % max(m, 1)
+    moved_to = np.where(members % 2 == 0, params.xi[members % 6], free[:, m])
+    for rows in (stacked_rows[0], stacked_rows):
+        per_row = np.broadcast_to(rows, (size, m))
+        square = free[:, :m].copy()
+        # the first member is a norm: every column on its row point
+        square[0] = per_row[0]
+        if size > 1 and m > 0:
+            # one coinciding entry, off the diagonal, in an otherwise free set
+            square[1, -1] = per_row[1, 0]
+        _assert_stack_matches(
+            slavnov_determinant(params, -1.0, rows, square),
+            [slavnov_determinant(params, -1.0, *one) for one in zip(per_row, square)],
+        )
+        for extra in (1, 2):
+            wide = free[:, : m + extra]
+            _assert_stack_matches(
+                gen_slavnov_determinant(params, -1.0, rows, wide),
+                [
+                    gen_slavnov_determinant(params, -1.0, *one)
+                    for one in zip(per_row, wide)
+                ],
+            )
+        if m > 0:
+            _assert_stack_matches(
+                column_substituted_slavnov(
+                    params, -1.0, rows, square, columns, moved_to
+                ),
+                [
+                    column_substituted_slavnov(params, -1.0, *one)
+                    for one in zip(per_row, square, columns, moved_to)
+                ],
+            )
 
 
 def test_scalar_point_gives_a_complex_and_the_empty_set_ones():
@@ -442,3 +530,87 @@ def test_one_entry_inside_the_pole_guard_raises(kind, case):
     with pytest.raises(PoleCollisionError):
         evaluate(1e-10)
     assert np.all(np.isfinite(evaluate(1e-6)))
+
+
+# ------------------------------------- guards over stacks of point sets
+
+
+@st.composite
+def _stack_with_close_pair(draw):
+    """A stack of one to four sets of two to five points, all on a lattice
+    of spacing at least 0.05, eta, the member to receive a close pair,
+    the pair and the approach angle."""
+    size = draw(st.integers(2, 5))
+    count = draw(st.integers(1, 4))
+    spacing = draw(st.floats(0.05, 1.0))
+    # distinct cells of a 13 x 13 lattice centred on the origin
+    cells = draw(st.permutations(range(13 * 13)))[: size * count]
+    origin = complex(draw(_UNIT), draw(_UNIT))
+    points = np.array(
+        [origin + spacing * complex(c // 13 - 6, c % 13 - 6) for c in cells]
+    )
+    eta = 2.0 * complex(draw(_UNIT), draw(_UNIT))
+    member = draw(st.integers(0, count - 1))
+    pair = draw(st.permutations(range(size)))[:2]
+    return points.reshape(count, size), eta, member, pair, draw(st.floats(0.0, 6.3))
+
+
+# a shift that takes a copy of a drawn stack (within 10 of the origin, at
+# most 17 across) clear of the original and of its eta-shifted poles
+_FAR = 30.0 + 30.0j
+
+
+@pytest.mark.parametrize(
+    "kind", ["dressed", "izergin rows", "izergin columns", "on-shell"]
+)
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=_stack_with_close_pair())
+def test_one_close_pair_in_a_stack_raises(kind, case):
+    points, eta, member, (a, b), angle = case
+    params = cached_params(3, 0)
+    on_shell = next(r for r in cached_spectrum(3, 0) if r.n_roots == 1).bethe_roots
+    if kind == "on-shell":
+        eta = params.eta
+        points = points + _FAR
+    others = points + _FAR
+    # the largest of 1, |eta| and every point the member's guards see
+    involved = np.concatenate([points[member], others[member], on_shell, params.xi])
+    scale = max(1.0, abs(eta), float(np.max(np.abs(involved))))
+
+    def evaluate(offset: float):
+        stack = points.copy()
+        stack[member, b] = stack[member, a] + offset * scale * np.exp(1j * angle)
+        if kind == "dressed":
+            return dressed_vandermonde(stack, eta, np.full(stack.shape, 0.5), +1)
+        if kind == "izergin rows":
+            return izergin_determinant(0.7, stack, others, eta)
+        if kind == "izergin columns":
+            return izergin_determinant(0.7, others, stack, eta)
+        return gen_slavnov_determinant(params, -1.0, on_shell, stack)
+
+    with pytest.raises(PoleCollisionError):
+        evaluate(1e-10)
+    values = evaluate(1e-6)
+    assert values.shape == points.shape[:1]
+    assert np.all(np.isfinite(values))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    count=st.integers(1, 5),
+    member=st.integers(0, 4),
+    size=st.floats(1e-3, 0.1),
+    angle=st.floats(0.0, 6.3),
+    extra=st.integers(0, 2),
+)
+def test_one_off_shell_row_set_in_a_stack_raises(count, member, size, angle, extra):
+    params = cached_params(3, 0)
+    sets = [r.bethe_roots for r in cached_spectrum(3, 0) if r.n_roots == 2]
+    rows = np.array([sets[k % len(sets)] for k in range(count)])
+    rng = np.random.Generator(np.random.Philox(key=614))
+    avoid = np.concatenate([rows.ravel(), params.xi])
+    ys = separated_cloud(rng, 2 + extra, params.eta, avoid=avoid)
+    assert np.all(np.isfinite(gen_slavnov_determinant(params, -1.0, rows, ys)))
+    rows[member % count, 0] += size * np.exp(1j * angle)
+    with pytest.raises(NotOnShellError):
+        gen_slavnov_determinant(params, -1.0, rows, ys)

@@ -71,7 +71,6 @@ def test_table_product_matches_compensated_reference(n_sites, spectrum_of):
                     side,
                     rec.q_tau(params.xi),
                     rec.q_tau(params.xi - params.eta),
-                    rec.bethe_roots,
                 )
             )
     for spec in specs:
@@ -227,10 +226,8 @@ def test_specs_are_projective_in_per_site_scalings():
     top = rng.uniform(0.5, 1.5, 3) + 1j * rng.uniform(-1, 1, 3)
     bot = rng.uniform(0.5, 1.5, 3) + 1j * rng.uniform(-1, 1, 3)
     factors = rng.uniform(0.5, 2.0, 3) + 1j * rng.uniform(-0.5, 0.5, 3)
-    base = SeparateStateSpec("right", tuple(top), tuple(bot), None)
-    scaled = SeparateStateSpec(
-        "right", tuple(top * factors), tuple(bot * factors), None
-    )
+    base = SeparateStateSpec("right", tuple(top), tuple(bot))
+    scaled = SeparateStateSpec("right", tuple(top * factors), tuple(bot * factors))
     v1 = separate_state_dense(params, base)
     v2 = separate_state_dense(params, scaled)
     expected = complex(np.prod(factors))
