@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dense
 from .chain import ChainParams, a_of, d_of
-from .determinants import column_substituted_slavnov, slavnov_determinant
+from .determinants import column_substituted_slavnov
 from .errors import PairingError
 from .formfactors import ff_sigma_minus
 from .spectrum import EigenRecord
@@ -98,25 +98,6 @@ def twisted_eigen_residual(
         tau_val = -tau_val
     resid = dense.transfer_twisted(params, lam) @ state - tau_val * state
     return float(np.max(np.abs(resid)) / scale)
-
-
-def product_bethe_residuals(params: ChainParams, roots) -> np.ndarray:
-    """Residuals of the pairwise-ratio form of the root system.
-
-    At each root the product over companion roots of
-    (difference + eta)/(difference - eta) equals minus the a/d ratio
-    there; including the self-pairing factor (which is identically -1)
-    flips the sign to plus.  Returned per root, normalized by the a/d
-    magnitude.
-    """
-    roots = np.asarray(roots, dtype=complex).ravel()
-    out = np.zeros(roots.size)
-    for b, lam in enumerate(roots):
-        others = np.delete(roots, b)
-        prod = complex(np.prod((lam - others + params.eta) / (lam - others - params.eta)))
-        ratio = complex(a_of(params, lam) / d_of(params, lam))
-        out[b] = abs(prod + ratio) / max(abs(ratio), 1.0)
-    return out
 
 
 def _masked_ratio(target: np.ndarray, candidate: np.ndarray) -> tuple[complex, float]:
@@ -197,24 +178,24 @@ def weighted_expansion_terms(
     every separated weight collapses to 2 and the two families agree
     term by term.
     """
-    if bra.n_roots != ket.n_roots:
-        raise ValueError("the cross-expansion needs equal root counts")
+    if bra.n_roots != ket.n_roots or ket.n_roots == 0:
+        raise ValueError("the cross-expansion needs equal, nonzero root counts")
     xs = np.asarray(bra.bethe_roots, dtype=complex)
     ys = np.asarray(ket.bethe_roots, dtype=complex)
     node = params.xi[site - 1]
-    base = slavnov_determinant(params, -1, xs, ys)
     a_val = a_of(params, ys)
     d_val = d_of(params, ys)
     q_minus = bra.q_tau(ys - params.eta)
     q_plus = bra.q_tau(ys + params.eta)
     w_sov = (a_val * q_minus + d_val * q_plus) / (a_val * q_minus)
     w_aba = 2.0 * ket.q_tau(ys - params.eta) / q_minus
-    # every column moved onto the node, as one stack of r determinants
-    columns = column_substituted_slavnov(
-        params, -1, xs, ys, np.arange(1, ys.size + 1), node
-    )
-    terms = (a_val / d_val) * columns
-    return base, terms, w_sov, w_aba
+    # one stack: the base (column 1 at its own point, which reproduces the
+    # plain determinant), then every column moved onto the node
+    columns = np.append(1, np.arange(1, ys.size + 1))
+    points = np.append(ys[0], np.full(ys.size, node))
+    stack = column_substituted_slavnov(params, -1, xs, ys, columns, points)
+    terms = (a_val / d_val) * stack[1:]
+    return complex(stack[0]), terms, w_sov, w_aba
 
 
 def weighted_expansion_crosscheck(

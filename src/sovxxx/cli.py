@@ -38,7 +38,7 @@ from .aba import (
     reference_state_identity,
     translation_residual,
 )
-from .chain import ChainParams, d_of, fixture_params, sample_generic_params
+from .chain import ChainParams, fixture_params, sample_generic_params
 from .dense import (
     basis_rotation,
     default_eval_point,
@@ -71,6 +71,7 @@ from .scalar import (
     sp_dense,
     sp_direct,
     sp_izergin_form,
+    sp_on_shell,
     sp_with_eigenstate,
     stress_trends,
 )
@@ -538,18 +539,10 @@ def _suite_identities(config: RunConfig, chains: Chains):
     rec = next((r for r in records if r.n_roots >= 1), None)
     if rec is not None:
         roots = rec.bethe_roots
-        n = params.n_sites
-        r_count = roots.size
-        dirs = np.exp(2j * np.pi * rng.uniform(size=r_count))
+        dirs = np.exp(2j * np.pi * rng.uniform(size=roots.size))
 
         def displaced_norm(eps: float) -> complex:
-            ys = roots + eps * dirs
-            pref = complex(
-                np.prod([d_of(params, z) for z in roots])
-                * np.prod([d_of(params, z) for z in ys])
-            )
-            det = slavnov_determinant(params, -1.0, roots, ys)
-            return complex((-1.0) ** r_count * 2.0 ** (n - 2 * r_count) * pref * det)
+            return sp_on_shell(params, roots + eps * dirs, roots)
 
         limit, _err = richardson_limit(displaced_norm)
         target = gaudin_norm(params, rec)

@@ -36,12 +36,9 @@ from .chain import (
     vandermonde,
 )
 from . import dense
-from .determinants import (
-    _kernel_matrix,
-    gen_slavnov_sign,
-    lattice_column_determinant,
-)
+from .determinants import _kernel_matrix, lattice_column_determinant
 from .errors import PairingError, PoleCollisionError
+from .scalar import _on_shell_weight, _root_prefactor
 from .sov import SeparateStateSpec, bilinear, separate_state_dense
 from .spectrum import EigenRecord
 
@@ -173,8 +170,8 @@ def ff_sigma_minus_unified(
     factorizes into transfer eigenvalues at the nodes times the pairing
     of the bra eigenstate with the partner polynomial (ket polynomial
     times a monic linear factor rooted at the site's node); the pairing
-    is the lattice-column determinant dressed with the standard
-    rectangular-pairing prefactors.
+    is the lattice-column determinant dressed with the prefactors of
+    ``scalar.sp_on_shell``.
     """
     if not 1 <= site <= params.n_sites:
         raise ValueError("site index out of range")
@@ -182,18 +179,14 @@ def ff_sigma_minus_unified(
     r_ket = ket_record.n_roots
     if abs(r_bra - r_ket) > 1:
         return 0.0 + 0.0j
-    n = params.n_sites
-    free = np.asarray(ket_record.bethe_roots, dtype=complex)
-    m = r_ket + 1
-    d_free = complex(np.prod(d_of(params, free))) if free.size else 1.0 + 0.0j
-    rows = np.asarray(bra_record.bethe_roots, dtype=complex)
-    d_rows = complex(np.prod(d_of(params, rows))) if rows.size else 1.0 + 0.0j
+    free = ket_record.bethe_roots
+    rows = bra_record.bethe_roots
     core = lattice_column_determinant(params, -1.0, rows, free, site)
-    if m == r_bra:
-        pairing = (-1.0) ** m * 2.0 ** (n - 2 * m) * d_free * d_rows * core
-    else:
-        sign = (-1.0) ** (n * (r_bra + m)) * gen_slavnov_sign(r_bra, m - r_bra)
-        pairing = sign * 2.0 ** (n - m - r_bra) * d_free * d_rows * core
+    # the partner polynomial has the ket roots and the site's node, whose
+    # d factor the lattice-column limit has absorbed
+    weight = _on_shell_weight(params.n_sites, r_ket + 1, r_bra)
+    pref = _root_prefactor(params, free) * _root_prefactor(params, rows)
+    pairing = weight * pref * core
     pre = _tau_node_prefactor(params, bra_record, ket_record, site)
     return complex((-1.0) ** r_ket * pre * pairing)
 

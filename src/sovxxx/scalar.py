@@ -4,11 +4,11 @@ A left and a right separate state pair into a single N x N determinant
 over the inhomogeneity lattice; when the weight functions are monic
 polynomials the same pairing collapses to dressed Vandermonde
 functionals over the root sets, to a domain-wall determinant when the
-root counts saturate the chain length, and to on-shell determinants
-when one factor is a transfer eigenstate.  Each closed form is exposed
-separately so they can be cross-validated against the dense pairing and
-against one another; the norm of an eigenstate gets its dedicated
-derivative-matrix determinant.
+root counts saturate the chain length, and to one on-shell rule
+(``sp_on_shell``) when one factor is a transfer eigenstate.  Each closed
+form is exposed separately so they can be cross-validated against the
+dense pairing and against one another; the norm of an eigenstate gets
+its dedicated derivative-matrix determinant.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ from .determinants import (
     gen_slavnov_sign,
     izergin_determinant,
     izergin_determinant_clustered,
+    mu_bethe_residuals,
     shift_ratio,
-    slavnov_determinant,
 )
 from .dense import diagonalize_transfer, transfer_antiperiodic
 from .errors import LimitFailureError, PoleCollisionError, SpectrumError
 from .polynomials import ComplexPoly, poly_roots
 from .sov import SeparateStateSpec, bilinear, separate_state_dense, spec_from_roots
-from .spectrum import EigenRecord, bethe_residuals
+from .spectrum import EigenRecord, tq_functional_residual
 
 
 def sp_dense(
@@ -98,20 +98,26 @@ def _root_prefactor(params: ChainParams, roots) -> complex:
     return complex(np.prod(d_of(params, roots)))
 
 
+def _pooled_roots(
+    params: ChainParams, left_roots, right_roots
+) -> tuple[np.ndarray, complex]:
+    """The left roots followed by the right roots, and the prefactor every
+    pooled-root form shares: (-1)^(N P) times the d-product over both
+    sets, P the pooled count."""
+    left_roots = np.asarray(left_roots, dtype=complex).ravel()
+    right_roots = np.asarray(right_roots, dtype=complex).ravel()
+    pooled = np.concatenate([left_roots, right_roots])
+    pref = _root_prefactor(params, left_roots) * _root_prefactor(params, right_roots)
+    return pooled, (-1.0) ** (params.n_sites * pooled.size) * pref
+
+
 def sp_a_form(params: ChainParams, left_roots, right_roots) -> complex:
     """Polynomial-pair pairing as a plus-dressed Vandermonde functional
     over the inhomogeneities, weighted by the minus shift-ratio product
     of the pooled root set."""
-    left_roots = np.asarray(left_roots, dtype=complex).ravel()
-    right_roots = np.asarray(right_roots, dtype=complex).ravel()
-    pooled = np.concatenate([left_roots, right_roots])
-    n = params.n_sites
-    sign = (-1.0) ** (n * pooled.size)
-    pref = _root_prefactor(params, left_roots) * _root_prefactor(params, right_roots)
+    pooled, pref = _pooled_roots(params, left_roots, right_roots)
     f_vals = -shift_ratio(pooled, params.eta, params.xi, -1)
-    return complex(
-        sign * pref * dressed_vandermonde(params.xi, params.eta, f_vals, +1)
-    )
+    return complex(pref * dressed_vandermonde(params.xi, params.eta, f_vals, +1))
 
 
 def sp_b_form(params: ChainParams, left_roots, right_roots) -> complex:
@@ -123,38 +129,34 @@ def sp_b_form(params: ChainParams, left_roots, right_roots) -> complex:
     inhomogeneities cluster, since the determinant runs over the roots
     rather than the lattice.
     """
-    left_roots = np.asarray(left_roots, dtype=complex).ravel()
-    right_roots = np.asarray(right_roots, dtype=complex).ravel()
-    pooled = np.concatenate([left_roots, right_roots])
-    n = params.n_sites
-    sign = (-1.0) ** (n * pooled.size)
-    pref = _root_prefactor(params, left_roots) * _root_prefactor(params, right_roots)
+    pooled, pref = _pooled_roots(params, left_roots, right_roots)
     f_vals = -shift_ratio(params.xi, params.eta, pooled, +1)
     return complex(
-        sign
-        * 2.0 ** (n - pooled.size)
+        2.0 ** (params.n_sites - pooled.size)
         * pref
         * dressed_vandermonde(pooled, params.eta, f_vals, -1)
     )
 
 
-def sp_izergin_form(params: ChainParams, left_roots, right_roots) -> complex:
-    """Polynomial-pair pairing as a twist-(-1) domain-wall determinant;
-    only defined when the pooled root count equals the chain length."""
-    left_roots = np.asarray(left_roots, dtype=complex).ravel()
-    right_roots = np.asarray(right_roots, dtype=complex).ravel()
-    pooled = np.concatenate([left_roots, right_roots])
+def _domain_wall_form(
+    params: ChainParams, left_roots, right_roots, evaluate
+) -> complex:
+    """Polynomial-pair pairing as the twist-(-1) domain-wall determinant
+    ``evaluate`` of the pooled roots against the lattice."""
+    pooled, pref = _pooled_roots(params, left_roots, right_roots)
     n = params.n_sites
     if pooled.size != n:
         raise ValueError(
             "the domain-wall form needs the pooled root count to equal the "
             "chain length"
         )
-    sign = (-1.0) ** (n * (pooled.size + 1))
-    pref = _root_prefactor(params, left_roots) * _root_prefactor(params, right_roots)
-    return complex(
-        sign * pref * izergin_determinant(-1.0, pooled, params.xi, params.eta)
-    )
+    return complex((-1.0) ** n * pref * evaluate(-1.0, pooled, params.xi, params.eta))
+
+
+def sp_izergin_form(params: ChainParams, left_roots, right_roots) -> complex:
+    """Polynomial-pair pairing as a twist-(-1) domain-wall determinant;
+    only defined when the pooled root count equals the chain length."""
+    return _domain_wall_form(params, left_roots, right_roots, izergin_determinant)
 
 
 def sp_izergin_form_clustered(
@@ -167,58 +169,50 @@ def sp_izergin_form_clustered(
     result keeps full precision when the inhomogeneities nearly
     coincide.
     """
+    return _domain_wall_form(
+        params, left_roots, right_roots, izergin_determinant_clustered
+    )
+
+
+def _on_shell_weight(n_sites: int, m: int, r: int) -> float:
+    """Sign and power of two taking the on-shell determinant of R on-shell
+    roots against M >= R free roots to their pairing:
+    (-1)^(N(R+M)) gen_slavnov_sign(R, M - R) 2^(N-M-R)."""
+    sign = (-1.0) ** (n_sites * (r + m)) * gen_slavnov_sign(r, m - r)
+    return sign * 2.0 ** (n_sites - m - r)
+
+
+def sp_on_shell(params: ChainParams, left_roots, on_shell_roots) -> complex:
+    """Pairing of a polynomial left separate state with the eigenstate of
+    an on-shell root set: the one rule behind every pairing with an
+    eigenstate, its norm limit and (through
+    ``formfactors.ff_sigma_minus_unified``) the lattice-column form
+    factors.
+
+    Below the on-shell count R the pairing vanishes identically; from
+    M = R on it is the rectangular on-shell determinant (the square one
+    at M = R) times the sign and power of two of ``_on_shell_weight``
+    and the d-products over both root sets.
+    """
     left_roots = np.asarray(left_roots, dtype=complex).ravel()
-    right_roots = np.asarray(right_roots, dtype=complex).ravel()
-    pooled = np.concatenate([left_roots, right_roots])
-    n = params.n_sites
-    if pooled.size != n:
-        raise ValueError(
-            "the domain-wall form needs the pooled root count to equal the "
-            "chain length"
-        )
-    sign = (-1.0) ** (n * (pooled.size + 1))
-    pref = _root_prefactor(params, left_roots) * _root_prefactor(params, right_roots)
+    on_shell_roots = np.asarray(on_shell_roots, dtype=complex).ravel()
+    m, r = left_roots.size, on_shell_roots.size
+    if m < r:
+        return 0.0 + 0.0j
+    pref = _root_prefactor(params, left_roots) * _root_prefactor(params, on_shell_roots)
     return complex(
-        sign
+        _on_shell_weight(params.n_sites, m, r)
         * pref
-        * izergin_determinant_clustered(-1.0, pooled, params.xi, params.eta)
+        * gen_slavnov_determinant(params, -1.0, on_shell_roots, left_roots)
     )
 
 
 def sp_with_eigenstate(
     params: ChainParams, left_roots, record: EigenRecord
 ) -> complex:
-    """Pairing of a polynomial left separate state with an eigenstate.
-
-    Dispatch on the left root count M against the eigenstate root count
-    R: below R the pairing vanishes identically; at M = R it is the
-    twist-(-1) on-shell determinant (equal to the twist-(+1) domain-wall
-    form over the left roots pooled with the complementary roots); above
-    R the rectangular on-shell determinant takes over.
-    """
-    left_roots = np.asarray(left_roots, dtype=complex).ravel()
-    m = left_roots.size
-    r = record.n_roots
-    n = params.n_sites
-    if m < r:
-        return 0.0 + 0.0j
-    pref = _root_prefactor(params, left_roots) * _root_prefactor(
-        params, record.bethe_roots
-    )
-    if m == r:
-        return complex(
-            (-1.0) ** m
-            * 2.0 ** (n - 2 * m)
-            * pref
-            * slavnov_determinant(params, -1.0, record.bethe_roots, left_roots)
-        )
-    sign = (-1.0) ** (n * (r + m)) * gen_slavnov_sign(r, m - r)
-    return complex(
-        sign
-        * 2.0 ** (n - m - r)
-        * pref
-        * gen_slavnov_determinant(params, -1.0, record.bethe_roots, left_roots)
-    )
+    """Pairing of a polynomial left separate state with the eigenstate of
+    a spectrum record (``sp_on_shell`` over its Bethe roots)."""
+    return sp_on_shell(params, left_roots, record.bethe_roots)
 
 
 def gaudin_matrix(params: ChainParams, roots) -> np.ndarray:
@@ -328,13 +322,7 @@ def _tq_collocation_roots(
         rhs[i] = -row[degree] / s
     coeffs = np.linalg.lstsq(mat, rhs, rcond=None)[0]
     q = ComplexPoly(np.append(coeffs, 1.0))
-    worst = 0.0
-    for i, z in enumerate(probes):
-        t1 = tau_values[i] * q(z)
-        t2 = a_of(params, z) * q(z - eta)
-        t3 = d_of(params, z) * q(z + eta)
-        scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-        worst = max(worst, float(abs(t1 + t2 - t3) / scale))
+    worst = tq_functional_residual(params, tau_values, q, probes)
     if worst > residual_tol:
         raise SpectrumError(
             f"collocation solve failed the functional gate (residual {worst:.3e})"
@@ -399,7 +387,7 @@ def homogeneous_stress_sweep(
             for idx, tau_vals in enumerate(tau_table):
                 try:
                     roots = _tq_collocation_roots(params, tau_vals, probes, sector)
-                    if float(np.max(bethe_residuals(params, roots))) > 1e-6:
+                    if mu_bethe_residuals(params, -1.0, roots).max() > 1e-6:
                         continue
                 except (SpectrumError, PoleCollisionError, RuntimeError):
                     continue
@@ -419,17 +407,10 @@ def homogeneous_stress_sweep(
             pick = int(np.argmin([abs(tv[0] - prev_tau) for tv in tau_table]))
         prev_tau = tau_table[pick][0]
         roots = _tq_collocation_roots(params, tau_table[pick], probes, sector)
-        worst_bethe = float(np.max(bethe_residuals(params, roots)))
-        pref = _root_prefactor(params, left_roots) * _root_prefactor(params, roots)
-        m = left_roots.size
-        slavnov_value = complex(
-            (-1.0) ** m
-            * 2.0 ** (params.n_sites - 2 * m)
-            * pref
-            * slavnov_determinant(params, -1.0, roots, left_roots)
-        )
+        worst_bethe = float(mu_bethe_residuals(params, -1.0, roots).max())
+        slavnov_value = sp_on_shell(params, left_roots, roots)
         b_value = sp_b_form(params, left_roots, roots)
-        if m + roots.size == params.n_sites:
+        if left_roots.size + roots.size == params.n_sites:
             izergin_value = sp_izergin_form_clustered(params, left_roots, roots)
             izergin_lattice = sp_izergin_form(params, left_roots, roots)
         else:

@@ -23,7 +23,8 @@ from .dense import (
     diagonalize_transfer,
     transfer_antiperiodic,
 )
-from .errors import PairingError, PoleCollisionError, SpectrumError
+from .determinants import mu_bethe_residuals
+from .errors import PairingError, SpectrumError
 from .polynomials import (
     ComplexPoly,
     effective_degree,
@@ -149,21 +150,18 @@ def check_discrete_system(params: ChainParams, tau: ComplexPoly) -> float:
 
 
 def tq_functional_residual(
-    params: ChainParams, tau: ComplexPoly, q: ComplexPoly, points=None
+    params: ChainParams, tau_values, q: ComplexPoly, points
 ) -> float:
     """Largest relative residual of the functional equation
-    tau(z) q(z) + a(z) q(z - eta) - d(z) q(z + eta) = 0."""
-    if points is None:
-        points = probe_points(params, 2 * params.n_sites + 2)
+    tau(z) q(z) + a(z) q(z - eta) - d(z) q(z + eta) = 0 over ``points``,
+    given the eigenvalue's values ``tau_values`` there."""
+    points = np.asarray(points, dtype=complex)
     eta = params.eta
-    worst = 0.0
-    for z in points:
-        t1 = tau(z) * q(z)
-        t2 = a_of(params, z) * q(z - eta)
-        t3 = d_of(params, z) * q(z + eta)
-        scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-        worst = max(worst, float(abs(t1 + t2 - t3) / scale))
-    return worst
+    t1 = tau_values * q(points)
+    t2 = a_of(params, points) * q(points - eta)
+    t3 = d_of(params, points) * q(points + eta)
+    scale = np.maximum(np.abs([t1, t2, t3]).max(axis=0), 1e-300)
+    return float(np.max(np.abs(t1 + t2 - t3) / scale))
 
 
 def _negated(poly: ComplexPoly) -> ComplexPoly:
@@ -232,7 +230,7 @@ def solve_q_from_tau(
         if np.min(at_xi) <= 1e-8 * np.max(at_xi):
             failures.append("auxiliary polynomial vanished at an inhomogeneity")
             continue
-        resid = tq_functional_residual(params, tau, q, probes)
+        resid = tq_functional_residual(params, tau(probes), q, probes)
         if resid > 1e-8:
             failures.append(f"functional residual {resid:.3e}")
             continue
@@ -240,31 +238,6 @@ def solve_q_from_tau(
     raise SpectrumError(
         "auxiliary-polynomial solve failed after retries: " + "; ".join(failures[-3:])
     )
-
-
-def bethe_residuals(params: ChainParams, roots) -> np.ndarray:
-    """Per-root residuals of the product form of the Bethe system.
-
-    For each root, a/d at the root times the product over all roots
-    (self included, contributing -1) of the down-shifted over up-shifted
-    differences must equal 1.  Root collisions with the inhomogeneity
-    lattice or between shifted roots raise ``PoleCollisionError``.
-    """
-    roots = np.asarray(roots, dtype=complex).ravel()
-    if roots.size == 0:
-        return np.zeros(0)
-    eta = params.eta
-    scale = max(1.0, float(np.max(np.abs(roots))), abs(eta))
-    res = np.zeros(roots.size)
-    for a, lam in enumerate(roots):
-        if np.min(np.abs(lam - params.xi)) < 1e-8 * scale:
-            raise PoleCollisionError("Bethe root collides with an inhomogeneity")
-        if np.min(np.abs(lam - roots + eta)) < 1e-8 * scale:
-            raise PoleCollisionError("Bethe roots collide after an eta shift")
-        ratio = a_of(params, lam) / d_of(params, lam)
-        ratio *= np.prod((lam - roots - eta) / (lam - roots + eta))
-        res[a] = abs(ratio - 1.0)
-    return res
 
 
 def _pq_from_polys(
@@ -332,8 +305,9 @@ def build_record(
         )
     roots = poly_roots(q_tau) if q_tau.degree > 0 else np.zeros(0, dtype=complex)
     mroots = poly_roots(q_minus) if q_minus.degree > 0 else np.zeros(0, dtype=complex)
-    b_res = bethe_residuals(params, roots)
-    func_res = tq_functional_residual(params, tau, q_tau)
+    b_res = mu_bethe_residuals(params, -1.0, roots)
+    probes = probe_points(params, 2 * n + 2)
+    func_res = tq_functional_residual(params, tau(probes), q_tau, probes)
     pq = _pq_from_polys(params, tau, q_tau, q_minus)
     # eigenvector property of the separate state built on the auxiliary values
     vec = separate_state_dense(params, spec_from_roots(params, roots, "right"))
@@ -345,7 +319,7 @@ def build_record(
     residuals = {
         "discrete_system": ds_res,
         "functional_tq": func_res,
-        "bethe": float(np.max(b_res)) if b_res.size else 0.0,
+        "bethe": float(b_res.max(initial=0.0)),
         "wronskian": pq.wronskian_residual,
         "eigenstate": eig_res,
     }

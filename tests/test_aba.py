@@ -13,7 +13,6 @@ from sovxxx.aba import (
     correspondence_report,
     expected_correspondence_constant,
     isospectrality_check,
-    product_bethe_residuals,
     reference_state_identity,
     translation_check,
     translation_constant,
@@ -21,7 +20,7 @@ from sovxxx.aba import (
     twisted_eigen_residual,
 )
 from sovxxx.chain import fixture_params
-from sovxxx.determinants import slavnov_determinant
+from sovxxx.determinants import mu_bethe_residuals, slavnov_determinant
 from sovxxx.formfactors import eigenstate_vectors, ff_sigma_minus
 
 from conftest import cached_params, cached_spectrum, separated_cloud
@@ -65,9 +64,8 @@ def test_product_states_are_twisted_eigenvectors_with_low_residual():
     params = cached_params(n_sites, 0)
     for rec in cached_spectrum(n_sites, 0):
         assert twisted_eigen_residual(params, rec) <= 1e-8
-        res = product_bethe_residuals(params, rec.bethe_roots)
-        if res.size:
-            assert float(np.max(np.abs(res))) <= 1e-7
+        res = mu_bethe_residuals(params, -1.0, rec.bethe_roots)
+        assert res.max(initial=0.0) <= 1e-7
 
 
 @pytest.mark.parametrize("n_sites", [2, 3])

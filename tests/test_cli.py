@@ -219,15 +219,35 @@ def test_full_run_builds_each_spectrum_once(monkeypatch, tmp_path):
 def test_aba_check_reports_each_record_once(monkeypatch):
     reported = []
     correspondence_report = cli.correspondence_report
+    checks = []
+    residuals = determinants.mu_bethe_residuals
+    per_expansion = []
+    crosscheck = cli.weighted_expansion_crosscheck
 
     def counting(params, rec, vectors):
         reported.append(id(rec))
         return correspondence_report(params, rec, vectors)
 
+    def counting_checks(params, mu, roots):
+        checks.append(np.shape(roots))
+        return residuals(params, mu, roots)
+
+    def counting_expansion(params, bra, ket, site):
+        before = len(checks)
+        value = crosscheck(params, bra, ket, site)
+        per_expansion.append(len(checks) - before)
+        return value
+
     monkeypatch.setattr(cli, "correspondence_report", counting)
+    monkeypatch.setattr(determinants, "mu_bethe_residuals", counting_checks)
+    monkeypatch.setattr(cli, "weighted_expansion_crosscheck", counting_expansion)
     report = run(RunConfig(n_sites=3, seed=0, suites=("aba-check",)))
     assert report["aborted"] == {}
     assert len(reported) == len(set(reported)) == 2**3
+    # one on-shell check per cross-expansion: its base determinant is one
+    # more member of the stack of substituted columns (a separate base
+    # call made 114)
+    assert per_expansion == [1] * 57
 
 
 def test_form_factors_suite_evaluates_each_lowering_element_once(monkeypatch):

@@ -480,22 +480,25 @@ def test_scalar_point_gives_a_complex_and_the_empty_set_ones():
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False)
 
 
+def _lattice_points(draw, count: int) -> np.ndarray:
+    """``count`` distinct points of a 13 x 13 lattice of spacing at least
+    0.05 (far apart against the pole guard) around a drawn origin.  The
+    cells are a prefix of a permutation: a unique-list draw of them took
+    minutes to shrink a failure."""
+    spacing = draw(st.floats(0.05, 1.0))
+    cells = draw(st.permutations(range(13 * 13)))[:count]
+    origin = complex(draw(_UNIT), draw(_UNIT))
+    return np.array(
+        [origin + spacing * complex(c // 13 - 6, c % 13 - 6) for c in cells]
+    )
+
+
 @st.composite
 def _near_collision(draw):
-    """A point set on a lattice of spacing at least 0.05 (far apart
-    against the pole guard), eta, up to four free evaluation points, an
-    index choosing the pole to approach and the approach angle."""
-    spacing = draw(st.floats(0.05, 1.0))
-    cells = draw(
-        st.lists(
-            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
-            min_size=1,
-            max_size=6,
-            unique=True,
-        )
-    )
-    origin = complex(draw(_UNIT), draw(_UNIT))
-    points = np.array([origin + spacing * complex(a, b) for a, b in cells])
+    """One to six lattice points (``_lattice_points``), eta, up to four
+    free evaluation points, an index choosing the pole to approach and
+    the approach angle."""
+    points = _lattice_points(draw, draw(st.integers(1, 6)))
     eta = 2.0 * complex(draw(_UNIT), draw(_UNIT))
     count = draw(st.integers(0, 4))
     others = [2.0 * complex(draw(_UNIT), draw(_UNIT)) for _ in range(count)]
@@ -542,13 +545,7 @@ def _stack_with_close_pair(draw):
     the pair and the approach angle."""
     size = draw(st.integers(2, 5))
     count = draw(st.integers(1, 4))
-    spacing = draw(st.floats(0.05, 1.0))
-    # distinct cells of a 13 x 13 lattice centred on the origin
-    cells = draw(st.permutations(range(13 * 13)))[: size * count]
-    origin = complex(draw(_UNIT), draw(_UNIT))
-    points = np.array(
-        [origin + spacing * complex(c // 13 - 6, c % 13 - 6) for c in cells]
-    )
+    points = _lattice_points(draw, size * count)
     eta = 2.0 * complex(draw(_UNIT), draw(_UNIT))
     member = draw(st.integers(0, count - 1))
     pair = draw(st.permutations(range(size)))[:2]
@@ -614,3 +611,86 @@ def test_one_off_shell_row_set_in_a_stack_raises(count, member, size, angle, ext
     rows[member % count, 0] += size * np.exp(1j * angle)
     with pytest.raises(NotOnShellError):
         gen_slavnov_determinant(params, -1.0, rows, ys)
+
+
+# ------------------------------------------ kernel and coincidence guards
+
+
+@st.composite
+def _kernel_sets(draw):
+    """Equal-size x and y sets of one to five points on a lattice of
+    spacing at least 0.05, eta, the x to move onto a pole of y, whether
+    the pole is y or y - eta, and the approach angle."""
+    size = draw(st.integers(1, 5))
+    points = _lattice_points(draw, 2 * size)
+    eta = 2.0 * complex(draw(_UNIT), draw(_UNIT))
+    a, b = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    shifted = draw(st.booleans())
+    return points[:size], points[size:], eta, a, b, shifted, draw(st.floats(0.0, 6.3))
+
+
+@pytest.mark.parametrize(
+    "evaluate", [izergin_determinant, izergin_determinant_clustered]
+)
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=_kernel_sets())
+def test_an_x_inside_the_kernel_pole_guard_raises(evaluate, case):
+    xs, ys, eta, a, b, shifted, angle = case
+    pole = ys[b] - eta if shifted else ys[b]
+    others = np.delete(xs, a)
+    scale = max(1.0, abs(eta), abs(pole), float(np.max(np.abs(ys))))
+    scale = max(scale, float(np.max(np.abs(others), initial=0.0)))
+    # apart from the one approached, every kernel pole keeps clear of
+    # every x, and the moved x keeps clear of the other x
+    to_y, to_shifted = np.abs(pole - ys), np.abs(pole - ys + eta)
+    (to_shifted if shifted else to_y)[b] = np.inf
+    gaps = np.concatenate(
+        [
+            to_y,
+            to_shifted,
+            np.abs(others - pole),
+            np.abs(others[:, None] - ys).ravel(),
+            np.abs(others[:, None] - ys + eta).ravel(),
+        ]
+    )
+    assume(np.min(gaps, initial=np.inf) >= 1e-4 * scale)
+
+    def at(offset: float):
+        moved = xs.copy()
+        moved[a] = pole + offset * scale * np.exp(1j * angle)
+        return evaluate(0.7, moved, ys, eta)
+
+    with pytest.raises(PoleCollisionError):
+        at(1e-10)
+    assert np.isfinite(at(1e-6))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    pick=st.integers(0, 100),
+    row=st.integers(0, 5),
+    extra=st.integers(0, 2),
+    key=st.integers(0, 2**32 - 1),
+    angle=st.floats(0.0, 6.3),
+)
+def test_a_free_point_near_but_off_an_on_shell_row_raises(pick, row, extra, key, angle):
+    params = cached_params(3, 0)
+    sets = [r.bethe_roots for r in cached_spectrum(3, 0) if r.n_roots >= 1]
+    rows = sets[pick % len(sets)]
+    target = rows[row % rows.size]
+    rng = np.random.Generator(np.random.Philox(key=key))
+    avoid = np.concatenate([rows, params.xi])
+    others = separated_cloud(rng, rows.size - 1 + extra, params.eta, avoid=avoid)
+    scale = max(
+        1.0, abs(params.eta), float(np.max(np.abs(np.concatenate([avoid, others]))))
+    )
+
+    def at(offset: float):
+        ys = np.append(others, target + offset * scale * np.exp(1j * angle))
+        return gen_slavnov_determinant(params, -1.0, rows, ys)
+
+    # neither separated from the row point nor coincident with it
+    with pytest.raises(PoleCollisionError):
+        at(1e-10)
+    # coincident: the closed-form limit entry, as in a norm
+    assert np.isfinite(at(0.0))

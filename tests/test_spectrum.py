@@ -8,10 +8,11 @@ import pytest
 from sovxxx import dense, spectrum
 from sovxxx.chain import a_of, d_of, fixture_params
 from sovxxx.dense import transfer_antiperiodic
+from sovxxx.determinants import mu_bethe_residuals
 from sovxxx.errors import PoleCollisionError
+from sovxxx.polynomials import ComplexPoly
 from sovxxx.sov import bilinear, separate_state_dense, spec_from_roots
 from sovxxx.spectrum import (
-    bethe_residuals,
     full_spectrum,
     pairing_indices,
     probe_points,
@@ -53,8 +54,26 @@ def test_functional_residual_on_fresh_points(n_sites):
     rng = np.random.Generator(np.random.Philox(key=501 + n_sites))
     pts = rng.uniform(-1.5, 1.5, (50, 2))
     points = pts[:, 0] + 1j * pts[:, 1]
+    eta = params.eta
     for rec in cached_spectrum(n_sites, 0):
-        assert tq_functional_residual(params, rec.tau, rec.q_tau, points) <= 1e-8
+        residual = tq_functional_residual(params, rec.tau(points), rec.q_tau, points)
+        assert residual <= 1e-8
+        # an off-shell q, against the residual evaluated point by point
+        off = ComplexPoly(rec.q_tau.coeffs + 0.1)
+        terms = [
+            (
+                rec.tau(z) * off(z),
+                a_of(params, z) * off(z - eta),
+                d_of(params, z) * off(z + eta),
+            )
+            for z in points
+        ]
+        per_point = max(
+            abs(t1 + t2 - t3) / max(abs(t1), abs(t2), abs(t3), 1e-300)
+            for t1, t2, t3 in terms
+        )
+        residual = tq_functional_residual(params, rec.tau(points), off, points)
+        assert residual == pytest.approx(per_point, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_sites", [2, 3])
@@ -170,16 +189,16 @@ def test_full_spectrum_builds_each_transfer_matrix_once(monkeypatch):
 def test_bethe_residuals_flag_off_shell_sets():
     params = cached_params(3, 0)
     rec = next(r for r in cached_spectrum(3, 0) if r.n_roots >= 1)
-    good = bethe_residuals(params, rec.bethe_roots)
+    good = mu_bethe_residuals(params, -1.0, rec.bethe_roots)
     assert np.max(good) <= 1e-7
-    bad = bethe_residuals(params, rec.bethe_roots + 0.1)
+    bad = mu_bethe_residuals(params, -1.0, rec.bethe_roots + 0.1)
     assert np.max(bad) > 1e-3
 
 
 def test_bethe_residuals_reject_lattice_collisions():
     params = cached_params(3, 0)
     with pytest.raises(PoleCollisionError):
-        bethe_residuals(params, np.array([params.xi[0]]))
+        mu_bethe_residuals(params, -1.0, np.array([params.xi[0]]))
 
 
 def test_probe_points_deterministic_and_away_from_lattice():
