@@ -38,7 +38,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainParams, a_of, d_of, vandermonde
+from .chain import (
+    ChainParams,
+    a_of,
+    d_of,
+    log_derivative_a,
+    log_derivative_d,
+    vandermonde,
+)
 from .errors import LimitFailureError, NotOnShellError, PoleCollisionError
 
 # relative pole guard used throughout
@@ -243,6 +250,18 @@ def izergin_determinant_clustered(
     return _result(sign * pref * np.linalg.det(dd) / vandermonde(xs))
 
 
+def _bethe_ratios(params: ChainParams, mu: complex, roots) -> np.ndarray:
+    """mu a(x)/d(x) over -prod (x - x_m + eta)/(x - x_m - eta) (self factor
+    -1) at every root x: 1 at each root of a twist-mu on-shell set."""
+    roots = np.asarray(roots, dtype=complex)
+    xi, eta = params.xi, params.eta
+    scale = _set_bound(roots, max(abs(eta), np.abs(xi).max()))
+    if (np.abs(roots[..., None] - xi) < _POLE_TOL * scale[..., None, None]).any():
+        raise PoleCollisionError("Bethe root collides with an inhomogeneity")
+    lhs = mu * a_of(params, roots) / d_of(params, roots)
+    return lhs / -balanced_shift_ratio(roots, eta, roots)
+
+
 def mu_bethe_residuals(params: ChainParams, mu: complex, roots) -> np.ndarray:
     """Per-root residuals of the twist-mu Bethe system
     mu a(x)/d(x) = - prod (x - x_m + eta)/(x - x_m - eta) (self factor -1).
@@ -252,12 +271,29 @@ def mu_bethe_residuals(params: ChainParams, mu: complex, roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     if roots.shape[-1] == 0:
         return np.zeros(roots.shape)
-    xi, eta = params.xi, params.eta
-    scale = _set_bound(roots, max(abs(eta), np.abs(xi).max()))
-    if (np.abs(roots[..., None] - xi) < _POLE_TOL * scale[..., None, None]).any():
-        raise PoleCollisionError("Bethe root collides with an inhomogeneity")
-    lhs = mu * a_of(params, roots) / d_of(params, roots)
-    return np.abs(lhs / -balanced_shift_ratio(roots, eta, roots) - 1.0)
+    return np.abs(_bethe_ratios(params, mu, roots) - 1.0)
+
+
+def gaudin_matrix(params: ChainParams, roots) -> np.ndarray:
+    """Derivative matrix of the logarithmic Bethe system, the Jacobian of
+    log ``_bethe_ratios`` in the roots.
+
+    Diagonal entries carry the logarithmic derivatives of a and d at the
+    root plus the exchange sums over the other roots; off-diagonal
+    entries carry the exchange kernel alone.  A stack of root sets gives
+    a stack of matrices.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    eye = np.eye(roots.shape[-1], dtype=bool)
+    diffs = roots[..., :, None] - roots[..., None, :]
+    eta = params.eta
+    exchange = np.where(eye, 0.0, 1.0 / (diffs - eta) - 1.0 / (diffs + eta))
+    diag = (
+        log_derivative_a(params, roots)
+        - log_derivative_d(params, roots)
+        + exchange.sum(axis=-1)
+    )
+    return np.where(eye, diag[..., None], -exchange)
 
 
 def _require_on_shell(params: ChainParams, mu: complex, xs, tol: float = 1e-7) -> None:

@@ -110,37 +110,49 @@ def poly_add(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
     return ComplexPoly(npoly.polyadd(p.coeffs, q.coeffs))
 
 
-def lagrange_interpolate(nodes, values) -> ComplexPoly:
-    """The unique polynomial of degree < len(nodes) through the given points.
+def cardinal_coefficients(nodes) -> np.ndarray:
+    """Ascending coefficients of the Lagrange cardinal polynomials of the
+    nodes, one row per node: ``values @ cardinal_coefficients(nodes)`` is
+    the interpolant of ``values`` (or of each row of a stack of values).
 
-    Built from cardinal polynomials, which is exact (up to roundoff) for
-    the small node counts used here.  Nodes closer than ``1e-8`` relative
+    Every row's numerator is expanded in the same loop, one linear factor
+    per step for all nodes at once.  Nodes closer than ``1e-8`` relative
     to their overall scale cannot be separated and raise
     ``DegenerateNodesError``.
     """
     nodes = np.asarray(nodes, dtype=complex).ravel()
-    values = np.asarray(values, dtype=complex).ravel()
-    if nodes.size != values.size:
-        raise ValueError("nodes and values must have equal length")
     if nodes.size == 0:
         raise ValueError("need at least one interpolation node")
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
+    if not np.all(np.isfinite(nodes)):
         raise ValueError("interpolation nodes and values must be finite")
+    m = nodes.size
     scale = max(1.0, float(np.max(np.abs(nodes))))
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, np.inf)
-    if np.min(np.abs(diff)) <= 1e-8 * scale:
+    off = ~np.eye(m, dtype=bool)
+    others = nodes[None, :].repeat(m, axis=0)[off].reshape(m, m - 1)
+    gaps = nodes[:, None] - others
+    if np.any(np.abs(gaps) <= 1e-8 * scale):
         raise DegenerateNodesError(
             "interpolation nodes are too close to separate polynomial values"
         )
-    acc = np.zeros(nodes.size, dtype=complex)
-    for b in range(nodes.size):
-        others = np.delete(nodes, b)
-        cardinal = npoly.polyfromroots(others) if others.size else np.ones(1, dtype=complex)
-        denom = np.prod(nodes[b] - others) if others.size else 1.0
-        term = cardinal * (values[b] / denom)
-        acc[: term.size] += term
-    return ComplexPoly(acc)
+    coeffs = np.zeros((m, m), dtype=complex)
+    coeffs[:, 0] = 1.0
+    for k in range(m - 1):
+        # row b times (z - others[b, k]): its top coefficient is still zero,
+        # so the roll shifts a zero into the constant term
+        coeffs = np.roll(coeffs, 1, axis=1) - others[:, k, None] * coeffs
+    return coeffs / gaps.prod(axis=1)[:, None]
+
+
+def lagrange_interpolate(nodes, values) -> ComplexPoly:
+    """The unique polynomial of degree < len(nodes) through the given points:
+    the values times the cardinal-coefficient matrix of the nodes."""
+    nodes = np.asarray(nodes, dtype=complex).ravel()
+    values = np.asarray(values, dtype=complex).ravel()
+    if nodes.size != values.size:
+        raise ValueError("nodes and values must have equal length")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("interpolation nodes and values must be finite")
+    return ComplexPoly(values @ cardinal_coefficients(nodes))
 
 
 def poly_roots(poly: ComplexPoly) -> np.ndarray:
@@ -165,22 +177,17 @@ def poly_roots(poly: ComplexPoly) -> np.ndarray:
     return roots
 
 
-def effective_degree(poly: ComplexPoly, tol: float = 1e-8) -> int:
+def effective_degree(poly, tol: float = 1e-8):
     """Largest index whose coefficient exceeds ``tol`` relative to the maximum.
 
     Used to strip noise-level leading coefficients produced by linear
-    solves before declaring the degree of a computed polynomial.
+    solves before declaring the degree of a computed polynomial.  A stack
+    of coefficient rows in place of a ``ComplexPoly`` gives one degree per
+    row; a zero polynomial has degree -1.
     """
-    mags = np.abs(poly.coeffs)
-    scale = float(np.max(mags))
-    if scale == 0.0:
-        return -1
-    idx = np.nonzero(mags > tol * scale)[0]
-    return int(idx[-1]) if idx.size else -1
-
-
-def truncate_to_degree(poly: ComplexPoly, degree: int) -> ComplexPoly:
-    """Drop all coefficients above ``degree`` (validated noise removal)."""
-    if degree < 0:
-        return ComplexPoly(np.zeros(1, dtype=complex))
-    return ComplexPoly(poly.coeffs[: degree + 1])
+    coeffs = poly.coeffs if isinstance(poly, ComplexPoly) else np.asarray(poly)
+    mags = np.abs(coeffs)
+    above = mags > tol * mags.max(axis=-1, keepdims=True)
+    last = coeffs.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
+    degree = np.where(above.any(axis=-1), last, -1)
+    return int(degree) if degree.ndim == 0 else degree

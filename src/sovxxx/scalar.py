@@ -15,16 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import (
-    ChainParams,
-    a_of,
-    d_of,
-    log_derivative_a,
-    log_derivative_d,
-    vandermonde,
-)
+from .chain import ChainParams, a_of, d_of, vandermonde
 from .determinants import (
     dressed_vandermonde,
+    gaudin_matrix,
     gen_slavnov_determinant,
     gen_slavnov_sign,
     izergin_determinant,
@@ -213,32 +207,6 @@ def sp_with_eigenstate(
     """Pairing of a polynomial left separate state with the eigenstate of
     a spectrum record (``sp_on_shell`` over its Bethe roots)."""
     return sp_on_shell(params, left_roots, record.bethe_roots)
-
-
-def gaudin_matrix(params: ChainParams, roots) -> np.ndarray:
-    """Derivative matrix of the logarithmic Bethe system.
-
-    Diagonal entries carry the logarithmic derivatives of a and d at the
-    root plus the exchange sums over the other roots; off-diagonal
-    entries carry the exchange kernel alone.
-    """
-    roots = np.asarray(roots, dtype=complex).ravel()
-    r = roots.size
-    eta = params.eta
-    mat = np.zeros((r, r), dtype=complex)
-    for m in range(r):
-        lam = roots[m]
-        diag = complex(log_derivative_a(params, lam) - log_derivative_d(params, lam))
-        for b in range(r):
-            if b == m:
-                continue
-            diag += 1.0 / (lam - roots[b] - eta) - 1.0 / (lam - roots[b] + eta)
-        mat[m, m] = diag
-        for nn in range(r):
-            if nn == m:
-                continue
-            mat[m, nn] = -1.0 / (lam - roots[nn] - eta) + 1.0 / (lam - roots[nn] + eta)
-    return mat
 
 
 def gaudin_norm(params: ChainParams, record: EigenRecord) -> complex:

@@ -6,16 +6,27 @@ parameter by interpolating Rayleigh quotients at the inhomogeneities.
 A well-posed linear system on the inhomogeneity lattice (plus one
 auxiliary node fixing the overall scale) then produces the auxiliary
 polynomial whose roots solve the Bethe system, for the eigenvalue and
-for its negative; the two auxiliary polynomials of an eigenvalue pair
-combine into the average-free decomposition whose Wronskian reproduces
-the lower reference polynomial.
+for its negative; Newton steps on the Bethe system polish those roots
+and the polynomial is rebuilt from them.  The two auxiliary polynomials
+of an eigenvalue pair combine into the average-free decomposition whose
+Wronskian reproduces the lower reference polynomial.
+
+``full_spectrum`` runs every stage over all 2^N eigenpairs of a chain
+at once: one product of stacked Rayleigh quotients with the nodes'
+cardinal-coefficient matrix gives every eigenvalue polynomial; each
+auxiliary-node attempt solves every pending lattice system in one
+batched solve (``solve_q_from_tau`` is the stack-of-one case); the
+polish runs stacked by root count; and every residual is one array
+expression over the chain's one probe set (``SpectrumTransfers``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .chain import ChainParams, a_of, d_of, require_generic
 from .dense import (
@@ -23,19 +34,21 @@ from .dense import (
     diagonalize_transfer,
     transfer_antiperiodic,
 )
-from .determinants import mu_bethe_residuals
+from .determinants import _bethe_ratios, gaudin_matrix, mu_bethe_residuals
 from .errors import PairingError, SpectrumError
 from .polynomials import (
     ComplexPoly,
+    cardinal_coefficients,
     effective_degree,
-    lagrange_interpolate,
+    poly_from_roots,
     poly_roots,
-    truncate_to_degree,
 )
 from .sov import separate_state_dense, spec_from_roots
 
 _MAX_Q_RETRIES = 8
 _COND_LIMIT = 1e12
+# a polish stops earlier, at its first step that does not lower the residual
+_MAX_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +56,12 @@ class EigenRecord:
     """One transfer eigenvalue with its auxiliary-polynomial data.
 
     ``q_tau`` and ``q_minus_tau`` are monic; ``bethe_roots`` are the
-    roots of ``q_tau`` and ``q_minus_roots`` those of ``q_minus_tau``.
+    roots of ``q_tau`` and ``q_minus_roots`` those of ``q_minus_tau``, both
+    Newton-polished, and each polynomial is rebuilt from its roots.
     ``residuals`` collects the relative residuals of every structural
-    check performed while building the record.
+    check performed while building the record, plus the recovery the
+    polish made: ``bethe_unpolished``, the Bethe residual of the roots as
+    extracted, and ``newton_steps``, the steps kept on both root sets.
     """
 
     tau: ComplexPoly
@@ -60,23 +76,9 @@ class EigenRecord:
         return self.bethe_roots.size
 
 
-@dataclass(frozen=True, eq=False)
-class PQData:
-    """Average-free decomposition of an eigenvalue pair: the lower- and
-    higher-degree auxiliary polynomials, the overall sign in the
-    eigenvalue reconstruction, and the residuals of the Wronskian
-    normalization and of the reconstruction itself."""
-
-    q: ComplexPoly
-    p: ComplexPoly
-    sign: int
-    wronskian_residual: float
-    reconstruction_residual: float
-
-
-def probe_points(params: ChainParams, count: int, seed: int = 777) -> np.ndarray:
+def probe_points(params: ChainParams, count: int) -> np.ndarray:
     """Deterministic generic probe points scaled to the parameter spread."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=777))
     center = complex(np.mean(params.xi))
     spread = max(1.0, float(np.max(np.abs(params.xi - center))) + abs(params.eta))
     draws = rng.uniform(-1.2, 1.2, size=(count, 2))
@@ -85,68 +87,60 @@ def probe_points(params: ChainParams, count: int, seed: int = 777) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTransfers:
-    """The antiperiodic transfer matrices every record of one spectrum
-    reads, built once: at the inhomogeneities and at the held-out point
-    (``extract_tau``), and at the eigenstate-check point
-    (``build_record``)."""
+    """What every record of one spectrum reads, built once per chain: the
+    antiperiodic transfer matrices at the inhomogeneities (stacked, one
+    per node), at the held-out point and at the eigenstate-check point,
+    and the one probe set every T-Q, Wronskian and reconstruction
+    residual is evaluated on."""
 
-    at_nodes: tuple[np.ndarray, ...]
+    at_nodes: np.ndarray
     held_point: complex
     at_held: np.ndarray
     check_point: complex
     at_check: np.ndarray
+    probes: np.ndarray
 
 
 def spectrum_transfers(params: ChainParams) -> SpectrumTransfers:
     held = default_eval_point(params, 3)
     check = default_eval_point(params, 1)
     return SpectrumTransfers(
-        at_nodes=tuple(transfer_antiperiodic(params, x) for x in params.xi),
+        at_nodes=np.stack([transfer_antiperiodic(params, x) for x in params.xi]),
         held_point=held,
         at_held=transfer_antiperiodic(params, held),
         check_point=check,
         at_check=transfer_antiperiodic(params, check),
+        probes=probe_points(params, 2 * params.n_sites + 2),
     )
 
 
-def extract_tau(
-    params: ChainParams,
-    right: np.ndarray,
-    left: np.ndarray,
-    transfers: SpectrumTransfers,
-) -> ComplexPoly:
-    """Eigenvalue polynomial from one biorthogonal eigenvector pair.
-
-    Rayleigh quotients at the inhomogeneities determine the polynomial
-    (degree at most one less than the chain length) by interpolation;
-    a held-out quotient at a generic point must agree to relative 1e-9.
-    """
-    pairing = complex(np.dot(left, right))
-    scale = np.linalg.norm(left) * np.linalg.norm(right)
-    if abs(pairing) < 1e-12 * scale:
-        raise PairingError("left/right eigenvectors are numerically orthogonal")
-    values = [
-        complex(np.dot(left, tmat @ right)) / pairing for tmat in transfers.at_nodes
-    ]
-    tau = lagrange_interpolate(params.xi, values)
-    held = transfers.held_point
-    direct = complex(np.dot(left, transfers.at_held @ right)) / pairing
-    if abs(tau(held) - direct) > 1e-9 * max(1.0, abs(direct)):
-        raise SpectrumError(
-            "interpolated eigenvalue polynomial failed the held-out check"
-        )
-    return tau
+def _values(coeffs: np.ndarray, points) -> np.ndarray:
+    """Values of a stack of polynomials (rows of ascending coefficients,
+    zero-padded) at the points, one row per polynomial; the same Horner
+    arithmetic as ``ComplexPoly.__call__``."""
+    return npoly.polyval(np.asarray(points, dtype=complex), coeffs.T)
 
 
-def check_discrete_system(params: ChainParams, tau: ComplexPoly) -> float:
-    """Largest relative residual of the bilinear eigenvalue conditions
-    tau(xi_n) tau(xi_n - eta) + a(xi_n) d(xi_n - eta) = 0."""
-    worst = 0.0
-    for x in params.xi:
-        prod_ad = a_of(params, x) * d_of(params, x - params.eta)
-        res = tau(x) * tau(x - params.eta) + prod_ad
-        worst = max(worst, float(abs(res) / max(abs(prod_ad), 1e-300)))
-    return worst
+def _padded(polys, width: int) -> np.ndarray:
+    """Coefficient rows of the polynomials, zero-padded to ``width``."""
+    out = np.zeros((len(polys), width), dtype=complex)
+    for row, poly in zip(out, polys):
+        row[: poly.coeffs.size] = poly.coeffs
+    return out
+
+
+def _tq_residuals(params: ChainParams, tau_values, q_coeffs, points) -> np.ndarray:
+    """Largest relative residual of tau(z) q(z) + a(z) q(z - eta) -
+    d(z) q(z + eta) over the points, for each row of a stack of
+    eigenvalue values (rows of ``tau_values``) and auxiliary polynomials
+    (rows of ``q_coeffs``)."""
+    points = np.asarray(points, dtype=complex)
+    eta = params.eta
+    t1 = tau_values * _values(q_coeffs, points)
+    t2 = a_of(params, points) * _values(q_coeffs, points - eta)
+    t3 = d_of(params, points) * _values(q_coeffs, points + eta)
+    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3))
+    return np.max(np.abs(t1 + t2 - t3) / np.maximum(scale, 1e-300), axis=-1)
 
 
 def tq_functional_residual(
@@ -155,34 +149,115 @@ def tq_functional_residual(
     """Largest relative residual of the functional equation
     tau(z) q(z) + a(z) q(z - eta) - d(z) q(z + eta) = 0 over ``points``,
     given the eigenvalue's values ``tau_values`` there."""
-    points = np.asarray(points, dtype=complex)
-    eta = params.eta
-    t1 = tau_values * q(points)
-    t2 = a_of(params, points) * q(points - eta)
-    t3 = d_of(params, points) * q(points + eta)
-    scale = np.maximum(np.abs([t1, t2, t3]).max(axis=0), 1e-300)
-    return float(np.max(np.abs(t1 + t2 - t3) / scale))
+    tau_values = np.asarray(tau_values, dtype=complex)[None]
+    return float(_tq_residuals(params, tau_values, q.coeffs[None], points)[0])
 
 
-def _negated(poly: ComplexPoly) -> ComplexPoly:
-    return ComplexPoly(-poly.coeffs)
+def _cardinal_values(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Lagrange cardinal polynomials of the nodes at the points, as
+    products of point differences: entry [p, b] is the b-th cardinal
+    polynomial at the p-th point."""
+    eye = np.eye(nodes.size, dtype=bool)
+    to_nodes = points[:, None] - nodes
+    num = np.where(eye, 1.0, to_nodes[:, None, :]).prod(axis=-1)
+    den = np.where(eye, 1.0, nodes[:, None] - nodes).prod(axis=-1)
+    return num / den
 
 
-def solve_q_from_tau(
-    params: ChainParams, tau: ComplexPoly, seed: int = 0
-) -> ComplexPoly:
-    """Monic auxiliary polynomial of an eigenvalue polynomial.
+class _QSolution(NamedTuple):
+    """One auxiliary solve: the polynomial, its polished roots, their worst
+    Bethe residual before and after the polish, the steps kept and the
+    polynomial's functional residual at the probe points."""
 
-    Values at the inhomogeneities solve an N x N linear system built
-    from Lagrange cardinal polynomials on the inhomogeneities plus one
-    auxiliary node, where the unknown is normalized to 1; the full
-    polynomial is then interpolated, its noise-level leading
-    coefficients trimmed, and the result validated against the
-    functional equation at fresh probe points.  Ill-conditioned systems
-    and vanishing values at the inhomogeneities trigger a retry with a
-    new auxiliary node; persistent failure raises ``SpectrumError``.
+    q: ComplexPoly
+    roots: np.ndarray
+    bethe_unpolished: float
+    bethe: float
+    newton_steps: int
+    functional: float = 0.0
+
+
+def _polish(params: ChainParams, roots: np.ndarray):
+    """Newton steps on the logarithmic Bethe system for a stack of root
+    sets of one size: the polished sets, the worst Bethe residual of each
+    set before and after, and the number of steps kept per set.
+
+    The Bethe system is F_m = 1 with F the ratios of ``_bethe_ratios``;
+    the Jacobian of log F is ``gaudin_matrix`` G, so Newton's step for
+    1 - 1/F = 0 is G^-1 (F - 1).  A set stops at the first step that does
+    not lower its worst residual, and that step is dropped, so no set
+    leaves worse than it came in.  The Jacobians are at most N x N and
+    well conditioned at simple roots, and the corrections are of the
+    roots' own rounding size, so one batched inverse per step resolves
+    them.
     """
-    require_generic(params)
+    roots = roots.copy()
+    raw = mu_bethe_residuals(params, -1.0, roots).max(axis=-1, initial=0.0)
+    worst = raw.copy()
+    steps = np.zeros(roots.shape[0], dtype=int)
+    active = np.flatnonzero(worst > 0.0)
+    for _ in range(_MAX_NEWTON_STEPS):
+        if active.size == 0:
+            break
+        current = roots[active]
+        excess = _bethe_ratios(params, -1.0, current) - 1.0
+        jac_inv = np.linalg.inv(gaudin_matrix(params, current))
+        trial = current - (jac_inv @ excess[..., None])[..., 0]
+        with np.errstate(all="ignore"):
+            trial_worst = mu_bethe_residuals(params, -1.0, trial).max(axis=-1)
+        better = trial_worst < worst[active]
+        kept = active[better]
+        roots[kept] = trial[better]
+        worst[kept] = trial_worst[better]
+        steps[kept] += 1
+        active = kept[worst[kept] > 0.0]
+    return roots, raw, worst, steps
+
+
+def _polished(params: ChainParams, q: np.ndarray) -> list[_QSolution]:
+    """Roots of each row of a stack of monic polynomials (zero-padded
+    ascending coefficients), polished by ``_polish`` stacked by root
+    count, with each polynomial rebuilt from its polished roots."""
+    roots = [poly_roots(ComplexPoly(row)) for row in q]
+    out: list[_QSolution] = [None] * len(roots)
+    for size in sorted({r.size for r in roots}):
+        members = [i for i, r in enumerate(roots) if r.size == size]
+        stack = np.array([roots[i] for i in members]).reshape(len(members), size)
+        polished, raw, worst, steps = _polish(params, stack)
+        for k, i in enumerate(members):
+            out[i] = _QSolution(
+                poly_from_roots(polished[k]),
+                polished[k],
+                float(raw[k]),
+                float(worst[k]),
+                int(steps[k]),
+            )
+    return out
+
+
+def _solve_q_stack(
+    params: ChainParams, tau_at_xi: np.ndarray, tau_at_probes: np.ndarray,
+    probes: np.ndarray, seed: int,
+) -> list[_QSolution]:
+    """Monic auxiliary polynomials of a stack of eigenvalue polynomials,
+    given by their values at the inhomogeneities and at the probe points.
+
+    Each attempt draws one auxiliary node from the Philox key
+    ``[seed, 0xA5F0]`` and solves, for every system still pending, the
+    N x N linear system for the values at the inhomogeneities built from
+    the Lagrange cardinal polynomials on the inhomogeneities plus that
+    node, where the unknown is normalized to 1: one cardinal matrix, one
+    batched ``cond``, one batched ``solve`` and one interpolation
+    product for the whole stack.  Each polynomial's noise-level leading
+    coefficients are trimmed, its roots are polished by Newton steps on
+    the Bethe system (``_polished``) and it is rebuilt from them, so the
+    polynomial and its roots are one set; the rebuilt polynomial is then
+    validated against the functional equation at the probe points.  A
+    system that is ill-conditioned, solves to non-finite values, vanishes
+    identically or at an inhomogeneity, or fails the functional gate goes
+    on to the next node: the retry sequence of each system is the one it
+    would meet on its own.  Persistent failure raises ``SpectrumError``.
+    """
     n = params.n_sites
     xi = params.xi
     eta = params.eta
@@ -190,188 +265,266 @@ def solve_q_from_tau(
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xA5F0]))
     center = complex(np.mean(xi))
     spread = max(1.0, float(np.max(np.abs(xi - center))) + abs(eta))
-    probes = probe_points(params, 2 * n + 2)
-    failures: list[str] = []
+    diagonal = tau_at_xi / a_of(params, xi)
+    out: list[_QSolution] = [None] * tau_at_xi.shape[0]
+    done = np.zeros(tau_at_xi.shape[0], dtype=bool)
+    failures: list[list[str]] = [[] for _ in done]
+
+    def keep(live, passed, reason: str):
+        """The systems of ``live`` that pass a gate; the others record why."""
+        for i in live[~passed]:
+            failures[i].append(reason)
+        return live[passed]
+
     for _ in range(_MAX_Q_RETRIES):
+        live = np.flatnonzero(~done)
+        if live.size == 0:
+            break
         draw = rng.uniform(-2.0, 2.0, size=2)
         aux = center + spread * complex(draw[0], draw[1])
-        seps = [abs(aux - x - h * eta) for x in xi for h in (-1, 0, 1)]
-        if min(seps) < margin:
-            failures.append("auxiliary node too close to the lattice")
+        if np.min(np.abs(aux - xi[:, None] - np.array([-eta, 0.0, eta]))) < margin:
+            for i in live:
+                failures[i].append("auxiliary node too close to the lattice")
             continue
         nodes = np.append(xi, aux)
-
-        def cardinal(b: int, z: complex) -> complex:
-            others = np.delete(nodes, b)
-            return complex(np.prod((z - others) / (nodes[b] - others)))
-
-        mat = np.zeros((n, n), dtype=complex)
-        rhs = np.zeros(n, dtype=complex)
-        for a in range(n):
-            z = xi[a] - eta
-            for b in range(n):
-                mat[a, b] = cardinal(b, z)
-            mat[a, a] += tau(xi[a]) / a_of(params, xi[a])
-            rhs[a] = -cardinal(n, z)
-        if np.linalg.cond(mat) > _COND_LIMIT:
-            failures.append("linear system ill-conditioned")
+        cardinal = _cardinal_values(nodes, xi - eta)
+        mats = cardinal[:, :n] + diagonal[live][:, :, None] * np.eye(n)
+        conditioned = np.linalg.cond(mats) <= _COND_LIMIT
+        live = keep(live, conditioned, "linear system ill-conditioned")
+        mats = mats[conditioned]
+        if live.size == 0:
             continue
-        values = np.append(np.linalg.solve(mat, rhs), 1.0)
-        if not np.all(np.isfinite(values)):
-            failures.append("solved values are not finite")
-            continue
-        raw = lagrange_interpolate(nodes, values)
+        rhs = np.broadcast_to(-cardinal[:, n, None], (live.size, n, 1))
+        values = np.linalg.solve(mats, rhs)[..., 0]
+        finite = np.all(np.isfinite(values), axis=-1)
+        live = keep(live, finite, "solved values are not finite")
+        values = values[finite]
+        raw = np.append(values, np.ones((live.size, 1)), axis=-1)
+        raw = raw @ cardinal_coefficients(nodes)
         degree = effective_degree(raw, tol=1e-8)
-        if degree < 0:
-            failures.append("solved polynomial vanished identically")
+        nonzero = degree >= 0
+        live = keep(live, nonzero, "solved polynomial vanished identically")
+        raw, degree = raw[nonzero], degree[nonzero]
+        # coefficients above the effective degree are noise of the solve
+        raw = np.where(np.arange(n + 1) <= degree[:, None], raw, 0.0)
+        q = raw / raw[np.arange(live.size), degree][:, None]
+        at_xi = np.abs(_values(q, xi))
+        apart = np.min(at_xi, axis=-1) > 1e-8 * np.max(at_xi, axis=-1)
+        live = keep(live, apart, "auxiliary polynomial vanished at an inhomogeneity")
+        if live.size == 0:
             continue
-        q = truncate_to_degree(raw, degree).monic()
-        at_xi = np.abs(np.asarray(q(xi), dtype=complex))
-        if np.min(at_xi) <= 1e-8 * np.max(at_xi):
-            failures.append("auxiliary polynomial vanished at an inhomogeneity")
-            continue
-        resid = tq_functional_residual(params, tau(probes), q, probes)
-        if resid > 1e-8:
-            failures.append(f"functional residual {resid:.3e}")
-            continue
-        return q
-    raise SpectrumError(
-        "auxiliary-polynomial solve failed after retries: " + "; ".join(failures[-3:])
-    )
-
-
-def _pq_from_polys(
-    params: ChainParams, tau: ComplexPoly, q_tau: ComplexPoly, q_minus: ComplexPoly
-) -> PQData:
-    n = params.n_sites
-    eta = params.eta
-    if q_tau.degree <= q_minus.degree:
-        q, p = q_tau, q_minus
-    else:
-        q, p = q_minus, q_tau
-    if q.degree > n // 2:
+        solutions = _polished(params, q[apart])
+        rebuilt = _padded([sol.q for sol in solutions], n + 1)
+        resid = _tq_residuals(params, tau_at_probes[live], rebuilt, probes)
+        for i, sol, r in zip(live, solutions, resid):
+            if r > 1e-8:
+                failures[i].append(f"functional residual {r:.3e}")
+            else:
+                out[i] = sol._replace(functional=float(r))
+                done[i] = True
+    if not done.all():
         raise SpectrumError(
-            f"lower auxiliary degree {q.degree} exceeds the admissible bound {n // 2}"
+            "auxiliary-polynomial solve failed after retries: "
+            + "; ".join(failures[np.argmin(done)][-3:])
         )
-    probes = probe_points(params, 2 * n, seed=778)
-    # fix the joint scale through the Wronskian normalization at the probe
-    # point where the reference polynomial is largest
-    anchor = max(probes, key=lambda z: abs(d_of(params, z)))
-    wron = 0.5 * (p(anchor) * q(anchor - eta) + q(anchor) * p(anchor - eta))
-    scale_fix = d_of(params, anchor) / wron
-    p = p.scaled(scale_fix)
-    wron_res = 0.0
-    for z in probes:
-        w = 0.5 * (p(z) * q(z - eta) + q(z) * p(z - eta))
-        dz = d_of(params, z)
-        wron_res = max(wron_res, float(abs(w - dz) / max(abs(dz), abs(w), 1e-300)))
-    # determine the sign of the eigenvalue reconstruction
-    best_sign, best_res = 1, np.inf
-    for sign in (1, -1):
-        rec_res = 0.0
-        for z in probes:
-            w = 0.5 * sign * (p(z - eta) * q(z + eta) - q(z - eta) * p(z + eta))
-            tz = tau(z)
-            rec_res = max(rec_res, float(abs(w - tz) / max(abs(tz), abs(w), 1e-300)))
-        if rec_res < best_res:
-            best_sign, best_res = sign, rec_res
-    return PQData(
-        q=q,
-        p=p,
-        sign=best_sign,
-        wronskian_residual=wron_res,
-        reconstruction_residual=best_res,
-    )
-
-
-def build_record(
-    params: ChainParams,
-    right: np.ndarray,
-    left: np.ndarray,
-    transfers: SpectrumTransfers,
-    seed: int = 0,
-) -> EigenRecord:
-    """Full record for one eigenvector pair, with every structural gate."""
-    n = params.n_sites
-    tau = extract_tau(params, right, left, transfers)
-    ds_res = check_discrete_system(params, tau)
-    if ds_res > 1e-9:
-        raise SpectrumError(f"discrete-system residual {ds_res:.3e} too large")
-    q_tau = solve_q_from_tau(params, tau, seed=seed)
-    q_minus = solve_q_from_tau(params, _negated(tau), seed=seed)
-    if q_tau.degree + q_minus.degree != n:
-        raise SpectrumError(
-            "auxiliary degrees of an eigenvalue pair must sum to the chain length"
-        )
-    roots = poly_roots(q_tau) if q_tau.degree > 0 else np.zeros(0, dtype=complex)
-    mroots = poly_roots(q_minus) if q_minus.degree > 0 else np.zeros(0, dtype=complex)
-    b_res = mu_bethe_residuals(params, -1.0, roots)
-    probes = probe_points(params, 2 * n + 2)
-    func_res = tq_functional_residual(params, tau(probes), q_tau, probes)
-    pq = _pq_from_polys(params, tau, q_tau, q_minus)
-    # eigenvector property of the separate state built on the auxiliary values
-    vec = separate_state_dense(params, spec_from_roots(params, roots, "right"))
-    lam_ref = transfers.check_point
-    eig_res = float(
-        np.linalg.norm(transfers.at_check @ vec - tau(lam_ref) * vec)
-        / (abs(tau(lam_ref)) * np.linalg.norm(vec))
-    )
-    residuals = {
-        "discrete_system": ds_res,
-        "functional_tq": func_res,
-        "bethe": float(b_res.max(initial=0.0)),
-        "wronskian": pq.wronskian_residual,
-        "eigenstate": eig_res,
-    }
-    return EigenRecord(
-        tau=tau,
-        q_tau=q_tau,
-        q_minus_tau=q_minus,
-        bethe_roots=roots,
-        q_minus_roots=mroots,
-        residuals=residuals,
-    )
-
-
-def pairing_indices(records: list[EigenRecord]) -> list[int]:
-    """For each record, the index of the record carrying the negated
-    eigenvalue polynomial; raises ``SpectrumError`` when a partner is
-    missing."""
-    out = []
-    for i, rec in enumerate(records):
-        coeffs = rec.tau.coeffs
-        scale = float(np.max(np.abs(coeffs)))
-        partner = -1
-        for j, other in enumerate(records):
-            oc = other.tau.coeffs
-            if oc.size != coeffs.size:
-                continue
-            if np.max(np.abs(oc + coeffs)) <= 1e-9 * max(scale, 1.0):
-                partner = j
-                break
-        if partner < 0:
-            raise SpectrumError(f"no negated partner for eigenvalue record {i}")
-        out.append(partner)
     return out
 
 
-def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
-    """All 2^N spectrum records, gated, paired and deterministically sorted."""
+def solve_q_from_tau(
+    params: ChainParams, tau: ComplexPoly, seed: int = 0
+) -> ComplexPoly:
+    """Monic auxiliary polynomial of one eigenvalue polynomial: the
+    stack-of-one case of the spectrum's solve (``_solve_q_stack``), Newton
+    polish included, checked at the chain's probe points."""
     require_generic(params)
+    probes = probe_points(params, 2 * params.n_sites + 2)
+    coeffs = tau.coeffs[None]
+    (solution,) = _solve_q_stack(
+        params, _values(coeffs, params.xi), _values(coeffs, probes), probes, seed
+    )
+    return solution.q
+
+
+def _tau_stack(
+    params: ChainParams, rights: np.ndarray, lefts: np.ndarray,
+    transfers: SpectrumTransfers,
+) -> list[ComplexPoly]:
+    """Eigenvalue polynomials of every biorthogonal eigenvector pair
+    (columns of ``rights``, rows of ``lefts``).
+
+    The Rayleigh quotients at the inhomogeneities determine each
+    polynomial (degree at most one less than the chain length) through
+    one product with the nodes' cardinal-coefficient matrix; a held-out
+    quotient at a generic point must agree to relative 1e-9.
+    """
+    pairing = np.einsum("kd,dk->k", lefts, rights)
+    scale = np.linalg.norm(lefts, axis=1) * np.linalg.norm(rights, axis=0)
+    if np.any(np.abs(pairing) < 1e-12 * scale):
+        raise PairingError("left/right eigenvectors are numerically orthogonal")
+    # one node at a time keeps the temporary at one (2^N, 2^N) product
+    at_nodes = np.stack(
+        [np.einsum("kd,dk->k", lefts, tmat @ rights) for tmat in transfers.at_nodes],
+        axis=1,
+    )
+    taus = [
+        ComplexPoly(row)
+        for row in (at_nodes / pairing[:, None]) @ cardinal_coefficients(params.xi)
+    ]
+    direct = np.einsum("kd,dk->k", lefts, transfers.at_held @ rights) / pairing
+    coeffs = _padded(taus, params.n_sites)
+    interpolated = _values(coeffs, [transfers.held_point])[:, 0]
+    if np.any(np.abs(interpolated - direct) > 1e-9 * np.maximum(1.0, np.abs(direct))):
+        raise SpectrumError(
+            "interpolated eigenvalue polynomial failed the held-out check"
+        )
+    return taus
+
+
+def _pq_residuals(
+    params: ChainParams, tau_at_probes, q_tau, q_minus, tau_is_lower, probes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wronskian and reconstruction residuals of every eigenvalue pair's
+    average-free decomposition, over the probe points.
+
+    Per pair, the lower-degree auxiliary polynomial is q (``q_tau`` where
+    ``tau_is_lower``) and the other p; p is scaled so that the Wronskian
+    (p(z) q(z - eta) + q(z) p(z - eta))/2 equals d at the probe point
+    where d is largest, and the Wronskian must then reproduce d at every
+    probe point.  The reconstruction
+    (p(z - eta) q(z + eta) - q(z - eta) p(z + eta))/2 must reproduce the
+    eigenvalue up to one overall sign, the better of the two.
+    """
+    eta = params.eta
+    q = np.where(tau_is_lower[:, None], q_tau, q_minus)
+    p = np.where(tau_is_lower[:, None], q_minus, q_tau)
+    p_m, p_0, p_p = (_values(p, probes + h) for h in (-eta, 0.0, eta))
+    q_m, q_0, q_p = (_values(q, probes + h) for h in (-eta, 0.0, eta))
+    d_vals = d_of(params, probes)
+    anchor = np.argmax(np.abs(d_vals))
+    wron = 0.5 * (p_0 * q_m + q_0 * p_m)
+    p_scale = (d_vals[anchor] / wron[:, anchor])[:, None]
+    wron = p_scale * wron
+    wron_res = np.abs(wron - d_vals) / np.maximum(
+        np.maximum(np.abs(d_vals), np.abs(wron)), 1e-300
+    )
+    rec = 0.5 * p_scale * (p_m * q_p - q_m * p_p)
+    floor = np.maximum(np.maximum(np.abs(tau_at_probes), np.abs(rec)), 1e-300)
+    rec_res = np.minimum(
+        (np.abs(rec - tau_at_probes) / floor).max(axis=-1),
+        (np.abs(rec + tau_at_probes) / floor).max(axis=-1),
+    )
+    return wron_res.max(axis=-1), rec_res
+
+
+def pairing_indices(records: list[EigenRecord]) -> list[int]:
+    """For each record, the index of the first record carrying the negated
+    eigenvalue polynomial; raises ``SpectrumError`` when a partner is
+    missing."""
+    sizes = np.array([rec.tau.coeffs.size for rec in records])
+    coeffs = _padded([rec.tau for rec in records], int(sizes.max()))
+    scale = np.maximum(np.abs(coeffs).max(axis=-1), 1.0)
+    gap = np.zeros((len(records), len(records)))
+    for column in coeffs.T:
+        gap = np.maximum(gap, np.abs(column[:, None] + column[None, :]))
+    negated = (gap <= 1e-9 * scale[:, None]) & (sizes[:, None] == sizes[None, :])
+    missing = np.flatnonzero(~negated.any(axis=-1))
+    if missing.size:
+        raise SpectrumError(f"no negated partner for eigenvalue record {missing[0]}")
+    return [int(j) for j in np.argmax(negated, axis=-1)]
+
+
+def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
+    """All 2^N spectrum records, gated, paired and deterministically sorted.
+
+    Every stage runs over all eigenpairs at once: eigenvalue polynomials
+    from stacked Rayleigh quotients, the discrete-system gate, one stacked
+    auxiliary solve for every eigenvalue and its negative (roots polished
+    there), and the T-Q, Bethe, Wronskian, reconstruction and eigenstate
+    residuals, all on the chain's one probe set.
+    """
+    require_generic(params)
+    n = params.n_sites
+    eta = params.eta
     triples = diagonalize_transfer(params)
     transfers = spectrum_transfers(params)
-    records = [build_record(params, r, l, transfers, seed=seed) for _, r, l in triples]
+    probes = transfers.probes
+    rights = np.stack([right for _, right, _ in triples], axis=1)
+    lefts = np.stack([left for _, _, left in triples])
+    taus = _tau_stack(params, rights, lefts, transfers)
+    tau_coeffs = _padded(taus, n)
+    at_xi = _values(tau_coeffs, params.xi)
+    prod_ad = a_of(params, params.xi) * d_of(params, params.xi - eta)
+    ds_res = np.max(
+        np.abs(at_xi * _values(tau_coeffs, params.xi - eta) + prod_ad)
+        / np.maximum(np.abs(prod_ad), 1e-300),
+        axis=-1,
+    )
+    if ds_res.max() > 1e-9:
+        raise SpectrumError(f"discrete-system residual {ds_res.max():.3e} too large")
+    at_probes = _values(tau_coeffs, probes)
+    solutions = _solve_q_stack(
+        params,
+        np.concatenate([at_xi, -at_xi]),
+        np.concatenate([at_probes, -at_probes]),
+        probes,
+        seed,
+    )
+    plus, minus = solutions[: len(taus)], solutions[len(taus) :]
+    deg_plus = np.array([sol.q.degree for sol in plus])
+    deg_minus = np.array([sol.q.degree for sol in minus])
+    if np.any(deg_plus + deg_minus != n):
+        raise SpectrumError(
+            "auxiliary degrees of an eigenvalue pair must sum to the chain length"
+        )
+    if np.minimum(deg_plus, deg_minus).max() > n // 2:
+        raise SpectrumError(
+            f"lower auxiliary degree exceeds the admissible bound {n // 2}"
+        )
+    q_plus = _padded([sol.q for sol in plus], n + 1)
+    q_minus = _padded([sol.q for sol in minus], n + 1)
+    wron_res, rec_res = _pq_residuals(
+        params, at_probes, q_plus, q_minus, deg_plus <= deg_minus, probes
+    )
+    # eigenvector property of the separate states built on the roots
+    vecs = np.stack(
+        [
+            separate_state_dense(params, spec_from_roots(params, sol.roots, "right"))
+            for sol in plus
+        ]
+    )
+    at_check = _values(tau_coeffs, [transfers.check_point])
+    eig_res = np.linalg.norm(vecs @ transfers.at_check.T - at_check * vecs, axis=-1) / (
+        np.abs(at_check[:, 0]) * np.linalg.norm(vecs, axis=-1)
+    )
+    records = [
+        EigenRecord(
+            tau=tau,
+            q_tau=up.q,
+            q_minus_tau=down.q,
+            bethe_roots=up.roots,
+            q_minus_roots=down.roots,
+            residuals={
+                "discrete_system": float(ds_res[k]),
+                "functional_tq": up.functional,
+                "bethe": up.bethe,
+                "bethe_unpolished": up.bethe_unpolished,
+                "newton_steps": up.newton_steps + down.newton_steps,
+                "wronskian": float(wron_res[k]),
+                "reconstruction": float(rec_res[k]),
+                "eigenstate": float(eig_res[k]),
+            },
+        )
+        for k, (tau, up, down) in enumerate(zip(taus, plus, minus))
+    ]
     lam_ref = default_eval_point(params, 0)
-    vals = np.array([rec.tau(lam_ref) for rec in records])
+    vals = _values(tau_coeffs, [lam_ref])[:, 0]
     diff = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(diff, np.inf)
     if np.min(diff) <= 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
         raise SpectrumError("extracted eigenvalue polynomials are not distinct")
     pairing_indices(records)
-    records.sort(
-        key=lambda rec: (
-            round(rec.tau(lam_ref).real, 9),
-            round(rec.tau(lam_ref).imag, 9),
-        )
+    order = sorted(
+        range(len(records)),
+        key=lambda k: (round(vals[k].real, 9), round(vals[k].imag, 9)),
     )
-    return records
+    return [records[k] for k in order]

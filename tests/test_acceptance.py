@@ -301,12 +301,6 @@ def test_criterion_10_local_hamiltonian_limit():
     print("criterion 10: near-lattice decay " + " -> ".join(f"{d:.2e}" for d in devs))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open defect: at N = 4 form-factors/distant_sectors_vanish and "
-    "z_matches_dense exceed 1e-8 at both seeds; at seed 27 the on-shell "
-    "identities and aba-check/operator_translation_constants exceed 1e-9",
-)
 @pytest.mark.parametrize("seed", [14, 27])
 def test_spectrum_backed_suites_pass_at_four_sites(seed):
     suites = ("identities", "form-factors", "aba-check")

@@ -9,13 +9,13 @@ from numpy.polynomial import polynomial as npoly
 from sovxxx.errors import SpectrumError
 from sovxxx.polynomials import (
     ComplexPoly,
+    cardinal_coefficients,
     effective_degree,
     lagrange_interpolate,
     poly_add,
     poly_from_roots,
     poly_mul,
     poly_roots,
-    truncate_to_degree,
 )
 
 from conftest import separated_cloud
@@ -73,9 +73,9 @@ def test_effective_degree_and_truncation():
     poly = ComplexPoly([1.0, 1.0, 1e-9])
     assert poly.degree == 2
     assert effective_degree(poly, tol=1e-8) == 1
-    cut = truncate_to_degree(poly, 1)
-    assert cut.degree == 1
-    assert cut(0.5) == pytest.approx(1.5, abs=1e-12)
+    # a stack of coefficient rows gives one degree per row, -1 for zero
+    rows = np.array([[1.0, 2.0, 1e-12], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
+    assert effective_degree(rows, tol=1e-8).tolist() == [1, -1, 2]
 
 
 def test_empty_and_constant_behaviour():
@@ -116,3 +116,29 @@ def test_failed_re_expansion_raises_spectrum_error(monkeypatch):
     monkeypatch.setattr(npoly, "polyroots", lambda c: exact(c) + 1e-3)
     with pytest.raises(SpectrumError, match="re-expansion"):
         poly_roots(poly)
+
+
+def _per_node_interpolant(nodes, values):
+    """The interpolant summed one cardinal polynomial at a time."""
+    acc = np.zeros(nodes.size, dtype=complex)
+    for b in range(nodes.size):
+        others = np.delete(nodes, b)
+        term = npoly.polyfromroots(others) * (values[b] / np.prod(nodes[b] - others))
+        acc[: term.size] += term
+    return acc
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 9])
+def test_lagrange_interpolate_matches_the_per_node_form(size):
+    rng = np.random.Generator(np.random.Philox(key=[104, size]))
+    nodes = separated_cloud(rng, size, 0.5 + 0.2j, min_sep=0.2, box=1.6)
+    values = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+    reference = _per_node_interpolant(nodes, values)
+    coeffs = lagrange_interpolate(nodes, values).coeffs
+    assert coeffs.size == size
+    assert np.max(np.abs(coeffs - reference)) <= 1e-12 * np.max(np.abs(reference))
+    # the matrix form interpolates a stack of value rows at once
+    stack = np.stack([values, 2j * values])
+    both = stack @ cardinal_coefficients(nodes)
+    gap = np.max(np.abs(both[1] - 2j * both[0]))
+    assert gap <= 1e-13 * np.max(np.abs(reference))

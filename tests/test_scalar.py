@@ -11,6 +11,7 @@ from sovxxx.determinants import (
     richardson_limit,
     slavnov_determinant,
 )
+from sovxxx import determinants
 from sovxxx.formfactors import eigenstate_vectors
 from sovxxx.scalar import (
     gaudin_matrix,
@@ -144,6 +145,35 @@ def test_derivative_matrix_against_finite_differences():
         assert np.max(np.abs(column - analytic[:, n])) <= 1e-5 * max(
             1.0, float(np.max(np.abs(analytic)))
         )
+
+
+def _entrywise_derivative_matrix(params, roots):
+    """The derivative matrix written out one entry at a time."""
+    r, eta = roots.size, params.eta
+    mat = np.zeros((r, r), dtype=complex)
+    for m in range(r):
+        lam = roots[m]
+        mat[m, m] = np.sum(1.0 / (lam - params.xi + eta))
+        mat[m, m] -= np.sum(1.0 / (lam - params.xi))
+        for b in range(r):
+            if b != m:
+                exchange = 1.0 / (lam - roots[b] - eta) - 1.0 / (lam - roots[b] + eta)
+                mat[m, m] += exchange
+                mat[m, b] = -exchange
+    return mat
+
+
+def test_derivative_matrix_of_a_stack_is_the_matrix_of_each_set():
+    params = cached_params(4, 0)
+    records = cached_spectrum(4, 0)
+    sets = np.array([rec.bethe_roots for rec in records if rec.n_roots == 2])
+    stacked = gaudin_matrix(params, sets)
+    assert stacked.shape == (len(sets), 2, 2)
+    for roots, mat in zip(sets, stacked):
+        assert np.array_equal(mat, gaudin_matrix(params, roots))
+        reference = _entrywise_derivative_matrix(params, roots)
+        assert np.max(np.abs(mat - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert gaudin_matrix is determinants.gaudin_matrix
 
 
 def test_coinciding_root_limit_reproduces_norm():

@@ -9,8 +9,8 @@ from sovxxx import dense, spectrum
 from sovxxx.chain import a_of, d_of, fixture_params
 from sovxxx.dense import transfer_antiperiodic
 from sovxxx.determinants import mu_bethe_residuals
-from sovxxx.errors import PoleCollisionError
-from sovxxx.polynomials import ComplexPoly
+from sovxxx.errors import PoleCollisionError, SpectrumError
+from sovxxx.polynomials import ComplexPoly, poly_from_roots
 from sovxxx.sov import bilinear, separate_state_dense, spec_from_roots
 from sovxxx.spectrum import (
     full_spectrum,
@@ -114,10 +114,28 @@ def test_distinct_eigenstates_pair_to_zero(n_sites):
             assert abs(bilinear(left, right)) <= 1e-8 * norms
 
 
+def _first_negated_partner(records):
+    """The partner search written as a loop over record pairs."""
+    out = []
+    for rec in records:
+        coeffs = rec.tau.coeffs
+        scale = max(float(np.max(np.abs(coeffs))), 1.0)
+        out.append(
+            next(
+                j
+                for j, other in enumerate(records)
+                if other.tau.coeffs.size == coeffs.size
+                and np.max(np.abs(other.tau.coeffs + coeffs)) <= 1e-9 * scale
+            )
+        )
+    return out
+
+
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
 def test_negation_pairing_is_exact_involution(n_sites):
     records = cached_spectrum(n_sites, 0)
     partner = pairing_indices(records)
+    assert partner == _first_negated_partner(records)
     probe = 1.234 - 0.567j
     for i, rec in enumerate(records):
         j = partner[i]
@@ -209,3 +227,105 @@ def test_probe_points_deterministic_and_away_from_lattice():
     for z in first:
         assert abs(a_of(params, z)) > 1e-8
         assert abs(d_of(params, z)) > 1e-8
+
+
+def test_stacked_q_solve_matches_stack_of_one_solves(monkeypatch):
+    params = cached_params(3, 0)
+    records = cached_spectrum(3, 0)
+    taus = [rec.tau for rec in records]
+    taus += [ComplexPoly(-tau.coeffs) for tau in taus]
+    probes = probe_points(params, 2 * params.n_sites + 2)
+    coeffs = spectrum._padded(taus, params.n_sites)
+    at_xi = spectrum._values(coeffs, params.xi)
+    at_probes = spectrum._values(coeffs, probes)
+    real_cond = np.linalg.cond
+    calls = []
+
+    def first_system_ill_conditioned_once(mats):
+        calls.append(np.shape(mats))
+        out = np.array(real_cond(mats), dtype=float)
+        if len(calls) == 1:
+            out.flat[0] = np.inf
+        return out
+
+    monkeypatch.setattr(np.linalg, "cond", first_system_ill_conditioned_once)
+    stacked = spectrum._solve_q_stack(params, at_xi, at_probes, probes, 0)
+    # the second auxiliary node was tried for the first system alone
+    assert calls == [(2 * len(records), 3, 3), (1, 3, 3)]
+    calls.clear()
+    alone = solve_q_from_tau(params, taus[0], seed=0)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    singles = [alone] + [solve_q_from_tau(params, tau, seed=0) for tau in taus[1:]]
+    for sol, single in zip(stacked, singles):
+        assert sol.q.degree == single.degree
+        scale = float(np.max(np.abs(single.coeffs)))
+        assert np.max(np.abs(sol.q.coeffs - single.coeffs)) <= 1e-12 * scale
+    # the spectrum's records hold the same solves
+    for rec, up, down in zip(records, stacked, stacked[len(records) :]):
+        scale = float(np.max(np.abs(rec.q_tau.coeffs)))
+        assert np.max(np.abs(up.q.coeffs - rec.q_tau.coeffs)) <= 1e-12 * scale
+        assert down.q.degree == rec.q_minus_tau.degree
+
+
+def test_probe_points_are_drawn_once_per_chain(monkeypatch):
+    calls = []
+    real = spectrum.probe_points
+
+    def counting(params, count):
+        calls.append(count)
+        return real(params, count)
+
+    monkeypatch.setattr(spectrum, "probe_points", counting)
+    full_spectrum(cached_params(3, 0), 0)
+    assert calls == [2 * 3 + 2]
+
+
+def test_lattice_solve_runs_once_per_attempt_per_chain(monkeypatch):
+    n_sites = 3
+    real_solve = np.linalg.solve
+    shapes = []
+
+    def recording(mat, rhs):
+        shapes.append(np.shape(mat))
+        return real_solve(mat, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    records = full_spectrum(cached_params(n_sites, 0), 0)
+    # one attempt sufficed for every eigenvalue and its negative, all
+    # solved in one stacked call
+    assert shapes == [(2 * len(records), n_sites, n_sites)]
+
+
+@pytest.mark.parametrize("n_sites", [3, 4, 5])
+def test_polished_roots_never_have_a_larger_residual(n_sites):
+    params = cached_params(n_sites, 0)
+    for rec in cached_spectrum(n_sites, 0):
+        res = rec.residuals
+        assert res["bethe"] <= res["bethe_unpolished"]
+        assert res["bethe"] == mu_bethe_residuals(params, -1.0, rec.bethe_roots).max(
+            initial=0.0
+        )
+        assert res["newton_steps"] >= 0
+        assert np.array_equal(rec.q_tau.coeffs, poly_from_roots(rec.bethe_roots).coeffs)
+
+
+def test_polish_recovers_perturbed_root_sets():
+    params = cached_params(4, 0)
+    sets = [rec.bethe_roots for rec in cached_spectrum(4, 0) if rec.n_roots == 2]
+    rng = np.random.Generator(np.random.Philox(key=515))
+    kicked = np.array(sets) + 1e-7 * (rng.standard_normal((len(sets), 2)) + 1j)
+    polished, raw, worst, steps = spectrum._polish(params, kicked)
+    assert np.all(raw > 1e-9)
+    assert np.all(worst < 1e-12)
+    assert np.all(steps >= 2)
+    assert np.all(mu_bethe_residuals(params, -1.0, polished).max(axis=-1) == worst)
+    assert np.max(np.abs(polished - np.array(sets))) <= 1e-12
+
+
+def test_a_record_without_a_negated_partner_is_refused():
+    records = list(cached_spectrum(2, 0))
+    partner = pairing_indices(records)
+    kept = [rec for k, rec in enumerate(records) if k != partner[0]]
+    with pytest.raises(SpectrumError, match="record 0"):
+        pairing_indices(kept)
