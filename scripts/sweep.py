@@ -10,14 +10,23 @@ status is 1 when any row fails or any suite aborts, 0 otherwise.
 ``--json`` also writes every row's relative error and verdict, keyed by
 configuration, so two checkouts' sweeps can be compared row by row.
 The package is imported from the ``src/`` directory next to this script.
+
+Report values depend on the BLAS thread count, so the script caps
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` at
+1 before numpy is imported, unless they are already set: a failing row
+then reproduces with a rerun.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 

@@ -3,7 +3,8 @@
 Subcommands select suites of numerical checks over a deterministically
 drawn chain; every random draw flows from the counter-based Philox
 generator and the configured seed, so two runs with the same
-configuration emit byte-identical reports.  Each check row carries the
+configuration emit byte-identical reports at a fixed BLAS thread count
+(the thread count changes the order of BLAS sums).  Each check row carries the
 measured value, the reference it is held against, a relative error, and
 a pass flag; the process exit status is zero exactly when every
 selected check passes and no suite aborted.
@@ -923,7 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sovxxx",
         description=(
             "Numerical verification suites for the antiperiodic chain library; "
-            "equal configurations produce byte-identical reports"
+            "equal configurations produce byte-identical reports at a fixed "
+            "BLAS thread count"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

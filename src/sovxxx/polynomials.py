@@ -175,19 +175,3 @@ def poly_roots(poly: ComplexPoly) -> np.ndarray:
             f"companion-matrix roots failed the re-expansion check (residual {err:.3e})"
         )
     return roots
-
-
-def effective_degree(poly, tol: float = 1e-8):
-    """Largest index whose coefficient exceeds ``tol`` relative to the maximum.
-
-    Used to strip noise-level leading coefficients produced by linear
-    solves before declaring the degree of a computed polynomial.  A stack
-    of coefficient rows in place of a ``ComplexPoly`` gives one degree per
-    row; a zero polynomial has degree -1.
-    """
-    coeffs = poly.coeffs if isinstance(poly, ComplexPoly) else np.asarray(poly)
-    mags = np.abs(coeffs)
-    above = mags > tol * mags.max(axis=-1, keepdims=True)
-    last = coeffs.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
-    degree = np.where(above.any(axis=-1), last, -1)
-    return int(degree) if degree.ndim == 0 else degree

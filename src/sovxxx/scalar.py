@@ -30,7 +30,7 @@ from .dense import diagonalize_transfer, transfer_antiperiodic
 from .errors import LimitFailureError, PoleCollisionError, SpectrumError
 from .polynomials import ComplexPoly, poly_roots
 from .sov import SeparateStateSpec, bilinear, separate_state_dense, spec_from_roots
-from .spectrum import EigenRecord, tq_functional_residual
+from .spectrum import EigenRecord, tq_collocation, tq_functional_residual
 
 
 def sp_dense(
@@ -248,56 +248,22 @@ def near_homogeneous_params(
     )
 
 
-def _tq_collocation_roots(
-    params: ChainParams,
-    tau_values: np.ndarray,
-    probes: np.ndarray,
-    degree: int,
-    residual_tol: float = 1e-8,
+def _gated_roots(
+    params: ChainParams, tau_values: np.ndarray, q: np.ndarray,
+    points: np.ndarray, degree: int,
 ) -> np.ndarray:
-    """Roots of the monic auxiliary polynomial solved by collocation.
-
-    The functional equation relating the eigenvalue polynomial to its
-    auxiliary polynomial is linear in the auxiliary coefficients, so
-    evaluating it at generic well-separated points gives an
-    overdetermined linear system that stays well-conditioned even when
-    the inhomogeneities cluster — the regime where the lattice-node
-    solve degenerates together with its Lagrange basis.  Rows are
-    equilibrated, the system is solved in the least-squares sense, and
-    the result is gated by the worst relative functional residual over
-    the collocation set.
-    """
-    eta = params.eta
-    count = probes.size
-    if count < degree + 1:
-        raise ValueError("need more collocation points than unknowns")
-    mat = np.zeros((count, degree), dtype=complex)
-    rhs = np.zeros(count, dtype=complex)
-    for i, z in enumerate(probes):
-        av = a_of(params, z)
-        dv = d_of(params, z)
-        tv = tau_values[i]
-        row = np.array(
-            [
-                tv * z**k + av * (z - eta) ** k - dv * (z + eta) ** k
-                for k in range(degree + 1)
-            ]
-        )
-        s = float(np.max(np.abs(row)))
-        if s == 0.0:
-            raise SpectrumError("collocation row vanished identically")
-        mat[i] = row[:degree] / s
-        rhs[i] = -row[degree] / s
-    coeffs = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-    q = ComplexPoly(np.append(coeffs, 1.0))
-    worst = tq_functional_residual(params, tau_values, q, probes)
-    if worst > residual_tol:
+    """Roots of a collocation solution (``tq_collocation``) that keeps
+    its degree and meets the functional equation to relative 1e-8 at the
+    collocation points; ``SpectrumError`` otherwise."""
+    poly = ComplexPoly(q)
+    worst = tq_functional_residual(params, tau_values, poly, points)
+    if worst > 1e-8:
         raise SpectrumError(
             f"collocation solve failed the functional gate (residual {worst:.3e})"
         )
-    if q.degree != degree:
+    if poly.degree != degree:
         raise SpectrumError("collocation solve lost the leading coefficient")
-    return poly_roots(q)
+    return poly_roots(poly)
 
 
 def homogeneous_stress_sweep(
@@ -311,13 +277,16 @@ def homogeneous_stress_sweep(
     the site index; one transfer eigenvalue family in the half-filling
     sector is followed continuously through the sweep (matched by its
     value at a fixed probe point), its auxiliary roots are solved from
-    the linear functional equation collocated at generic points, and the
-    pairing against a fixed eps-independent polynomial state is
-    evaluated along every closed route: the root-set dressed Vandermonde
-    form, the on-shell determinant over the roots, and the domain-wall
-    determinant against the lattice — the latter both in its stable
-    divided-difference evaluation and in the plain evaluation whose
-    accuracy degrades by one Vandermonde order per collapsing point.
+    the linear functional equation collocated at generic points away from
+    the collapsing lattice (``spectrum.tq_collocation``, one call per
+    collapse scale for every eigenvalue, each solution gated by
+    ``_gated_roots``), and the pairing against a fixed eps-independent
+    polynomial state is evaluated along every closed route: the root-set
+    dressed Vandermonde form, the on-shell determinant over the roots,
+    and the domain-wall determinant against the lattice — the latter
+    both in its stable divided-difference evaluation and in the plain
+    evaluation whose accuracy degrades by one Vandermonde order per
+    collapsing point.
     The condition number of the raw lattice pairing matrix is recorded
     alongside; it grows like an inverse power of eps while the smooth
     routes settle down, which is the point of the comparison.
@@ -350,11 +319,14 @@ def homogeneous_stress_sweep(
                     [complex(np.dot(left, m @ right)) / pairing for m in probe_mats]
                 )
             )
+        q_rows = tq_collocation(
+            params, tau_table, probes, np.full(len(tau_table), sector)
+        )
         if prev_tau is None:
             candidates = []
             for idx, tau_vals in enumerate(tau_table):
                 try:
-                    roots = _tq_collocation_roots(params, tau_vals, probes, sector)
+                    roots = _gated_roots(params, tau_vals, q_rows[idx], probes, sector)
                     if mu_bethe_residuals(params, -1.0, roots).max() > 1e-6:
                         continue
                 except (SpectrumError, PoleCollisionError, RuntimeError):
@@ -374,7 +346,7 @@ def homogeneous_stress_sweep(
         else:
             pick = int(np.argmin([abs(tv[0] - prev_tau) for tv in tau_table]))
         prev_tau = tau_table[pick][0]
-        roots = _tq_collocation_roots(params, tau_table[pick], probes, sector)
+        roots = _gated_roots(params, tau_table[pick], q_rows[pick], probes, sector)
         worst_bethe = float(mu_bethe_residuals(params, -1.0, roots).max())
         slavnov_value = sp_on_shell(params, left_roots, roots)
         b_value = sp_b_form(params, left_roots, roots)

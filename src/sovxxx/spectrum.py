@@ -3,21 +3,26 @@
 The antiperiodic transfer matrix is diagonalized once at a generic
 point; each eigenvalue is promoted to its polynomial in the spectral
 parameter by interpolating Rayleigh quotients at the inhomogeneities.
-A well-posed linear system on the inhomogeneity lattice (plus one
-auxiliary node fixing the overall scale) then produces the auxiliary
-polynomial whose roots solve the Bethe system, for the eigenvalue and
-for its negative; Newton steps on the Bethe system polish those roots
-and the polynomial is rebuilt from them.  The two auxiliary polynomials
-of an eigenvalue pair combine into the average-free decomposition whose
-Wronskian reproduces the lower reference polynomial.
+The eigenvalue's leading coefficient fixes the degree of its auxiliary
+polynomial, and the T-Q functional equation, collocated at generic
+points away from the lattice, is an overdetermined linear system for
+the polynomial's other coefficients (the antiperiodic T-Q system of
+Niccoli, Nucl. Phys. B 870 (2013), arXiv:1205.4537).  Its roots solve
+the Bethe system, for the eigenvalue and for its negative; Newton steps
+on the Bethe system polish those roots and the polynomial is rebuilt
+from them.  The two auxiliary polynomials of an eigenvalue pair combine
+into the average-free decomposition whose Wronskian reproduces the
+lower reference polynomial.
 
 ``full_spectrum`` runs every stage over all 2^N eigenpairs of a chain
 at once: one product of stacked Rayleigh quotients with the nodes'
-cardinal-coefficient matrix gives every eigenvalue polynomial; each
-auxiliary-node attempt solves every pending lattice system in one
-batched solve (``solve_q_from_tau`` is the stack-of-one case); the
-polish runs stacked by root count; and every residual is one array
-expression over the chain's one probe set (``SpectrumTransfers``).
+cardinal-coefficient matrix gives every eigenvalue polynomial; one
+least-squares solve per degree (``tq_collocation``, which the
+homogeneous stress sweep calls too) gives every auxiliary polynomial of
+every eigenvalue and its negative (``solve_q_from_tau`` is the
+stack-of-one case); the polish runs stacked by root count; and every
+residual is one array expression over the chain's one probe set
+(``SpectrumTransfers``).
 """
 
 from __future__ import annotations
@@ -39,14 +44,13 @@ from .errors import PairingError, SpectrumError
 from .polynomials import (
     ComplexPoly,
     cardinal_coefficients,
-    effective_degree,
     poly_from_roots,
     poly_roots,
 )
 from .sov import separate_state_dense, spec_from_roots
 
-_MAX_Q_RETRIES = 8
-_COND_LIMIT = 1e12
+# largest distance of an eigenvalue's t_{N-1} / eta from the integer 2r - N
+_DEGREE_TOL = 1e-6
 # a polish stops earlier, at its first step that does not lower the residual
 _MAX_NEWTON_STEPS = 8
 
@@ -76,13 +80,19 @@ class EigenRecord:
         return self.bethe_roots.size
 
 
-def probe_points(params: ChainParams, count: int) -> np.ndarray:
-    """Deterministic generic probe points scaled to the parameter spread."""
-    rng = np.random.Generator(np.random.Philox(key=777))
+def _point_cloud(params: ChainParams, count: int, key) -> np.ndarray:
+    """Generic points drawn from the Philox ``key``, scaled to the
+    parameter spread."""
+    rng = np.random.Generator(np.random.Philox(key=key))
     center = complex(np.mean(params.xi))
     spread = max(1.0, float(np.max(np.abs(params.xi - center))) + abs(params.eta))
     draws = rng.uniform(-1.2, 1.2, size=(count, 2))
     return center + spread * (draws[:, 0] + 1j * draws[:, 1])
+
+
+def probe_points(params: ChainParams, count: int) -> np.ndarray:
+    """Deterministic generic probe points scaled to the parameter spread."""
+    return _point_cloud(params, count, 777)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,17 +161,6 @@ def tq_functional_residual(
     given the eigenvalue's values ``tau_values`` there."""
     tau_values = np.asarray(tau_values, dtype=complex)[None]
     return float(_tq_residuals(params, tau_values, q.coeffs[None], points)[0])
-
-
-def _cardinal_values(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Lagrange cardinal polynomials of the nodes at the points, as
-    products of point differences: entry [p, b] is the b-th cardinal
-    polynomial at the p-th point."""
-    eye = np.eye(nodes.size, dtype=bool)
-    to_nodes = points[:, None] - nodes
-    num = np.where(eye, 1.0, to_nodes[:, None, :]).prod(axis=-1)
-    den = np.where(eye, 1.0, nodes[:, None] - nodes).prod(axis=-1)
-    return num / den
 
 
 class _QSolution(NamedTuple):
@@ -235,112 +234,110 @@ def _polished(params: ChainParams, q: np.ndarray) -> list[_QSolution]:
     return out
 
 
-def _solve_q_stack(
-    params: ChainParams, tau_at_xi: np.ndarray, tau_at_probes: np.ndarray,
-    probes: np.ndarray, seed: int,
-) -> list[_QSolution]:
-    """Monic auxiliary polynomials of a stack of eigenvalue polynomials,
-    given by their values at the inhomogeneities and at the probe points.
+def tq_collocation(
+    params: ChainParams, tau_values, points, degrees
+) -> np.ndarray:
+    """Monic auxiliary polynomials by T-Q collocation.
 
-    Each attempt draws one auxiliary node from the Philox key
-    ``[seed, 0xA5F0]`` and solves, for every system still pending, the
-    N x N linear system for the values at the inhomogeneities built from
-    the Lagrange cardinal polynomials on the inhomogeneities plus that
-    node, where the unknown is normalized to 1: one cardinal matrix, one
-    batched ``cond``, one batched ``solve`` and one interpolation
-    product for the whole stack.  Each polynomial's noise-level leading
-    coefficients are trimmed, its roots are polished by Newton steps on
-    the Bethe system (``_polished``) and it is rebuilt from them, so the
-    polynomial and its roots are one set; the rebuilt polynomial is then
-    validated against the functional equation at the probe points.  A
-    system that is ill-conditioned, solves to non-finite values, vanishes
-    identically or at an inhomogeneity, or fails the functional gate goes
-    on to the next node: the retry sequence of each system is the one it
-    would meet on its own.  Persistent failure raises ``SpectrumError``.
+    Row k of ``tau_values`` holds an eigenvalue's values at the
+    ``points``, and ``degrees[k]`` is the degree r of its auxiliary
+    polynomial Q.  The functional equation
+    tau(z) Q(z) + a(z) Q(z - eta) - d(z) Q(z + eta) = 0 is linear in Q's
+    coefficients: at a point z, coefficient k multiplies
+    tau(z) z^k + a(z) (z - eta)^k - d(z) (z + eta)^k.  With the top
+    coefficient fixed to 1, every point gives one equation in the r
+    others; each equation is equilibrated and each group of equal
+    degree is solved in one batched least-squares solve (QR).  Degree 0
+    needs no solve: Q = 1.  Returns one row of ascending coefficients per
+    system, zero-padded to N + 1.
+
+    The system never touches the inhomogeneities, so it stays well posed
+    as they cluster.
+    """
+    tau_values = np.asarray(tau_values, dtype=complex)
+    points = np.asarray(points, dtype=complex)
+    degrees = np.asarray(degrees, dtype=int)
+    eta = params.eta
+    powers = np.arange(params.n_sites + 1)
+    z = points[:, None]
+    shifted = (
+        a_of(params, points)[:, None] * (z - eta) ** powers
+        - d_of(params, points)[:, None] * (z + eta) ** powers
+    )
+    q = np.zeros((degrees.size, powers.size), dtype=complex)
+    q[np.arange(degrees.size), degrees] = 1.0
+    # not np.unique: its first call imports numpy.ma, about 10 ms of a
+    # fresh process, more than the whole solve at N = 4
+    for r in sorted(set(degrees.tolist()) - {0}):
+        members = np.flatnonzero(degrees == r)
+        rows = tau_values[members, :, None] * z ** powers[: r + 1] + shifted[:, : r + 1]
+        rows /= np.abs(rows).max(axis=-1, keepdims=True)
+        basis, tri = np.linalg.qr(rows[..., :r])
+        rhs = -(basis.conj().swapaxes(-1, -2) @ rows[..., r:])
+        q[members, :r] = np.linalg.solve(tri, rhs)[..., 0]
+    return q
+
+
+def _degrees(params: ChainParams, tau_coeffs: np.ndarray) -> np.ndarray:
+    """Auxiliary degree r of each eigenvalue polynomial (rows of ascending
+    coefficients, zero-padded to N), read off the leading coefficient
+    t_{N-1} = (2r - N) eta of the functional equation at infinity; r must
+    be an integer in [0, N], else ``SpectrumError``."""
+    n = params.n_sites
+    twice = tau_coeffs[:, n - 1] / params.eta + n
+    degrees = np.rint(twice.real / 2.0).astype(int)
+    bad = (np.abs(twice - 2 * degrees) > _DEGREE_TOL) | (degrees < 0) | (degrees > n)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SpectrumError(
+            f"eigenvalue polynomial {k} has leading coefficient "
+            f"{complex(tau_coeffs[k, n - 1]):.6g}, which is (2r - {n}) eta for "
+            "no integer degree r in [0, N]"
+        )
+    return degrees
+
+
+def _solve_q_stack(
+    params: ChainParams, tau_coeffs: np.ndarray, probes: np.ndarray, seed: int
+) -> list[_QSolution]:
+    """Monic auxiliary polynomials of a stack of eigenvalue polynomials
+    (rows of ascending coefficients, zero-padded to N).
+
+    Each degree is read off the leading coefficient (``_degrees``); the
+    polynomials are solved by ``tq_collocation`` at 2N + 2 points drawn
+    from the Philox key ``[seed, 0xA5F0]``; their roots are polished by
+    Newton steps on the Bethe system (``_polished``) and each polynomial
+    is rebuilt from its roots, so polynomial and roots are one set.  The
+    rebuilt polynomial must then satisfy the functional equation to
+    relative 1e-8 at the probe points, else ``SpectrumError``.
     """
     n = params.n_sites
-    xi = params.xi
-    eta = params.eta
-    margin = params.margin if params.margin > 0 else 0.3 * abs(eta)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0xA5F0]))
-    center = complex(np.mean(xi))
-    spread = max(1.0, float(np.max(np.abs(xi - center))) + abs(eta))
-    diagonal = tau_at_xi / a_of(params, xi)
-    out: list[_QSolution] = [None] * tau_at_xi.shape[0]
-    done = np.zeros(tau_at_xi.shape[0], dtype=bool)
-    failures: list[list[str]] = [[] for _ in done]
-
-    def keep(live, passed, reason: str):
-        """The systems of ``live`` that pass a gate; the others record why."""
-        for i in live[~passed]:
-            failures[i].append(reason)
-        return live[passed]
-
-    for _ in range(_MAX_Q_RETRIES):
-        live = np.flatnonzero(~done)
-        if live.size == 0:
-            break
-        draw = rng.uniform(-2.0, 2.0, size=2)
-        aux = center + spread * complex(draw[0], draw[1])
-        if np.min(np.abs(aux - xi[:, None] - np.array([-eta, 0.0, eta]))) < margin:
-            for i in live:
-                failures[i].append("auxiliary node too close to the lattice")
-            continue
-        nodes = np.append(xi, aux)
-        cardinal = _cardinal_values(nodes, xi - eta)
-        mats = cardinal[:, :n] + diagonal[live][:, :, None] * np.eye(n)
-        conditioned = np.linalg.cond(mats) <= _COND_LIMIT
-        live = keep(live, conditioned, "linear system ill-conditioned")
-        mats = mats[conditioned]
-        if live.size == 0:
-            continue
-        rhs = np.broadcast_to(-cardinal[:, n, None], (live.size, n, 1))
-        values = np.linalg.solve(mats, rhs)[..., 0]
-        finite = np.all(np.isfinite(values), axis=-1)
-        live = keep(live, finite, "solved values are not finite")
-        values = values[finite]
-        raw = np.append(values, np.ones((live.size, 1)), axis=-1)
-        raw = raw @ cardinal_coefficients(nodes)
-        degree = effective_degree(raw, tol=1e-8)
-        nonzero = degree >= 0
-        live = keep(live, nonzero, "solved polynomial vanished identically")
-        raw, degree = raw[nonzero], degree[nonzero]
-        # coefficients above the effective degree are noise of the solve
-        raw = np.where(np.arange(n + 1) <= degree[:, None], raw, 0.0)
-        q = raw / raw[np.arange(live.size), degree][:, None]
-        at_xi = np.abs(_values(q, xi))
-        apart = np.min(at_xi, axis=-1) > 1e-8 * np.max(at_xi, axis=-1)
-        live = keep(live, apart, "auxiliary polynomial vanished at an inhomogeneity")
-        if live.size == 0:
-            continue
-        solutions = _polished(params, q[apart])
-        rebuilt = _padded([sol.q for sol in solutions], n + 1)
-        resid = _tq_residuals(params, tau_at_probes[live], rebuilt, probes)
-        for i, sol, r in zip(live, solutions, resid):
-            if r > 1e-8:
-                failures[i].append(f"functional residual {r:.3e}")
-            else:
-                out[i] = sol._replace(functional=float(r))
-                done[i] = True
-    if not done.all():
+    points = _point_cloud(params, 2 * n + 2, [seed, 0xA5F0])
+    q = tq_collocation(
+        params, _values(tau_coeffs, points), points, _degrees(params, tau_coeffs)
+    )
+    solutions = _polished(params, q)
+    rebuilt = _padded([sol.q for sol in solutions], n + 1)
+    resid = _tq_residuals(params, _values(tau_coeffs, probes), rebuilt, probes)
+    if resid.max() > 1e-8:
         raise SpectrumError(
-            "auxiliary-polynomial solve failed after retries: "
-            + "; ".join(failures[np.argmin(done)][-3:])
+            f"auxiliary polynomial {int(np.argmax(resid))} failed the "
+            f"functional gate (residual {resid.max():.3e})"
         )
-    return out
+    return [sol._replace(functional=float(r)) for sol, r in zip(solutions, resid)]
 
 
 def solve_q_from_tau(
     params: ChainParams, tau: ComplexPoly, seed: int = 0
 ) -> ComplexPoly:
     """Monic auxiliary polynomial of one eigenvalue polynomial: the
-    stack-of-one case of the spectrum's solve (``_solve_q_stack``), Newton
-    polish included, checked at the chain's probe points."""
+    stack-of-one case of the spectrum's solve (``_solve_q_stack``): T-Q
+    collocation at points drawn from ``seed``, Newton polish, and the
+    functional gate at the chain's probe points."""
     require_generic(params)
     probes = probe_points(params, 2 * params.n_sites + 2)
-    coeffs = tau.coeffs[None]
     (solution,) = _solve_q_stack(
-        params, _values(coeffs, params.xi), _values(coeffs, probes), probes, seed
+        params, _padded([tau], params.n_sites), probes, seed
     )
     return solution.q
 
@@ -438,9 +435,12 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
 
     Every stage runs over all eigenpairs at once: eigenvalue polynomials
     from stacked Rayleigh quotients, the discrete-system gate, one stacked
-    auxiliary solve for every eigenvalue and its negative (roots polished
-    there), and the T-Q, Bethe, Wronskian, reconstruction and eigenstate
-    residuals, all on the chain's one probe set.
+    auxiliary solve for every eigenvalue and its negative (degrees read
+    off the leading coefficients, T-Q collocation at points drawn from
+    ``seed``, roots polished there), and the T-Q, Bethe, Wronskian,
+    reconstruction and eigenstate residuals, all on the chain's one probe
+    set.  The degrees of an eigenvalue and its negative sum to N by
+    construction.
     """
     require_generic(params)
     n = params.n_sites
@@ -463,27 +463,18 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
         raise SpectrumError(f"discrete-system residual {ds_res.max():.3e} too large")
     at_probes = _values(tau_coeffs, probes)
     solutions = _solve_q_stack(
-        params,
-        np.concatenate([at_xi, -at_xi]),
-        np.concatenate([at_probes, -at_probes]),
-        probes,
-        seed,
+        params, np.concatenate([tau_coeffs, -tau_coeffs]), probes, seed
     )
     plus, minus = solutions[: len(taus)], solutions[len(taus) :]
-    deg_plus = np.array([sol.q.degree for sol in plus])
-    deg_minus = np.array([sol.q.degree for sol in minus])
-    if np.any(deg_plus + deg_minus != n):
-        raise SpectrumError(
-            "auxiliary degrees of an eigenvalue pair must sum to the chain length"
-        )
-    if np.minimum(deg_plus, deg_minus).max() > n // 2:
-        raise SpectrumError(
-            f"lower auxiliary degree exceeds the admissible bound {n // 2}"
-        )
     q_plus = _padded([sol.q for sol in plus], n + 1)
     q_minus = _padded([sol.q for sol in minus], n + 1)
     wron_res, rec_res = _pq_residuals(
-        params, at_probes, q_plus, q_minus, deg_plus <= deg_minus, probes
+        params,
+        at_probes,
+        q_plus,
+        q_minus,
+        np.array([2 * sol.roots.size <= n for sol in plus]),
+        probes,
     )
     # eigenvector property of the separate states built on the roots
     vecs = np.stack(

@@ -10,7 +10,6 @@ from sovxxx.errors import SpectrumError
 from sovxxx.polynomials import (
     ComplexPoly,
     cardinal_coefficients,
-    effective_degree,
     lagrange_interpolate,
     poly_add,
     poly_from_roots,
@@ -67,15 +66,6 @@ def test_product_evaluates_to_product_of_values():
 def test_trailing_noise_is_trimmed():
     poly = ComplexPoly([1.0, 2.0, 1e-16])
     assert poly.degree == 1
-
-
-def test_effective_degree_and_truncation():
-    poly = ComplexPoly([1.0, 1.0, 1e-9])
-    assert poly.degree == 2
-    assert effective_degree(poly, tol=1e-8) == 1
-    # a stack of coefficient rows gives one degree per row, -1 for zero
-    rows = np.array([[1.0, 2.0, 1e-12], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
-    assert effective_degree(rows, tol=1e-8).tolist() == [1, -1, 2]
 
 
 def test_empty_and_constant_behaviour():

@@ -155,7 +155,7 @@ def test_stored_residuals_meet_module_gates():
             assert rec.residuals["eigenstate"] <= 1e-8
 
 
-def test_q_solution_is_independent_of_auxiliary_node():
+def test_q_solution_is_independent_of_collocation_points():
     params = cached_params(3, 0)
     for rec in cached_spectrum(3, 0)[:3]:
         for seed in (5, 17):
@@ -165,23 +165,25 @@ def test_q_solution_is_independent_of_auxiliary_node():
             assert np.max(np.abs(again.coeffs - rec.q_tau.coeffs)) <= 1e-9 * scale
 
 
-def test_non_finite_solve_counts_as_a_failed_attempt(monkeypatch):
+def test_leading_coefficient_off_every_degree_is_refused():
     params = cached_params(3, 0)
-    rec = next(r for r in cached_spectrum(3, 0) if r.n_roots >= 1)
-    real_solve = np.linalg.solve
-    calls = []
+    for rec in cached_spectrum(3, 0)[:4]:
+        # t_{N-1} / eta = 1.1 (2r - 3) is an odd integer for no r
+        with pytest.raises(SpectrumError, match="leading coefficient"):
+            solve_q_from_tau(params, rec.tau.scaled(1.1))
 
-    def first_solve_not_finite(mat, rhs):
-        calls.append(1)
-        out = real_solve(mat, rhs)
-        return out * np.nan if len(calls) == 1 else out
 
-    monkeypatch.setattr(np.linalg, "solve", first_solve_not_finite)
-    again = solve_q_from_tau(params, rec.tau, seed=0)
-    assert len(calls) == 2
-    assert again.degree == rec.q_tau.degree
-    scale = float(np.max(np.abs(rec.q_tau.coeffs)))
-    assert np.max(np.abs(again.coeffs - rec.q_tau.coeffs)) <= 1e-9 * scale
+def test_degree_zero_solutions_are_one_with_no_warning():
+    params = cached_params(3, 0)
+    rec = next(r for r in cached_spectrum(3, 0) if r.n_roots == 0)
+    # any warning is an error under the test configuration
+    q = solve_q_from_tau(params, rec.tau)
+    assert np.array_equal(q.coeffs, [1.0])
+    for rec in full_spectrum(fixture_params(1), 0):
+        if rec.n_roots == 0:
+            assert np.array_equal(rec.q_tau.coeffs, [1.0])
+        else:
+            assert np.array_equal(rec.q_minus_tau.coeffs, [1.0])
 
 
 def test_full_spectrum_builds_each_transfer_matrix_once(monkeypatch):
@@ -229,34 +231,15 @@ def test_probe_points_deterministic_and_away_from_lattice():
         assert abs(d_of(params, z)) > 1e-8
 
 
-def test_stacked_q_solve_matches_stack_of_one_solves(monkeypatch):
+def test_stacked_q_solve_matches_stack_of_one_solves():
     params = cached_params(3, 0)
     records = cached_spectrum(3, 0)
     taus = [rec.tau for rec in records]
     taus += [ComplexPoly(-tau.coeffs) for tau in taus]
     probes = probe_points(params, 2 * params.n_sites + 2)
     coeffs = spectrum._padded(taus, params.n_sites)
-    at_xi = spectrum._values(coeffs, params.xi)
-    at_probes = spectrum._values(coeffs, probes)
-    real_cond = np.linalg.cond
-    calls = []
-
-    def first_system_ill_conditioned_once(mats):
-        calls.append(np.shape(mats))
-        out = np.array(real_cond(mats), dtype=float)
-        if len(calls) == 1:
-            out.flat[0] = np.inf
-        return out
-
-    monkeypatch.setattr(np.linalg, "cond", first_system_ill_conditioned_once)
-    stacked = spectrum._solve_q_stack(params, at_xi, at_probes, probes, 0)
-    # the second auxiliary node was tried for the first system alone
-    assert calls == [(2 * len(records), 3, 3), (1, 3, 3)]
-    calls.clear()
-    alone = solve_q_from_tau(params, taus[0], seed=0)
-    assert len(calls) == 2
-    monkeypatch.undo()
-    singles = [alone] + [solve_q_from_tau(params, tau, seed=0) for tau in taus[1:]]
+    stacked = spectrum._solve_q_stack(params, coeffs, probes, 0)
+    singles = [solve_q_from_tau(params, tau, seed=0) for tau in taus]
     for sol, single in zip(stacked, singles):
         assert sol.q.degree == single.degree
         scale = float(np.max(np.abs(single.coeffs)))
@@ -281,20 +264,25 @@ def test_probe_points_are_drawn_once_per_chain(monkeypatch):
     assert calls == [2 * 3 + 2]
 
 
-def test_lattice_solve_runs_once_per_attempt_per_chain(monkeypatch):
+def test_collocation_solve_runs_once_per_degree_per_chain(monkeypatch):
     n_sites = 3
-    real_solve = np.linalg.solve
+    real_qr = np.linalg.qr
     shapes = []
 
-    def recording(mat, rhs):
+    def recording(mat):
         shapes.append(np.shape(mat))
-        return real_solve(mat, rhs)
+        return real_qr(mat)
 
-    monkeypatch.setattr(np.linalg, "solve", recording)
+    monkeypatch.setattr(np.linalg, "qr", recording)
     records = full_spectrum(cached_params(n_sites, 0), 0)
-    # one attempt sufficed for every eigenvalue and its negative, all
-    # solved in one stacked call
-    assert shapes == [(2 * len(records), n_sites, n_sites)]
+    # one least-squares solve per degree r > 0 over every eigenvalue and
+    # its negative, at 2N + 2 collocation points
+    degrees = [rec.n_roots for rec in records]
+    degrees += [n_sites - r for r in degrees]
+    assert shapes == [
+        (degrees.count(r), 2 * n_sites + 2, r)
+        for r in sorted(set(degrees) - {0})
+    ]
 
 
 @pytest.mark.parametrize("n_sites", [3, 4, 5])

@@ -1,0 +1,42 @@
+"""The failure-sweep script ``scripts/sweep.py``."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sweep.py"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _load_sweep(monkeypatch, environ: dict):
+    """Import the script against ``environ`` in place of the process
+    environment, which its import-time thread caps then leave alone."""
+    monkeypatch.setattr(os, "environ", environ)
+    spec = importlib.util.spec_from_file_location("sweep", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_caps_unset_blas_threads_and_keeps_set_ones(monkeypatch):
+    environ = {"MKL_NUM_THREADS": "2"}
+    _load_sweep(monkeypatch, environ)
+    assert [environ[var] for var in THREAD_VARS] == ["1", "1", "2"]
+
+
+def test_sweep_writes_every_row_as_an_error_verdict_pair(tmp_path, monkeypatch):
+    sweep = _load_sweep(monkeypatch, dict(os.environ))
+    assert sweep.parse_range("1-3,8") == [1, 2, 3, 8]
+    out = tmp_path / "rows.json"
+    assert sweep.main(["--n", "1-3", "--seeds", "0", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert sorted(rows) == ["1/0", "2/0", "3/0"]
+    for config in rows.values():
+        assert config["aborted"] == {}
+        assert config["checks"]
+        for rel_err, passed in config["checks"].values():
+            assert isinstance(rel_err, float)
+            assert passed is True
