@@ -6,13 +6,13 @@ construction needs the inhomogeneities pairwise separated both directly
 and after shifts by one unit of ``eta``; ``sample_generic_params`` draws
 such sets reproducibly, and ``require_generic`` enforces the separation
 where it is structurally needed.  The eigenvalue polynomials of the
-diagonal monodromy entries and their one-site-split variants live here
-as plain product formulas.
+diagonal monodromy entries live here as plain product formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +56,12 @@ class ChainParams:
     @property
     def dim(self) -> int:
         return 2**self.n_sites
+
+    @cached_property
+    def pole_scale(self) -> float:
+        """max(1, |eta|, max |xi|): the floor of every pole guard that
+        involves the inhomogeneities."""
+        return float(max(1.0, abs(self.eta), np.abs(self.xi).max()))
 
 
 def separation_deficit(params: ChainParams) -> float:
@@ -147,37 +153,6 @@ def d_of(params: ChainParams, lam):
     reference state: product of (lam - xi_n)."""
     lam = np.asarray(lam, dtype=complex)
     return np.prod(lam[..., None] - params.xi, axis=-1)
-
-
-def a_site_split(params: ChainParams, site: int, lam):
-    """Product of (lam - xi_j + eta) for j <= site times (lam - xi_j) beyond.
-
-    ``site`` is 1-based; ``site == n_sites`` reduces to ``a_of``.
-    """
-    _check_site(params, site)
-    lam = np.asarray(lam, dtype=complex)
-    xi = params.xi
-    left = np.prod(lam[..., None] - xi[:site] + params.eta, axis=-1)
-    right = np.prod(lam[..., None] - xi[site:], axis=-1)
-    return left * right
-
-
-def d_site_split(params: ChainParams, site: int, lam):
-    """Product of (lam - xi_j) for j <= site times (lam - xi_j + eta) beyond.
-
-    ``site`` is 1-based; ``site == n_sites`` reduces to ``d_of``.
-    """
-    _check_site(params, site)
-    lam = np.asarray(lam, dtype=complex)
-    xi = params.xi
-    left = np.prod(lam[..., None] - xi[:site], axis=-1)
-    right = np.prod(lam[..., None] - xi[site:] + params.eta, axis=-1)
-    return left * right
-
-
-def _check_site(params: ChainParams, site: int) -> None:
-    if not 1 <= site <= params.n_sites:
-        raise ValueError(f"site index {site} outside 1..{params.n_sites}")
 
 
 def log_derivative_a(params: ChainParams, lam) -> complex:

@@ -10,10 +10,13 @@ functions always enter as value lists evaluated by the caller, never as
 callbacks, so the identities can be tested point set by point set.
 
 Every Slavnov-type matrix in the package -- on-shell, rectangular,
-lattice-column and column-substituted here, the closed form-factor
-determinants in ``formfactors`` -- is built by ``_kernel_matrix``,
+lattice-column and column-substituted -- is built by ``_kernel_matrix``,
 alpha_k K(x_j - y_k) + beta_k K(y_k - x_j) with K(u) = 1/u - 1/(u + eta);
-only the per-column weights differ.  Entries of the on-shell matrices
+only the per-column weights differ.  Those weights, g = mu a/d and the
+balanced shift ratio rho over the on-shell rows, come from one function
+(``_weights``) at the rows and at the columns: at the rows they are the
+on-shell gate (g/(-rho) = 1 on shell) and the coincident-entry limits,
+at the columns the kernel weights.  Entries of the on-shell matrices
 have removable singularities when a column point collides with an
 on-shell row point; those entries are evaluated through their
 closed-form limits, which is what makes norms (coinciding point sets)
@@ -30,8 +33,8 @@ evaluators take one chain and one twist per call.  One call makes one
 guard pass, builds one (..., m, m) matrix stack and takes one batched
 ``det``, returning an array of the stack shape; a 1-D set is the
 no-stack case of the same code and gives a ``complex``.  The on-shell
-gate runs once per call on the row sets as given, so a row set shared
-by a stack of column sets is checked once.
+gate runs once per call: a row set shared by a stack of column sets is
+weighed and checked in the same pass as the columns.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ import numpy as np
 
 from .chain import (
     ChainParams,
-    a_of,
-    d_of,
     log_derivative_a,
     log_derivative_d,
     vandermonde,
@@ -250,16 +251,37 @@ def izergin_determinant_clustered(
     return _result(sign * pref * np.linalg.det(dd) / vandermonde(xs))
 
 
+def _weights(params: ChainParams, mu: complex, xs, points):
+    """The weights of the on-shell matrix at ``points``, the row points
+    ``xs`` followed by any column points, in one evaluation:
+    g = mu a(p)/d(p) and rho = the balanced shift ratio over the row set.
+
+    A stack of points takes one row set per stack member, or one row set
+    for all.  A row point within the pole guard of an inhomogeneity,
+    relative to max(1, |eta|, max |xi|, max |x| over its set), raises
+    ``PoleCollisionError``; so does a column point y, relative to
+    max(1, |eta|, max |xi|, |y|).
+    """
+    r = xs.shape[-1]
+    to_xi = points[..., None] - params.xi
+    gaps = np.abs(to_xi)
+    bound = params.pole_scale
+    if (gaps[..., :r, :] < _POLE_TOL * _set_bound(xs, bound)[..., None, None]).any():
+        raise PoleCollisionError("Bethe root collides with an inhomogeneity")
+    column_scale = np.maximum(np.abs(points[..., r:]), bound)[..., None]
+    if (gaps[..., r:, :] < _POLE_TOL * column_scale).any():
+        raise PoleCollisionError("shift-ratio product evaluated on a set point")
+    # a(p) and d(p), as ``chain.a_of`` and ``chain.d_of`` evaluate them
+    g = mu * (to_xi + params.eta).prod(axis=-1) / to_xi.prod(axis=-1)
+    return g, balanced_shift_ratio(xs, params.eta, points)
+
+
 def _bethe_ratios(params: ChainParams, mu: complex, roots) -> np.ndarray:
     """mu a(x)/d(x) over -prod (x - x_m + eta)/(x - x_m - eta) (self factor
     -1) at every root x: 1 at each root of a twist-mu on-shell set."""
     roots = np.asarray(roots, dtype=complex)
-    xi, eta = params.xi, params.eta
-    scale = _set_bound(roots, max(abs(eta), np.abs(xi).max()))
-    if (np.abs(roots[..., None] - xi) < _POLE_TOL * scale[..., None, None]).any():
-        raise PoleCollisionError("Bethe root collides with an inhomogeneity")
-    lhs = mu * a_of(params, roots) / d_of(params, roots)
-    return lhs / -balanced_shift_ratio(roots, eta, roots)
+    g, rho = _weights(params, mu, roots, roots)
+    return g / -rho
 
 
 def mu_bethe_residuals(params: ChainParams, mu: complex, roots) -> np.ndarray:
@@ -296,63 +318,68 @@ def gaudin_matrix(params: ChainParams, roots) -> np.ndarray:
     return np.where(eye, diag[..., None], -exchange)
 
 
-def _require_on_shell(params: ChainParams, mu: complex, xs, tol: float = 1e-7) -> None:
-    res = mu_bethe_residuals(params, mu, xs)
-    worst = res.max(initial=0.0)
+def _on_shell_weights(params: ChainParams, mu: complex, xs, ys, tol: float = 1e-7):
+    """The on-shell gate and every weight of the on-shell matrix, from one
+    ``_weights`` evaluation at the rows and the columns: refuses row
+    points off the twist-mu Bethe system (worst residual |g/(-rho) - 1|
+    over the rows above ``tol``, the arithmetic of
+    ``mu_bethe_residuals``) and returns ((g, rho) at the rows, (g, rho)
+    at the columns), broadcast to the common stack shape."""
+    r = xs.shape[-1]
+    # rows then columns, each broadcast to the common stack shape
+    points = np.concatenate(
+        [xs + np.zeros(ys.shape[:-1] + (1,)), ys + np.zeros(xs.shape[:-1] + (1,))],
+        axis=-1,
+    )
+    g, rho = _weights(params, mu, xs, points)
+    worst = np.abs(g[..., :r] / -rho[..., :r] - 1.0).max(initial=0.0)
     if worst > tol:
         raise NotOnShellError(
             f"row points violate the twist-{mu} Bethe system "
             f"(worst residual {worst:.3e})"
         )
+    return (g[..., :r], rho[..., :r]), (g[..., r:], rho[..., r:])
 
 
-def _kernel_matrix(xs, ys, alpha, beta, eta: complex) -> np.ndarray:
+def _kernel_matrix(diffs, alpha, beta, eta: complex) -> np.ndarray:
     """The two-pole kernel matrix alpha_k K(x_j - y_k) + beta_k K(y_k - x_j),
-    K(u) = 1/u - 1/(u + eta), with rows at ``xs`` and columns at ``ys``.
+    K(u) = 1/u - 1/(u + eta), from the differences x_j - y_k of rows at
+    the x and columns at the y.
 
     This is the one builder behind every Slavnov-type determinant of the
     package: the on-shell scalar products, their rectangular and
-    lattice-column extensions, the column-substituted determinants and
-    the closed form-factor determinants differ only in the per-column
-    weights.  Stacks of sets give a stack of matrices.
+    lattice-column extensions and the column-substituted determinants
+    differ only in the per-column weights.  Stacks of sets give a stack
+    of matrices.
     """
-    xs = np.asarray(xs, dtype=complex)
-    u = xs[..., :, None] - np.asarray(ys, dtype=complex)[..., None, :]
     alpha = np.asarray(alpha, dtype=complex)[..., None, :]
     beta = np.asarray(beta, dtype=complex)[..., None, :]
-    return alpha * two_pole_kernel(u, eta) + beta * two_pole_kernel(-u, eta)
+    return alpha * two_pole_kernel(diffs, eta) + beta * two_pole_kernel(-diffs, eta)
 
 
-def _column_weights(
-    params: ChainParams, mu: complex, xs, ys
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column weights of the on-shell matrix, once per column point y:
-    g = mu E+(y; xi) and rho = the balanced shift ratio over the row set."""
-    eta = params.eta
-    g = mu * shift_ratio(params.xi, eta, ys, +1)
-    return g, balanced_shift_ratio(xs, eta, ys)
-
-
-def _coincident_entries(params: ChainParams, mu: complex, xs) -> np.ndarray:
+def _coincident_entries(params: ChainParams, xs, g, rho) -> np.ndarray:
     """On-shell matrix entries in the limit where a column point reaches
-    a row point x, one per row point.
+    a row point x, one per row point, from the weights g and rho at the
+    row points.
 
     The generic entry is g(y) K(x - y) - rho(y) K(y - x); on shell the
     two poles cancel as y -> x, leaving -g'(x) - rho'(x) - 2 g(x)/eta.
     """
     eta, xi = params.eta, params.xi
-    g = mu * shift_ratio(xi, eta, xs, +1)
     to_xi = xs[..., None] - xi
     g_prime = g * np.sum(1.0 / (to_xi + eta) - 1.0 / to_xi, axis=-1)
-    rho = balanced_shift_ratio(xs, eta, xs)
     to_xs = xs[..., :, None] - xs[..., None, :]
     rho_prime = rho * np.sum(1.0 / (to_xs + eta) - 1.0 / (to_xs - eta), axis=-1)
     return -g_prime - rho_prime - 2.0 * g / eta
 
 
-def _on_shell_matrix(params: ChainParams, mu: complex, xs, ys, g, rho) -> np.ndarray:
+def _on_shell_matrix(
+    params: ChainParams, xs, ys, diffs, row_weights, g, rho
+) -> np.ndarray:
     """Kernel rows g K(x - y) - rho K(y - x) against the on-shell set,
-    followed by |ys| - |xs| moment rows g y^p - rho (y + eta)^p.
+    followed by |ys| - |xs| moment rows g y^p - rho (y + eta)^p;
+    ``diffs`` holds every x - y and ``row_weights`` the weights at the
+    rows.
 
     Entries whose column point coincides with their row point take the
     closed-form limit; a column point close to a row point but not
@@ -360,10 +387,10 @@ def _on_shell_matrix(params: ChainParams, mu: complex, xs, ys, g, rho) -> np.nda
     """
     eta = params.eta
     with np.errstate(divide="ignore", invalid="ignore"):
-        mat = _kernel_matrix(xs, ys, g, -rho, eta)
-    bound = _set_bound(xs, max(abs(eta), np.abs(params.xi).max()))
+        mat = _kernel_matrix(diffs, g, -rho, eta)
+    bound = _set_bound(xs, params.pole_scale)
     scale = np.maximum(bound[..., None], np.abs(ys))[..., None, :]
-    gaps = np.abs(ys[..., None, :] - xs[..., :, None])
+    gaps = np.abs(diffs)
     near = gaps < _POLE_TOL * scale
     if near.any():
         if (near & (gaps > _COINCIDE_TOL * scale)).any():
@@ -371,35 +398,35 @@ def _on_shell_matrix(params: ChainParams, mu: complex, xs, ys, g, rho) -> np.nda
                 "column point ambiguously close to a row point "
                 "(neither separated nor coincident)"
             )
-        mat = np.where(near, _coincident_entries(params, mu, xs)[..., :, None], mat)
+        limits = _coincident_entries(params, xs, *row_weights)
+        mat = np.where(near, limits[..., :, None], mat)
     extra = ys.shape[-1] - xs.shape[-1]
     if extra:
         powers = np.arange(extra)[:, None]
         g, rho, ys = g[..., None, :], rho[..., None, :], ys[..., None, :]
         moments = g * ys**powers - rho * (ys + eta) ** powers
-        moments = np.broadcast_to(moments, mat.shape[:-2] + moments.shape[-2:])
         mat = np.concatenate([mat, moments], axis=-2)
     return mat
 
 
-def _normalized_det(mat: np.ndarray, xs, ys, eta: complex) -> complex | np.ndarray:
+def _normalized_det(mat: np.ndarray, xs, ys, diffs, eta: complex) -> complex | np.ndarray:
     """pref det(mat) / (V(xs) V(reversed ys)), pref the product of every
-    x - y + eta."""
+    x - y + eta (``diffs`` holds every x - y)."""
     scale = _set_bound(ys, _set_bound(xs, abs(eta)))
     _require_distinct(xs, scale)
     _require_distinct(ys, scale)
     denom = vandermonde(xs) * vandermonde(ys[..., ::-1])
-    pref = np.prod(xs[..., :, None] - ys[..., None, :] + eta, axis=(-2, -1))
+    pref = np.prod(diffs + eta, axis=(-2, -1))
     return _result(pref * np.linalg.det(mat) / denom)
 
 
 def _on_shell_determinant(
     params: ChainParams, mu: complex, xs, ys
 ) -> complex | np.ndarray:
-    _require_on_shell(params, mu, xs)
-    g, rho = _column_weights(params, mu, xs, ys)
-    mat = _on_shell_matrix(params, mu, xs, ys, g, rho)
-    return _normalized_det(mat, xs, ys, params.eta)
+    rows, (g, rho) = _on_shell_weights(params, mu, xs, ys)
+    diffs = xs[..., :, None] - ys[..., None, :]
+    mat = _on_shell_matrix(params, xs, ys, diffs, rows, g, rho)
+    return _normalized_det(mat, xs, ys, diffs, params.eta)
 
 
 def slavnov_determinant(
@@ -465,14 +492,15 @@ def lattice_column_determinant(
     if not 1 <= site <= params.n_sites:
         raise ValueError("site index out of range")
     node = params.xi[site - 1]
-    ys = np.append(ys_free, node)
+    ys = np.concatenate([ys_free, [node]])
     if ys.size < xs.size:
         raise ValueError("the free set cannot be smaller than the on-shell set")
-    _require_on_shell(params, mu, xs)
-    g, rho = _column_weights(params, mu, xs, ys_free)
-    mat = _on_shell_matrix(params, mu, xs, ys, np.append(g, 1.0), np.append(rho, 0.0))
-    residue = complex(np.prod(node - params.xi + params.eta))
-    return complex(mu * residue * _normalized_det(mat, xs, ys, params.eta))
+    rows, (g, rho) = _on_shell_weights(params, mu, xs, ys_free)
+    diffs = xs[:, None] - ys
+    g, rho = np.concatenate([g, [1.0]]), np.concatenate([rho, [0.0]])
+    mat = _on_shell_matrix(params, xs, ys, diffs, rows, g, rho)
+    residue = complex((node - params.xi + params.eta).prod())
+    return complex(mu * residue * _normalized_det(mat, xs, ys, diffs, params.eta))
 
 
 def column_substituted_slavnov(
@@ -499,7 +527,6 @@ def column_substituted_slavnov(
     column = np.asarray(m) - 1
     if np.any((column < 0) | (column >= ys.shape[-1])):
         raise ValueError("column index out of range")
-    _require_on_shell(params, mu, xs)
     eta, xi = params.eta, params.xi
     z = np.asarray(z, dtype=complex)
     moved = np.arange(ys.shape[-1]) == column[..., None]
@@ -507,19 +534,23 @@ def column_substituted_slavnov(
     to_xi = z[..., None] - xi
     gaps = np.abs(to_xi)
     node = gaps.argmin(axis=-1)
-    scale = np.maximum(_set_bound(xs, max(abs(eta), np.abs(xi).max())), np.abs(z))
+    scale = np.maximum(_set_bound(xs, params.pole_scale), np.abs(z))
     on_node = gaps.min(axis=-1) < _POLE_TOL * scale
     # a column moved onto a node keeps the weights of its old point until
     # they are replaced by the residue below, so no pole is evaluated
     residue_column = moved & on_node[..., None]
-    g, rho = _column_weights(params, mu, xs, np.where(residue_column, ys, cols))
+    rows, (g, rho) = _on_shell_weights(
+        params, mu, xs, np.where(residue_column, ys, cols)
+    )
     if on_node.any():
         others = np.where(np.arange(xi.size) == node[..., None], 1.0, to_xi)
         residue = mu * (np.prod(to_xi + eta, axis=-1) / np.prod(others, axis=-1))
         g = np.where(residue_column, residue[..., None], g)
         rho = np.where(residue_column, 0.0, rho)
-    mat = _on_shell_matrix(params, mu, xs, cols, g, rho)
-    return _normalized_det(mat, xs, ys, eta)
+    mat = _on_shell_matrix(
+        params, xs, cols, xs[..., :, None] - cols[..., None, :], rows, g, rho
+    )
+    return _normalized_det(mat, xs, ys, xs[..., :, None] - ys[..., None, :], eta)
 
 
 def dressed_vandermonde_unbalanced_check(

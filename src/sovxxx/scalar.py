@@ -86,10 +86,8 @@ def sp_direct(
 
 
 def _root_prefactor(params: ChainParams, roots) -> complex:
-    roots = np.asarray(roots, dtype=complex).ravel()
-    if roots.size == 0:
-        return 1.0 + 0.0j
-    return complex(np.prod(d_of(params, roots)))
+    """The product of d over a root set (1 for the empty set)."""
+    return complex(np.prod(d_of(params, np.ravel(roots))))
 
 
 def _pooled_roots(
@@ -101,7 +99,7 @@ def _pooled_roots(
     left_roots = np.asarray(left_roots, dtype=complex).ravel()
     right_roots = np.asarray(right_roots, dtype=complex).ravel()
     pooled = np.concatenate([left_roots, right_roots])
-    pref = _root_prefactor(params, left_roots) * _root_prefactor(params, right_roots)
+    pref = _root_prefactor(params, pooled)
     return pooled, (-1.0) ** (params.n_sites * pooled.size) * pref
 
 
@@ -179,9 +177,8 @@ def _on_shell_weight(n_sites: int, m: int, r: int) -> float:
 def sp_on_shell(params: ChainParams, left_roots, on_shell_roots) -> complex:
     """Pairing of a polynomial left separate state with the eigenstate of
     an on-shell root set: the one rule behind every pairing with an
-    eigenstate, its norm limit and (through
-    ``formfactors.ff_sigma_minus_unified``) the lattice-column form
-    factors.
+    eigenstate, its norm limit and (through ``formfactors.ff_sigma_minus``)
+    the lattice-column form factors.
 
     Below the on-shell count R the pairing vanishes identically; from
     M = R on it is the rectangular on-shell determinant (the square one
@@ -193,7 +190,7 @@ def sp_on_shell(params: ChainParams, left_roots, on_shell_roots) -> complex:
     m, r = left_roots.size, on_shell_roots.size
     if m < r:
         return 0.0 + 0.0j
-    pref = _root_prefactor(params, left_roots) * _root_prefactor(params, on_shell_roots)
+    pref = _root_prefactor(params, np.concatenate([left_roots, on_shell_roots]))
     return complex(
         _on_shell_weight(params.n_sites, m, r)
         * pref

@@ -3,8 +3,7 @@
 Each criterion runs the ``sovxxx`` suites that implement it on the seed-0
 chain (the chain every other test draws) at each N of its range, and
 requires every report row that gates it to pass at the CLI's tolerance.
-Only what no row checks, or what a criterion holds to a stricter bound
-than its row, is computed here.  Each test prints the worst relative
+Only what no row checks is computed here.  Each test prints the worst relative
 error of its rows, so the verbose log doubles as the acceptance report.
 """
 
@@ -148,10 +147,9 @@ def _report(n_sites: int) -> tuple[dict, float]:
     return report, time.perf_counter() - start
 
 
-def _gated_rows(criterion: int) -> dict[int, dict]:
-    """Require every row gating the criterion to pass at each of its N;
-    print each row's worst relative error and return the rows by N and
-    name."""
+def _gated_rows(criterion: int) -> None:
+    """Require every row gating the criterion to pass at each of its N and
+    print each row's worst relative error."""
     sizes, names = GATES[criterion]
     by_n = {}
     for n_sites in sizes:
@@ -166,7 +164,6 @@ def _gated_rows(criterion: int) -> dict[int, dict]:
         for name in names
     )
     print(f"\ncriterion {criterion}, N in {list(sizes)}: {worst}")
-    return by_n
 
 
 def _sectors(n_sites: int) -> Counter:
@@ -271,15 +268,9 @@ def test_criterion_07_form_factors_full_spectrum():
 
 
 def test_criterion_08_product_state_bridge():
-    by_n = _gated_rows(8)
+    _gated_rows(8)
     # some equal-sector pair inside the chain feeds the weighted expansions
     assert any(1 <= r < n for n in GATES[8][0] for r in _sectors(n))
-    reference = max(
-        float(rows["aba-check/reference_state_identity"]["value"])
-        for rows in by_n.values()
-    )
-    assert reference <= 1e-12
-    print(f"criterion 8: root-free closed form {reference:.2e} (tol 1e-12)")
 
 
 def test_criterion_09_homogeneous_limit_smoothness():
@@ -301,9 +292,15 @@ def test_criterion_10_local_hamiltonian_limit():
     print("criterion 10: near-lattice decay " + " -> ".join(f"{d:.2e}" for d in devs))
 
 
-@pytest.mark.parametrize("seed", [14, 27])
-def test_spectrum_backed_suites_pass_at_four_sites(seed):
-    suites = ("identities", "form-factors", "aba-check")
-    report = run(RunConfig(n_sites=4, seed=seed, suites=suites))
+# chains whose spectrum, on-shell, pairing and form-factor rows sat closest
+# to their tolerances
+@pytest.mark.parametrize(
+    "n_sites, seed",
+    [(4, 14), (4, 27), (4, 1610690545), (4, 649306621)]
+    + [(5, 875120971), (5, 288145142), (5, 758636161)],
+)
+def test_spectrum_backed_suites_pass_at_regression_seeds(n_sites, seed):
+    suites = ("spectrum", "identities", "scalar-products", "form-factors", "aba-check")
+    report = run(RunConfig(n_sites=n_sites, seed=seed, suites=suites))
     failed = [row["name"] for row in report["checks"] if not row["pass"]]
     assert report["aborted"] == {} and not failed, failed

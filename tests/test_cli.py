@@ -220,7 +220,7 @@ def test_aba_check_reports_each_record_once(monkeypatch):
     reported = []
     correspondence_report = cli.correspondence_report
     checks = []
-    residuals = determinants.mu_bethe_residuals
+    gate = determinants._on_shell_weights
     per_expansion = []
     crosscheck = cli.weighted_expansion_crosscheck
 
@@ -228,9 +228,9 @@ def test_aba_check_reports_each_record_once(monkeypatch):
         reported.append(id(rec))
         return correspondence_report(params, rec, vectors)
 
-    def counting_checks(params, mu, roots):
-        checks.append(np.shape(roots))
-        return residuals(params, mu, roots)
+    def counting_checks(params, mu, xs, ys):
+        checks.append(np.shape(xs))
+        return gate(params, mu, xs, ys)
 
     def counting_expansion(params, bra, ket, site):
         before = len(checks)
@@ -239,7 +239,7 @@ def test_aba_check_reports_each_record_once(monkeypatch):
         return value
 
     monkeypatch.setattr(cli, "correspondence_report", counting)
-    monkeypatch.setattr(determinants, "mu_bethe_residuals", counting_checks)
+    monkeypatch.setattr(determinants, "_on_shell_weights", counting_checks)
     monkeypatch.setattr(cli, "weighted_expansion_crosscheck", counting_expansion)
     report = run(RunConfig(n_sites=3, seed=0, suites=("aba-check",)))
     assert report["aborted"] == {}
@@ -286,19 +286,19 @@ def test_full_run_evaluates_each_lowering_element_once(monkeypatch, tmp_path):
 
 def test_identities_suite_checks_each_row_set_once_per_stack(monkeypatch):
     checks = []
-    residuals = determinants.mu_bethe_residuals
+    gate = determinants._on_shell_weights
     rectangular = []
     rectangular_det = cli.gen_slavnov_determinant
 
-    def counting(params, mu, roots):
-        checks.append(np.shape(roots))
-        return residuals(params, mu, roots)
+    def counting(params, mu, xs, ys):
+        checks.append(np.shape(xs))
+        return gate(params, mu, xs, ys)
 
     def counting_rectangular(params, mu, xs, ys):
         rectangular.append(np.shape(ys))
         return rectangular_det(params, mu, xs, ys)
 
-    monkeypatch.setattr(determinants, "mu_bethe_residuals", counting)
+    monkeypatch.setattr(determinants, "_on_shell_weights", counting)
     monkeypatch.setattr(cli, "gen_slavnov_determinant", counting_rectangular)
     report = run(RunConfig(n_sites=3, seed=0, suites=("identities",)))
     assert not report["aborted"]

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from sovxxx import formfactors
-from sovxxx.chain import fixture_params
+from sovxxx.chain import a_of, d_of, fixture_params, vandermonde
 from sovxxx.dense import global_flip, site_sigma
-from sovxxx.errors import PairingError
+from sovxxx.determinants import _kernel_matrix
+from sovxxx.errors import NotOnShellError, PairingError
 from sovxxx.formfactors import (
     eigenstate_vectors,
     ff_dense,
     ff_sigma_minus,
-    ff_sigma_minus_unified,
     ff_sigma_plus,
     ff_sigma_z,
-    is_same_eigenstate,
     reconstruct_sigma_minus,
     reconstruct_sigma_plus,
     sx_eigenvalue_check,
@@ -155,13 +154,6 @@ def test_z_sign_convention_is_the_derived_one():
     assert abs(wrong_sign - dense_val) > 1.0
 
 
-def test_same_eigenstate_detection():
-    records = cached_spectrum(3, 0)
-    for i, rec in enumerate(records):
-        for j, other in enumerate(records):
-            assert is_same_eigenstate(rec, other) == (i == j)
-
-
 def test_site_index_bounds_are_enforced():
     params = cached_params(3, 0)
     records = cached_spectrum(3, 0)
@@ -171,21 +163,98 @@ def test_site_index_bounds_are_enforced():
         ff_sigma_minus(params, records[0], records[1], 4)
 
 
-def test_lattice_column_route_matches_dense_on_every_adjacent_element():
-    n_sites = 3
+def _a_site_split(params, site, lam):
+    """Product of (lam - xi_j + eta) for j <= site times (lam - xi_j) beyond."""
+    lam = np.asarray(lam, dtype=complex)
+    xi = params.xi
+    left = np.prod(lam[..., None] - xi[:site] + params.eta, axis=-1)
+    return left * np.prod(lam[..., None] - xi[site:], axis=-1)
+
+
+def _d_site_split(params, site, lam):
+    """Product of (lam - xi_j) for j <= site times (lam - xi_j + eta) beyond."""
+    lam = np.asarray(lam, dtype=complex)
+    xi = params.xi
+    left = np.prod(lam[..., None] - xi[:site], axis=-1)
+    return left * np.prod(lam[..., None] - xi[site:] + params.eta, axis=-1)
+
+
+def _ff_det(params, bra, ket, site):
+    """Closed Slavnov-type determinant of an adjacent-sector lowering
+    element between DISTINCT eigenstates, a reference independent of the
+    lattice-column route.
+
+    Rows follow the roots of the record with more roots (the bra when
+    the sectors are equal), columns the other record's roots, with the
+    kernel weights alpha = (a/d)(y) q(y - eta) and beta = q(y + eta)
+    taken from the row record's polynomial q.  Sector lowering and
+    raising append a last column holding the two-pole kernel against
+    the site's node, and evaluate the outer polynomial ratio at the node
+    and at the down-shifted node respectively; the equal sector adds
+    the node kernel as a rank-one term weighted by alpha + beta
+    instead.  The sign and power of two were fixed against the dense
+    oracle.
+    """
+    eta = params.eta
+    n = params.n_sites
+    node = params.xi[site - 1]
+    raising = ket.n_roots == bra.n_roots + 1
+    rows, cols = (ket, bra) if raising else (bra, ket)
+    at = node - eta if raising else node
+    x = np.asarray(rows.bethe_roots, dtype=complex)
+    y = np.asarray(cols.bethe_roots, dtype=complex)
+    q = rows.q_tau
+    alpha = a_of(params, y) / d_of(params, y) * q(y - eta)
+    beta = q(y + eta)
+    mat = _kernel_matrix(x[:, None] - y, alpha, beta, eta)
+    node_column = _kernel_matrix(x[:, None] - node, [1.0], [0.0], eta)
+    if x.size == y.size:
+        mat = mat + node_column * (alpha + beta)
+        sign = 0.5
+    else:
+        mat = np.hstack([mat, node_column])
+        sign = (-1.0) ** (n + x.size + (not raising))
+    site_a = np.prod(_a_site_split(params, site, bra.bethe_roots))
+    site_d = np.prod(_d_site_split(params, site, ket.bethe_roots))
+    pref = (
+        sign
+        * 2.0 ** (n - 2 * x.size)
+        * (q(at) / cols.q_tau(at))
+        * site_a
+        * site_d
+        / (vandermonde(x) * vandermonde(y[::-1]))
+    )
+    return complex(pref * np.linalg.det(mat))
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_lowering_element_matches_slavnov_type_reference(n_sites):
     params = cached_params(n_sites, 0)
     records = cached_spectrum(n_sites, 0)
-    checked = 0
+    worst = 0.0
     for bra in records:
         for ket in records:
-            if abs(bra.n_roots - ket.n_roots) > 1:
+            if bra is ket or abs(bra.n_roots - ket.n_roots) > 1:
                 continue
-            scale = _pair_scale(params, bra, ket)
             for site in range(1, n_sites + 1):
-                value = ff_sigma_minus_unified(params, bra, ket, site)
-                dense_val = ff_dense(params, bra, ket, site, "-")
-                assert abs(value - dense_val) <= 1e-8 * scale
-                checked += 1
+                value = ff_sigma_minus(params, bra, ket, site)
+                reference = _ff_det(params, bra, ket, site)
+                err = abs(value - reference) / max(abs(reference), 1e-300)
+                worst = max(worst, err)
+    assert worst <= 1e-10
+
+
+def test_records_of_another_chain_are_refused():
+    params = cached_params(3, 0)
+    foreign = cached_spectrum(3, 1)
+    checked = 0
+    for bra in foreign:
+        for ket in foreign:
+            if bra.n_roots == 0 or abs(bra.n_roots - ket.n_roots) > 1:
+                continue
+            with pytest.raises(NotOnShellError):
+                ff_sigma_minus(params, bra, ket, 1)
+            checked += 1
     assert checked > 0
 
 
