@@ -2,13 +2,16 @@
 
     python3 scripts/sweep.py --n 1-6 --seeds 0-39
     python3 scripts/sweep.py --n 7,8 --seeds 0-7 --json rows.json
+    python3 scripts/sweep.py --n 7,8 --seeds 0-7 --compare rows.json
 
 Runs ``cli.run`` with every suite at each (N, seed) pair and the
 committed tolerances, and prints one line per configuration with its
 failing rows (name and relative error) and aborted suites.  The exit
 status is 1 when any row fails or any suite aborts, 0 otherwise.
 ``--json`` also writes every row's relative error and verdict, keyed by
-configuration, so two checkouts' sweeps can be compared row by row.
+configuration, so two checkouts' sweeps can be compared row by row;
+``--compare OTHER.json`` does that comparison, with OTHER as the before
+side and this sweep as the after side (see ``compare``).
 The package is imported from the ``src/`` directory next to this script.
 
 Report values depend on the BLAS thread count, so the script caps
@@ -42,11 +45,77 @@ def parse_range(text: str) -> list[int]:
     return out
 
 
+# rows whose value moves by far more than rounding under a 1-ulp change of
+# its inputs, so two correct builds agree on its verdict only
+VERDICT_ONLY = ("homogeneous-stress/raw_matrix_condition_grows_inverse_cubed",)
+
+
+def _config_key(config: str) -> tuple[int, int]:
+    n, _, seed = config.partition("/")
+    return int(n), int(seed)
+
+
+def _failing(entry: dict) -> set[str]:
+    return {name for name, (_, passed) in entry["checks"].items() if not passed}
+
+
+def compare(before: dict, after: dict) -> list[str]:
+    """How the sweep ``after`` differs from ``before`` (both as ``--json``
+    writes them), as printable lines.
+
+    First each configuration of both whose exit status, aborted suites
+    or failing rows differ; then, per row, the number of configurations
+    whose relative error moved down and up and the row's worst value
+    before and after, over the configurations of both.  The rows of
+    ``VERDICT_ONLY`` enter through their verdicts alone.
+    """
+    common = sorted(set(before) & set(after), key=_config_key)
+    lines = [
+        f"{config}: only in {'before' if config in before else 'after'}"
+        for config in sorted(set(before) ^ set(after), key=_config_key)
+    ]
+    for config in common:
+        old, new = before[config], after[config]
+        fail_old, fail_new = _failing(old), _failing(new)
+        if fail_old == fail_new and old["aborted"] == new["aborted"]:
+            continue
+        exits = [int(bool(_failing(e) or e["aborted"])) for e in (old, new)]
+        parts = [f"exit {exits[0]} -> {exits[1]}"]
+        parts += [f"-{name}" for name in sorted(fail_old - fail_new)]
+        parts += [f"+{name}" for name in sorted(fail_new - fail_old)]
+        if old["aborted"] != new["aborted"]:
+            parts.append(f"aborted {old['aborted']} -> {new['aborted']}")
+        lines.append(f"N={config.replace('/', ' seed=')}: " + "; ".join(parts))
+    if not lines:
+        lines.append("no configuration differs in exit status, aborts or failing rows")
+    names = sorted({name for config in common for name in after[config]["checks"]})
+    for name in names:
+        pairs = [
+            (before[c]["checks"][name][0], after[c]["checks"][name][0])
+            for c in common
+            if name in before[c]["checks"] and name in after[c]["checks"]
+        ]
+        if name in VERDICT_ONLY or not pairs:
+            continue
+        down = sum(new < old for old, new in pairs)
+        up = sum(new > old for old, new in pairs)
+        if down or up:
+            worst = [max(side) for side in zip(*pairs)]
+            lines.append(
+                f"{name}: down in {down}, up in {up} of {len(pairs)}; "
+                f"worst {worst[0]:.3g} -> {worst[1]:.3g}"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", required=True, help="chain lengths, e.g. 1-6 or 7,8")
     parser.add_argument("--seeds", required=True, help="seeds, e.g. 0-39")
     parser.add_argument("--json", help="write every row's rel_err and verdict here")
+    parser.add_argument(
+        "--compare", metavar="OTHER.json", help="print how this sweep differs from it"
+    )
     args = parser.parse_args(argv)
     rows: dict[str, dict] = {}
     failing = 0
@@ -67,6 +136,8 @@ def main(argv=None) -> int:
     print(f"{failing} of {len(rows)} configurations fail")
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
+    if args.compare:
+        print("\n".join(compare(json.loads(Path(args.compare).read_text()), rows)))
     return 1 if failing else 0
 
 

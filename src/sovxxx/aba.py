@@ -39,37 +39,22 @@ from .spectrum import EigenRecord
 
 _MASK_TOL = 1e-12
 
-LOWER_ON_UP = "lower_on_up"
-RAISE_ON_DOWN = "raise_on_down"
 
-
-def bethe_state(params: ChainParams, roots, flavor: str = RAISE_ON_DOWN) -> np.ndarray:
-    """Dense product state of the twisted chain.
-
-    ``flavor="raise_on_down"`` applies the lower-left monodromy entry at
-    each root to the all-down reference state; ``flavor="lower_on_up"``
-    applies the upper-right entry to the all-up reference state.  With
-    no roots the bare reference state is returned.  On shared Bethe
-    roots the raise-on-down state is a twisted-transfer eigenvector with
-    the antiperiodic eigenvalue, the lower-on-up state with its
-    negative.
+def bethe_state(params: ChainParams, roots) -> np.ndarray:
+    """Dense product state of the twisted chain: the lower-left monodromy
+    entry at each root applied to the all-down reference state (the bare
+    reference state when there are no roots).  On shared Bethe roots it
+    is a twisted-transfer eigenvector with the antiperiodic eigenvalue.
     """
     roots = np.asarray(roots, dtype=complex).ravel()
-    if flavor == RAISE_ON_DOWN:
-        state = dense.flipped_reference_state(params)
-        which = (1, 0)
-    elif flavor == LOWER_ON_UP:
-        state = dense.reference_state(params)
-        which = (0, 1)
-    else:
-        raise ValueError('flavor must be "raise_on_down" or "lower_on_up"')
+    state = dense.flipped_reference_state(params)
     for lam in roots:
-        state = dense.monodromy(params, lam)[which[0]][which[1]] @ state
+        state = dense.monodromy(params, lam)[1][0] @ state
     return state
 
 
 def left_bethe_state(params: ChainParams, roots) -> np.ndarray:
-    """Dense row state pairing with raise-on-down kets: the all-down
+    """Dense row state pairing with ``bethe_state`` kets: the all-down
     reference contracted from the left through upper-right monodromy
     entries, one per root."""
     roots = np.asarray(roots, dtype=complex).ravel()
@@ -79,24 +64,16 @@ def left_bethe_state(params: ChainParams, roots) -> np.ndarray:
     return state
 
 
-def twisted_eigen_residual(
-    params: ChainParams, record: EigenRecord, flavor: str = RAISE_ON_DOWN
-) -> float:
+def twisted_eigen_residual(params: ChainParams, record: EigenRecord) -> float:
     """Relative eigenrelation residual of the product state built from a
-    spectrum record's roots under the twisted transfer matrix.
-
-    The raise-on-down state is checked against the record's eigenvalue,
-    the lower-on-up state against its negative.
-    """
+    spectrum record's roots under the twisted transfer matrix, against
+    the record's eigenvalue."""
     lam = dense.default_eval_point(params, 2)
-    state = bethe_state(params, record.bethe_roots, flavor)
+    state = bethe_state(params, record.bethe_roots)
     scale = float(np.max(np.abs(state)))
     if scale == 0.0:
         raise PairingError("product state vanished identically")
-    tau_val = record.tau(lam)
-    if flavor == LOWER_ON_UP:
-        tau_val = -tau_val
-    resid = dense.transfer_twisted(params, lam) @ state - tau_val * state
+    resid = dense.transfer_twisted(params, lam) @ state - record.tau(lam) * state
     return float(np.max(np.abs(resid)) / scale)
 
 
@@ -134,7 +111,7 @@ def correspondence_report(
     """
     left_target, target = vectors
     rotation = dense.basis_rotation(params)
-    candidate = rotation.T @ bethe_state(params, record.bethe_roots, RAISE_ON_DOWN)
+    candidate = rotation.T @ bethe_state(params, record.bethe_roots)
     ratio, spread = _masked_ratio(target, candidate)
     left_candidate = left_bethe_state(params, record.bethe_roots) @ rotation
     left_ratio, left_spread = _masked_ratio(left_target, left_candidate)
@@ -244,25 +221,6 @@ def translation_constant(n_sites: int, n_bra_roots: int, sector_gap: int) -> com
     raise ValueError("sector gap beyond one has no matching single operator")
 
 
-def _translation_gap(
-    params: ChainParams,
-    bra: EigenRecord,
-    ket: EigenRecord,
-    sov_side: complex,
-    row: np.ndarray,
-    col: np.ndarray,
-    sigma: np.ndarray,
-) -> tuple[complex, complex, float]:
-    """One translated element from its lowering element ``sov_side`` and
-    prebuilt product states: the bra's left ``row``, the ket's raise-on-down
-    ``col`` and the ``sigma`` matching the sector gap (at most one)."""
-    gap = bra.n_roots - ket.n_roots
-    element = complex(row @ (sigma @ col))
-    aba_side = translation_constant(params.n_sites, bra.n_roots, gap) * element
-    scale = max(abs(sov_side), abs(aba_side), 1e-300)
-    return sov_side, aba_side, float(abs(sov_side - aba_side) / scale)
-
-
 def translation_check(
     params: ChainParams, bra: EigenRecord, ket: EigenRecord, site: int
 ) -> tuple[complex, complex, float]:
@@ -278,15 +236,13 @@ def translation_check(
     sov_side = ff_sigma_minus(params, bra, ket, site)
     if abs(gap) > 1:
         return sov_side, 0.0 + 0.0j, float(abs(sov_side))
-    return _translation_gap(
-        params,
-        bra,
-        ket,
-        sov_side,
-        left_bethe_state(params, bra.bethe_roots),
-        bethe_state(params, ket.bethe_roots, RAISE_ON_DOWN),
-        dense.site_sigma(params, site, _TRANSLATION_CASES[gap]),
+    sigma = dense.site_sigma(params, site, _TRANSLATION_CASES[gap])
+    element = left_bethe_state(params, bra.bethe_roots) @ (
+        sigma @ bethe_state(params, ket.bethe_roots)
     )
+    aba_side = translation_constant(params.n_sites, bra.n_roots, gap) * complex(element)
+    scale = max(abs(sov_side), abs(aba_side), 1e-300)
+    return sov_side, aba_side, float(abs(sov_side - aba_side) / scale)
 
 
 def translation_residual(params: ChainParams, records, lowering) -> float:
@@ -294,37 +250,31 @@ def translation_residual(params: ChainParams, records, lowering) -> float:
     of records at most one sector apart and every site.
 
     ``lowering[i, j, site - 1]`` is ``ff_sigma_minus`` between records i
-    and j.  Each record's two product states and each site operator are
-    built once for the whole sweep instead of once per element.
+    and j.  Each record's two product states are built once, and each
+    (sector gap, site) takes one product of the stacked bra rows, the
+    site operator of that gap and the stacked ket columns.
     """
-    rows = [left_bethe_state(params, rec.bethe_roots) for rec in records]
-    cols = [bethe_state(params, rec.bethe_roots, RAISE_ON_DOWN) for rec in records]
-    sigmas = {
-        (site, op): dense.site_sigma(params, site, op)
-        for site in range(1, params.n_sites + 1)
-        for op in _TRANSLATION_CASES.values()
-    }
+    rows = np.stack([left_bethe_state(params, rec.bethe_roots) for rec in records])
+    cols = np.stack([bethe_state(params, rec.bethe_roots) for rec in records], axis=1)
+    n, counts = params.n_sites, [rec.n_roots for rec in records]
+    gaps = np.subtract.outer(counts, counts)
     worst = 0.0
-    for i, bra in enumerate(records):
-        for j, ket in enumerate(records):
-            gap = bra.n_roots - ket.n_roots
-            if abs(gap) > 1:
-                continue
-            op = _TRANSLATION_CASES[gap]
-            for site in range(1, params.n_sites + 1):
-                sov_side, sigma = lowering[i, j, site - 1], sigmas[site, op]
-                rel = _translation_gap(
-                    params, bra, ket, sov_side, rows[i], cols[j], sigma
-                )[2]
-                worst = max(worst, rel)
+    for gap, op in _TRANSLATION_CASES.items():
+        pairs = gaps == gap
+        constants = np.array([translation_constant(n, r, gap) for r in counts])[:, None]
+        for site in range(1, n + 1):
+            sov_side = lowering[..., site - 1]
+            aba_side = constants * (rows @ dense.site_sigma(params, site, op) @ cols)
+            scale = np.maximum(np.maximum(np.abs(sov_side), np.abs(aba_side)), 1e-300)
+            rel = np.abs(sov_side - aba_side) / scale
+            worst = max(worst, float(rel[pairs].max(initial=0.0)))
     return worst
 
 
-def isospectrality_check(params: ChainParams, lam: complex | None = None) -> float:
+def isospectrality_check(params: ChainParams) -> float:
     """Largest gap between the sorted dense spectra of the antiperiodic
-    and the twisted transfer matrices at one spectral point."""
-    if lam is None:
-        lam = dense.default_eval_point(params, 3)
+    and the twisted transfer matrices at one generic spectral point."""
+    lam = dense.default_eval_point(params, 3)
     anti = np.linalg.eigvals(dense.transfer_antiperiodic(params, lam))
     twisted = np.linalg.eigvals(dense.transfer_twisted(params, lam))
     order = lambda v: v[np.lexsort((v.imag, v.real))]
@@ -333,23 +283,21 @@ def isospectrality_check(params: ChainParams, lam: complex | None = None) -> flo
     return float(np.max(np.abs(anti - twisted)) / scale)
 
 
-def completeness_check(
-    params: ChainParams, records, tol: float = 1e-7
-) -> dict:
+def completeness_check(params: ChainParams, records) -> dict:
     """Counts backing the completeness transfer: every spectrum record
     yields a product state, each one a twisted-transfer eigenvector, and
     the root multisets are pairwise distinct.
 
     Returns a dict with ``n_records``, ``n_eigen`` (eigen-residual at or
-    below ``tol``), ``n_distinct`` root multisets and ``max_residual``.
+    below 1e-7), ``n_distinct`` root multisets and ``max_residual``.
     """
     fingerprints = set()
     n_eigen = 0
     worst = 0.0
     for record in records:
-        residual = twisted_eigen_residual(params, record, RAISE_ON_DOWN)
+        residual = twisted_eigen_residual(params, record)
         worst = max(worst, residual)
-        if residual <= tol:
+        if residual <= 1e-7:
             n_eigen += 1
         roots = np.asarray(record.bethe_roots, dtype=complex)
         ordered = roots[np.lexsort((roots.imag, roots.real))]

@@ -63,6 +63,14 @@ class ChainParams:
         involves the inhomogeneities."""
         return float(max(1.0, abs(self.eta), np.abs(self.xi).max()))
 
+    @cached_property
+    def a_at_nodes(self) -> np.ndarray:
+        """a(xi_j) at every inhomogeneity: the transfer matrix's
+        normalization at the nodes, read by every node product."""
+        values = a_of(self, self.xi)
+        values.setflags(write=False)
+        return values
+
 
 def separation_deficit(params: ChainParams) -> float:
     """Smallest of the quantities the genericity condition bounds below.
@@ -82,8 +90,8 @@ def separation_deficit(params: ChainParams) -> float:
     return min(vals)
 
 
-def require_generic(params: ChainParams, margin: float | None = None) -> None:
-    m = params.margin if margin is None else margin
+def require_generic(params: ChainParams) -> None:
+    m = params.margin
     if m <= 0 or separation_deficit(params) < m:
         raise ValueError(
             "inhomogeneities are not separated enough for the separated-basis "

@@ -9,9 +9,9 @@ measured value, the reference it is held against, a relative error, and
 a pass flag; the process exit status is zero exactly when every
 selected check passes and no suite aborted.
 
-One run draws each chain length it needs once (the form-factors and
-aba-check suites cap N at 4, so they draw their own chain above that)
-and builds that chain's spectrum records and dense eigenstate vectors at
+One run draws each chain length it needs once (only the aba-check suite
+caps N, at 4, so it draws its own chain above that) and builds that
+chain's spectrum records, dense eigenstate vectors and lowering table at
 most once, on first use; every suite of the run reads the same shared,
 read-only objects, so sharing changes no reported number.
 """
@@ -63,7 +63,12 @@ from .determinants import (
     slavnov_determinant,
 )
 from .errors import SamplingFailureError
-from .formfactors import eigenstate_vectors, ff_from_lowering, ff_sigma_minus
+from .formfactors import (
+    eigenstate_vectors,
+    ff_from_lowering,
+    ff_sigma_minus,
+    lowering_table,
+)
 from .scalar import (
     gaudin_norm,
     homogeneous_stress_sweep,
@@ -211,13 +216,8 @@ class _Chain:
     @cached_property
     def lowering(self) -> np.ndarray:
         """``ff_sigma_minus`` between records i and j at site s, at
-        ``[i, j, s - 1]``."""
-        params, recs = self.params, self.records
-        sites = range(1, params.n_sites + 1)
-        flat = [
-            ff_sigma_minus(params, b, k, s) for b in recs for k in recs for s in sites
-        ]
-        out = np.array(flat, dtype=complex).reshape(len(recs), len(recs), len(sites))
+        ``[i, j, s - 1]`` (``lowering_table``)."""
+        out = lowering_table(self.params, self.records)
         out.setflags(write=False)
         return out
 
@@ -357,14 +357,14 @@ def _draw_separated(
     avoid=(),
     min_sep: float = 0.2,
     box: float = 1.8,
-    attempts: int = 4000,
 ) -> np.ndarray:
     """Draw points no closer than min_sep to each other, to the avoid
-    list, or to any of those shifted by plus or minus eta."""
+    list, or to any of those shifted by plus or minus eta, in at most
+    4000 attempts."""
     shifts = (0.0, complex(eta), -complex(eta))
     accepted: list[complex] = []
     anchors = [complex(w) for w in avoid]
-    for _ in range(attempts):
+    for _ in range(4000):
         if len(accepted) == count:
             break
         z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
@@ -621,51 +621,43 @@ def _suite_scalar_products(config: RunConfig, chains: Chains):
 
 
 def _suite_form_factors(config: RunConfig, chains: Chains):
-    n_eff = min(config.n_sites, 4)
-    chain = chains(n_eff)
-    params, records, vectors = chain.params, chain.records, chain.vectors
+    chain = chains(config.n_sites)
+    params, records = chain.params, chain.records
     tol = config.tol("form-factors", 1e-8)
-    ops = ("-", "+", "z")
-    worst = {key: 0.0 for key in ops}
+    lefts = np.stack([left for left, _ in chain.vectors])
+    rights = np.stack([right for _, right in chain.vectors], axis=1)
+    counts = np.array([rec.n_roots for rec in records])
+    diff = counts[:, None] - counts[None, :]
+    distant = np.abs(diff) > 1
+    # elements forced to zero sit at the dense oracle's own eigensolver
+    # noise (well below 1e-6 of the pairing's magnitude scale), so the
+    # error denominator is floored high enough that only that noise is
+    # absorbed
+    norms = np.linalg.norm(lefts, axis=1)[:, None] * np.linalg.norm(rights, axis=0)
+    floor = 1e-3 * np.maximum(norms, _TINY)
+    values = ff_from_lowering(diff[..., None], chain.lowering)
+    rows = []
     worst_zero = 0.0
-    norms = [tuple(float(np.linalg.norm(v)) for v in pair) for pair in vectors]
-    sites = range(1, n_eff + 1)
-    sigmas = {(op, site): site_sigma(params, site, op) for op in ops for site in sites}
-    for i, bra in enumerate(records):
-        for j, ket in enumerate(records):
-            gap = abs(bra.n_roots - ket.n_roots)
-            # elements forced to zero sit at the dense oracle's own
-            # eigensolver noise (well below 1e-6 of the pairing's
-            # magnitude scale), so the error denominator is floored
-            # high enough that only that noise is absorbed
-            floor = 1e-3 * max(norms[i][0] * norms[j][1], _TINY)
-            for site in sites:
-                values = ff_from_lowering(bra, ket, chain.lowering[i, j, site - 1])
-                for op_key in ops:
-                    # the element ff_dense evaluates, from the shared vectors
-                    dense = bilinear(
-                        vectors[i][0], sigmas[op_key, site] @ vectors[j][1]
-                    )
-                    value = values[op_key]
-                    if gap > 1:
-                        worst_zero = max(
-                            worst_zero, max(abs(value), abs(dense)) / floor
-                        )
-                    else:
-                        err = abs(value - dense) / max(abs(dense), floor)
-                        worst[op_key] = max(worst[op_key], err)
-    rows = [
-        _residual_row("form-factors/lowering_matches_dense", worst["-"], tol),
-        _residual_row("form-factors/raising_matches_dense", worst["+"], tol),
-        _residual_row("form-factors/z_matches_dense", worst["z"], tol),
-        _residual_row("form-factors/distant_sectors_vanish", worst_zero, tol),
-    ]
+    for op, name in (("-", "lowering"), ("+", "raising"), ("z", "z")):
+        worst = 0.0
+        for site in range(1, params.n_sites + 1):
+            # every element ff_dense evaluates, from the shared vectors
+            dense = lefts @ site_sigma(params, site, op) @ rights
+            value = values[op][..., site - 1]
+            err = np.abs(value - dense) / np.maximum(np.abs(dense), floor)
+            zero = np.maximum(np.abs(value), np.abs(dense)) / floor
+            worst = max(worst, float(err[~distant].max(initial=0.0)))
+            worst_zero = max(worst_zero, float(zero[distant].max(initial=0.0)))
+        rows.append(_residual_row(f"form-factors/{name}_matches_dense", worst, tol))
+    rows.append(_residual_row("form-factors/distant_sectors_vanish", worst_zero, tol))
 
     fix = fixture_params(1)
     fix_records = full_spectrum(fix, config.seed)
     up = next(r for r in fix_records if r.n_roots == 1)
     down = next(r for r in fix_records if r.n_roots == 0)
-    fixture = ff_from_lowering(down, up, ff_sigma_minus(fix, down, up, 1))
+    fixture = ff_from_lowering(
+        down.n_roots - up.n_roots, ff_sigma_minus(fix, down, up, 1)
+    )
     minus, plus, zval = fixture["-"], fixture["+"], fixture["z"]
     fix_tol = config.tol("form-factors", 1e-10)
     rows.append(
@@ -683,7 +675,7 @@ def _suite_form_factors(config: RunConfig, chains: Chains):
             "form-factors/z_sign_follows_flip_parity_derivation", ratio, 1.0, fix_tol
         )
     )
-    return rows, {"n_used": n_eff}
+    return rows, None
 
 
 def _suite_aba_check(config: RunConfig, chains: Chains):

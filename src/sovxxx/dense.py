@@ -228,7 +228,7 @@ def default_eval_point(params: ChainParams, index: int = 0) -> complex:
 
 
 def diagonalize_transfer(
-    params: ChainParams, lam0: complex | None = None
+    params: ChainParams,
 ) -> list[tuple[complex, np.ndarray, np.ndarray]]:
     """Eigenvalues of the antiperiodic transfer matrix at one point, with
     biorthogonal right and left eigenvectors.
@@ -240,13 +240,9 @@ def diagonalize_transfer(
     at the chosen point triggers a retry at the next deterministic
     candidate; running out of candidates raises ``PairingError``.
     """
-    candidates = (
-        [lam0]
-        if lam0 is not None
-        else [default_eval_point(params, i) for i in range(len(_LAM0_DIRECTIONS))]
-    )
     last_gap = np.inf
-    for cand in candidates:
+    for index in range(len(_LAM0_DIRECTIONS)):
+        cand = default_eval_point(params, index)
         tmat = transfer_antiperiodic(params, cand)
         vals, right = np.linalg.eig(tmat)
         scale = float(np.max(np.abs(vals)))

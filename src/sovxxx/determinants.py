@@ -22,14 +22,14 @@ on-shell row point; those entries are evaluated through their
 closed-form limits, which is what makes norms (coinciding point sets)
 directly computable.
 
-Stacks: every point-set argument of a determinant evaluator (all but
-``lattice_column_determinant``) is an array whose last axis runs over
-the set and whose leading axes, if any, index a stack of sets of that
-size; the sets of one call broadcast against each other.  The free
-parameters of the chain-free evaluators (``eta`` and ``mu`` of the
-dressed Vandermonde and Izergin forms) may be arrays of the stack shape,
-one per set, as may the substituted column and its point; the on-shell
-evaluators take one chain and one twist per call.  One call makes one
+Stacks: every point-set argument of a determinant evaluator is an
+array whose last axis runs over the set and whose leading axes, if any,
+index a stack of sets of that size; the sets of one call broadcast
+against each other.  The free parameters of the chain-free evaluators
+(``eta`` and ``mu`` of the dressed Vandermonde and Izergin forms) may be
+arrays of the stack shape, one per set, as may the substituted column
+and its point and the lattice column's site; the on-shell evaluators
+take one chain and one twist per call.  One call makes one
 guard pass, builds one (..., m, m) matrix stack and takes one batched
 ``det``, returning an array of the stack shape; a 1-D set is the
 no-stack case of the same code and gives a ``complex``.  The on-shell
@@ -80,8 +80,8 @@ def _set_bound(points, floor=1.0) -> np.ndarray:
 
 
 def _require_distinct(points: np.ndarray, scale) -> np.ndarray:
-    """Refuse a point set holding two points closer than the pole guard,
-    and return its pairwise differences x_a - x_b for reuse.
+    """Refuse a point set holding two points closer than the pole guard
+    or a NaN point, and return its pairwise differences x_a - x_b.
 
     Every determinant here divides by the set's point differences (its
     Vandermonde); such a pair leaves the quotient a plausible-looking but
@@ -91,18 +91,17 @@ def _require_distinct(points: np.ndarray, scale) -> np.ndarray:
     diffs = points[..., :, None] - points[..., None, :]
     if points.shape[-1] < 2:
         return diffs
-    close = np.abs(diffs) < _POLE_TOL * np.asarray(scale)[..., None, None]
-    # each point is within the guard of itself, so a set is distinct
-    # exactly when its diagonal holds all of its close pairs
-    if np.count_nonzero(close) > close.size // points.shape[-1]:
-        raise PoleCollisionError("coinciding points within one set")
+    apart = np.abs(diffs) > _POLE_TOL * np.asarray(scale)[..., None, None]
+    # no point is apart from itself and a NaN is apart from nothing, so a
+    # set passes exactly when every pair off the diagonal is apart
+    if np.count_nonzero(apart) < apart.size - apart.size // points.shape[-1]:
+        raise PoleCollisionError("coinciding or NaN points within one set")
     return diffs
 
 
-def two_pole_kernel(x: complex, eta: complex, mu: complex = 1.0) -> complex:
-    """The kernel mu/x - 1/(x + eta); for mu = 1 this is
-    eta/(x (x + eta))."""
-    return mu / x - 1.0 / (x + eta)
+def two_pole_kernel(x: complex, eta: complex) -> complex:
+    """The kernel K(x) = 1/x - 1/(x + eta) = eta/(x (x + eta))."""
+    return 1.0 / x - 1.0 / (x + eta)
 
 
 def _guarded_ratio(points, eta: complex, y, up: complex, down: complex, what: str):
@@ -111,7 +110,9 @@ def _guarded_ratio(points, eta: complex, y, up: complex, down: complex, what: st
 
     A 1-D set is evaluated at ``y`` of any shape.  A stack of sets
     (..., m) is evaluated set by set at points (..., k); ``eta``, ``up``
-    and ``down`` are then scalars or one value per set.
+    and ``down`` are then scalars or one value per set.  The guard is
+    strict, so a NaN or infinite point or ``y`` fails it too (an infinite
+    difference is not above an infinite scale).
     """
     points = np.asarray(points, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -125,7 +126,7 @@ def _guarded_ratio(points, eta: complex, y, up: complex, down: complex, what: st
         return _result(empty)
     diffs = y[..., None] - points
     den = diffs + down
-    if (np.abs(den) < _POLE_TOL * np.maximum(np.abs(y), bound)[..., None]).any():
+    if not (np.abs(den) > _POLE_TOL * np.maximum(np.abs(y), bound)[..., None]).all():
         raise PoleCollisionError(what)
     return _result(((diffs + up) / den).prod(axis=-1))
 
@@ -192,7 +193,7 @@ def dressed_vandermonde(
 def _kernel_differences(xs, ys, eta: complex):
     """Equal-size point sets, their differences x - y and x - y + eta and
     the pole guard's scale per set, refusing an x on a kernel pole (y or
-    y - eta) or two equal x."""
+    y - eta), two equal x or a NaN point."""
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
     if xs.shape[-1] != ys.shape[-1]:
@@ -200,10 +201,10 @@ def _kernel_differences(xs, ys, eta: complex):
     scale = _set_bound(ys, _set_bound(xs, abs(eta)))
     guard = _POLE_TOL * scale[..., None, None]
     diffs = xs[..., :, None] - ys[..., None, :]
-    if (np.abs(diffs) < guard).any():
+    if not (np.abs(diffs) > guard).all():
         raise PoleCollisionError("kernel pole: point sets overlap")
     shifted = diffs + _per_matrix(eta)
-    if (np.abs(shifted) < guard).any():
+    if not (np.abs(shifted) > guard).all():
         raise PoleCollisionError("kernel pole: point sets overlap after shift")
     _require_distinct(xs, scale)
     return xs, ys, diffs, shifted, scale
@@ -260,16 +261,17 @@ def _weights(params: ChainParams, mu: complex, xs, points):
     for all.  A row point within the pole guard of an inhomogeneity,
     relative to max(1, |eta|, max |xi|, max |x| over its set), raises
     ``PoleCollisionError``; so does a column point y, relative to
-    max(1, |eta|, max |xi|, |y|).
+    max(1, |eta|, max |xi|, |y|), and a NaN point of either kind.
     """
     r = xs.shape[-1]
     to_xi = points[..., None] - params.xi
     gaps = np.abs(to_xi)
     bound = params.pole_scale
-    if (gaps[..., :r, :] < _POLE_TOL * _set_bound(xs, bound)[..., None, None]).any():
+    row_scale = _set_bound(xs, bound)[..., None, None]
+    if not (gaps[..., :r, :] > _POLE_TOL * row_scale).all():
         raise PoleCollisionError("Bethe root collides with an inhomogeneity")
     column_scale = np.maximum(np.abs(points[..., r:]), bound)[..., None]
-    if (gaps[..., r:, :] < _POLE_TOL * column_scale).any():
+    if not (gaps[..., r:, :] > _POLE_TOL * column_scale).all():
         raise PoleCollisionError("shift-ratio product evaluated on a set point")
     # a(p) and d(p), as ``chain.a_of`` and ``chain.d_of`` evaluate them
     g = mu * (to_xi + params.eta).prod(axis=-1) / to_xi.prod(axis=-1)
@@ -318,11 +320,11 @@ def gaudin_matrix(params: ChainParams, roots) -> np.ndarray:
     return np.where(eye, diag[..., None], -exchange)
 
 
-def _on_shell_weights(params: ChainParams, mu: complex, xs, ys, tol: float = 1e-7):
+def _on_shell_weights(params: ChainParams, mu: complex, xs, ys):
     """The on-shell gate and every weight of the on-shell matrix, from one
     ``_weights`` evaluation at the rows and the columns: refuses row
     points off the twist-mu Bethe system (worst residual |g/(-rho) - 1|
-    over the rows above ``tol``, the arithmetic of
+    over the rows above 1e-7 or NaN, the arithmetic of
     ``mu_bethe_residuals``) and returns ((g, rho) at the rows, (g, rho)
     at the columns), broadcast to the common stack shape."""
     r = xs.shape[-1]
@@ -333,7 +335,7 @@ def _on_shell_weights(params: ChainParams, mu: complex, xs, ys, tol: float = 1e-
     )
     g, rho = _weights(params, mu, xs, points)
     worst = np.abs(g[..., :r] / -rho[..., :r] - 1.0).max(initial=0.0)
-    if worst > tol:
+    if not worst <= 1e-7:
         raise NotOnShellError(
             f"row points violate the twist-{mu} Bethe system "
             f"(worst residual {worst:.3e})"
@@ -471,7 +473,7 @@ def gen_slavnov_sign(m: int, s: int) -> int:
 
 def lattice_column_determinant(
     params: ChainParams, mu: complex, xs, ys_free, site: int
-) -> complex:
+) -> complex | np.ndarray:
     """Limit of d(y) times the rectangular on-shell determinant as one
     free point y approaches the lattice node of ``site``.
 
@@ -484,23 +486,32 @@ def lattice_column_determinant(
     powers in the moment rows -- and the whole thing is scaled by mu
     times the eta-shifted lattice product at the node.  The remaining
     free points may still coincide with on-shell rows; those entries go
-    through the usual closed-form limits.  It takes one pair of sets per
-    call: its callers evaluate one form-factor element at a time.
+    through the usual closed-form limits.  ``site`` may be an array of
+    the stack shape, one site per member; the weights of the free points
+    do not depend on it and are evaluated once per pair of sets.
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys_free = np.asarray(ys_free, dtype=complex).ravel()
-    if not 1 <= site <= params.n_sites:
+    xs = np.asarray(xs, dtype=complex)
+    ys_free = np.asarray(ys_free, dtype=complex)
+    site = np.asarray(site)
+    if ((site < 1) | (site > params.n_sites)).any():
         raise ValueError("site index out of range")
-    node = params.xi[site - 1]
-    ys = np.concatenate([ys_free, [node]])
-    if ys.size < xs.size:
+    m = ys_free.shape[-1]
+    if m < xs.shape[-1] - 1:
         raise ValueError("the free set cannot be smaller than the on-shell set")
     rows, (g, rho) = _on_shell_weights(params, mu, xs, ys_free)
-    diffs = xs[:, None] - ys
-    g, rho = np.concatenate([g, [1.0]]), np.concatenate([rho, [0.0]])
+    node = params.xi[site - 1]
+    # the node joins the free set as one more column, whose weights (those
+    # of its pole residue) do not depend on the node
+    stack = np.broadcast_shapes(ys_free.shape[:-1], site.shape)
+    ys = np.empty(stack + (m + 1,), dtype=complex)
+    ys[..., :m] = ys_free
+    ys[..., m] = node
+    end = np.ones(g.shape[:-1] + (1,))
+    g, rho = np.concatenate([g, end], axis=-1), np.concatenate([rho, 0 * end], axis=-1)
+    diffs = xs[..., :, None] - ys[..., None, :]
     mat = _on_shell_matrix(params, xs, ys, diffs, rows, g, rho)
-    residue = complex((node - params.xi + params.eta).prod())
-    return complex(mu * residue * _normalized_det(mat, xs, ys, diffs, params.eta))
+    residue = mu * params.a_at_nodes[site - 1]
+    return _result(residue * _normalized_det(mat, xs, ys, diffs, params.eta))
 
 
 def column_substituted_slavnov(
@@ -576,19 +587,15 @@ def dressed_vandermonde_unbalanced_check(
     return _result(lhs), _result(rhs)
 
 
-def richardson_limit(evaluator, schedule=None) -> tuple[complex, float]:
+def richardson_limit(evaluator) -> tuple[complex, float]:
     """Polynomial extrapolation of ``evaluator(eps)`` to eps = 0.
 
-    Neville's scheme on a geometric schedule; returns the extrapolated
-    value and an error estimate (the size of the final correction).
-    Corrections that grow instead of shrinking raise
-    ``LimitFailureError``.
+    Neville's scheme on the geometric schedule eps = 1e-2 / 2^k,
+    k = 0..5; returns the extrapolated value and an error estimate (the
+    size of the final correction).  Corrections that grow instead of
+    shrinking raise ``LimitFailureError``.
     """
-    if schedule is None:
-        schedule = [1e-2 * 0.5**k for k in range(6)]
-    schedule = np.asarray(schedule, dtype=float)
-    if schedule.size < 2:
-        raise ValueError("extrapolation needs at least two scale points")
+    schedule = 1e-2 * 0.5 ** np.arange(6)
     vals = np.array([evaluator(float(e)) for e in schedule], dtype=complex)
     table = vals.copy()
     best = table[-1]

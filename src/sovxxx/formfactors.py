@@ -11,7 +11,10 @@ Two layers, each checked against the dense oracle in the tests:
   reconstruction between eigenstates: the element reduces to a pairing
   of the bra eigenstate with a root-augmented partner polynomial, which
   is the one on-shell pairing rule of ``scalar.sp_on_shell`` evaluated
-  through the lattice-column determinant.
+  through the lattice-column determinant.  One core (``_lowering``)
+  evaluates it over stacks of one pair of sectors: ``lowering_table``
+  calls it once per sector pair for a whole spectrum, and
+  ``ff_sigma_minus`` is its one-element case.
 
 Raw bilinear normalization throughout: values are pairings of the
 un-normalized left and right separate states, so they can be compared
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainParams, a_of, d_of
+from .chain import ChainParams, d_of
 from . import dense
 from .determinants import lattice_column_determinant
 from .errors import PairingError
@@ -34,8 +37,8 @@ from .spectrum import EigenRecord
 def _node_string(params: ChainParams, sites) -> np.ndarray:
     out = np.eye(2**params.n_sites, dtype=complex)
     for j in sites:
-        node = params.xi[j]
-        out = out @ (dense.transfer_antiperiodic(params, node) / a_of(params, node))
+        transfer = dense.transfer_antiperiodic(params, params.xi[j])
+        out = out @ (transfer / params.a_at_nodes[j])
     return out
 
 
@@ -53,7 +56,7 @@ def reconstruct_sigma_minus(params: ChainParams, site: int) -> np.ndarray:
         raise ValueError("site index out of range")
     n = params.n_sites
     node = params.xi[site - 1]
-    d_entry = dense.monodromy(params, node)[1][1] / a_of(params, node)
+    d_entry = dense.monodromy(params, node)[1][1] / params.a_at_nodes[site - 1]
     return (
         _node_string(params, range(site - 1))
         @ d_entry
@@ -69,7 +72,7 @@ def reconstruct_sigma_plus(params: ChainParams, site: int) -> np.ndarray:
         raise ValueError("site index out of range")
     n = params.n_sites
     node = params.xi[site - 1]
-    a_entry = dense.monodromy(params, node)[0][0] / a_of(params, node)
+    a_entry = dense.monodromy(params, node)[0][0] / params.a_at_nodes[site - 1]
     return (
         _node_string(params, range(site - 1))
         @ a_entry
@@ -105,66 +108,106 @@ def ff_dense(
     return bilinear(left, dense.site_sigma(params, site, op) @ right)
 
 
+def _lowering(params: ChainParams, bra_roots, ket_roots, bra_nodes, ket_nodes, site):
+    """Lowering elements of one sector pair, over broadcastable stacks of
+    the bra and ket Bethe roots (last axis: the roots), their eigenvalues
+    at the nodes (last axis: the nodes) and the site.
+
+    Every element factorizes into transfer eigenvalues at the nodes (the
+    bra's before the site and the ket's after it, over the full
+    a-product on the nodes) times the pairing of the bra eigenstate with
+    the partner polynomial (ket polynomial times a monic linear factor
+    rooted at the site's node): the lattice-column determinant dressed
+    with the prefactors of ``scalar.sp_on_shell``.  Both root counts are
+    fixed by the stack shapes, so the sign and power of two are one
+    number per call.
+    """
+    n = params.n_sites
+    r_bra, r_ket = np.shape(bra_roots)[-1], np.shape(ket_roots)[-1]
+    core = lattice_column_determinant(params, -1.0, bra_roots, ket_roots, site)
+    # the partner polynomial has the ket roots and the site's node, whose
+    # d factor the lattice-column limit has absorbed
+    weight = (-1.0) ** r_ket * _on_shell_weight(n, r_ket + 1, r_bra)
+    node = np.arange(1, n + 1)
+    at = np.asarray(site)[..., None]
+    nodes = np.where(node < at, bra_nodes, np.where(node > at, ket_nodes, 1.0))
+    d_bra, d_ket = d_of(params, bra_roots), d_of(params, ket_roots)
+    pref = nodes.prod(axis=-1) * d_bra.prod(axis=-1) * d_ket.prod(axis=-1)
+    return weight * pref / params.a_at_nodes.prod() * core
+
+
+def lowering_table(params: ChainParams, records) -> np.ndarray:
+    """``ff_sigma_minus`` between records i and j at site s, at
+    ``[i, j, s - 1]``: one ``_lowering`` call per pair of sectors at
+    most one root apart, over every bra and ket of those sectors and
+    every site, and exact zeros between sectors further apart."""
+    counts = np.array([rec.n_roots for rec in records])
+    sectors = {}
+    for r in sorted(set(counts.tolist())):
+        members = np.flatnonzero(counts == r)
+        roots = np.array([records[i].bethe_roots for i in members])
+        nodes = np.array([records[i].tau_at_nodes for i in members])
+        sectors[r] = members, roots.reshape(members.size, r), nodes
+    table = np.zeros((len(records), len(records), params.n_sites), dtype=complex)
+    sites = np.arange(1, params.n_sites + 1)
+    # stack axes: bra, ket, site
+    for r_bra, (bras, bra_roots, bra_nodes) in sectors.items():
+        for r_ket, (kets, ket_roots, ket_nodes) in sectors.items():
+            if abs(r_bra - r_ket) <= 1:
+                table[np.ix_(bras, kets)] = _lowering(
+                    params,
+                    bra_roots[:, None, None, :],
+                    ket_roots[None, :, None, :],
+                    bra_nodes[:, None, None, :],
+                    ket_nodes[None, :, None, :],
+                    sites,
+                )
+    return table
+
+
 def ff_sigma_minus(
     params: ChainParams,
     bra_record: EigenRecord,
     ket_record: EigenRecord,
     site: int,
 ) -> complex:
-    """Lowering-operator matrix element through the lattice-column route.
+    """Lowering-operator matrix element through the lattice-column route
+    (``_lowering`` for one element).
 
-    Sectors further than one root apart vanish identically; every other
-    element, diagonal ones included, factorizes into transfer
-    eigenvalues at the nodes (the bra's before the site and the ket's
-    after it, over the full a-product on the nodes) times the pairing of
-    the bra eigenstate with the partner polynomial (ket polynomial times
-    a monic linear factor rooted at the site's node).  The pairing is
-    the lattice-column determinant dressed with the prefactors of
-    ``scalar.sp_on_shell``.  A bra record with roots from another chain
-    fails the determinant's on-shell gate: ``NotOnShellError``.
+    Sectors further than one root apart vanish identically.  A bra
+    record with roots from another chain fails the determinant's
+    on-shell gate: ``NotOnShellError``.
     """
     if not 1 <= site <= params.n_sites:
         raise ValueError("site index out of range")
-    r_bra = bra_record.n_roots
-    r_ket = ket_record.n_roots
-    if abs(r_bra - r_ket) > 1:
+    if abs(bra_record.n_roots - ket_record.n_roots) > 1:
         return 0.0 + 0.0j
-    free = ket_record.bethe_roots
-    rows = bra_record.bethe_roots
-    core = lattice_column_determinant(params, -1.0, rows, free, site)
-    # the partner polynomial has the ket roots and the site's node, whose
-    # d factor the lattice-column limit has absorbed
-    weight = _on_shell_weight(params.n_sites, r_ket + 1, r_bra)
-    xi = params.xi
-    # the node eigenvalues and the d-products over both root sets
-    factors = np.concatenate(
-        [
-            bra_record.tau(xi[: site - 1]),
-            ket_record.tau(xi[site:]),
-            d_of(params, np.concatenate([free, rows])),
-        ]
+    return complex(
+        _lowering(
+            params,
+            bra_record.bethe_roots,
+            ket_record.bethe_roots,
+            bra_record.tau_at_nodes,
+            ket_record.tau_at_nodes,
+            site,
+        )
     )
-    pref = factors.prod() / a_of(params, xi).prod()
-    return complex((-1.0) ** r_ket * weight * pref * core)
 
 
-def ff_from_lowering(
-    bra_record: EigenRecord, ket_record: EigenRecord, lowering: complex
-) -> dict[str, complex]:
-    """The three single-site elements of one (bra, ket, site), keyed like
-    ``dense.site_sigma``, from its lowering element.
-
-    The raising element is the lowering one times the parity of the
-    sector difference (the flip symmetry exchanges the two operators and
-    multiplies each eigenstate by its flip parity); the z element is
-    twice the sector difference (bra count minus ket count) times it, so
-    equal sectors give 0.
+def ff_from_lowering(diff, lowering) -> dict:
+    """The three single-site elements, keyed like ``dense.site_sigma``,
+    from the lowering element and the sector difference ``diff`` (bra
+    minus ket root count), as scalars or as arrays that broadcast, such
+    as a ``lowering_table`` and its table of differences.  The raising
+    element is the lowering one times the parity of ``diff`` (the flip
+    symmetry exchanges the two operators and multiplies each eigenstate
+    by its flip parity); the z element is 2 ``diff`` times it, so equal
+    sectors give 0.
     """
-    diff = bra_record.n_roots - ket_record.n_roots
     return {
         "-": lowering,
-        "+": complex((-1.0) ** diff * lowering),
-        "z": complex(2.0 * diff * lowering) if diff else 0.0 + 0.0j,
+        "+": (-1.0) ** diff * lowering,
+        "z": 2.0 * diff * lowering,
     }
 
 
@@ -176,7 +219,7 @@ def ff_sigma_plus(
 ) -> complex:
     """Raising-operator matrix element (see ``ff_from_lowering``)."""
     lowering = ff_sigma_minus(params, bra_record, ket_record, site)
-    return ff_from_lowering(bra_record, ket_record, lowering)["+"]
+    return ff_from_lowering(bra_record.n_roots - ket_record.n_roots, lowering)["+"]
 
 
 def ff_sigma_z(
@@ -186,10 +229,11 @@ def ff_sigma_z(
     site: int,
 ) -> complex:
     """Z-operator matrix element (see ``ff_from_lowering``)."""
-    if bra_record.n_roots == ket_record.n_roots:
+    diff = bra_record.n_roots - ket_record.n_roots
+    if diff == 0:
         return 0.0 + 0.0j  # no lowering element needed
     lowering = ff_sigma_minus(params, bra_record, ket_record, site)
-    return ff_from_lowering(bra_record, ket_record, lowering)["z"]
+    return ff_from_lowering(diff, lowering)["z"]
 
 
 def sx_eigenvalue_check(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainParams, a_of, d_of, vandermonde
+from .chain import ChainParams, d_of, vandermonde
 from .determinants import (
     dressed_vandermonde,
     gaudin_matrix,
@@ -61,7 +61,7 @@ def raw_pairing_matrix(
         raise ValueError("separate-state values must cover every site")
     xi = params.xi
     eta = params.eta
-    dressing = -a_of(params, xi) / d_of(params, xi - eta)
+    dressing = -params.a_at_nodes / d_of(params, xi - eta)
     w_top = left_spec.values_at_xi * right_spec.values_at_xi
     w_bot = (
         left_spec.values_at_xi_minus_eta
@@ -220,9 +220,10 @@ def gaudin_norm(params: ChainParams, record: EigenRecord) -> complex:
         return complex(2.0**n)
     diffs = roots[:, None] - roots[None, :]
     off = ~np.eye(r, dtype=bool)
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    if r > 1 and np.min(np.abs(diffs[off])) < 1e-10 * scale:
-        raise PoleCollisionError("coinciding roots in the norm formula")
+    # NaN for a NaN root, so the comparison below refuses it even alone
+    scale = np.abs(roots).max(initial=1.0)
+    if not np.abs(diffs[off]).min(initial=np.inf) >= 1e-10 * scale:
+        raise PoleCollisionError("coinciding or NaN roots in the norm formula")
     num = complex(np.prod(diffs + params.eta))
     den = complex(np.prod(diffs[off])) if r > 1 else 1.0 + 0.0j
     pref = _root_prefactor(params, roots) ** 2
@@ -230,16 +231,15 @@ def gaudin_norm(params: ChainParams, record: EigenRecord) -> complex:
     return complex(2.0 ** (n - 2 * r) * pref * (num / den) * det_phi)
 
 
-def near_homogeneous_params(
-    n_sites: int, eps: float, eta: complex = 1.0
-) -> ChainParams:
-    """Chain whose inhomogeneities collapse linearly onto the origin:
-    site a carries eps times a.  The recorded margin tracks the actual
-    separation so the basis construction still accepts the family."""
+def near_homogeneous_params(n_sites: int, eps: float) -> ChainParams:
+    """Chain with eta = 1 whose inhomogeneities collapse linearly onto the
+    origin: site a carries eps times a.  The recorded margin tracks the
+    actual separation so the basis construction still accepts the
+    family."""
     xi = eps * np.arange(1, n_sites + 1, dtype=float)
     return ChainParams(
         n_sites=n_sites,
-        eta=eta,
+        eta=1.0,
         xi=np.asarray(xi, dtype=complex),
         margin=0.5 * abs(eps),
     )

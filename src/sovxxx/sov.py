@@ -28,7 +28,6 @@ import numpy as np
 
 from .chain import (
     ChainParams,
-    a_of,
     d_of,
     require_generic,
     shifted_xi,
@@ -116,7 +115,7 @@ def sov_basis(params: ChainParams, side: str) -> np.ndarray:
     for a in range(n):
         blocks = monodromy(params, xi[a])
         if side == "right":
-            ladders.append(blocks[0][1] / a_of(params, xi[a]))
+            ladders.append(blocks[0][1] / params.a_at_nodes[a])
         else:
             ladders.append(blocks[1][0] / d_of(params, xi[a] - eta))
     # incremental build over bitmask order: each pattern extends the
@@ -259,7 +258,7 @@ def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.nd
     if sspec.side == "left":
         site_w1 = sspec.values_at_xi_minus_eta
     else:
-        dressing = a_of(params, xi) / d_of(params, xi - eta)
+        dressing = params.a_at_nodes / d_of(params, xi - eta)
         site_w1 = dressing * sspec.values_at_xi_minus_eta
     weights = np.where(tables.bits, site_w1, site_w0).prod(axis=1)
     return (weights * tables.shifted_vandermonde) @ basis

@@ -62,6 +62,8 @@ class EigenRecord:
     ``q_tau`` and ``q_minus_tau`` are monic; ``bethe_roots`` are the
     roots of ``q_tau`` and ``q_minus_roots`` those of ``q_minus_tau``, both
     Newton-polished, and each polynomial is rebuilt from its roots.
+    ``tau_at_nodes`` holds the eigenvalue at each inhomogeneity, the
+    values the discrete-system gate checked.
     ``residuals`` collects the relative residuals of every structural
     check performed while building the record, plus the recovery the
     polish made: ``bethe_unpolished``, the Bethe residual of the roots as
@@ -73,6 +75,7 @@ class EigenRecord:
     q_minus_tau: ComplexPoly
     bethe_roots: np.ndarray
     q_minus_roots: np.ndarray
+    tau_at_nodes: np.ndarray
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -453,7 +456,7 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
     taus = _tau_stack(params, rights, lefts, transfers)
     tau_coeffs = _padded(taus, n)
     at_xi = _values(tau_coeffs, params.xi)
-    prod_ad = a_of(params, params.xi) * d_of(params, params.xi - eta)
+    prod_ad = params.a_at_nodes * d_of(params, params.xi - eta)
     ds_res = np.max(
         np.abs(at_xi * _values(tau_coeffs, params.xi - eta) + prod_ad)
         / np.maximum(np.abs(prod_ad), 1e-300),
@@ -494,6 +497,7 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
             q_minus_tau=down.q,
             bethe_roots=up.roots,
             q_minus_roots=down.roots,
+            tau_at_nodes=at_xi[k],
             residuals={
                 "discrete_system": float(ds_res[k]),
                 "functional_tq": up.functional,

@@ -91,7 +91,7 @@ GATES = {
         ),
     ),
     7: (
-        range(1, 5),
+        range(1, 7),
         (
             "form-factors/lowering_matches_dense",
             "form-factors/raising_matches_dense",

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from sovxxx import aba, cli, determinants, formfactors
+from sovxxx import cli, determinants, formfactors
 from sovxxx.chain import sample_generic_params
 from sovxxx.cli import SUITE_ORDER, RunConfig, main, render_csv, render_json, run
 from sovxxx.errors import SpectrumError
@@ -250,38 +250,36 @@ def test_aba_check_reports_each_record_once(monkeypatch):
     assert per_expansion == [1] * 57
 
 
-def test_form_factors_suite_evaluates_each_lowering_element_once(monkeypatch):
+def _count_lowering_calls(monkeypatch) -> list:
+    """Record the root counts of every call of the one lowering core."""
     calls = []
-    lowering = formfactors.ff_sigma_minus
+    core = formfactors._lowering
 
-    def counting(params, bra, ket, site):
-        calls.append((id(bra), id(ket), site))
-        return lowering(params, bra, ket, site)
+    def counting(params, bra_roots, ket_roots, *rest):
+        calls.append((np.shape(bra_roots)[-1], np.shape(ket_roots)[-1]))
+        return core(params, bra_roots, ket_roots, *rest)
 
-    # the suite's own binding and the one the raising/z evaluators call
-    monkeypatch.setattr(cli, "ff_sigma_minus", counting)
-    monkeypatch.setattr(formfactors, "ff_sigma_minus", counting)
+    monkeypatch.setattr(formfactors, "_lowering", counting)
+    return calls
+
+
+def test_form_factors_suite_evaluates_each_lowering_element_once(monkeypatch):
+    calls = _count_lowering_calls(monkeypatch)
     report = run(RunConfig(n_sites=2, seed=0, suites=("form-factors",)))
     assert report["aborted"] == {}
-    # every (bra, ket, site) of the 2-site chain, plus the one-site fixture
-    assert len(calls) == len(set(calls)) == 4 * 4 * 2 + 1
+    # one call per pair of the 2-site chain's sectors 0, 1, 2 at most one
+    # root apart, plus the one-site fixture
+    assert len(calls) == 7 + 1
+    assert len(set(calls)) == 7
 
 
 def test_full_run_evaluates_each_lowering_element_once(monkeypatch, tmp_path):
-    calls = []
-    lowering = formfactors.ff_sigma_minus
-
-    def counting(params, bra, ket, site):
-        calls.append((id(bra), id(ket), site))
-        return lowering(params, bra, ket, site)
-
-    # every module that binds the evaluator
-    for module in (cli, aba, formfactors):
-        monkeypatch.setattr(module, "ff_sigma_minus", counting)
+    calls = _count_lowering_calls(monkeypatch)
     assert main(["all", "--n", "3", "--out", str(tmp_path / "r.json")]) == 0
-    # every (bra, ket, site) of the 3-site chain, shared by the form-factors
-    # and aba-check suites, plus the one-site fixture
-    assert len(calls) == len(set(calls)) == 8 * 8 * 3 + 1
+    # one call per adjacent pair of the 3-site chain's sectors, shared by the
+    # form-factors and aba-check suites, plus the one-site fixture
+    assert len(calls) == 10 + 1
+    assert len(set(calls)) == 10
 
 
 def test_identities_suite_checks_each_row_set_once_per_stack(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from sovxxx.determinants import (
 )
 from sovxxx.chain import a_of, d_of
 from sovxxx.errors import LimitFailureError, NotOnShellError, PoleCollisionError
+from sovxxx.scalar import gaudin_norm, sp_b_form, sp_on_shell
 
 from conftest import cached_params, cached_spectrum, separated_cloud
 
@@ -272,6 +275,35 @@ def test_dressed_functional_rejects_numerically_coinciding_points(gap):
             evaluate()
 
 
+def _non_finite_calls():
+    """One call per evaluator, each with one NaN (or, for the shift
+    ratio, infinite) point among otherwise valid input."""
+    nan, inf = complex("nan"), complex("inf")
+    params = cached_params(3, 0)
+    record = next(r for r in cached_spectrum(3, 0) if r.n_roots == 2)
+    on_shell = record.bethe_roots
+    free = [0.3 + 0.2j, nan, -0.4 + 0.1j]
+    return {
+        "dressed_vandermonde": lambda: dressed_vandermonde([0.3, nan], 1.0, [1, 1], +1),
+        "izergin_determinant": lambda: izergin_determinant(0.7, [0.3, nan], [1, -1], 1.0),
+        "gen_slavnov_determinant": lambda: gen_slavnov_determinant(
+            params, -1.0, on_shell, free
+        ),
+        "sp_on_shell": lambda: sp_on_shell(params, free, on_shell),
+        "sp_b_form": lambda: sp_b_form(params, [0.3 + 0.2j, nan], [-0.4 + 0.1j]),
+        "gaudin_norm": lambda: gaudin_norm(
+            params, replace(record, bethe_roots=np.array([on_shell[0], nan]))
+        ),
+        "shift_ratio": lambda: shift_ratio([inf], 1.0, 0.5, +1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_non_finite_calls()))
+def test_non_finite_points_raise_typed_errors(name):
+    with pytest.raises(ValueError):
+        _non_finite_calls()[name]()
+
+
 def test_shift_ratio_checks_sign_on_the_empty_set():
     with pytest.raises(ValueError):
         shift_ratio([], 1.0, 0.5, 5)
@@ -446,6 +478,18 @@ def _assert_stacks_match_per_set_loops(rng, m, size):
                 [
                     gen_slavnov_determinant(params, -1.0, *one)
                     for one in zip(per_row, wide)
+                ],
+            )
+        # the lattice column of each member's site, against free sets one
+        # point short of the rows, as many (the norm-like first member
+        # among them) and one point over
+        sites = 1 + members % 6
+        for ys_free in [square, free[:, : m + 1]] + ([square[:, 1:]] if m else []):
+            _assert_stack_matches(
+                lattice_column_determinant(params, -1.0, rows, ys_free, sites),
+                [
+                    lattice_column_determinant(params, -1.0, *one)
+                    for one in zip(per_row, ys_free, sites)
                 ],
             )
         if m > 0:

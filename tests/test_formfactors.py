@@ -16,6 +16,7 @@ from sovxxx.formfactors import (
     ff_sigma_minus,
     ff_sigma_plus,
     ff_sigma_z,
+    lowering_table,
     reconstruct_sigma_minus,
     reconstruct_sigma_plus,
     sx_eigenvalue_check,
@@ -242,6 +243,26 @@ def test_lowering_element_matches_slavnov_type_reference(n_sites):
                 err = abs(value - reference) / max(abs(reference), 1e-300)
                 worst = max(worst, err)
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_lowering_table_holds_each_element(n_sites):
+    params = cached_params(n_sites, 0)
+    records = cached_spectrum(n_sites, 0)
+    sites = range(1, n_sites + 1)
+    table = lowering_table(params, records)
+    single = np.array(
+        [
+            [[ff_sigma_minus(params, bra, ket, s) for s in sites] for ket in records]
+            for bra in records
+        ]
+    )
+    # the exact zeros of distant sectors fall in the same places
+    assert np.array_equal(table == 0, single == 0)
+    # one stacked call per sector pair rounds like one call per element,
+    # relative to each (bra, ket) pair's largest element
+    scale = np.abs(single).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(table - single) <= 1e-14 * scale)
 
 
 def test_records_of_another_chain_are_refused():

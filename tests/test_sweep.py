@@ -40,3 +40,36 @@ def test_sweep_writes_every_row_as_an_error_verdict_pair(tmp_path, monkeypatch):
         for rel_err, passed in config["checks"].values():
             assert isinstance(rel_err, float)
             assert passed is True
+
+
+def test_compare_reports_changed_configurations_and_moved_rows(tmp_path, monkeypatch):
+    sweep = _load_sweep(monkeypatch, dict(os.environ))
+    cond = "homogeneous-stress/raw_matrix_condition_grows_inverse_cubed"
+
+    def entry(a, b, cond_value, aborted=None):
+        checks = {"a/x": [a, a <= 1e-9], "b/y": [b, True], cond: cond_value}
+        return {"checks": checks, "aborted": aborted or {}}
+
+    sides = {
+        "before.json": {
+            "8/0": entry(2e-9, 1e-12, [0.0, True]),
+            "8/1": entry(3e-10, 2e-12, [0.0, True]),
+        },
+        "after.json": {
+            "8/0": entry(4e-10, 1e-12, [0.0, True]),
+            "8/1": entry(5e-10, 2e-12, [1.0, False], {"spectrum": "SpectrumError: x"}),
+        },
+    }
+    for name, rows in sides.items():
+        (tmp_path / name).write_text(json.dumps(rows))
+    before, after = (json.loads((tmp_path / name).read_text()) for name in sides)
+    assert sweep.compare(before, after) == [
+        "N=8 seed=0: exit 1 -> 0; -a/x",
+        f"N=8 seed=1: exit 0 -> 1; +{cond}; "
+        "aborted {} -> {'spectrum': 'SpectrumError: x'}",
+        # the condition row's value enters through its verdict alone
+        "a/x: down in 1, up in 1 of 2; worst 2e-09 -> 5e-10",
+    ]
+    assert sweep.compare(before, before) == [
+        "no configuration differs in exit status, aborts or failing rows"
+    ]
