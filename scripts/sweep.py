@@ -9,7 +9,9 @@ committed tolerances, and prints one line per configuration with its
 failing rows (name and relative error) and aborted suites.  The exit
 status is 1 when any row fails or any suite aborts, 0 otherwise.
 ``--json`` also writes every row's relative error and verdict, keyed by
-configuration, so two checkouts' sweeps can be compared row by row;
+configuration, so two checkouts' sweeps can be compared row by row, and
+next to them the configuration's wall seconds (``cli.run`` alone; kept
+out of the report, whose bytes do not depend on it);
 ``--compare OTHER.json`` does that comparison, with OTHER as the before
 side and this sweep as the after side (see ``compare``).
 The package is imported from the ``src/`` directory next to this script.
@@ -27,6 +29,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from time import perf_counter
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -67,7 +70,10 @@ def compare(before: dict, after: dict) -> list[str]:
     or failing rows differ; then, per row, the number of configurations
     whose relative error moved down and up and the row's worst value
     before and after, over the configurations of both.  The rows of
-    ``VERDICT_ONLY`` enter through their verdicts alone.
+    ``VERDICT_ONLY`` enter through their verdicts alone.  Last, per chain
+    length, the summed wall seconds before and after over the
+    configurations of both that carry them (a sweep written before the
+    times were recorded has none).
     """
     common = sorted(set(before) & set(after), key=_config_key)
     lines = [
@@ -105,6 +111,15 @@ def compare(before: dict, after: dict) -> list[str]:
                 f"{name}: down in {down}, up in {up} of {len(pairs)}; "
                 f"worst {worst[0]:.3g} -> {worst[1]:.3g}"
             )
+    totals: dict[int, list] = {}
+    for config in common:
+        if "seconds" in before[config] and "seconds" in after[config]:
+            total = totals.setdefault(_config_key(config)[0], [0, 0.0, 0.0])
+            total[0] += 1
+            total[1] += before[config]["seconds"]
+            total[2] += after[config]["seconds"]
+    for n, (count, old, new) in sorted(totals.items()):
+        lines.append(f"N={n}: {old:.2f} s -> {new:.2f} s over {count} configurations")
     return lines
 
 
@@ -121,7 +136,9 @@ def main(argv=None) -> int:
     failing = 0
     for n in parse_range(args.n):
         for seed in parse_range(args.seeds):
+            start = perf_counter()
             report = run(RunConfig(n_sites=n, seed=seed))
+            seconds = perf_counter() - start
             bad = [
                 f"{row['name']} ({row['rel_err']:.2e})"
                 for row in report["checks"]
@@ -132,7 +149,11 @@ def main(argv=None) -> int:
             verdict = "; ".join(bad) if bad else "pass"
             print(f"N={n} seed={seed}: {verdict}", flush=True)
             checks = {r["name"]: [r["rel_err"], r["pass"]] for r in report["checks"]}
-            rows[f"{n}/{seed}"] = {"checks": checks, "aborted": report["aborted"]}
+            rows[f"{n}/{seed}"] = {
+                "checks": checks,
+                "aborted": report["aborted"],
+                "seconds": seconds,
+            }
     print(f"{failing} of {len(rows)} configurations fail")
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")

@@ -23,7 +23,11 @@ replaced root.  The substituted determinants come from
 ``determinants.column_substituted_slavnov``, built on the same two-pole
 kernel matrix builder as every other Slavnov-type determinant.  Any
 remaining column-independent normalization drops out of the difference
-of the two sums, which is the testable content.
+of the two sums, which is the testable content.  One core evaluates both
+expansions over stacks of bras, kets and sites with one stacked
+determinant call; ``weighted_expansion_table`` calls it once per root
+count for a whole spectrum, and ``weighted_expansion_crosscheck`` is its
+one-element case.
 """
 
 from __future__ import annotations
@@ -140,58 +144,111 @@ def reference_state_identity(params: ChainParams) -> float:
     )
 
 
-def weighted_expansion_terms(
-    params: ChainParams, bra: EigenRecord, ket: EigenRecord, site: int
-) -> tuple[complex, np.ndarray, np.ndarray, np.ndarray]:
-    """Base determinant, substituted-column determinants and the two
-    weight families entering the matrix-element cross-expansion.
+def _weighted_expansions(params: ChainParams, xs, ys, bra_q, ket_q_minus, site):
+    """Both weighted determinant expansions of the equal-sector matrix
+    element and their gap, over broadcastable stacks of the bra roots
+    ``xs`` and the ket roots ``ys`` (last axis: the roots), the bra's Q
+    at ``ys - eta`` and ``ys + eta`` (``bra_q``, a pair shaped like
+    ``ys``), the ket's own Q at ``ys - eta`` and the site.
 
-    Returns ``(base, terms, weights_sov, weights_aba)`` where ``terms[m]``
-    is the residue-regularized substituted determinant dressed per
-    column by the a/d ratio at the replaced ket root, ``weights_sov``
-    carries the separated-chain weights (combination of a, d and the bra
-    Q at the ket roots) and ``weights_aba`` the product-state weights
-    (twice the ratio of shifted Q polynomials).  On shared eigenvalues
-    every separated weight collapses to 2 and the two families agree
-    term by term.
+    The substituted-column determinants are one stack: the base (column
+    1 at its own point, which reproduces the plain determinant), then
+    every column moved onto the site's node, where the returned residue
+    is dressed per column by the a/d ratio at the replaced ket root.
+    The separated-chain weights combine a, d and the bra Q at the ket
+    roots; the product-state weights are twice the ratio of shifted Q
+    polynomials.  On shared eigenvalues every separated weight collapses
+    to 2 and the two families agree term by term.  Returns
+    ``(sov_value, aba_value, diff)``, each of the stack shape; the gap
+    is accumulated from the weight gaps (the two sums share every
+    determinant, so subtracting the assembled totals would only add
+    cancellation noise).
     """
-    if bra.n_roots != ket.n_roots or ket.n_roots == 0:
-        raise ValueError("the cross-expansion needs equal, nonzero root counts")
-    xs = np.asarray(bra.bethe_roots, dtype=complex)
-    ys = np.asarray(ket.bethe_roots, dtype=complex)
-    node = params.xi[site - 1]
-    a_val = a_of(params, ys)
-    d_val = d_of(params, ys)
-    q_minus = bra.q_tau(ys - params.eta)
-    q_plus = bra.q_tau(ys + params.eta)
+    r = ys.shape[-1]
+    q_minus, q_plus = bra_q
+    a_val, d_val = a_of(params, ys), d_of(params, ys)
     w_sov = (a_val * q_minus + d_val * q_plus) / (a_val * q_minus)
-    w_aba = 2.0 * ket.q_tau(ys - params.eta) / q_minus
-    # one stack: the base (column 1 at its own point, which reproduces the
-    # plain determinant), then every column moved onto the node
-    columns = np.append(1, np.arange(1, ys.size + 1))
-    points = np.append(ys[0], np.full(ys.size, node))
-    stack = column_substituted_slavnov(params, -1, xs, ys, columns, points)
-    terms = (a_val / d_val) * stack[1:]
-    return complex(stack[0]), terms, w_sov, w_aba
+    w_aba = 2.0 * ket_q_minus / q_minus
+    stack = np.broadcast_shapes(ys.shape[:-1], np.shape(site))
+    node = params.xi[np.asarray(site) - 1]
+    points = np.concatenate(
+        [
+            np.broadcast_to(ys[..., :1], stack + (1,)),
+            np.broadcast_to(node[..., None], stack + (r,)),
+        ],
+        axis=-1,
+    )
+    columns = np.append(1, np.arange(1, r + 1))
+    dets = column_substituted_slavnov(
+        params, -1, xs[..., None, :], ys[..., None, :], columns, points
+    )
+    base, terms = dets[..., 0], (a_val / d_val) * dets[..., 1:]
+    return (
+        base + np.sum(w_sov * terms, axis=-1),
+        base + np.sum(w_aba * terms, axis=-1),
+        np.abs(np.sum((w_sov - w_aba) * terms, axis=-1)),
+    )
 
 
 def weighted_expansion_crosscheck(
     params: ChainParams, bra: EigenRecord, ket: EigenRecord, site: int
 ) -> tuple[complex, complex, float]:
     """Equality of the two weighted determinant expansions of the
-    equal-sector matrix element.
+    equal-sector matrix element (``_weighted_expansions`` for one
+    element).
 
     Returns ``(sov_value, aba_value, diff)``: the separated-chain sum,
-    the product-state sum, and the magnitude of their difference.  The
-    difference is accumulated directly from the weight gaps (the two
-    sums share every determinant, so subtracting the assembled totals
-    would only add cancellation noise); it is the same quantity.
+    the product-state sum, and the magnitude of their difference.
     """
-    base, terms, w_sov, w_aba = weighted_expansion_terms(params, bra, ket, site)
-    sov_value = complex(base + np.sum(w_sov * terms))
-    aba_value = complex(base + np.sum(w_aba * terms))
-    diff = float(abs(np.sum((w_sov - w_aba) * terms)))
-    return sov_value, aba_value, diff
+    if bra.n_roots != ket.n_roots or ket.n_roots == 0:
+        raise ValueError("the cross-expansion needs equal, nonzero root counts")
+    ys = np.asarray(ket.bethe_roots, dtype=complex)
+    shifted = ys + np.array([[-1.0], [1.0]]) * params.eta
+    sov_value, aba_value, diff = _weighted_expansions(
+        params,
+        np.asarray(bra.bethe_roots, dtype=complex),
+        ys,
+        bra.q_tau(shifted),
+        ket.q_tau(shifted[0]),
+        site,
+    )
+    return complex(sov_value), complex(aba_value), float(diff)
+
+
+def weighted_expansion_table(
+    params: ChainParams, records
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``weighted_expansion_crosscheck`` between records i and j at site
+    s, at ``[i, j, s - 1]`` of each of its three arrays: one
+    ``_weighted_expansions`` call per nonzero root count, over every bra
+    and ket of that sector and every site (stack axes bra, ket, site).
+    Pairs of unequal root counts and root-free records hold zeros.
+    """
+    n = params.n_sites
+    counts = np.array([rec.n_roots for rec in records])
+    shape = (len(records), len(records), n)
+    out = (np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(shape))
+    sites = np.arange(1, n + 1)
+    for r in sorted(set(counts.tolist()) - {0}):
+        members = np.flatnonzero(counts == r)
+        sector = [records[i] for i in members]
+        roots = np.array([rec.bethe_roots for rec in sector]).reshape(members.size, r)
+        shifted = roots + np.array([[[-1.0]], [[1.0]]]) * params.eta
+        # each bra's Q at every ket's roots, shifted down and up: axes
+        # (shift, bra, ket, root); each ket's own Q is on the diagonal
+        q = np.array([rec.q_tau(shifted) for rec in sector]).swapaxes(0, 1)
+        ket_q_minus = np.diagonal(q[0]).T
+        values = _weighted_expansions(
+            params,
+            roots[:, None, None, :],
+            roots[None, :, None, :],
+            q[:, :, :, None, :],
+            ket_q_minus[None, :, None, :],
+            sites,
+        )
+        for table, value in zip(out, values):
+            table[np.ix_(members, members)] = value
+    return out
 
 
 _TRANSLATION_CASES = {

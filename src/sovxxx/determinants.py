@@ -492,25 +492,27 @@ def lattice_column_determinant(
     """
     xs = np.asarray(xs, dtype=complex)
     ys_free = np.asarray(ys_free, dtype=complex)
-    site = np.asarray(site)
-    if ((site < 1) | (site > params.n_sites)).any():
+    index = np.asarray(site) - 1
+    if index.min() < 0 or index.max() >= params.n_sites:
         raise ValueError("site index out of range")
     m = ys_free.shape[-1]
     if m < xs.shape[-1] - 1:
         raise ValueError("the free set cannot be smaller than the on-shell set")
-    rows, (g, rho) = _on_shell_weights(params, mu, xs, ys_free)
-    node = params.xi[site - 1]
+    rows, (g_free, rho_free) = _on_shell_weights(params, mu, xs, ys_free)
     # the node joins the free set as one more column, whose weights (those
-    # of its pole residue) do not depend on the node
-    stack = np.broadcast_shapes(ys_free.shape[:-1], site.shape)
+    # of its pole residue, g = 1 and rho = 0) do not depend on the node;
+    # each array is filled in place, with no concatenation
+    stack = np.broadcast_shapes(ys_free.shape[:-1], index.shape)
     ys = np.empty(stack + (m + 1,), dtype=complex)
     ys[..., :m] = ys_free
-    ys[..., m] = node
-    end = np.ones(g.shape[:-1] + (1,))
-    g, rho = np.concatenate([g, end], axis=-1), np.concatenate([rho, 0 * end], axis=-1)
+    ys[..., m] = params.xi[index]
+    g, rho = np.zeros((2,) + g_free.shape[:-1] + (m + 1,), dtype=complex)
+    g[..., :m] = g_free
+    g[..., m] = 1.0
+    rho[..., :m] = rho_free
     diffs = xs[..., :, None] - ys[..., None, :]
     mat = _on_shell_matrix(params, xs, ys, diffs, rows, g, rho)
-    residue = mu * params.a_at_nodes[site - 1]
+    residue = mu * params.a_at_nodes[index]
     return _result(residue * _normalized_det(mat, xs, ys, diffs, params.eta))
 
 

@@ -8,7 +8,9 @@ root counts saturate the chain length, and to one on-shell rule
 (``sp_on_shell``) when one factor is a transfer eigenstate.  Each closed
 form is exposed separately so they can be cross-validated against the
 dense pairing and against one another; the norm of an eigenstate gets
-its dedicated derivative-matrix determinant.
+its dedicated derivative-matrix determinant.  The on-shell rule takes
+stacks of root sets (one determinant call per stack);
+``sp_with_eigenstate`` is its one-element case.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .chain import ChainParams, d_of, vandermonde
 from .determinants import (
+    _result,
     dressed_vandermonde,
     gaudin_matrix,
     gen_slavnov_determinant,
@@ -174,7 +177,7 @@ def _on_shell_weight(n_sites: int, m: int, r: int) -> float:
     return sign * 2.0 ** (n_sites - m - r)
 
 
-def sp_on_shell(params: ChainParams, left_roots, on_shell_roots) -> complex:
+def sp_on_shell(params: ChainParams, left_roots, on_shell_roots):
     """Pairing of a polynomial left separate state with the eigenstate of
     an on-shell root set: the one rule behind every pairing with an
     eigenstate, its norm limit and (through ``formfactors.ff_sigma_minus``)
@@ -183,15 +186,19 @@ def sp_on_shell(params: ChainParams, left_roots, on_shell_roots) -> complex:
     Below the on-shell count R the pairing vanishes identically; from
     M = R on it is the rectangular on-shell determinant (the square one
     at M = R) times the sign and power of two of ``_on_shell_weight``
-    and the d-products over both root sets.
+    and the d-products over both root sets.  The two root sets may be
+    stacks of one shape (last axis: the roots), giving an array of the
+    stack shape from one determinant call; two single sets give a
+    ``complex``.
     """
-    left_roots = np.asarray(left_roots, dtype=complex).ravel()
-    on_shell_roots = np.asarray(on_shell_roots, dtype=complex).ravel()
-    m, r = left_roots.size, on_shell_roots.size
+    left_roots = np.asarray(left_roots, dtype=complex)
+    on_shell_roots = np.asarray(on_shell_roots, dtype=complex)
+    m, r = left_roots.shape[-1], on_shell_roots.shape[-1]
     if m < r:
-        return 0.0 + 0.0j
-    pref = _root_prefactor(params, np.concatenate([left_roots, on_shell_roots]))
-    return complex(
+        return _result(np.zeros(left_roots.shape[:-1], dtype=complex))
+    pooled = np.concatenate([left_roots, on_shell_roots], axis=-1)
+    pref = np.prod(d_of(params, pooled), axis=-1)
+    return _result(
         _on_shell_weight(params.n_sites, m, r)
         * pref
         * gen_slavnov_determinant(params, -1.0, on_shell_roots, left_roots)

@@ -185,7 +185,9 @@ def sov_gram_check(params: ChainParams) -> dict[str, float]:
 @dataclass(frozen=True, eq=False)
 class SeparateStateSpec:
     """Defining data of a separate state: the per-site values of its
-    weight function on the inhomogeneity lattice."""
+    weight function on the inhomogeneity lattice.  The last axis runs
+    over the sites; leading axes, if any, index a stack of states of one
+    side."""
 
     side: str
     values_at_xi: np.ndarray
@@ -195,27 +197,28 @@ class SeparateStateSpec:
         if self.side not in ("left", "right"):
             raise ValueError('side must be "left" or "right"')
         for name in ("values_at_xi", "values_at_xi_minus_eta"):
-            arr = np.asarray(getattr(self, name), dtype=complex).ravel().copy()
+            arr = np.array(getattr(self, name), dtype=complex, ndmin=1)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.values_at_xi.size != self.values_at_xi_minus_eta.size:
-            raise ValueError("value arrays must have equal length")
+        if self.values_at_xi.shape != self.values_at_xi_minus_eta.shape:
+            raise ValueError("value arrays must have equal shapes")
 
 
 def spec_from_roots(params: ChainParams, roots, side: str) -> SeparateStateSpec:
     """Separate-state data for the monic polynomial with the given roots:
     the product of (x - r) over the roots, at every inhomogeneity and at
     its down-shift, in one broadcast product (no expanded coefficients).
+    A stack of root sets (last axis: the roots) gives a stack of states.
     Non-finite roots give non-finite values, which the spec rejects."""
-    roots = np.asarray(roots, dtype=complex).ravel()
+    roots = np.array(roots, dtype=complex, ndmin=1)
     points = np.stack((params.xi, params.xi - params.eta))
-    at_xi, at_xi_minus_eta = np.prod(points[..., None] - roots, axis=-1)
+    values = np.prod(points[..., None] - roots[..., None, None, :], axis=-1)
     return SeparateStateSpec(
         side=side,
-        values_at_xi=at_xi,
-        values_at_xi_minus_eta=at_xi_minus_eta,
+        values_at_xi=values[..., 0, :],
+        values_at_xi_minus_eta=values[..., 1, :],
     )
 
 
@@ -245,10 +248,11 @@ def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.nd
     biorthogonal to the left one with factorized weights.  The weights of
     all 2^N patterns are one product over the chain's occupation table,
     and the vector is one plain (uncompensated) matrix-vector product with
-    the basis.
+    the basis.  A stack of states gives one row per state, from one
+    weight product and one matrix product with the basis.
     """
     n = params.n_sites
-    if sspec.values_at_xi.size != n:
+    if sspec.values_at_xi.shape[-1] != n:
         raise ValueError("separate-state values must cover every site")
     basis = sov_basis(params, sspec.side)
     tables = sov_tables(params)
@@ -260,7 +264,9 @@ def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.nd
     else:
         dressing = params.a_at_nodes / d_of(params, xi - eta)
         site_w1 = dressing * sspec.values_at_xi_minus_eta
-    weights = np.where(tables.bits, site_w1, site_w0).prod(axis=1)
+    weights = np.where(
+        tables.bits, site_w1[..., None, :], site_w0[..., None, :]
+    ).prod(axis=-1)
     return (weights * tables.shifted_vandermonde) @ basis
 
 

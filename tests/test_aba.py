@@ -18,6 +18,7 @@ from sovxxx.aba import (
     translation_constant,
     translation_residual,
     twisted_eigen_residual,
+    weighted_expansion_table,
 )
 from sovxxx.chain import fixture_params
 from sovxxx.determinants import mu_bethe_residuals, slavnov_determinant
@@ -96,6 +97,24 @@ def test_equal_sector_weighted_expansions_agree():
             )
             scale = max(abs(sov_value), abs(aba_value), 1.0)
             assert diff <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weighted_expansion_table_equals_each_crosscheck(n_sites, seed):
+    params = cached_params(n_sites, seed)
+    records = cached_spectrum(n_sites, seed)
+    table = weighted_expansion_table(params, records)
+    for i, bra in enumerate(records):
+        for j, ket in enumerate(records):
+            for site in range(1, n_sites + 1):
+                stacked = [part[i, j, site - 1] for part in table]
+                if bra.n_roots != ket.n_roots or bra.n_roots == 0:
+                    assert stacked == [0.0, 0.0, 0.0]
+                    continue
+                one = weighted_expansion_crosscheck(params, bra, ket, site)
+                for got, want in zip(stacked, one):
+                    assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
 
 def test_translation_constants_table():

@@ -9,10 +9,10 @@ import json
 import numpy as np
 import pytest
 
-from sovxxx import cli, determinants, formfactors
+from sovxxx import aba, cli, determinants, formfactors, scalar
 from sovxxx.chain import sample_generic_params
 from sovxxx.cli import SUITE_ORDER, RunConfig, main, render_csv, render_json, run
-from sovxxx.errors import SpectrumError
+from sovxxx.errors import SamplingFailureError, SpectrumError
 from sovxxx.formfactors import eigenstate_vectors
 from sovxxx.spectrum import full_spectrum
 
@@ -216,38 +216,108 @@ def test_full_run_builds_each_spectrum_once(monkeypatch, tmp_path):
     assert calls["eigenstate_vectors"] == 2**3
 
 
+def _two_draw_sampler(rng, count, eta, avoid=(), min_sep=0.2, box=1.8):
+    """Reference for ``cli._draw_separated``: the same rejection rule with
+    one scalar draw per coordinate."""
+    shifts = (0.0, complex(eta), -complex(eta))
+    accepted: list[complex] = []
+    anchors = [complex(w) for w in avoid]
+    for _ in range(4000):
+        if len(accepted) == count:
+            break
+        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
+        if all(abs(z - w + s) >= min_sep for w in anchors + accepted for s in shifts):
+            accepted.append(z)
+    if len(accepted) != count:
+        raise SamplingFailureError("could not draw well-separated sample points")
+    return np.array(accepted, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "count, avoid, min_sep, box",
+    [
+        (0, (), 0.2, 1.8),
+        (0, (0.1 + 0.2j,), 0.3, 2.4),
+        (3, (), 0.2, 1.8),
+        (5, (0.3 - 0.1j, -0.7 + 0.4j, 1.1j), 0.3, 2.4),
+        (8, (0.5, -0.5), 0.2, 1.8),
+        (40, (), 0.3, 1.0),  # too many for the box: SamplingFailureError
+    ],
+)
+def test_separated_draw_matches_two_scalar_draws(count, avoid, min_sep, box):
+    eta = 0.9 + 0.15j
+    outcomes = []
+    for sampler in (cli._draw_separated, _two_draw_sampler):
+        rng = np.random.Generator(np.random.Philox(key=[7, 0x1D5]))
+        rng.uniform(size=3)  # start mid-stream, as a suite's later draws do
+        try:
+            points = sampler(rng, count, eta, avoid=avoid, min_sep=min_sep, box=box)
+        except SamplingFailureError:
+            points = None
+        state = dict(rng.bit_generator.state, **rng.bit_generator.state["state"])
+        del state["state"]
+        outcomes.append((points, {k: np.asarray(v).tolist() for k, v in state.items()}))
+    (points, state), (ref_points, ref_state) = outcomes
+    assert state == ref_state
+    if ref_points is None:
+        assert points is None and count == 40
+    else:
+        assert points.dtype == ref_points.dtype and points.shape == (count,)
+        assert points.tobytes() == ref_points.tobytes()
+
+
+def _count_on_shell_checks(monkeypatch) -> list:
+    """Record the row-set shape of every on-shell gate pass."""
+    checks = []
+    gate = determinants._on_shell_weights
+
+    def counting(params, mu, xs, ys):
+        checks.append(np.shape(xs))
+        return gate(params, mu, xs, ys)
+
+    monkeypatch.setattr(determinants, "_on_shell_weights", counting)
+    return checks
+
+
 def test_aba_check_reports_each_record_once(monkeypatch):
     reported = []
     correspondence_report = cli.correspondence_report
-    checks = []
-    gate = determinants._on_shell_weights
-    per_expansion = []
-    crosscheck = cli.weighted_expansion_crosscheck
+    checks = _count_on_shell_checks(monkeypatch)
+    substituted = []
+    column_substituted = aba.column_substituted_slavnov
+    in_table = []
+    table = cli.weighted_expansion_table
 
     def counting(params, rec, vectors):
         reported.append(id(rec))
         return correspondence_report(params, rec, vectors)
 
-    def counting_checks(params, mu, xs, ys):
-        checks.append(np.shape(xs))
-        return gate(params, mu, xs, ys)
+    def counting_substituted(params, mu, xs, ys, m, z):
+        value = column_substituted(params, mu, xs, ys, m, z)
+        substituted.append((np.shape(xs)[-1], np.shape(value)))
+        return value
 
-    def counting_expansion(params, bra, ket, site):
+    def counting_table(params, records):
         before = len(checks)
-        value = crosscheck(params, bra, ket, site)
-        per_expansion.append(len(checks) - before)
+        value = table(params, records)
+        in_table.append(len(checks) - before)
         return value
 
     monkeypatch.setattr(cli, "correspondence_report", counting)
-    monkeypatch.setattr(determinants, "_on_shell_weights", counting_checks)
-    monkeypatch.setattr(cli, "weighted_expansion_crosscheck", counting_expansion)
+    monkeypatch.setattr(aba, "column_substituted_slavnov", counting_substituted)
+    monkeypatch.setattr(cli, "weighted_expansion_table", counting_table)
     report = run(RunConfig(n_sites=3, seed=0, suites=("aba-check",)))
     assert report["aborted"] == {}
     assert len(reported) == len(set(reported)) == 2**3
-    # one on-shell check per cross-expansion: its base determinant is one
-    # more member of the stack of substituted columns (a separate base
-    # call made 114)
-    assert per_expansion == [1] * 57
+    # one stacked call, and so one on-shell check, per nonzero root count:
+    # every bra, ket and site of the sector, each with its base and one
+    # member per substituted column (one call per expansion made 57)
+    counts = [rec.n_roots for rec in full_spectrum(sample_generic_params(3, 0), 0)]
+    sectors = {r: counts.count(r) for r in set(counts) - {0}}
+    assert in_table == [len(sectors)]
+    assert substituted == [
+        (r, (size, size, 3, r + 1)) for r, size in sorted(sectors.items())
+    ]
 
 
 def _count_lowering_calls(monkeypatch) -> list:
@@ -283,34 +353,71 @@ def test_full_run_evaluates_each_lowering_element_once(monkeypatch, tmp_path):
 
 
 def test_identities_suite_checks_each_row_set_once_per_stack(monkeypatch):
-    checks = []
-    gate = determinants._on_shell_weights
-    rectangular = []
-    rectangular_det = cli.gen_slavnov_determinant
+    checks = _count_on_shell_checks(monkeypatch)
+    calls = {"square": [], "rectangular": []}
 
-    def counting(params, mu, xs, ys):
-        checks.append(np.shape(xs))
-        return gate(params, mu, xs, ys)
+    def counting(kind, evaluate):
+        def wrapper(params, mu, xs, ys):
+            calls[kind].append((np.shape(xs), np.shape(ys)))
+            return evaluate(params, mu, xs, ys)
 
-    def counting_rectangular(params, mu, xs, ys):
-        rectangular.append(np.shape(ys))
-        return rectangular_det(params, mu, xs, ys)
+        return wrapper
 
-    monkeypatch.setattr(determinants, "_on_shell_weights", counting)
-    monkeypatch.setattr(cli, "gen_slavnov_determinant", counting_rectangular)
+    monkeypatch.setattr(
+        cli, "slavnov_determinant", counting("square", cli.slavnov_determinant)
+    )
+    monkeypatch.setattr(
+        cli,
+        "gen_slavnov_determinant",
+        counting("rectangular", cli.gen_slavnov_determinant),
+    )
     report = run(RunConfig(n_sites=3, seed=0, suites=("identities",)))
     assert not report["aborted"]
     params = sample_generic_params(3, 0)
-    row_sets = sum(
-        (rec.bethe_roots.size > 0) + (rec.q_minus_roots.size > 0)
+    sizes = [
+        roots.size
         for rec in full_spectrum(params, 0)
+        for roots in (rec.bethe_roots, rec.q_minus_roots)
+        if roots.size > 0
+    ]
+    square, rectangular = calls["square"], calls["rectangular"]
+    # one square stack per root count, holding ten free sets per root set
+    assert sorted(xs[-1] for xs, _ in square) == sorted(set(sizes))
+    for xs, ys in square:
+        assert xs == ys == (10 * sizes.count(xs[-1]), xs[-1])
+    # one rectangular stack per (root count, one or two extra points)
+    pairs = [(xs[-1], ys[-1] - xs[-1]) for xs, ys in rectangular]
+    assert len(set(pairs)) == len(pairs)
+    assert {extra for _, extra in pairs} <= {1, 2}
+    for m in set(sizes):
+        stacks = [xs[0] for xs, _ in rectangular if xs[-1] == m]
+        assert sum(stacks) == 10 * sizes.count(m)
+    # the stacks and the six evaluations of the coinciding-root limit (15;
+    # one square stack per root set made 48)
+    assert len(checks) == len(square) + len(rectangular) + 6
+
+
+def test_scalar_products_suite_pairs_each_sector_group_once(monkeypatch):
+    calls = []
+    rectangular = scalar.gen_slavnov_determinant
+
+    def counting(params, mu, xs, ys):
+        calls.append((np.shape(xs), np.shape(ys)))
+        return rectangular(params, mu, xs, ys)
+
+    monkeypatch.setattr(scalar, "gen_slavnov_determinant", counting)
+    report = run(RunConfig(n_sites=3, seed=0, suites=("scalar-products",)))
+    assert report["aborted"] == {}
+    counts = [rec.n_roots for rec in full_spectrum(sample_generic_params(3, 0), 0)]
+    # one call per on-shell count R and left count M = R..N+1, over the R
+    # sector's records (14; one per pairing made 28); M < R pairings
+    # vanish without one
+    expected = sorted(
+        ((counts.count(r), r), (counts.count(r), m))
+        for r in set(counts)
+        for m in range(r, 3 + 2)
     )
-    # one square stack per root set, one rectangular stack per free-set
-    # size drawn for it (one or two extra points) and the six evaluations
-    # of the coinciding-root limit; one call per determinant made 286
-    assert row_sets <= len(rectangular) <= 2 * row_sets
-    assert len(checks) == row_sets + len(rectangular) + 6
-    assert sum(shape[0] for shape in rectangular) == 10 * row_sets
+    assert sorted(calls) == expected
 
 
 def test_failed_spectrum_build_is_not_cached(monkeypatch):

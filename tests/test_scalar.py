@@ -24,6 +24,7 @@ from sovxxx.scalar import (
     sp_direct,
     sp_izergin_form,
     sp_izergin_form_clustered,
+    sp_on_shell,
     sp_with_eigenstate,
     stress_trends,
 )
@@ -94,6 +95,32 @@ def test_eigenstate_dispatch_matches_dense_for_all_sector_sizes():
             assert abs(value - dense) <= 1e-9 * scale
             if m_left < rec.n_roots:
                 assert abs(value) <= 1e-9 * scale
+
+
+def test_stacked_on_shell_pairings_equal_one_call_per_pairing():
+    n_sites = 3
+    params = cached_params(n_sites, 0)
+    rng = np.random.Generator(np.random.Philox(key=704))
+    xi = np.asarray(params.xi, dtype=complex)
+    records = cached_spectrum(n_sites, 0)
+    for r in range(n_sites + 1):
+        sector = [rec.bethe_roots for rec in records if rec.n_roots == r]
+        on_shell = np.array(sector).reshape(len(sector), r)
+        avoid = np.concatenate([xi, on_shell.ravel()])
+        for m in range(n_sites + 2):
+            left = np.array(
+                [separated_cloud(rng, m, params.eta, avoid=avoid) for _ in sector]
+            ).reshape(len(sector), m)
+            stacked = sp_on_shell(params, left, on_shell)
+            assert stacked.shape == (len(on_shell),)
+            one = [sp_on_shell(params, x, y) for x, y in zip(left, on_shell)]
+            if m < r:
+                # below the on-shell count: exact zeros of the stack shape
+                assert np.array_equal(stacked, np.zeros(len(on_shell)))
+                assert one == [0.0] * len(on_shell)
+            else:
+                scale = np.maximum(np.abs(one), 1e-300)
+                assert np.all(np.abs(stacked - one) <= 1e-12 * scale)
 
 
 def test_single_site_norms_match_hand_values():

@@ -79,6 +79,26 @@ def test_table_product_matches_compensated_reference(n_sites, spectrum_of):
         assert np.max(np.abs(got - ref)) <= 1e-12 * float(np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("n_sites", [1, 3, 5])
+def test_stacked_separate_states_match_each_spec(n_sites):
+    params = cached_params(n_sites, 0)
+    rng = np.random.Generator(np.random.Philox(key=406 + n_sites))
+    for m in range(n_sites + 2):
+        roots = np.array(
+            [separated_cloud(rng, m, params.eta, avoid=params.xi) for _ in range(4)]
+        ).reshape(2, 2, m)
+        for side in ("left", "right"):
+            stacked = spec_from_roots(params, roots, side)
+            assert stacked.values_at_xi.shape == (2, 2, n_sites)
+            got = separate_state_dense(params, stacked)
+            assert got.shape == (2, 2, 2**n_sites)
+            for index in np.ndindex(2, 2):
+                one = spec_from_roots(params, roots[index], side)
+                assert np.array_equal(stacked.values_at_xi[index], one.values_at_xi)
+                ref = separate_state_dense(params, one)
+                assert np.max(np.abs(got[index] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
 def test_tables_match_per_pattern_evaluation(n_sites):
     params = cached_params(n_sites, 0)

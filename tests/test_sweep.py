@@ -36,6 +36,8 @@ def test_sweep_writes_every_row_as_an_error_verdict_pair(tmp_path, monkeypatch):
     assert sorted(rows) == ["1/0", "2/0", "3/0"]
     for config in rows.values():
         assert config["aborted"] == {}
+        # the run's wall time rides next to the rows, outside the report
+        assert isinstance(config["seconds"], float) and config["seconds"] > 0
         assert config["checks"]
         for rel_err, passed in config["checks"].values():
             assert isinstance(rel_err, float)
@@ -72,4 +74,23 @@ def test_compare_reports_changed_configurations_and_moved_rows(tmp_path, monkeyp
     ]
     assert sweep.compare(before, before) == [
         "no configuration differs in exit status, aborts or failing rows"
+    ]
+
+
+def test_compare_sums_wall_time_per_length_where_both_sides_have_it(monkeypatch):
+    sweep = _load_sweep(monkeypatch, dict(os.environ))
+
+    def entry(seconds=None):
+        out = {"checks": {"a/x": [1e-12, True]}, "aborted": {}}
+        if seconds is not None:
+            out["seconds"] = seconds
+        return out
+
+    # "3/1" comes from a sweep written before the times were recorded
+    before = {"3/0": entry(0.25), "3/1": entry(), "4/0": entry(1.0), "4/1": entry(2.0)}
+    after = {"3/0": entry(0.5), "3/1": entry(0.5), "4/0": entry(0.5), "4/1": entry(1.0)}
+    assert sweep.compare(before, after) == [
+        "no configuration differs in exit status, aborts or failing rows",
+        "N=3: 0.25 s -> 0.50 s over 1 configurations",
+        "N=4: 3.00 s -> 1.50 s over 2 configurations",
     ]
