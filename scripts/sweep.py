@@ -10,8 +10,10 @@ failing rows (name and relative error) and aborted suites.  The exit
 status is 1 when any row fails or any suite aborts, 0 otherwise.
 ``--json`` also writes every row's relative error and verdict, keyed by
 configuration, so two checkouts' sweeps can be compared row by row, and
-next to them the configuration's wall seconds (``cli.run`` alone; kept
-out of the report, whose bytes do not depend on it);
+next to them the configuration's wall seconds (``cli.run`` alone) and
+each suite's (the script times the entries of ``cli._SUITES``; a build
+shared by several suites is charged to the first that uses it).  The
+times stay out of the report, whose bytes do not depend on them;
 ``--compare OTHER.json`` does that comparison, with OTHER as the before
 side and this sweep as the after side (see ``compare``).
 The package is imported from the ``src/`` directory next to this script.
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -36,6 +39,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sovxxx import cli  # noqa: E402
 from sovxxx.cli import RunConfig, run  # noqa: E402
 
 
@@ -51,6 +55,29 @@ def parse_range(text: str) -> list[int]:
 # rows whose value moves by far more than rounding under a 1-ulp change of
 # its inputs, so two correct builds agree on its verdict only
 VERDICT_ONLY = ("homogeneous-stress/raw_matrix_condition_grows_inverse_cubed",)
+
+
+@contextmanager
+def suite_timer(seconds: dict):
+    """Within the block, each suite call of ``cli.run`` adds its wall
+    seconds to ``seconds[suite]``; the suite table is restored after."""
+    original = dict(cli._SUITES)
+
+    def timed(suite, fn):
+        def call(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[suite] = seconds.get(suite, 0.0) + perf_counter() - start
+
+        return call
+
+    cli._SUITES.update({suite: timed(suite, fn) for suite, fn in original.items()})
+    try:
+        yield seconds
+    finally:
+        cli._SUITES.update(original)
 
 
 def _config_key(config: str) -> tuple[int, int]:
@@ -73,7 +100,8 @@ def compare(before: dict, after: dict) -> list[str]:
     ``VERDICT_ONLY`` enter through their verdicts alone.  Last, per chain
     length, the summed wall seconds before and after over the
     configurations of both that carry them (a sweep written before the
-    times were recorded has none).
+    times were recorded has none), each followed by the same sums per
+    suite over the configurations of both that carry suite times.
     """
     common = sorted(set(before) & set(after), key=_config_key)
     lines = [
@@ -112,14 +140,24 @@ def compare(before: dict, after: dict) -> list[str]:
                 f"worst {worst[0]:.3g} -> {worst[1]:.3g}"
             )
     totals: dict[int, list] = {}
+    suites: dict[int, dict] = {}
     for config in common:
-        if "seconds" in before[config] and "seconds" in after[config]:
-            total = totals.setdefault(_config_key(config)[0], [0, 0.0, 0.0])
+        old, new = before[config], after[config]
+        n = _config_key(config)[0]
+        if "seconds" in old and "seconds" in new:
+            total = totals.setdefault(n, [0, 0.0, 0.0])
             total[0] += 1
-            total[1] += before[config]["seconds"]
-            total[2] += after[config]["seconds"]
+            total[1] += old["seconds"]
+            total[2] += new["seconds"]
+        old_suites, new_suites = old.get("suite_seconds", {}), new.get("suite_seconds", {})
+        for suite in sorted(set(old_suites) & set(new_suites)):
+            pair = suites.setdefault(n, {}).setdefault(suite, [0.0, 0.0])
+            pair[0] += old_suites[suite]
+            pair[1] += new_suites[suite]
     for n, (count, old, new) in sorted(totals.items()):
         lines.append(f"N={n}: {old:.2f} s -> {new:.2f} s over {count} configurations")
+        for suite, (old, new) in suites.get(n, {}).items():
+            lines.append(f"  {suite}: {old:.3f} s -> {new:.3f} s")
     return lines
 
 
@@ -136,9 +174,10 @@ def main(argv=None) -> int:
     failing = 0
     for n in parse_range(args.n):
         for seed in parse_range(args.seeds):
-            start = perf_counter()
-            report = run(RunConfig(n_sites=n, seed=seed))
-            seconds = perf_counter() - start
+            with suite_timer({}) as suite_seconds:
+                start = perf_counter()
+                report = run(RunConfig(n_sites=n, seed=seed))
+                seconds = perf_counter() - start
             bad = [
                 f"{row['name']} ({row['rel_err']:.2e})"
                 for row in report["checks"]
@@ -153,6 +192,7 @@ def main(argv=None) -> int:
                 "checks": checks,
                 "aborted": report["aborted"],
                 "seconds": seconds,
+                "suite_seconds": suite_seconds,
             }
     print(f"{failing} of {len(rows)} configurations fail")
     if args.json:

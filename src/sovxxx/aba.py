@@ -49,22 +49,23 @@ def bethe_state(params: ChainParams, roots) -> np.ndarray:
     entry at each root applied to the all-down reference state (the bare
     reference state when there are no roots).  On shared Bethe roots it
     is a twisted-transfer eigenvector with the antiperiodic eigenvalue.
+    The entries at every root come from one stacked monodromy build.
     """
     roots = np.asarray(roots, dtype=complex).ravel()
     state = dense.flipped_reference_state(params)
-    for lam in roots:
-        state = dense.monodromy(params, lam)[1][0] @ state
+    for entry in dense.monodromy(params, roots)[1][0]:
+        state = entry @ state
     return state
 
 
 def left_bethe_state(params: ChainParams, roots) -> np.ndarray:
     """Dense row state pairing with ``bethe_state`` kets: the all-down
     reference contracted from the left through upper-right monodromy
-    entries, one per root."""
+    entries, one per root, from one stacked monodromy build."""
     roots = np.asarray(roots, dtype=complex).ravel()
     state = dense.flipped_reference_state(params)
-    for lam in roots:
-        state = state @ dense.monodromy(params, lam)[0][1]
+    for entry in dense.monodromy(params, roots)[0][1]:
+        state = state @ entry
     return state
 
 

@@ -198,45 +198,3 @@ def shifted_xi(params: ChainParams, h, direction: int = -1) -> np.ndarray:
     """The inhomogeneities with each occupied slot shifted by ``direction*eta``."""
     h = np.asarray(h)
     return params.xi + direction * params.eta * h
-
-
-def vandermonde_shift_check(params: ChainParams, h) -> tuple[complex, complex]:
-    """Both sides of the occupied-slot Vandermonde shift identity.
-
-    For occupation pattern ``h`` the product over occupied slots n of
-    prod_{m != n} (xi_n - xi_m + eta)/(xi_n - xi_m - eta), multiplied by
-    the Vandermonde of the down-shifted set, equals the Vandermonde of
-    the up-shifted set.  Returns (lhs, rhs) for the caller to compare.
-    """
-    h = np.asarray(h).ravel()
-    if h.size != params.n_sites:
-        raise ValueError("occupation pattern must have one entry per site")
-    xi = params.xi
-    eta = params.eta
-    ratio = 1.0 + 0.0j
-    for n in range(params.n_sites):
-        if not h[n]:
-            continue
-        others = np.delete(xi, n)
-        ratio *= np.prod((xi[n] - others + eta) / (xi[n] - others - eta))
-    lhs = ratio * vandermonde(shifted_xi(params, h, direction=-1))
-    rhs = vandermonde(shifted_xi(params, h, direction=+1))
-    return complex(lhs), complex(rhs)
-
-
-def params_to_json(params: ChainParams) -> dict:
-    """JSON-ready description of a parameter set (floats as [re, im] pairs)."""
-    return {
-        "n_sites": params.n_sites,
-        "eta": [params.eta.real, params.eta.imag],
-        "xi": [[z.real, z.imag] for z in params.xi],
-        "margin": params.margin,
-    }
-
-
-def params_from_json(data: dict) -> ChainParams:
-    eta = complex(data["eta"][0], data["eta"][1])
-    xi = np.array([complex(re, im) for re, im in data["xi"]], dtype=complex)
-    return ChainParams(
-        n_sites=int(data["n_sites"]), eta=eta, xi=xi, margin=float(data["margin"])
-    )

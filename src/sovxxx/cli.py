@@ -19,10 +19,12 @@ Suites draw every sample of a check first, in the order the generator
 serves them, and then evaluate each group of equal sizes with one
 stacked call of the library (``_stacks``): the identities suite makes
 one square on-shell stack per root count and one rectangular stack per
-pair of sizes, the scalar-products suite one eigenstate pairing and one
+pair of sizes, the scalar-products suite one call per closed-form route
+per (left, right) root-count pair and one eigenstate pairing and one
 stack of dense states per (on-shell, left) root-count pair, and the
-aba-check suite one weighted-expansion call per root count.  Grouping
-changes no draw; values move at rounding level only.
+aba-check suite one weighted-expansion call per root count.  The oracle
+and sov suites build the monodromy at all their points in one stacked
+call.  Grouping changes no draw; values move at rounding level only.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ from .dense import (
     monodromy,
     quantum_det_check,
     site_sigma,
-    transfer_antiperiodic,
-    transfer_twisted,
 )
 from .determinants import (
     balanced_shift_ratio,
@@ -243,7 +243,9 @@ def _suite_oracle(config: RunConfig, chains: Chains):
     params = chains(config.n_sites).params
     tol = config.tol("oracle", 1e-9)
     pts = [default_eval_point(params, i) for i in range(3)]
-    mats = [transfer_antiperiodic(params, z) for z in pts]
+    # both transfer matrices at every point, from one stacked monodromy
+    (a, b), (c, d) = monodromy(params, pts)
+    mats = b + c
     worst = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -254,7 +256,7 @@ def _suite_oracle(config: RunConfig, chains: Chains):
     rows.append(_residual_row("oracle/quantum_determinant_factorizes", qworst, tol))
     flip = global_flip(params)
     t_anti = mats[0]
-    t_tw = transfer_twisted(params, pts[0])
+    t_tw = a[0] - d[0]
     r_flip_a = float(np.max(np.abs(flip @ t_anti @ flip - t_anti))) / _mat_scale(t_anti)
     r_flip_t = float(np.max(np.abs(flip @ t_tw @ flip + t_tw))) / _mat_scale(t_tw)
     rows.append(
@@ -284,8 +286,8 @@ def _suite_sov(config: RunConfig, chains: Chains):
         _residual_row("sov/basis_resolves_identity", gram["identity"], tol),
     ]
     worst = 0.0
-    for lam in (default_eval_point(params, 0), default_eval_point(params, 2)):
-        dmat = monodromy(params, lam)[1][1]
+    lams = [default_eval_point(params, 0), default_eval_point(params, 2)]
+    for lam, dmat in zip(lams, monodromy(params, lams)[1][1]):
         for h in occupation_patterns(params.n_sites):
             val = diagonal_eigenvalue(params, h, lam)
             right = sov_basis_state(params, h, "right")
@@ -577,7 +579,9 @@ def _suite_scalar_products(config: RunConfig, chains: Chains):
     n = params.n_sites
     rng = np.random.Generator(np.random.Philox(key=[config.seed, 0x5CA1]))
     xi = np.asarray(params.xi, dtype=complex)
-    worst_closed = 0.0
+    # every (left, right) root-set pair first, in the order the generator
+    # serves them; then one call per route and (M_left, M_right) group
+    samples = []
     for _ in range(50):
         m_left = int(rng.integers(0, n + 1))
         m_right = int(rng.integers(0, n + 1))
@@ -585,6 +589,9 @@ def _suite_scalar_products(config: RunConfig, chains: Chains):
         right_roots = _draw_separated(
             rng, m_right, params.eta, avoid=np.concatenate([xi, left_roots])
         )
+        samples.append((left_roots, right_roots))
+    worst_closed = 0.0
+    for left_roots, right_roots in _stacks(samples):
         left_spec = spec_from_roots(params, left_roots, "left")
         right_spec = spec_from_roots(params, right_roots, "right")
         values = [
@@ -593,11 +600,10 @@ def _suite_scalar_products(config: RunConfig, chains: Chains):
             sp_a_form(params, left_roots, right_roots),
             sp_b_form(params, left_roots, right_roots),
         ]
-        if m_left + m_right == n:
+        if left_roots.shape[-1] + right_roots.shape[-1] == n:
             values.append(sp_izergin_form(params, left_roots, right_roots))
-        scale = max(max(abs(v) for v in values), _TINY)
-        spread = max(abs(v - values[0]) for v in values[1:])
-        worst_closed = max(worst_closed, spread / scale)
+        values = np.array(values)
+        worst_closed = max(worst_closed, _worst_gap(values[1:] - values[0], *values))
     rows = [
         _residual_row(
             "scalar-products/closed_forms_agree_with_dense", worst_closed, tol
@@ -816,18 +822,12 @@ def _suite_homogeneous_stress(config: RunConfig, chains: Chains):
             contrast >= 100.0,
         )
     )
+    # every trend is a list but the fitted exponent
     summary = {
-        "eps": [_fmt(e) for e in trends["eps"]],
-        "b_form_diffs": [_fmt(d) for d in trends["b_form_diffs"]],
-        "slavnov_form_diffs": [_fmt(d) for d in trends["slavnov_form_diffs"]],
-        "izergin_form_diffs": [_fmt(d) for d in trends["izergin_form_diffs"]],
-        "izergin_form_lattice_diffs": [
-            _fmt(d) for d in trends["izergin_form_lattice_diffs"]
-        ],
-        "condition_numbers": [_fmt(c) for c in trends["condition_numbers"]],
-        "condition_growth_exponent": _fmt(trends["condition_growth_exponent"]),
-        "n_used": 4,
+        key: [_fmt(v) for v in values] if isinstance(values, list) else _fmt(values)
+        for key, values in trends.items()
     }
+    summary["n_used"] = 4
     return rows, summary
 
 

@@ -4,10 +4,13 @@ Everything downstream is validated against this module: it multiplies
 the 2x2 auxiliary-space blocks of the rational two-spin scattering
 matrix into the monodromy whose entries act on the full 2^N quantum
 space (its four entries stacked in one array and advanced one site at
-a time by a single broadcast product), forms the spin-flip-twisted
+a time by one broadcast product per auxiliary index), forms the spin-flip-twisted
 transfer matrix (off-diagonal entry sum) and its companion twisted by
 the diagonal Pauli matrix, and diagonalizes the former with
-biorthogonal left/right eigenvector pairs.
+biorthogonal left/right eigenvector pairs.  The monodromy and both
+transfer matrices take an array of spectral points as well as one
+point: leading axes of the point array lead the result, every entry
+equal bit for bit to the one-point build.
 Dense linear algebra keeps every object explicit; the intended regime
 is at most eight sites.
 """
@@ -30,15 +33,22 @@ U_ROTATION = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2.0)
 for _m in (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS, U_ROTATION):
     _m.setflags(write=False)
 
-def _r_local_blocks(mu: complex, eta: complex) -> np.ndarray:
-    """2x2 auxiliary-space blocks of the scattering matrix, stacked as
-    ``(2, 2, 2, 2)``; each is a local 2x2 operator:
-    block[i, j] = mu*delta_ij*Id + eta*E_ji."""
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        blocks[i, i] = mu * IDENTITY_2
-        for j in range(2):
-            blocks[i, j, j, i] += eta
+# (i, j) of every auxiliary block, for the eta entry [i, j, j, i] of each
+_AUX_I = np.array([0, 0, 1, 1])
+_AUX_J = np.array([0, 1, 0, 1])
+
+
+def _site_factors(params: ChainParams, lam: np.ndarray) -> np.ndarray:
+    """Every site's scattering matrix at every point of ``lam`` as 2x2
+    auxiliary-space blocks, site first: ``[n][..., i, j, :, :]`` is the
+    local 2x2 operator mu*delta_ij*Id + eta*E_ji with mu = lam - xi[n],
+    over the shape of ``lam``."""
+    mu = lam[None] - params.xi.reshape((-1,) + (1,) * lam.ndim)
+    blocks = np.zeros(mu.shape + (2, 2, 2, 2), dtype=complex)
+    diagonal = mu[..., None, None] * IDENTITY_2
+    blocks[..., 0, 0, :, :] = diagonal
+    blocks[..., 1, 1, :, :] = diagonal
+    blocks[..., _AUX_I, _AUX_J, _AUX_J, _AUX_I] += params.eta
     return blocks
 
 
@@ -55,43 +65,52 @@ def site_operator(n_sites: int, site: int, local: np.ndarray) -> np.ndarray:
 def _site_step(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Advance stacked monodromy entries by one site.
 
-    ``blocks[j, k]`` is entry (j, k) on the sites so far and ``r[i, j]``
-    the 2x2 local block of the new site's factor; the result is
-    ``new[i, k] = sum_j kron(blocks[j, k], r[i, j])``.  One broadcast
-    product forms every elementwise product ``np.kron`` would, and they
-    are added to zeros in the order j = 0, 1, so every entry, signed
-    zeros included, equals the block-by-block kron sum bit for bit.
+    ``blocks[..., j, k, :, :]`` is entry (j, k) on the sites so far and
+    ``r[..., i, j, :, :]`` the 2x2 local block of the new site's factor;
+    the result is ``new[i, k] = sum_j kron(blocks[j, k], r[i, j])``,
+    over the broadcast leading (spectral point) axes of both.  One
+    broadcast product per j forms every elementwise product ``np.kron``
+    would, and the two are added to zeros in the order j = 0, 1, so every
+    entry, signed zeros included, equals the block-by-block kron sum bit
+    for bit, whatever the stack.  Only one j term is alive at a time, so
+    the largest temporary is one result-sized term rather than two.
     """
     dim = blocks.shape[-1]
-    prod = blocks[None, :, :, :, None, :, None] * r[:, :, None, None, :, None, :]
-    out = np.zeros((2, 2, dim, 2, dim, 2), dtype=complex)
-    out += prod[:, 0]
-    out += prod[:, 1]
-    return out.reshape(2, 2, 2 * dim, 2 * dim)
+    term = blocks[..., None, 0, :, :, None, :, None] * r[..., :, 0, None, None, :, None, :]
+    out = np.zeros(term.shape, dtype=complex)
+    out += term
+    del term
+    out += blocks[..., None, 1, :, :, None, :, None] * r[..., :, 1, None, None, :, None, :]
+    return out.reshape(out.shape[:-6] + (2, 2, 2 * dim, 2 * dim))
 
 
 # Derivative of every site factor in the spectral parameter: the identity
-# in both the auxiliary and the local space, in ``_r_local_blocks`` layout.
+# in both the auxiliary and the local space, in ``_site_factors`` layout.
 _IDENTITY_FACTOR = np.multiply.outer(IDENTITY_2, IDENTITY_2)
 _IDENTITY_FACTOR.setflags(write=False)
 
 
 def _unstack(blocks: np.ndarray) -> list[list[np.ndarray]]:
-    return [[blocks[0, 0], blocks[0, 1]], [blocks[1, 0], blocks[1, 1]]]
+    return [
+        [blocks[..., 0, 0, :, :], blocks[..., 0, 1, :, :]],
+        [blocks[..., 1, 0, :, :], blocks[..., 1, 1, :, :]],
+    ]
 
 
-def monodromy(params: ChainParams, lam: complex) -> list[list[np.ndarray]]:
+def monodromy(params: ChainParams, lam) -> list[list[np.ndarray]]:
     """The 2x2 auxiliary-space monodromy, entries acting on the chain.
 
     Ordered product of site scattering matrices with the highest site
-    leftmost.  The four entries are kept as one stacked ``(2, 2, d, d)``
-    array and advanced one site at a time by a single broadcast product
-    (``_site_step``).
+    leftmost.  The four entries are kept as one stacked ``(..., 2, 2, d,
+    d)`` array and advanced one site at a time (``_site_step``).
+    ``lam`` is one spectral point or an array of them; each entry then
+    carries the array's shape in front of its ``(d, d)``, and entry
+    ``[k]`` of the stack equals the build at ``lam[k]`` bit for bit.
     Returns ``[[A, B], [C, D]]``.
     """
     blocks = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
-    for n in range(params.n_sites):
-        blocks = _site_step(blocks, _r_local_blocks(lam - params.xi[n], params.eta))
+    for r in _site_factors(params, np.asarray(lam, dtype=complex)):
+        blocks = _site_step(blocks, r)
     return _unstack(blocks)
 
 
@@ -103,8 +122,7 @@ def monodromy_with_derivative(
     derivative of a site factor is the identity in both spaces."""
     blocks = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
     dblocks = np.zeros((2, 2, 1, 1), dtype=complex)
-    for n in range(params.n_sites):
-        r = _r_local_blocks(lam - params.xi[n], params.eta)
+    for r in _site_factors(params, np.asarray(lam, dtype=complex)):
         # Adding the identity term after both r terms rather than between
         # them changes no bit: wherever it is nonzero, the off-diagonal
         # local block of r contributes an exact zero (kron-sum reference
@@ -114,15 +132,17 @@ def monodromy_with_derivative(
     return _unstack(blocks), _unstack(dblocks)
 
 
-def transfer_antiperiodic(params: ChainParams, lam: complex) -> np.ndarray:
-    """Spin-flip-twisted transfer matrix: sum of off-diagonal entries."""
+def transfer_antiperiodic(params: ChainParams, lam) -> np.ndarray:
+    """Spin-flip-twisted transfer matrix: sum of off-diagonal entries.
+    An array of points gives a stack of matrices (``monodromy``)."""
     blocks = monodromy(params, lam)
     return blocks[0][1] + blocks[1][0]
 
 
-def transfer_twisted(params: ChainParams, lam: complex) -> np.ndarray:
+def transfer_twisted(params: ChainParams, lam) -> np.ndarray:
     """Companion transfer matrix twisted by the diagonal Pauli matrix:
-    difference of diagonal entries."""
+    difference of diagonal entries.  An array of points gives a stack of
+    matrices (``monodromy``)."""
     blocks = monodromy(params, lam)
     return blocks[0][0] - blocks[1][1]
 
@@ -154,17 +174,12 @@ def quantum_det_check(params: ChainParams, lam: complex) -> float:
     The combination B(lam) C(lam-eta) - A(lam) D(lam-eta) must be
     proportional to the identity with factor -a(lam) d(lam-eta).
     """
-    top = monodromy(params, lam)
-    bot = monodromy(params, lam - params.eta)
-    lhs = top[0][1] @ bot[1][0] - top[0][0] @ bot[1][1]
+    # the monodromy at lam and at lam - eta, from one stacked build
+    (a, b), (c, d) = monodromy(params, [lam, lam - params.eta])
+    bc, ad = b[0] @ c[1], a[0] @ d[1]
     target = -a_of(params, lam) * d_of(params, lam - params.eta)
-    res = lhs - target * np.eye(params.dim)
-    scale = max(
-        np.linalg.norm(top[0][1] @ bot[1][0]),
-        np.linalg.norm(top[0][0] @ bot[1][1]),
-        abs(target),
-        1e-300,
-    )
+    res = bc - ad - target * np.eye(params.dim)
+    scale = max(np.linalg.norm(bc), np.linalg.norm(ad), abs(target), 1e-300)
     return float(np.linalg.norm(res) / scale)
 
 

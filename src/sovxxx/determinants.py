@@ -595,21 +595,28 @@ def richardson_limit(evaluator) -> tuple[complex, float]:
     Neville's scheme on the geometric schedule eps = 1e-2 / 2^k,
     k = 0..5; returns the extrapolated value and an error estimate (the
     size of the final correction).  Corrections that grow instead of
-    shrinking raise ``LimitFailureError``.
+    shrinking, and a NaN or infinite sample or limit, raise
+    ``LimitFailureError``.
     """
     schedule = 1e-2 * 0.5 ** np.arange(6)
     vals = np.array([evaluator(float(e)) for e in schedule], dtype=complex)
+    if not np.isfinite(vals).all():
+        raise LimitFailureError("the evaluator returned a NaN or infinite sample")
     table = vals.copy()
     best = table[-1]
     corrections = []
-    for level in range(1, schedule.size):
-        new = np.zeros(schedule.size - level, dtype=complex)
-        for i in range(new.size):
-            e0, e1 = schedule[i], schedule[i + level]
-            new[i] = (e0 * table[i + 1] - e1 * table[i]) / (e0 - e1)
-        corrections.append(abs(new[-1] - best))
-        best = new[-1]
-        table = new
+    # an overflow leaves a non-finite limit, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(1, schedule.size):
+            new = np.zeros(schedule.size - level, dtype=complex)
+            for i in range(new.size):
+                e0, e1 = schedule[i], schedule[i + level]
+                new[i] = (e0 * table[i + 1] - e1 * table[i]) / (e0 - e1)
+            corrections.append(abs(new[-1] - best))
+            best = new[-1]
+            table = new
+    if not np.isfinite(best):
+        raise LimitFailureError("the extrapolated limit is NaN or infinite")
     rounding_floor = 1e-14 * (abs(best) + 1.0)
     if (
         len(corrections) >= 2

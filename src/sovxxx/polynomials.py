@@ -102,14 +102,6 @@ def poly_from_roots(roots) -> ComplexPoly:
     return poly
 
 
-def poly_mul(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    return ComplexPoly(npoly.polymul(p.coeffs, q.coeffs))
-
-
-def poly_add(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    return ComplexPoly(npoly.polyadd(p.coeffs, q.coeffs))
-
-
 def cardinal_coefficients(nodes) -> np.ndarray:
     """Ascending coefficients of the Lagrange cardinal polynomials of the
     nodes, one row per node: ``values @ cardinal_coefficients(nodes)`` is

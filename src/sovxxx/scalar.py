@@ -32,18 +32,18 @@ from .determinants import (
 from .dense import diagonalize_transfer, transfer_antiperiodic
 from .errors import LimitFailureError, PoleCollisionError, SpectrumError
 from .polynomials import ComplexPoly, poly_roots
-from .sov import SeparateStateSpec, bilinear, separate_state_dense, spec_from_roots
+from .sov import SeparateStateSpec, separate_state_dense, spec_from_roots
 from .spectrum import EigenRecord, tq_collocation, tq_functional_residual
 
 
 def sp_dense(
     params: ChainParams, left_spec: SeparateStateSpec, right_spec: SeparateStateSpec
-) -> complex:
-    """Reference pairing: build both dense vectors and contract them."""
-    return bilinear(
-        separate_state_dense(params, left_spec),
-        separate_state_dense(params, right_spec),
-    )
+) -> complex | np.ndarray:
+    """Reference pairing: build both dense vectors and contract them.
+    Stacks of states of one shape give one pairing per member."""
+    left = separate_state_dense(params, left_spec)
+    right = separate_state_dense(params, right_spec)
+    return _result(np.einsum("...i,...i->...", left, right))
 
 
 def raw_pairing_matrix(
@@ -55,12 +55,13 @@ def raw_pairing_matrix(
     row at xi_a weighted by both functions there, plus the power row at
     xi_a - eta weighted by both functions there, the right one dressed
     by -a(xi_a)/d(xi_a - eta).  Its rows degenerate together with the
-    lattice, which is what the conditioning sweep measures.
+    lattice, which is what the conditioning sweep measures.  Stacks of
+    states give a stack of matrices.
     """
     if left_spec.side != "left" or right_spec.side != "right":
         raise ValueError("the raw pairing matrix pairs a left spec with a right spec")
     n = params.n_sites
-    if left_spec.values_at_xi.size != n or right_spec.values_at_xi.size != n:
+    if left_spec.values_at_xi.shape[-1] != n or right_spec.values_at_xi.shape[-1] != n:
         raise ValueError("separate-state values must cover every site")
     xi = params.xi
     eta = params.eta
@@ -73,52 +74,52 @@ def raw_pairing_matrix(
     )
     powers = np.arange(n)
     return (
-        xi[:, None] ** powers[None, :] * w_top[:, None]
-        + (xi - eta)[:, None] ** powers[None, :] * w_bot[:, None]
+        xi[:, None] ** powers[None, :] * w_top[..., :, None]
+        + (xi - eta)[:, None] ** powers[None, :] * w_bot[..., :, None]
     )
 
 
 def sp_direct(
     params: ChainParams, left_spec: SeparateStateSpec, right_spec: SeparateStateSpec
-) -> complex:
+) -> complex | np.ndarray:
     """N x N determinant form of the pairing of two separate states: the
     raw lattice matrix determinant divided by the Vandermonde of the
-    inhomogeneities."""
+    inhomogeneities.  Stacks of states give one pairing per member."""
     mat = raw_pairing_matrix(params, left_spec, right_spec)
-    return complex(np.linalg.det(mat) / vandermonde(params.xi))
-
-
-def _root_prefactor(params: ChainParams, roots) -> complex:
-    """The product of d over a root set (1 for the empty set)."""
-    return complex(np.prod(d_of(params, np.ravel(roots))))
+    return _result(np.linalg.det(mat) / vandermonde(params.xi))
 
 
 def _pooled_roots(
     params: ChainParams, left_roots, right_roots
-) -> tuple[np.ndarray, complex]:
+) -> tuple[np.ndarray, complex | np.ndarray]:
     """The left roots followed by the right roots, and the prefactor every
     pooled-root form shares: (-1)^(N P) times the d-product over both
-    sets, P the pooled count."""
-    left_roots = np.asarray(left_roots, dtype=complex).ravel()
-    right_roots = np.asarray(right_roots, dtype=complex).ravel()
-    pooled = np.concatenate([left_roots, right_roots])
-    pref = _root_prefactor(params, pooled)
-    return pooled, (-1.0) ** (params.n_sites * pooled.size) * pref
+    sets, P the pooled count.  The root sets may be stacks of one shape
+    (last axis: the roots), giving one pooled set and prefactor per
+    member."""
+    pooled = np.concatenate(
+        [np.asarray(left_roots, dtype=complex), np.asarray(right_roots, dtype=complex)],
+        axis=-1,
+    )
+    pref = np.prod(d_of(params, pooled), axis=-1)
+    return pooled, (-1.0) ** (params.n_sites * pooled.shape[-1]) * pref
 
 
-def sp_a_form(params: ChainParams, left_roots, right_roots) -> complex:
+def sp_a_form(params: ChainParams, left_roots, right_roots) -> complex | np.ndarray:
     """Polynomial-pair pairing as a plus-dressed Vandermonde functional
     over the inhomogeneities, weighted by the minus shift-ratio product
-    of the pooled root set."""
+    of the pooled root set.  Stacks of root sets (``_pooled_roots``) give
+    one pairing per member from one determinant call."""
     pooled, pref = _pooled_roots(params, left_roots, right_roots)
     f_vals = -shift_ratio(pooled, params.eta, params.xi, -1)
-    return complex(pref * dressed_vandermonde(params.xi, params.eta, f_vals, +1))
+    return _result(pref * dressed_vandermonde(params.xi, params.eta, f_vals, +1))
 
 
-def sp_b_form(params: ChainParams, left_roots, right_roots) -> complex:
+def sp_b_form(params: ChainParams, left_roots, right_roots) -> complex | np.ndarray:
     """Polynomial-pair pairing as a minus-dressed Vandermonde functional
     over the pooled root set, weighted by the plus shift-ratio product
-    of the inhomogeneities.
+    of the inhomogeneities.  Stacks of root sets (``_pooled_roots``) give
+    one pairing per member from one determinant call.
 
     This is the form whose evaluation stays smooth as the
     inhomogeneities cluster, since the determinant runs over the roots
@@ -126,8 +127,8 @@ def sp_b_form(params: ChainParams, left_roots, right_roots) -> complex:
     """
     pooled, pref = _pooled_roots(params, left_roots, right_roots)
     f_vals = -shift_ratio(params.xi, params.eta, pooled, +1)
-    return complex(
-        2.0 ** (params.n_sites - pooled.size)
+    return _result(
+        2.0 ** (params.n_sites - pooled.shape[-1])
         * pref
         * dressed_vandermonde(pooled, params.eta, f_vals, -1)
     )
@@ -135,28 +136,33 @@ def sp_b_form(params: ChainParams, left_roots, right_roots) -> complex:
 
 def _domain_wall_form(
     params: ChainParams, left_roots, right_roots, evaluate
-) -> complex:
+) -> complex | np.ndarray:
     """Polynomial-pair pairing as the twist-(-1) domain-wall determinant
     ``evaluate`` of the pooled roots against the lattice."""
     pooled, pref = _pooled_roots(params, left_roots, right_roots)
     n = params.n_sites
-    if pooled.size != n:
+    if pooled.shape[-1] != n:
         raise ValueError(
             "the domain-wall form needs the pooled root count to equal the "
             "chain length"
         )
-    return complex((-1.0) ** n * pref * evaluate(-1.0, pooled, params.xi, params.eta))
+    return _result(
+        (-1.0) ** n * pref * evaluate(-1.0, pooled, params.xi, params.eta)
+    )
 
 
-def sp_izergin_form(params: ChainParams, left_roots, right_roots) -> complex:
+def sp_izergin_form(
+    params: ChainParams, left_roots, right_roots
+) -> complex | np.ndarray:
     """Polynomial-pair pairing as a twist-(-1) domain-wall determinant;
-    only defined when the pooled root count equals the chain length."""
+    only defined when the pooled root count equals the chain length.
+    Stacks of root sets give one pairing per member."""
     return _domain_wall_form(params, left_roots, right_roots, izergin_determinant)
 
 
 def sp_izergin_form_clustered(
     params: ChainParams, left_roots, right_roots
-) -> complex:
+) -> complex | np.ndarray:
     """Domain-wall pairing evaluated stably against a clustered lattice.
 
     Identical in value to ``sp_izergin_form`` but routed through the
@@ -233,7 +239,7 @@ def gaudin_norm(params: ChainParams, record: EigenRecord) -> complex:
         raise PoleCollisionError("coinciding or NaN roots in the norm formula")
     num = complex(np.prod(diffs + params.eta))
     den = complex(np.prod(diffs[off])) if r > 1 else 1.0 + 0.0j
-    pref = _root_prefactor(params, roots) ** 2
+    pref = complex(np.prod(d_of(params, roots))) ** 2
     det_phi = complex(np.linalg.det(gaudin_matrix(params, roots)))
     return complex(2.0 ** (n - 2 * r) * pref * (num / den) * det_phi)
 
@@ -270,6 +276,34 @@ def _gated_roots(
     return poly_roots(poly)
 
 
+def _first_family(
+    params: ChainParams, tau_table: np.ndarray, q_rows: np.ndarray,
+    points: np.ndarray, degree: int,
+) -> tuple[int, np.ndarray]:
+    """The eigenvalue family a conditioning sweep follows, and its roots:
+    of the rows whose collocation solution passes ``_gated_roots`` and
+    whose roots meet the Bethe system to 1e-6, the least in
+    (value at the first point rounded to 9 digits, row index).  Rows are
+    gated lazily in that order and the first to pass is taken, which is
+    that least row without gating the others."""
+    first = tau_table[:, 0]
+    order = sorted(
+        range(len(first)),
+        key=lambda i: (round(first[i].real, 9), round(first[i].imag, 9), i),
+    )
+    for idx in order:
+        try:
+            roots = _gated_roots(params, tau_table[idx], q_rows[idx], points, degree)
+            if mu_bethe_residuals(params, -1.0, roots).max() > 1e-6:
+                continue
+        except (SpectrumError, PoleCollisionError, RuntimeError):
+            continue
+        return idx, roots
+    raise LimitFailureError(
+        "no eigenvalue family in the target sector passed the gates"
+    )
+
+
 def homogeneous_stress_sweep(
     n_sites: int = 4,
     eps_values=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
@@ -283,8 +317,7 @@ def homogeneous_stress_sweep(
     value at a fixed probe point), its auxiliary roots are solved from
     the linear functional equation collocated at generic points away from
     the collapsing lattice (``spectrum.tq_collocation``, one call per
-    collapse scale for every eigenvalue, each solution gated by
-    ``_gated_roots``), and the pairing against a fixed eps-independent
+    collapse scale for every eigenvalue), and the pairing against a fixed eps-independent
     polynomial state is evaluated along every closed route: the root-set
     dressed Vandermonde form, the on-shell determinant over the roots,
     and the domain-wall determinant against the lattice — the latter
@@ -294,6 +327,13 @@ def homogeneous_stress_sweep(
     The condition number of the raw lattice pairing matrix is recorded
     alongside; it grows like an inverse power of eps while the smooth
     routes settle down, which is the point of the comparison.
+
+    Each collapse scale builds the transfer matrices at all probe points
+    in one stacked call and reads every eigenvalue's probe values off one
+    contraction with the left and right eigenvectors.  The first scale
+    picks its family with ``_first_family``, which gates candidates in
+    order and stops at the first that passes; later scales gate only the
+    matched family (``_gated_roots``).
     """
     sector = n_sites // 2
     if sector == 0:
@@ -314,43 +354,23 @@ def homogeneous_stress_sweep(
     for eps in eps_values:
         params = near_homogeneous_params(n_sites, float(eps))
         triples = diagonalize_transfer(params)
-        probe_mats = [transfer_antiperiodic(params, z) for z in probes]
-        tau_table = []
-        for _, right, left in triples:
-            pairing = complex(np.dot(left, right))
-            tau_table.append(
-                np.array(
-                    [complex(np.dot(left, m @ right)) / pairing for m in probe_mats]
-                )
-            )
+        lefts = np.stack([left for _, _, left in triples])
+        rights = np.stack([right for _, right, _ in triples], axis=1)
+        # every eigenvalue at every probe: one stacked transfer build and
+        # one contraction against both eigenvector sets
+        probed = transfer_antiperiodic(params, probes) @ rights
+        tau_table = np.einsum("kj,pjk->kp", lefts, probed) / np.einsum(
+            "kj,jk->k", lefts, rights
+        )[:, None]
         q_rows = tq_collocation(
             params, tau_table, probes, np.full(len(tau_table), sector)
         )
         if prev_tau is None:
-            candidates = []
-            for idx, tau_vals in enumerate(tau_table):
-                try:
-                    roots = _gated_roots(params, tau_vals, q_rows[idx], probes, sector)
-                    if mu_bethe_residuals(params, -1.0, roots).max() > 1e-6:
-                        continue
-                except (SpectrumError, PoleCollisionError, RuntimeError):
-                    continue
-                candidates.append(idx)
-            if not candidates:
-                raise LimitFailureError(
-                    "no eigenvalue family in the target sector passed the gates"
-                )
-            pick = min(
-                candidates,
-                key=lambda i: (
-                    round(tau_table[i][0].real, 9),
-                    round(tau_table[i][0].imag, 9),
-                ),
-            )
+            pick, roots = _first_family(params, tau_table, q_rows, probes, sector)
         else:
-            pick = int(np.argmin([abs(tv[0] - prev_tau) for tv in tau_table]))
-        prev_tau = tau_table[pick][0]
-        roots = _gated_roots(params, tau_table[pick], q_rows[pick], probes, sector)
+            pick = int(np.argmin(np.abs(tau_table[:, 0] - prev_tau)))
+            roots = _gated_roots(params, tau_table[pick], q_rows[pick], probes, sector)
+        prev_tau = tau_table[pick, 0]
         worst_bethe = float(mu_bethe_residuals(params, -1.0, roots).max())
         slavnov_value = sp_on_shell(params, left_roots, roots)
         b_value = sp_b_form(params, left_roots, roots)

@@ -10,16 +10,56 @@ from sovxxx.chain import (
     a_of,
     d_of,
     fixture_params,
-    params_from_json,
-    params_to_json,
     require_generic,
     sample_generic_params,
+    shifted_xi,
     vandermonde,
-    vandermonde_shift_check,
 )
 from sovxxx.sov import occupation_patterns
 
 from conftest import cached_params
+
+
+def _vandermonde_shift_check(params: ChainParams, h) -> tuple[complex, complex]:
+    """Both sides of the occupied-slot Vandermonde shift identity.
+
+    For occupation pattern ``h`` the product over occupied slots n of
+    prod_{m != n} (xi_n - xi_m + eta)/(xi_n - xi_m - eta), multiplied by
+    the Vandermonde of the down-shifted set, equals the Vandermonde of
+    the up-shifted set.  Returns (lhs, rhs) for the caller to compare.
+    """
+    h = np.asarray(h).ravel()
+    if h.size != params.n_sites:
+        raise ValueError("occupation pattern must have one entry per site")
+    xi = params.xi
+    eta = params.eta
+    ratio = 1.0 + 0.0j
+    for n in range(params.n_sites):
+        if not h[n]:
+            continue
+        others = np.delete(xi, n)
+        ratio *= np.prod((xi[n] - others + eta) / (xi[n] - others - eta))
+    lhs = ratio * vandermonde(shifted_xi(params, h, direction=-1))
+    rhs = vandermonde(shifted_xi(params, h, direction=+1))
+    return complex(lhs), complex(rhs)
+
+
+def _params_to_json(params: ChainParams) -> dict:
+    """JSON-ready description of a parameter set (floats as [re, im] pairs)."""
+    return {
+        "n_sites": params.n_sites,
+        "eta": [params.eta.real, params.eta.imag],
+        "xi": [[z.real, z.imag] for z in params.xi],
+        "margin": params.margin,
+    }
+
+
+def _params_from_json(data: dict) -> ChainParams:
+    eta = complex(data["eta"][0], data["eta"][1])
+    xi = np.array([complex(re, im) for re, im in data["xi"]], dtype=complex)
+    return ChainParams(
+        n_sites=int(data["n_sites"]), eta=eta, xi=xi, margin=float(data["margin"])
+    )
 
 
 def test_a_equals_d_shifted_by_eta():
@@ -51,7 +91,7 @@ def test_site_factors_compose_to_a_times_d():
 def test_shifted_vandermonde_identity_over_all_patterns(n_sites):
     params = cached_params(n_sites, 0)
     for h in occupation_patterns(n_sites):
-        lhs, rhs = vandermonde_shift_check(params, h)
+        lhs, rhs = _vandermonde_shift_check(params, h)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -94,8 +134,8 @@ def test_require_generic_rejects_collapsed_nodes():
 
 def test_json_roundtrip():
     params = cached_params(3, 2)
-    data = params_to_json(params)
-    back = params_from_json(data)
+    data = _params_to_json(params)
+    back = _params_from_json(data)
     assert back.n_sites == params.n_sites
     assert back.eta == pytest.approx(params.eta)
     assert np.allclose(np.asarray(back.xi), np.asarray(params.xi))

@@ -88,6 +88,33 @@ def test_monodromy_equals_kron_reference_bit_for_bit(n_sites):
                 assert deriv[i][k].tobytes() == ref_deriv[i][k].tobytes()
 
 
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_stacked_points_equal_one_point_builds_bit_for_bit(n_sites):
+    params = cached_params(n_sites, 0)
+    points = np.array(
+        [
+            [default_eval_point(params, 0), 0.37 - 0.58j, 0.0],
+            [params.xi[0], params.xi[-1] - params.eta, -1.3 + 0.2j],
+        ]
+    )
+    blocks = monodromy(params, points)
+    anti = transfer_antiperiodic(params, points)
+    twisted = transfer_twisted(params, points)
+    dim = 2**n_sites
+    assert anti.shape == twisted.shape == points.shape + (dim, dim)
+    for idx in np.ndindex(points.shape):
+        one = monodromy(params, points[idx])
+        for i in range(2):
+            for k in range(2):
+                assert np.array_equal(blocks[i][k][idx], one[i][k])
+        assert np.array_equal(anti[idx], transfer_antiperiodic(params, points[idx]))
+        assert np.array_equal(twisted[idx], transfer_twisted(params, points[idx]))
+    # a list of points is a stack, and an empty one gives empty entries
+    listed = transfer_antiperiodic(params, list(points[0]))
+    assert np.array_equal(listed, anti[0])
+    assert monodromy(params, np.array([]))[1][0].shape == (0, dim, dim)
+
+
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
 def test_transfer_family_commutes(n_sites):
     params = cached_params(n_sites, 0)

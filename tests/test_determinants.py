@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,23 @@ def test_iterated_limit_rejects_growing_corrections():
     # must refuse to extrapolate through
     with pytest.raises(LimitFailureError):
         richardson_limit(lambda eps: eps + (1e6 if eps > 7.5e-3 else 0.0))
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        lambda eps: float("nan"),
+        lambda eps: complex("inf"),
+        # one bad sample, at the finest eps only
+        lambda eps: 1.0 if eps > 1e-3 else complex("nan"),
+        # finite samples whose extrapolation overflows
+        lambda eps: 1.7e308 * (-1.0) ** round(math.log2(1e-2 / eps)),
+    ],
+    ids=["nan", "inf", "nan_at_finest", "overflowing_limit"],
+)
+def test_iterated_limit_rejects_non_finite_values(evaluator):
+    with pytest.raises(LimitFailureError):
+        richardson_limit(evaluator)
 
 
 def test_empty_sets_give_unit_determinants():

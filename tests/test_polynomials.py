@@ -11,13 +11,19 @@ from sovxxx.polynomials import (
     ComplexPoly,
     cardinal_coefficients,
     lagrange_interpolate,
-    poly_add,
     poly_from_roots,
-    poly_mul,
     poly_roots,
 )
 
 from conftest import separated_cloud
+
+
+def _poly_mul(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
+    return ComplexPoly(npoly.polymul(p.coeffs, q.coeffs))
+
+
+def _poly_add(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
+    return ComplexPoly(npoly.polyadd(p.coeffs, q.coeffs))
 
 
 def test_root_roundtrip_up_to_degree_twelve():
@@ -47,7 +53,7 @@ def test_evaluation_is_linear():
     rng = np.random.Generator(np.random.Philox(key=103))
     p = ComplexPoly(rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5))
     q = ComplexPoly(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
-    both = poly_add(p, q)
+    both = _poly_add(p, q)
     for _ in range(20):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         lhs = both(z)
@@ -58,7 +64,7 @@ def test_evaluation_is_linear():
 def test_product_evaluates_to_product_of_values():
     p = poly_from_roots([0.5, -1.25j])
     q = poly_from_roots([1.0 + 1.0j])
-    prod = poly_mul(p, q)
+    prod = _poly_mul(p, q)
     for z in (0.3, -1.1 + 0.4j, 2.0j):
         assert abs(prod(z) - p(z) * q(z)) <= 1e-12 * max(1.0, abs(prod(z)))
 

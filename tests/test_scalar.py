@@ -11,7 +11,8 @@ from sovxxx.determinants import (
     richardson_limit,
     slavnov_determinant,
 )
-from sovxxx import determinants
+from sovxxx import determinants, scalar
+from sovxxx.errors import LimitFailureError, PoleCollisionError, SpectrumError
 from sovxxx.formfactors import eigenstate_vectors
 from sovxxx.scalar import (
     gaudin_matrix,
@@ -62,6 +63,52 @@ def test_closed_forms_agree_with_dense_pairing(n_sites):
         scale = max(max(abs(v) for v in values), 1e-300)
         for v in values[1:]:
             assert abs(v - values[0]) <= 1e-10 * scale
+
+
+def test_stacked_closed_forms_equal_one_call_per_pair():
+    n_sites = 3
+    params = cached_params(n_sites, 0)
+    rng = np.random.Generator(np.random.Philox(key=702))
+    xi = np.asarray(params.xi, dtype=complex)
+    for m_left in range(n_sites + 1):
+        for m_right in range(n_sites + 1):
+            pairs = []
+            for _ in range(3):
+                left = separated_cloud(rng, m_left, params.eta, avoid=xi)
+                right = separated_cloud(
+                    rng, m_right, params.eta, avoid=np.concatenate([xi, left])
+                )
+                pairs.append((left, right))
+            lefts = np.array([left for left, _ in pairs]).reshape(3, m_left)
+            rights = np.array([right for _, right in pairs]).reshape(3, m_right)
+            routes = {
+                "dense": lambda x, y: sp_dense(
+                    params,
+                    spec_from_roots(params, x, "left"),
+                    spec_from_roots(params, y, "right"),
+                ),
+                "direct": lambda x, y: sp_direct(
+                    params,
+                    spec_from_roots(params, x, "left"),
+                    spec_from_roots(params, y, "right"),
+                ),
+                "a_form": lambda x, y: sp_a_form(params, x, y),
+                "b_form": lambda x, y: sp_b_form(params, x, y),
+            }
+            if m_left + m_right == n_sites:
+                routes["izergin"] = lambda x, y: sp_izergin_form(params, x, y)
+            for name, route in routes.items():
+                stacked = route(lefts, rights)
+                assert stacked.shape == (3,), name
+                one = [route(x, y) for x, y in pairs]
+                assert all(isinstance(v, complex) for v in one), name
+                # the stack takes array arithmetic where one pair takes
+                # scalar arithmetic, so they agree to rounding, not bit
+                # for bit
+                scale = np.maximum(np.abs(one), 1e-300)
+                assert np.all(np.abs(stacked - one) <= 1e-13 * scale), (
+                    name, m_left, m_right,
+                )
 
 
 def test_izergin_form_requires_saturated_sizes():
@@ -250,6 +297,68 @@ def test_stress_sweep_routes_stay_coherent_on_short_schedule():
     trends = stress_trends(rows)
     assert len(trends["b_form_diffs"]) == 1
     assert trends["condition_numbers"][1] > trends["condition_numbers"][0]
+
+
+def _exhaustive_first_family(params, tau_table, q_rows, points, degree):
+    """The family choice as one gate per row and a minimum over the rows
+    that pass, with the chosen row's roots gated once more: the
+    reference the lazy ``scalar._first_family`` must reproduce."""
+    candidates = []
+    for idx, tau_vals in enumerate(tau_table):
+        try:
+            roots = scalar._gated_roots(params, tau_vals, q_rows[idx], points, degree)
+            if determinants.mu_bethe_residuals(params, -1.0, roots).max() > 1e-6:
+                continue
+        except (SpectrumError, PoleCollisionError, RuntimeError):
+            continue
+        candidates.append(idx)
+    if not candidates:
+        raise LimitFailureError("no candidate passed")
+    pick = min(
+        candidates,
+        key=lambda i: (round(tau_table[i][0].real, 9), round(tau_table[i][0].imag, 9)),
+    )
+    return pick, scalar._gated_roots(
+        params, tau_table[pick], q_rows[pick], points, degree
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lazy_family_gate_matches_the_exhaustive_choice(seed, monkeypatch):
+    lazy, gated = scalar._first_family, scalar._gated_roots
+    calls, gates = [], []
+
+    def recording(*args):
+        calls.append((args, lazy(*args)))
+        return calls[-1][1]
+
+    def counting(*args):
+        gates.append(args)
+        return gated(*args)
+
+    monkeypatch.setattr(scalar, "_first_family", recording)
+    monkeypatch.setattr(scalar, "_gated_roots", counting)
+    homogeneous_stress_sweep(n_sites=4, eps_values=(1e-2, 1e-3), seed=seed)
+    monkeypatch.undo()
+    # the first collapse scale alone picks the family, gating fewer rows
+    # than it has; the second gates the matched family once
+    [(args, (pick, roots))] = calls
+    tau_table = args[1]
+    assert len(gates) - 1 < len(tau_table)
+    ref_pick, ref_roots = _exhaustive_first_family(*args)
+    assert pick == ref_pick
+    assert np.array_equal(roots, ref_roots)
+    # a copy of the chosen row in front ties with it, and the lower index
+    # wins the tie on both routes
+    params, _, q_rows, points, degree = args
+    tied = (
+        params,
+        np.concatenate([tau_table[pick : pick + 1], tau_table]),
+        np.concatenate([q_rows[pick : pick + 1], q_rows]),
+        points,
+        degree,
+    )
+    assert lazy(*tied)[0] == _exhaustive_first_family(*tied)[0] == 0
 
 
 @pytest.mark.parametrize("n_sites", [3, 4])

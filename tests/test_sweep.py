@@ -7,6 +7,8 @@ import json
 import os
 from pathlib import Path
 
+from sovxxx import cli
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sweep.py"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -30,14 +32,22 @@ def test_sweep_caps_unset_blas_threads_and_keeps_set_ones(monkeypatch):
 def test_sweep_writes_every_row_as_an_error_verdict_pair(tmp_path, monkeypatch):
     sweep = _load_sweep(monkeypatch, dict(os.environ))
     assert sweep.parse_range("1-3,8") == [1, 2, 3, 8]
+    suites = dict(cli._SUITES)
     out = tmp_path / "rows.json"
     assert sweep.main(["--n", "1-3", "--seeds", "0", "--json", str(out)]) == 0
+    # the timed suite table is the CLI's own again once the sweep is done
+    assert cli._SUITES == suites
     rows = json.loads(out.read_text())
     assert sorted(rows) == ["1/0", "2/0", "3/0"]
     for config in rows.values():
         assert config["aborted"] == {}
-        # the run's wall time rides next to the rows, outside the report
+        # the run's wall time and each suite's ride next to the rows,
+        # outside the report
         assert isinstance(config["seconds"], float) and config["seconds"] > 0
+        per_suite = config["suite_seconds"]
+        assert sorted(per_suite) == sorted(cli.SUITE_ORDER)
+        assert all(isinstance(t, float) and t > 0 for t in per_suite.values())
+        assert sum(per_suite.values()) <= config["seconds"]
         assert config["checks"]
         for rel_err, passed in config["checks"].values():
             assert isinstance(rel_err, float)
@@ -80,17 +90,33 @@ def test_compare_reports_changed_configurations_and_moved_rows(tmp_path, monkeyp
 def test_compare_sums_wall_time_per_length_where_both_sides_have_it(monkeypatch):
     sweep = _load_sweep(monkeypatch, dict(os.environ))
 
-    def entry(seconds=None):
+    def entry(seconds=None, **suite_seconds):
         out = {"checks": {"a/x": [1e-12, True]}, "aborted": {}}
         if seconds is not None:
             out["seconds"] = seconds
+        if suite_seconds:
+            out["suite_seconds"] = suite_seconds
         return out
 
-    # "3/1" comes from a sweep written before the times were recorded
-    before = {"3/0": entry(0.25), "3/1": entry(), "4/0": entry(1.0), "4/1": entry(2.0)}
-    after = {"3/0": entry(0.5), "3/1": entry(0.5), "4/0": entry(0.5), "4/1": entry(1.0)}
+    # "3/1" comes from a sweep written before the times were recorded, and
+    # "4/0" from one written before the suite times were
+    before = {
+        "3/0": entry(0.25, sov=0.125, spectrum=0.0625),
+        "3/1": entry(),
+        "4/0": entry(1.0),
+        "4/1": entry(2.0, oracle=0.5),
+    }
+    after = {
+        "3/0": entry(0.5, sov=0.25, spectrum=0.125),
+        "3/1": entry(0.5, sov=0.5),
+        "4/0": entry(0.5, oracle=0.25),
+        "4/1": entry(1.0, oracle=0.375),
+    }
     assert sweep.compare(before, after) == [
         "no configuration differs in exit status, aborts or failing rows",
         "N=3: 0.25 s -> 0.50 s over 1 configurations",
+        "  sov: 0.125 s -> 0.250 s",
+        "  spectrum: 0.062 s -> 0.125 s",
         "N=4: 3.00 s -> 1.50 s over 2 configurations",
+        "  oracle: 0.500 s -> 0.375 s",
     ]
