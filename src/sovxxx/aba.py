@@ -6,9 +6,10 @@ spin-flip twist turns the antiperiodic transfer matrix into a diagonally
 twisted one.  The twisted chain admits the classic product-form
 eigenvectors: a string of off-diagonal monodromy entries applied to a
 fully polarized reference state, one factor per Bethe root.  This module
-builds those product states densely, verifies the eigenrelations, and
-measures the proportionality constant that links them -- after the
-site-wise rotation -- to the separated eigenstates.
+builds those product states densely (``product_states`` builds each
+record's pair once for every check that reads it), verifies the
+eigenrelations, and measures the proportionality constant that links
+them -- after the site-wise rotation -- to the separated eigenstates.
 
 It also runs the determinant-level cross-check tying the two frameworks
 together at the level of matrix elements: the lowering-operator element
@@ -26,8 +27,7 @@ remaining column-independent normalization drops out of the difference
 of the two sums, which is the testable content.  One core evaluates both
 expansions over stacks of bras, kets and sites with one stacked
 determinant call; ``weighted_expansion_table`` calls it once per root
-count for a whole spectrum, and ``weighted_expansion_crosscheck`` is its
-one-element case.
+count for a whole spectrum.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from . import dense
 from .chain import ChainParams, a_of, d_of
 from .determinants import column_substituted_slavnov
 from .errors import PairingError
-from .formfactors import ff_sigma_minus
-from .spectrum import EigenRecord
 
 _MASK_TOL = 1e-12
 
@@ -69,17 +67,14 @@ def left_bethe_state(params: ChainParams, roots) -> np.ndarray:
     return state
 
 
-def twisted_eigen_residual(params: ChainParams, record: EigenRecord) -> float:
-    """Relative eigenrelation residual of the product state built from a
-    spectrum record's roots under the twisted transfer matrix, against
-    the record's eigenvalue."""
-    lam = dense.default_eval_point(params, 2)
-    state = bethe_state(params, record.bethe_roots)
-    scale = float(np.max(np.abs(state)))
-    if scale == 0.0:
-        raise PairingError("product state vanished identically")
-    resid = dense.transfer_twisted(params, lam) @ state - record.tau(lam) * state
-    return float(np.max(np.abs(resid)) / scale)
+def product_states(params: ChainParams, records) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's product-state pair, built once: ``rows[i]`` is
+    ``left_bethe_state`` and ``cols[:, i]`` is ``bethe_state`` of record
+    i's roots.  The correspondence, completeness and translation checks
+    all read this one pair."""
+    rows = np.stack([left_bethe_state(params, rec.bethe_roots) for rec in records])
+    cols = np.stack([bethe_state(params, rec.bethe_roots) for rec in records], axis=1)
+    return rows, cols
 
 
 def _masked_ratio(target: np.ndarray, candidate: np.ndarray) -> tuple[complex, float]:
@@ -103,30 +98,35 @@ def expected_correspondence_constant(n_sites: int, n_roots: int) -> complex:
     )
 
 
-def correspondence_report(
-    params: ChainParams, record: EigenRecord, vectors: tuple[np.ndarray, np.ndarray]
-) -> dict:
-    """Both sides of the eigenstate dictionary for one record.
+def correspondence_report(params: ChainParams, records, states, vectors) -> list[dict]:
+    """Both sides of the eigenstate dictionary, one dict per record.
 
-    ``vectors`` is the record's dense (left row, right column) eigenstate
-    pair, as ``formfactors.eigenstate_vectors`` builds it.  Keys:
-    ``ratio``/``spread`` for the right (column) states,
-    ``left_ratio``/``left_spread`` for the row states, and the shared
-    ``expected`` constant.  The same constant governs both sides.
+    ``states`` is the records' ``product_states`` pair and ``vectors``
+    holds each record's dense (left row, right column) eigenstate pair,
+    as ``formfactors.eigenstate_vectors`` builds it.  Keys: ``ratio``/
+    ``spread`` for the right (column) states, ``left_ratio``/
+    ``left_spread`` for the row states, and the shared ``expected``
+    constant.  The same constant governs both sides.
     """
-    left_target, target = vectors
     rotation = dense.basis_rotation(params)
-    candidate = rotation.T @ bethe_state(params, record.bethe_roots)
-    ratio, spread = _masked_ratio(target, candidate)
-    left_candidate = left_bethe_state(params, record.bethe_roots) @ rotation
-    left_ratio, left_spread = _masked_ratio(left_target, left_candidate)
-    return {
-        "ratio": ratio,
-        "spread": spread,
-        "left_ratio": left_ratio,
-        "left_spread": left_spread,
-        "expected": expected_correspondence_constant(params.n_sites, record.n_roots),
-    }
+    reports = []
+    for record, row, col, (left_target, target) in zip(
+        records, states[0], states[1].T, vectors
+    ):
+        ratio, spread = _masked_ratio(target, rotation.T @ col)
+        left_ratio, left_spread = _masked_ratio(left_target, row @ rotation)
+        reports.append(
+            {
+                "ratio": ratio,
+                "spread": spread,
+                "left_ratio": left_ratio,
+                "left_spread": left_spread,
+                "expected": expected_correspondence_constant(
+                    params.n_sites, record.n_roots
+                ),
+            }
+        )
+    return reports
 
 
 def reference_state_identity(params: ChainParams) -> float:
@@ -191,35 +191,11 @@ def _weighted_expansions(params: ChainParams, xs, ys, bra_q, ket_q_minus, site):
     )
 
 
-def weighted_expansion_crosscheck(
-    params: ChainParams, bra: EigenRecord, ket: EigenRecord, site: int
-) -> tuple[complex, complex, float]:
-    """Equality of the two weighted determinant expansions of the
-    equal-sector matrix element (``_weighted_expansions`` for one
-    element).
-
-    Returns ``(sov_value, aba_value, diff)``: the separated-chain sum,
-    the product-state sum, and the magnitude of their difference.
-    """
-    if bra.n_roots != ket.n_roots or ket.n_roots == 0:
-        raise ValueError("the cross-expansion needs equal, nonzero root counts")
-    ys = np.asarray(ket.bethe_roots, dtype=complex)
-    shifted = ys + np.array([[-1.0], [1.0]]) * params.eta
-    sov_value, aba_value, diff = _weighted_expansions(
-        params,
-        np.asarray(bra.bethe_roots, dtype=complex),
-        ys,
-        bra.q_tau(shifted),
-        ket.q_tau(shifted[0]),
-        site,
-    )
-    return complex(sov_value), complex(aba_value), float(diff)
-
-
 def weighted_expansion_table(
     params: ChainParams, records
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``weighted_expansion_crosscheck`` between records i and j at site
+    """Both weighted expansions of the equal-sector matrix element and
+    their gap (``_weighted_expansions``) between records i and j at site
     s, at ``[i, j, s - 1]`` of each of its three arrays: one
     ``_weighted_expansions`` call per nonzero root count, over every bra
     and ket of that sector and every site (stack axes bra, ket, site).
@@ -279,41 +255,18 @@ def translation_constant(n_sites: int, n_bra_roots: int, sector_gap: int) -> com
     raise ValueError("sector gap beyond one has no matching single operator")
 
 
-def translation_check(
-    params: ChainParams, bra: EigenRecord, ket: EigenRecord, site: int
-) -> tuple[complex, complex, float]:
-    """Separated-chain lowering element against its twisted-frame
-    translation.
+def translation_residual(params: ChainParams, records, states, lowering) -> float:
+    """Worst relative gap between the separated-chain lowering element and
+    its twisted-frame translation -- the product-state element of the
+    sector gap's operator times ``translation_constant`` -- over every
+    ordered pair of records at most one sector apart and every site.
 
-    Returns ``(sov_side, aba_side, rel_err)`` where ``sov_side`` is the
-    determinant form factor, ``aba_side`` the matching product-state
-    element times the translation constant, and ``rel_err`` their
-    relative gap.  Sector gaps beyond one return exact zeros.
-    """
-    gap = bra.n_roots - ket.n_roots
-    sov_side = ff_sigma_minus(params, bra, ket, site)
-    if abs(gap) > 1:
-        return sov_side, 0.0 + 0.0j, float(abs(sov_side))
-    sigma = dense.site_sigma(params, site, _TRANSLATION_CASES[gap])
-    element = left_bethe_state(params, bra.bethe_roots) @ (
-        sigma @ bethe_state(params, ket.bethe_roots)
-    )
-    aba_side = translation_constant(params.n_sites, bra.n_roots, gap) * complex(element)
-    scale = max(abs(sov_side), abs(aba_side), 1e-300)
-    return sov_side, aba_side, float(abs(sov_side - aba_side) / scale)
-
-
-def translation_residual(params: ChainParams, records, lowering) -> float:
-    """Worst relative gap of ``translation_check`` over every ordered pair
-    of records at most one sector apart and every site.
-
+    ``states`` is the records' ``product_states`` pair and
     ``lowering[i, j, site - 1]`` is ``ff_sigma_minus`` between records i
-    and j.  Each record's two product states are built once, and each
-    (sector gap, site) takes one product of the stacked bra rows, the
-    site operator of that gap and the stacked ket columns.
+    and j.  Each (sector gap, site) takes one product of the stacked bra
+    rows, the site operator of that gap and the stacked ket columns.
     """
-    rows = np.stack([left_bethe_state(params, rec.bethe_roots) for rec in records])
-    cols = np.stack([bethe_state(params, rec.bethe_roots) for rec in records], axis=1)
+    rows, cols = states
     n, counts = params.n_sites, [rec.n_roots for rec in records]
     gaps = np.subtract.outer(counts, counts)
     worst = 0.0
@@ -341,22 +294,27 @@ def isospectrality_check(params: ChainParams) -> float:
     return float(np.max(np.abs(anti - twisted)) / scale)
 
 
-def completeness_check(params: ChainParams, records) -> dict:
+def completeness_check(params: ChainParams, records, states) -> dict:
     """Counts backing the completeness transfer: every spectrum record
     yields a product state, each one a twisted-transfer eigenvector, and
     the root multisets are pairwise distinct.
 
+    ``states`` is the records' ``product_states`` pair; each column state
+    is held against its record's eigenvalue under one twisted transfer
+    matrix, by the largest residual entry over the largest state entry.
     Returns a dict with ``n_records``, ``n_eigen`` (eigen-residual at or
     below 1e-7), ``n_distinct`` root multisets and ``max_residual``.
     """
+    cols = states[1]
+    scale = np.max(np.abs(cols), axis=0, initial=0.0)
+    if np.any(scale == 0.0):
+        raise PairingError("product state vanished identically")
+    lam = dense.default_eval_point(params, 2)
+    taus = np.array([record.tau(lam) for record in records])
+    resid = dense.transfer_twisted(params, lam) @ cols - taus * cols
+    residuals = np.max(np.abs(resid), axis=0) / scale
     fingerprints = set()
-    n_eigen = 0
-    worst = 0.0
     for record in records:
-        residual = twisted_eigen_residual(params, record)
-        worst = max(worst, residual)
-        if residual <= 1e-7:
-            n_eigen += 1
         roots = np.asarray(record.bethe_roots, dtype=complex)
         ordered = roots[np.lexsort((roots.imag, roots.real))]
         fingerprints.add(
@@ -367,7 +325,7 @@ def completeness_check(params: ChainParams, records) -> dict:
         )
     return {
         "n_records": len(records),
-        "n_eigen": n_eigen,
+        "n_eigen": int(np.count_nonzero(residuals <= 1e-7)),
         "n_distinct": len(fingerprints),
-        "max_residual": worst,
+        "max_residual": float(residuals.max(initial=0.0)),
     }

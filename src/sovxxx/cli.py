@@ -46,6 +46,7 @@ from .aba import (
     correspondence_report,
     expected_correspondence_constant,
     isospectrality_check,
+    product_states,
     reference_state_identity,
     translation_residual,
     weighted_expansion_table,
@@ -703,10 +704,8 @@ def _suite_aba_check(config: RunConfig, chains: Chains):
     tol = config.tol("aba-check", 1e-9)
     worst_const = 0.0
     worst_spread = 0.0
-    reports = [
-        correspondence_report(params, rec, pair)
-        for rec, pair in zip(records, chain.vectors)
-    ]
+    states = product_states(params, records)
+    reports = correspondence_report(params, records, states, chain.vectors)
     for report in reports:
         expected = report["expected"]
         worst_const = max(
@@ -730,7 +729,7 @@ def _suite_aba_check(config: RunConfig, chains: Chains):
             tol,
         ),
     ]
-    comp = completeness_check(params, records)
+    comp = completeness_check(params, records, states)
     rows.append(
         _row(
             "aba-check/product_state_completeness",
@@ -750,7 +749,7 @@ def _suite_aba_check(config: RunConfig, chains: Chains):
     rows.append(
         _residual_row(
             "aba-check/operator_translation_constants",
-            translation_residual(params, records, chain.lowering),
+            translation_residual(params, records, states, chain.lowering),
             tol,
         )
     )

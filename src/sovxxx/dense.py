@@ -183,15 +183,6 @@ def quantum_det_check(params: ChainParams, lam: complex) -> float:
     return float(np.linalg.norm(res) / scale)
 
 
-def total_sx(params: ChainParams) -> np.ndarray:
-    """Sum over sites of the x Pauli matrix: the conserved magnetization
-    direction of the twisted chain."""
-    out = np.zeros((params.dim, params.dim), dtype=complex)
-    for n in range(1, params.n_sites + 1):
-        out += site_operator(params.n_sites, n, SIGMA_X)
-    return out
-
-
 def global_flip(params: ChainParams) -> np.ndarray:
     """Product over sites of the x Pauli matrix (an involution)."""
     out = np.ones((1, 1), dtype=complex)

@@ -1,20 +1,20 @@
 """Single-site spin matrix elements between transfer-matrix eigenstates.
 
-Two layers, each checked against the dense oracle in the tests:
-
-* operator reconstruction -- the lowering operator at one site equals a
-  string of transfer-matrix values at the lattice nodes around a single
-  diagonal monodromy entry, closed by the global spin flip (the product
-  of ALL node transfer values over their dominant-term normalizations
-  is exactly the global flip, which is what makes the string finite);
-* one evaluation for every sector, obtained by sandwiching the
-  reconstruction between eigenstates: the element reduces to a pairing
-  of the bra eigenstate with a root-augmented partner polynomial, which
-  is the one on-shell pairing rule of ``scalar.sp_on_shell`` evaluated
-  through the lattice-column determinant.  One core (``_lowering``)
-  evaluates it over stacks of one pair of sectors: ``lowering_table``
-  calls it once per sector pair for a whole spectrum, and
-  ``ff_sigma_minus`` is its one-element case.
+The lowering operator at one site equals a string of transfer-matrix
+values at the lattice nodes around a single diagonal monodromy entry,
+closed by the global spin flip (the product of ALL node transfer values
+over their dominant-term normalizations is exactly the global flip,
+which is what makes the string finite); the tests check that
+reconstruction against the dense operator.  Sandwiching it between
+eigenstates gives one evaluation for every sector: the element reduces
+to a pairing of the bra eigenstate with a root-augmented partner
+polynomial, which is the one on-shell pairing rule of
+``scalar.sp_on_shell`` evaluated through the lattice-column determinant.
+One core (``_lowering``) evaluates it over stacks of one pair of
+sectors: ``lowering_table`` calls it once per sector pair for a whole
+spectrum, and ``ff_sigma_minus`` is its one-element case.  The raising
+and z elements follow from the lowering one (``ff_from_lowering``), and
+``ff_dense`` is the dense oracle for all three.
 
 Raw bilinear normalization throughout: values are pairings of the
 un-normalized left and right separate states, so they can be compared
@@ -28,57 +28,9 @@ import numpy as np
 from .chain import ChainParams, d_of
 from . import dense
 from .determinants import lattice_column_determinant
-from .errors import PairingError
 from .scalar import _on_shell_weight
 from .sov import bilinear, separate_state_dense, spec_from_roots
 from .spectrum import EigenRecord
-
-
-def _node_string(params: ChainParams, sites) -> np.ndarray:
-    out = np.eye(2**params.n_sites, dtype=complex)
-    for j in sites:
-        transfer = dense.transfer_antiperiodic(params, params.xi[j])
-        out = out @ (transfer / params.a_at_nodes[j])
-    return out
-
-
-def reconstruct_sigma_minus(params: ChainParams, site: int) -> np.ndarray:
-    """Dense lowering operator at one site from transfer values.
-
-    Forward node string up to the site, the D monodromy entry at the
-    site's node, the forward string past the site, then the global
-    flip.  Without the trailing flip the string has an even number of
-    transfer factors whenever the chain length is even, which is the
-    wrong parity for a single lowering operator; the flip (equal to the
-    full node product) restores it.
-    """
-    if not 1 <= site <= params.n_sites:
-        raise ValueError("site index out of range")
-    n = params.n_sites
-    node = params.xi[site - 1]
-    d_entry = dense.monodromy(params, node)[1][1] / params.a_at_nodes[site - 1]
-    return (
-        _node_string(params, range(site - 1))
-        @ d_entry
-        @ _node_string(params, range(site, n))
-        @ dense.global_flip(params)
-    )
-
-
-def reconstruct_sigma_plus(params: ChainParams, site: int) -> np.ndarray:
-    """Dense raising operator at one site: same string as the lowering
-    reconstruction with the A monodromy entry in place of D."""
-    if not 1 <= site <= params.n_sites:
-        raise ValueError("site index out of range")
-    n = params.n_sites
-    node = params.xi[site - 1]
-    a_entry = dense.monodromy(params, node)[0][0] / params.a_at_nodes[site - 1]
-    return (
-        _node_string(params, range(site - 1))
-        @ a_entry
-        @ _node_string(params, range(site, n))
-        @ dense.global_flip(params)
-    )
 
 
 def eigenstate_vectors(
@@ -209,47 +161,3 @@ def ff_from_lowering(diff, lowering) -> dict:
         "+": (-1.0) ** diff * lowering,
         "z": 2.0 * diff * lowering,
     }
-
-
-def ff_sigma_plus(
-    params: ChainParams,
-    bra_record: EigenRecord,
-    ket_record: EigenRecord,
-    site: int,
-) -> complex:
-    """Raising-operator matrix element (see ``ff_from_lowering``)."""
-    lowering = ff_sigma_minus(params, bra_record, ket_record, site)
-    return ff_from_lowering(bra_record.n_roots - ket_record.n_roots, lowering)["+"]
-
-
-def ff_sigma_z(
-    params: ChainParams,
-    bra_record: EigenRecord,
-    ket_record: EigenRecord,
-    site: int,
-) -> complex:
-    """Z-operator matrix element (see ``ff_from_lowering``)."""
-    diff = bra_record.n_roots - ket_record.n_roots
-    if diff == 0:
-        return 0.0 + 0.0j  # no lowering element needed
-    lowering = ff_sigma_minus(params, bra_record, ket_record, site)
-    return ff_from_lowering(diff, lowering)["z"]
-
-
-def sx_eigenvalue_check(
-    params: ChainParams, record: EigenRecord
-) -> tuple[int, complex]:
-    """Total-x-magnetization eigenvalue on one eigenstate.
-
-    Returns (predicted, measured): the prediction is twice the root
-    count minus the chain length, the measurement is the dense Rayleigh
-    quotient.  The two must agree (the often-quoted opposite sign does
-    not).
-    """
-    left, right = eigenstate_vectors(params, record)
-    overlap = bilinear(left, right)
-    if abs(overlap) < 1e-12 * max(np.max(np.abs(left)) * np.max(np.abs(right)), 1e-300):
-        raise PairingError("left/right overlap vanished; cannot form quotient")
-    measured = bilinear(left, dense.total_sx(params) @ right) / overlap
-    predicted = 2 * record.n_roots - params.n_sites
-    return predicted, complex(measured)

@@ -228,15 +228,6 @@ def spec_constant_one(params: ChainParams, side: str) -> SeparateStateSpec:
     return SeparateStateSpec(side=side, values_at_xi=ones, values_at_xi_minus_eta=ones)
 
 
-def spec_alternating_one(params: ChainParams, side: str) -> SeparateStateSpec:
-    """The separate state taking value +1 on the inhomogeneities and -1 on
-    their down-shifts."""
-    ones = np.ones(params.n_sites, dtype=complex)
-    return SeparateStateSpec(
-        side=side, values_at_xi=ones, values_at_xi_minus_eta=-ones
-    )
-
-
 def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.ndarray:
     """Dense vector of a separate state from its per-site weight values.
 
@@ -268,50 +259,6 @@ def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.nd
         tables.bits, site_w1[..., None, :], site_w0[..., None, :]
     ).prod(axis=-1)
     return (weights * tables.shifted_vandermonde) @ basis
-
-
-def separate_state_aba(
-    params: ChainParams,
-    roots,
-    base: str = "one",
-    side: str = "right",
-    companion_roots=None,
-) -> np.ndarray:
-    """Separate state of a polynomial built operatorially: the ordered
-    product of lower-right monodromy entries at the roots applied to the
-    constant-one separate state, with sign (-1)^(R N).
-
-    With ``base="one_alt"`` the complementary construction is used: the
-    entries act at ``roots`` (the complementary root set) on the
-    alternating-one state, and the prefactor carries the ratio of d
-    values between ``companion_roots`` (the polynomial's own roots) and
-    ``roots``, with sign (-1)^(N len(companion_roots)).
-    """
-    roots = np.asarray(roots, dtype=complex).ravel()
-    n = params.n_sites
-    if base == "one":
-        base_spec = spec_constant_one(params, side)
-        sign = (-1.0) ** (roots.size * n)
-        prefactor = 1.0 + 0.0j
-    elif base == "one_alt":
-        if side != "right":
-            raise ValueError("the alternating-base construction is right-sided")
-        if companion_roots is None:
-            raise ValueError("the alternating-base construction needs companion_roots")
-        companion = np.asarray(companion_roots, dtype=complex).ravel()
-        base_spec = spec_alternating_one(params, side)
-        sign = (-1.0) ** (companion.size * n)
-        prefactor = np.prod(d_of(params, companion)) / np.prod(d_of(params, roots))
-    else:
-        raise ValueError('base must be "one" or "one_alt"')
-    state = separate_state_dense(params, base_spec)
-    if side == "right":
-        for lam in roots:
-            state = monodromy(params, lam)[1][1] @ state
-    else:
-        for lam in roots:
-            state = state @ monodromy(params, lam)[1][1]
-    return sign * prefactor * state
 
 
 def bilinear(left_row: np.ndarray, right_col: np.ndarray) -> complex:

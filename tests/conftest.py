@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sovxxx.chain import sample_generic_params
+from sovxxx.dense import site_sigma
 from sovxxx.spectrum import full_spectrum
 
 _PARAMS: dict = {}
@@ -34,6 +35,12 @@ def params_of():
 @pytest.fixture(scope="session")
 def spectrum_of():
     return cached_spectrum
+
+
+def total_sx(params):
+    """Sum over sites of the x Pauli matrix: the conserved magnetization
+    direction of the twisted chain."""
+    return sum(site_sigma(params, n, "x") for n in range(1, params.n_sites + 1))
 
 
 def separated_cloud(rng, count, eta, avoid=(), min_sep=0.25, box=1.7):

@@ -6,32 +6,72 @@ import numpy as np
 import pytest
 
 from sovxxx.aba import (
-    weighted_expansion_crosscheck,
+    _weighted_expansions,
     bethe_state,
     column_substituted_slavnov,
     completeness_check,
     correspondence_report,
     expected_correspondence_constant,
     isospectrality_check,
+    left_bethe_state,
+    product_states,
     reference_state_identity,
-    translation_check,
     translation_constant,
     translation_residual,
-    twisted_eigen_residual,
     weighted_expansion_table,
 )
 from sovxxx.chain import fixture_params
+from sovxxx.dense import site_sigma
 from sovxxx.determinants import mu_bethe_residuals, slavnov_determinant
 from sovxxx.formfactors import eigenstate_vectors, ff_sigma_minus
 
 from conftest import cached_params, cached_spectrum, separated_cloud
 
 
+def one_expansion(params, bra, ket, site):
+    """``_weighted_expansions`` for one bra, ket and site, from 1-D
+    inputs: ``(sov_value, aba_value, diff)``."""
+    ys = np.asarray(ket.bethe_roots, dtype=complex)
+    shifted = ys + np.array([[-1.0], [1.0]]) * params.eta
+    values = _weighted_expansions(
+        params,
+        np.asarray(bra.bethe_roots, dtype=complex),
+        ys,
+        bra.q_tau(shifted),
+        ket.q_tau(shifted[0]),
+        site,
+    )
+    return complex(values[0]), complex(values[1]), float(values[2])
+
+
+def translation_check(params, bra, ket, site):
+    """Reference for ``translation_residual``, one element at a time:
+    ``(sov_side, aba_side, rel_err)``, the lowering element against the
+    product-state element of the sector gap's operator, each state built
+    on its own.  Sector gaps beyond one give exact zeros."""
+    gap = bra.n_roots - ket.n_roots
+    sov_side = ff_sigma_minus(params, bra, ket, site)
+    if abs(gap) > 1:
+        return sov_side, 0.0 + 0.0j, float(abs(sov_side))
+    sigma = site_sigma(params, site, {0: "z", 1: "+", -1: "-"}[gap])
+    element = left_bethe_state(params, bra.bethe_roots) @ (
+        sigma @ bethe_state(params, ket.bethe_roots)
+    )
+    aba_side = translation_constant(params.n_sites, bra.n_roots, gap) * complex(element)
+    scale = max(abs(sov_side), abs(aba_side), 1e-300)
+    return sov_side, aba_side, float(abs(sov_side - aba_side) / scale)
+
+
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_eigenstate_dictionary_constant_on_both_sides(n_sites):
     params = cached_params(n_sites, 0)
-    for rec in cached_spectrum(n_sites, 0):
-        report = correspondence_report(params, rec, eigenstate_vectors(params, rec))
+    records = cached_spectrum(n_sites, 0)
+    vectors = [eigenstate_vectors(params, rec) for rec in records]
+    reports = correspondence_report(
+        params, records, product_states(params, records), vectors
+    )
+    assert len(reports) == len(records)
+    for report in reports:
         assert report["spread"] <= 1e-9
         assert report["left_spread"] <= 1e-9
         expected = report["expected"]
@@ -63,17 +103,25 @@ def test_antiperiodic_and_twisted_frames_share_spectra(n_sites):
 def test_product_states_are_twisted_eigenvectors_with_low_residual():
     n_sites = 3
     params = cached_params(n_sites, 0)
-    for rec in cached_spectrum(n_sites, 0):
-        assert twisted_eigen_residual(params, rec) <= 1e-8
+    records = cached_spectrum(n_sites, 0)
+    rows, cols = product_states(params, records)
+    assert completeness_check(params, records, (rows, cols))["max_residual"] <= 1e-8
+    for rec in records:
         res = mu_bethe_residuals(params, -1.0, rec.bethe_roots)
         assert res.max(initial=0.0) <= 1e-7
+    # a state that is no eigenvector shows in the residual and the count
+    cols = cols.copy()
+    cols[:, 1] = cols[:, 0] + cols[:, 2]
+    report = completeness_check(params, records, (rows, cols))
+    assert report["max_residual"] > 1e-3
+    assert report["n_eigen"] == 2**n_sites - 1
 
 
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_spectrum_transfer_is_complete(n_sites):
     params = cached_params(n_sites, 0)
     records = cached_spectrum(n_sites, 0)
-    report = completeness_check(params, records)
+    report = completeness_check(params, records, product_states(params, records))
     assert report["n_records"] == 2 ** n_sites
     assert report["n_eigen"] == 2 ** n_sites
     assert report["n_distinct"] == 2 ** n_sites
@@ -83,20 +131,17 @@ def test_equal_sector_weighted_expansions_agree():
     n_sites = 2
     params = cached_params(n_sites, 0)
     records = cached_spectrum(n_sites, 0)
+    sov_values, aba_values, diffs = weighted_expansion_table(params, records)
     pairs = [
-        (b, k)
-        for b in records
-        for k in records
+        (i, j)
+        for i, b in enumerate(records)
+        for j, k in enumerate(records)
         if b.n_roots == k.n_roots and 1 <= b.n_roots <= n_sites - 1
     ]
     assert pairs
-    for bra, ket in pairs:
-        for site in range(1, n_sites + 1):
-            sov_value, aba_value, diff = weighted_expansion_crosscheck(
-                params, bra, ket, site
-            )
-            scale = max(abs(sov_value), abs(aba_value), 1.0)
-            assert diff <= 1e-9 * scale
+    for i, j in pairs:
+        scale = np.maximum(abs(sov_values[i, j]), abs(aba_values[i, j]))
+        assert np.all(diffs[i, j] <= 1e-9 * np.maximum(scale, 1.0))
 
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
@@ -112,7 +157,7 @@ def test_weighted_expansion_table_equals_each_crosscheck(n_sites, seed):
                 if bra.n_roots != ket.n_roots or bra.n_roots == 0:
                     assert stacked == [0.0, 0.0, 0.0]
                     continue
-                one = weighted_expansion_crosscheck(params, bra, ket, site)
+                one = one_expansion(params, bra, ket, site)
                 for got, want in zip(stacked, one):
                     assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
@@ -159,7 +204,8 @@ def test_translation_sweep_is_the_worst_single_element(n_sites):
                 worst = max(worst, translation_check(params, bra, ket, site)[2])
     # the sweep's matrix products round differently from one element at a
     # time, by a few units in the last place of each element
-    assert translation_residual(params, records, lowering) == pytest.approx(
+    states = product_states(params, records)
+    assert translation_residual(params, records, states, lowering) == pytest.approx(
         worst, abs=1e-14
     )
     counts = np.array([rec.n_roots for rec in records])
@@ -171,7 +217,7 @@ def test_translation_sweep_is_the_worst_single_element(n_sites):
     perturbed = lowering.copy()
     perturbed[near] *= 1.0 + 1e-6
     perturbed[far] = 1.0
-    assert translation_residual(params, records, perturbed) == pytest.approx(
+    assert translation_residual(params, records, states, perturbed) == pytest.approx(
         1e-6, rel=1e-5
     )
 

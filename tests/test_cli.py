@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from sovxxx import aba, cli, determinants, formfactors, scalar
+from sovxxx import aba, cli, dense, determinants, formfactors, scalar
 from sovxxx.chain import sample_generic_params
 from sovxxx.cli import SUITE_ORDER, RunConfig, main, render_csv, render_json, run
 from sovxxx.errors import SamplingFailureError, SpectrumError
@@ -287,10 +287,21 @@ def test_aba_check_reports_each_record_once(monkeypatch):
     column_substituted = aba.column_substituted_slavnov
     in_table = []
     table = cli.weighted_expansion_table
+    built = {}
 
-    def counting(params, rec, vectors):
-        reported.append(id(rec))
-        return correspondence_report(params, rec, vectors)
+    def count_builds(module, name):
+        build = getattr(module, name)
+        built[name] = 0
+
+        def counting_build(*args):
+            built[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counting_build)
+
+    def counting(params, records, states, vectors):
+        reported.extend(id(rec) for rec in records)
+        return correspondence_report(params, records, states, vectors)
 
     def counting_substituted(params, mu, xs, ys, m, z):
         value = column_substituted(params, mu, xs, ys, m, z)
@@ -306,9 +317,23 @@ def test_aba_check_reports_each_record_once(monkeypatch):
     monkeypatch.setattr(cli, "correspondence_report", counting)
     monkeypatch.setattr(aba, "column_substituted_slavnov", counting_substituted)
     monkeypatch.setattr(cli, "weighted_expansion_table", counting_table)
+    for name in ("bethe_state", "left_bethe_state"):
+        count_builds(aba, name)
+    for name in ("transfer_twisted", "basis_rotation"):
+        count_builds(dense, name)
     report = run(RunConfig(n_sites=3, seed=0, suites=("aba-check",)))
     assert report["aborted"] == {}
     assert len(reported) == len(set(reported)) == 2**3
+    # each record's product-state pair is built once for every check that
+    # reads it; one twisted transfer serves completeness (isospectrality
+    # builds its own) and one rotation the correspondence (the root-free
+    # identity builds its own)
+    assert built == {
+        "bethe_state": 2**3,
+        "left_bethe_state": 2**3,
+        "transfer_twisted": 2,
+        "basis_rotation": 2,
+    }
     # one stacked call, and so one on-shell check, per nonzero root count:
     # every bra, ket and site of the sector, each with its base and one
     # member per substituted column (one call per expansion made 57)

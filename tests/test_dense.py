@@ -17,13 +17,12 @@ from sovxxx.dense import (
     monodromy_with_derivative,
     quantum_det_check,
     site_sigma,
-    total_sx,
     transfer_antiperiodic,
     transfer_twisted,
 )
 from sovxxx.polynomials import lagrange_interpolate
 
-from conftest import cached_params
+from conftest import cached_params, total_sx
 
 
 def _norm(mat):

@@ -7,25 +7,72 @@ import pytest
 
 from sovxxx import formfactors
 from sovxxx.chain import a_of, d_of, fixture_params, vandermonde
-from sovxxx.dense import global_flip, site_sigma
+from sovxxx.dense import global_flip, monodromy, site_sigma, transfer_antiperiodic
 from sovxxx.determinants import _kernel_matrix
 from sovxxx.errors import NotOnShellError, PairingError
 from sovxxx.formfactors import (
     eigenstate_vectors,
     ff_dense,
+    ff_from_lowering,
     ff_sigma_minus,
-    ff_sigma_plus,
-    ff_sigma_z,
     lowering_table,
-    reconstruct_sigma_minus,
-    reconstruct_sigma_plus,
-    sx_eigenvalue_check,
 )
+from sovxxx.sov import bilinear
 from sovxxx.spectrum import full_spectrum
 
-from conftest import cached_params, cached_spectrum
+from conftest import cached_params, cached_spectrum, total_sx
 
-OPS = {"-": ff_sigma_minus, "+": ff_sigma_plus, "z": ff_sigma_z}
+
+def ff(params, bra, ket, site, op):
+    """The single-site element of ``op`` ("-", "+" or "z") through the
+    lowering route."""
+    lowering = ff_sigma_minus(params, bra, ket, site)
+    return ff_from_lowering(bra.n_roots - ket.n_roots, lowering)[op]
+
+
+def _node_string(params, sites):
+    out = np.eye(2**params.n_sites, dtype=complex)
+    for j in sites:
+        out = out @ (transfer_antiperiodic(params, params.xi[j]) / params.a_at_nodes[j])
+    return out
+
+
+def reconstruct_sigma(params, site, kind):
+    """Dense lowering ("-") or raising ("+") operator at one site from
+    transfer values.
+
+    Forward node string up to the site, the D (lowering) or A (raising)
+    monodromy entry at the site's node, the forward string past the
+    site, then the global flip.  Without the trailing flip the string has
+    an even number of transfer factors whenever the chain length is
+    even, which is the wrong parity for a single lowering operator; the
+    flip (equal to the full node product) restores it.
+    """
+    entry = {"-": (1, 1), "+": (0, 0)}[kind]
+    blocks = monodromy(params, params.xi[site - 1])
+    return (
+        _node_string(params, range(site - 1))
+        @ (blocks[entry[0]][entry[1]] / params.a_at_nodes[site - 1])
+        @ _node_string(params, range(site, params.n_sites))
+        @ global_flip(params)
+    )
+
+
+def sx_eigenvalue_check(params, record):
+    """Total-x-magnetization eigenvalue on one eigenstate.
+
+    Returns (predicted, measured): the prediction is twice the root
+    count minus the chain length, the measurement is the dense Rayleigh
+    quotient.  The two must agree (the often-quoted opposite sign does
+    not).
+    """
+    left, right = formfactors.eigenstate_vectors(params, record)
+    overlap = bilinear(left, right)
+    if abs(overlap) < 1e-12 * max(np.max(np.abs(left)) * np.max(np.abs(right)), 1e-300):
+        raise PairingError("left/right overlap vanished; cannot form quotient")
+    measured = bilinear(left, total_sx(params) @ right) / overlap
+    predicted = 2 * record.n_roots - params.n_sites
+    return predicted, complex(measured)
 
 
 def _pair_scale(params, bra, ket):
@@ -42,8 +89,8 @@ def test_all_matrix_elements_match_dense_across_full_spectrum():
         for ket in records:
             scale = _pair_scale(params, bra, ket)
             for site in range(1, n_sites + 1):
-                for op_key, op_fn in OPS.items():
-                    value = op_fn(params, bra, ket, site)
+                for op_key in ("-", "+", "z"):
+                    value = ff(params, bra, ket, site, op_key)
                     dense_val = ff_dense(params, bra, ket, site, op_key)
                     assert abs(value - dense_val) <= 1e-8 * scale, (
                         bra.n_roots,
@@ -64,8 +111,8 @@ def test_distant_sectors_vanish_in_both_routes():
                 continue
             scale = _pair_scale(params, bra, ket)
             for site in (1, n_sites):
-                for op_key, op_fn in OPS.items():
-                    assert abs(op_fn(params, bra, ket, site)) == 0.0
+                for op_key in ("-", "+", "z"):
+                    assert abs(ff(params, bra, ket, site, op_key)) == 0.0
                     assert abs(ff_dense(params, bra, ket, site, op_key)) <= (
                         1e-9 * scale
                     )
@@ -78,7 +125,7 @@ def test_diagonal_z_element_is_exactly_zero():
     records = cached_spectrum(3, 0)
     for rec in records:
         for site in range(1, 4):
-            assert ff_sigma_z(params, rec, rec, site) == 0.0
+            assert ff(params, rec, rec, site, "z") == 0.0
             scale = _pair_scale(params, rec, rec)
             assert abs(ff_dense(params, rec, rec, site, "z")) <= 1e-9 * scale
 
@@ -87,11 +134,8 @@ def test_diagonal_z_element_is_exactly_zero():
 def test_operator_reconstruction_from_transfer_data(n_sites):
     params = cached_params(n_sites, 0)
     for site in range(1, n_sites + 1):
-        for builder, kind in (
-            (reconstruct_sigma_minus, "-"),
-            (reconstruct_sigma_plus, "+"),
-        ):
-            built = builder(params, site)
+        for kind in ("-", "+"):
+            built = reconstruct_sigma(params, site, kind)
             target = site_sigma(params, site, kind)
             assert np.linalg.norm(built - target, ord=2) <= 1e-9
 
@@ -130,12 +174,12 @@ def test_single_site_fixture_hand_values():
     up = next(r for r in records if r.n_roots == 1)
     down = next(r for r in records if r.n_roots == 0)
     assert ff_sigma_minus(params, down, up, 1) == pytest.approx(-0.5, abs=1e-10)
-    assert ff_sigma_plus(params, down, up, 1) == pytest.approx(0.5, abs=1e-10)
-    assert ff_sigma_z(params, down, up, 1) == pytest.approx(1.0, abs=1e-10)
+    assert ff(params, down, up, 1, "+") == pytest.approx(0.5, abs=1e-10)
+    assert ff(params, down, up, 1, "z") == pytest.approx(1.0, abs=1e-10)
     # the bilinear pairing is symmetric, so the reversed orientation
     # gives the same value (the sector gap and the lowering element both
     # flip sign)
-    assert ff_sigma_z(params, up, down, 1) == pytest.approx(1.0, abs=1e-10)
+    assert ff(params, up, down, 1, "z") == pytest.approx(1.0, abs=1e-10)
 
 
 def test_z_sign_convention_is_the_derived_one():
@@ -146,7 +190,7 @@ def test_z_sign_convention_is_the_derived_one():
     up = next(r for r in records if r.n_roots == 1)
     down = next(r for r in records if r.n_roots == 0)
     minus = ff_sigma_minus(params, down, up, 1)
-    zval = ff_sigma_z(params, down, up, 1)
+    zval = ff(params, down, up, 1, "z")
     gap = down.n_roots - up.n_roots
     assert zval == pytest.approx(2.0 * gap * minus, abs=1e-12)
     dense_val = ff_dense(params, down, up, 1, "z")

@@ -18,18 +18,54 @@ from sovxxx.sov import (
     diagonal_eigenvalue,
     occupation_patterns,
     pattern_index,
-    separate_state_aba,
     separate_state_dense,
     sov_basis,
     sov_basis_state,
     sov_gram_check,
     sov_tables,
-    spec_alternating_one,
     spec_constant_one,
     spec_from_roots,
 )
 
 from conftest import cached_params, separated_cloud
+
+
+def spec_alternating_one(params, side):
+    """The separate state taking value +1 on the inhomogeneities and -1 on
+    their down-shifts."""
+    ones = np.ones(params.n_sites, dtype=complex)
+    return SeparateStateSpec(side=side, values_at_xi=ones, values_at_xi_minus_eta=-ones)
+
+
+def separate_state_aba(params, roots, base="one", side="right", companion_roots=None):
+    """Separate state of a polynomial built operatorially: the ordered
+    product of lower-right monodromy entries at the roots applied to the
+    constant-one separate state, with sign (-1)^(R N).
+
+    With ``base="one_alt"`` the complementary construction is used: the
+    entries act at ``roots`` (the complementary root set) on the
+    alternating-one state, and the prefactor carries the ratio of d
+    values between ``companion_roots`` (the polynomial's own roots) and
+    ``roots``, with sign (-1)^(N len(companion_roots)).  That
+    construction is right-sided.
+    """
+    roots = np.asarray(roots, dtype=complex).ravel()
+    n = params.n_sites
+    if base == "one":
+        base_spec = spec_constant_one(params, side)
+        sign = (-1.0) ** (roots.size * n)
+        prefactor = 1.0 + 0.0j
+    else:
+        assert base == "one_alt" and side == "right"
+        companion = np.asarray(companion_roots, dtype=complex).ravel()
+        base_spec = spec_alternating_one(params, side)
+        sign = (-1.0) ** (companion.size * n)
+        prefactor = np.prod(d_of(params, companion)) / np.prod(d_of(params, roots))
+    state = separate_state_dense(params, base_spec)
+    for lam in roots:
+        entry = monodromy(params, lam)[1][1]
+        state = entry @ state if side == "right" else state @ entry
+    return sign * prefactor * state
 
 
 def _compensated_separate_state(params, sspec) -> np.ndarray:
