@@ -71,6 +71,44 @@ class ChainParams:
         values.setflags(write=False)
         return values
 
+    @cached_property
+    def occupation(self) -> np.ndarray:
+        """``occupation[k, a]``: whether site ``a`` is occupied in the
+        separated-basis pattern ``k`` (bitmask order, site 1 most
+        significant).  Like every separated-basis table it exists only for
+        a chain that passes ``require_generic``."""
+        require_generic(self)
+        index = np.arange(self.dim)[:, None]
+        bits = ((index >> np.arange(self.n_sites - 1, -1, -1)) & 1).astype(bool)
+        bits.setflags(write=False)
+        return bits
+
+    @cached_property
+    def shifted_vandermonde(self) -> np.ndarray:
+        """``vandermonde(shifted_xi(self, occupation[k], -1))`` for every
+        pattern ``k``, one pattern at a time: the stacked product rounds
+        differently."""
+        values = np.array(
+            [vandermonde(shifted_xi(self, h, direction=-1)) for h in self.occupation],
+            dtype=complex,
+        )
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def right_basis(self) -> np.ndarray:
+        """The right separated basis, one row per pattern (``sov.sov_basis``)."""
+        from .sov import ladder_basis
+
+        return ladder_basis(self, "right")
+
+    @cached_property
+    def left_basis(self) -> np.ndarray:
+        """The left separated basis, one row per pattern (``sov.sov_basis``)."""
+        from .sov import ladder_basis
+
+        return ladder_basis(self, "left")
+
 
 def separation_deficit(params: ChainParams) -> float:
     """Smallest of the quantities the genericity condition bounds below.

@@ -233,11 +233,11 @@ def default_eval_point(params: ChainParams, index: int = 0) -> complex:
     return center + spread * _LAM0_DIRECTIONS[index % len(_LAM0_DIRECTIONS)]
 
 
-def diagonalize_transfer(
-    params: ChainParams,
-) -> list[tuple[complex, np.ndarray, np.ndarray]]:
-    """Eigenvalues of the antiperiodic transfer matrix at one point, with
-    biorthogonal right and left eigenvectors.
+def diagonalize_transfer(params: ChainParams) -> tuple[np.ndarray, np.ndarray]:
+    """Biorthogonal right and left eigenvectors of the antiperiodic
+    transfer matrix: the right ones as columns, the left ones as rows,
+    both sorted by the eigenvalue at the evaluation point (real part
+    first).
 
     The transfer matrix family commutes with itself, so a single generic
     evaluation point determines the common eigenvectors.  Left rows come
@@ -262,7 +262,10 @@ def diagonalize_transfer(
         if resid > 1e-9 * np.linalg.norm(tmat) * np.sqrt(params.dim):
             continue
         order = np.lexsort((vals.imag, vals.real))
-        return [(complex(vals[i]), right[:, i].copy(), left[i, :].copy()) for i in order]
+        # C order: numpy picks its loops by memory layout, and a column
+        # norm of the Fortran-ordered array LAPACK returns rounds
+        # differently
+        return np.ascontiguousarray(right[:, order]), left[order]
     raise PairingError(
         "transfer spectrum stayed near-degenerate at every candidate point "
         f"(last gap {last_gap:.3e})"

@@ -66,19 +66,6 @@ class ComplexPoly:
     def __call__(self, z):
         return npoly.polyval(z, self.coeffs)
 
-    def derivative(self) -> "ComplexPoly":
-        if self.degree < 1:
-            return ComplexPoly(np.zeros(1, dtype=complex))
-        return ComplexPoly(npoly.polyder(self.coeffs))
-
-    def scaled(self, factor: complex) -> "ComplexPoly":
-        return ComplexPoly(self.coeffs * factor)
-
-    def monic(self) -> "ComplexPoly":
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no monic normalization")
-        return ComplexPoly(self.coeffs / self.coeffs[-1])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ComplexPoly({np.array2string(self.coeffs, precision=6)})"
 

@@ -353,9 +353,7 @@ def homogeneous_stress_sweep(
     rows: list[dict] = []
     for eps in eps_values:
         params = near_homogeneous_params(n_sites, float(eps))
-        triples = diagonalize_transfer(params)
-        lefts = np.stack([left for _, _, left in triples])
-        rights = np.stack([right for _, right, _ in triples], axis=1)
+        rights, lefts = diagonalize_transfer(params)
         # every eigenvalue at every probe: one stacked transfer build and
         # one contraction against both eigenvector sets
         probed = transfer_antiperiodic(params, probes) @ rights

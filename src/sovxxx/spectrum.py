@@ -19,10 +19,13 @@ at once: one product of stacked Rayleigh quotients with the nodes'
 cardinal-coefficient matrix gives every eigenvalue polynomial; one
 least-squares solve per degree (``tq_collocation``, which the
 homogeneous stress sweep calls too) gives every auxiliary polynomial of
-every eigenvalue and its negative (``solve_q_from_tau`` is the
-stack-of-one case); the polish runs stacked by root count; and every
-residual is one array expression over the chain's one probe set
-(``SpectrumTransfers``).
+every eigenvalue and its negative (``solve_q_from_tau`` runs the same
+solve on any list of eigenvalue polynomials); the polish runs stacked by
+root count; and every residual is one array expression over the chain's
+one probe set.  The N + 2 transfer matrices the records read (one per
+inhomogeneity, one at the held-out point and one at the eigenstate-check
+point) are built once per spectrum, one point at a time, and each is
+dropped after its one contraction.
 """
 
 from __future__ import annotations
@@ -96,35 +99,6 @@ def _point_cloud(params: ChainParams, count: int, key) -> np.ndarray:
 def probe_points(params: ChainParams, count: int) -> np.ndarray:
     """Deterministic generic probe points scaled to the parameter spread."""
     return _point_cloud(params, count, 777)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumTransfers:
-    """What every record of one spectrum reads, built once per chain: the
-    antiperiodic transfer matrices at the inhomogeneities (stacked, one
-    per node), at the held-out point and at the eigenstate-check point,
-    and the one probe set every T-Q, Wronskian and reconstruction
-    residual is evaluated on."""
-
-    at_nodes: np.ndarray
-    held_point: complex
-    at_held: np.ndarray
-    check_point: complex
-    at_check: np.ndarray
-    probes: np.ndarray
-
-
-def spectrum_transfers(params: ChainParams) -> SpectrumTransfers:
-    held = default_eval_point(params, 3)
-    check = default_eval_point(params, 1)
-    return SpectrumTransfers(
-        at_nodes=np.stack([transfer_antiperiodic(params, x) for x in params.xi]),
-        held_point=held,
-        at_held=transfer_antiperiodic(params, held),
-        check_point=check,
-        at_check=transfer_antiperiodic(params, check),
-        probes=probe_points(params, 2 * params.n_sites + 2),
-    )
 
 
 def _values(coeffs: np.ndarray, points) -> np.ndarray:
@@ -331,23 +305,20 @@ def _solve_q_stack(
 
 
 def solve_q_from_tau(
-    params: ChainParams, tau: ComplexPoly, seed: int = 0
-) -> ComplexPoly:
-    """Monic auxiliary polynomial of one eigenvalue polynomial: the
-    stack-of-one case of the spectrum's solve (``_solve_q_stack``): T-Q
-    collocation at points drawn from ``seed``, Newton polish, and the
-    functional gate at the chain's probe points."""
+    params: ChainParams, taus, seed: int = 0
+) -> list[ComplexPoly]:
+    """Monic auxiliary polynomial of each eigenvalue polynomial in
+    ``taus``, in one stacked solve (``_solve_q_stack``): T-Q collocation
+    at points drawn from ``seed``, Newton polish, and the functional gate
+    at the chain's probe points."""
     require_generic(params)
     probes = probe_points(params, 2 * params.n_sites + 2)
-    (solution,) = _solve_q_stack(
-        params, _padded([tau], params.n_sites), probes, seed
-    )
-    return solution.q
+    solutions = _solve_q_stack(params, _padded(taus, params.n_sites), probes, seed)
+    return [solution.q for solution in solutions]
 
 
 def _tau_stack(
-    params: ChainParams, rights: np.ndarray, lefts: np.ndarray,
-    transfers: SpectrumTransfers,
+    params: ChainParams, rights: np.ndarray, lefts: np.ndarray
 ) -> list[ComplexPoly]:
     """Eigenvalue polynomials of every biorthogonal eigenvector pair
     (columns of ``rights``, rows of ``lefts``).
@@ -361,18 +332,26 @@ def _tau_stack(
     scale = np.linalg.norm(lefts, axis=1) * np.linalg.norm(rights, axis=0)
     if np.any(np.abs(pairing) < 1e-12 * scale):
         raise PairingError("left/right eigenvectors are numerically orthogonal")
-    # one node at a time keeps the temporary at one (2^N, 2^N) product
+    # one point at a time, transfer matrix and product both: a stack over
+    # the points holds all four monodromy entries at every point, which
+    # at N = 8 lifts the peak resident memory of the oracle, sov and
+    # spectrum suites from 75 to 145 MB
     at_nodes = np.stack(
-        [np.einsum("kd,dk->k", lefts, tmat @ rights) for tmat in transfers.at_nodes],
+        [
+            np.einsum("kd,dk->k", lefts, transfer_antiperiodic(params, x) @ rights)
+            for x in params.xi
+        ],
         axis=1,
     )
     taus = [
         ComplexPoly(row)
         for row in (at_nodes / pairing[:, None]) @ cardinal_coefficients(params.xi)
     ]
-    direct = np.einsum("kd,dk->k", lefts, transfers.at_held @ rights) / pairing
+    held = default_eval_point(params, 3)
+    at_held = transfer_antiperiodic(params, held)
+    direct = np.einsum("kd,dk->k", lefts, at_held @ rights) / pairing
     coeffs = _padded(taus, params.n_sites)
-    interpolated = _values(coeffs, [transfers.held_point])[:, 0]
+    interpolated = _values(coeffs, [held])[:, 0]
     if np.any(np.abs(interpolated - direct) > 1e-9 * np.maximum(1.0, np.abs(direct))):
         raise SpectrumError(
             "interpolated eigenvalue polynomial failed the held-out check"
@@ -448,12 +427,9 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
     require_generic(params)
     n = params.n_sites
     eta = params.eta
-    triples = diagonalize_transfer(params)
-    transfers = spectrum_transfers(params)
-    probes = transfers.probes
-    rights = np.stack([right for _, right, _ in triples], axis=1)
-    lefts = np.stack([left for _, _, left in triples])
-    taus = _tau_stack(params, rights, lefts, transfers)
+    rights, lefts = diagonalize_transfer(params)
+    probes = probe_points(params, 2 * n + 2)
+    taus = _tau_stack(params, rights, lefts)
     tau_coeffs = _padded(taus, n)
     at_xi = _values(tau_coeffs, params.xi)
     prod_ad = params.a_at_nodes * d_of(params, params.xi - eta)
@@ -486,10 +462,11 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
             for sol in plus
         ]
     )
-    at_check = _values(tau_coeffs, [transfers.check_point])
-    eig_res = np.linalg.norm(vecs @ transfers.at_check.T - at_check * vecs, axis=-1) / (
-        np.abs(at_check[:, 0]) * np.linalg.norm(vecs, axis=-1)
-    )
+    check = default_eval_point(params, 1)
+    at_check = _values(tau_coeffs, [check])
+    eig_res = np.linalg.norm(
+        vecs @ transfer_antiperiodic(params, check).T - at_check * vecs, axis=-1
+    ) / (np.abs(at_check[:, 0]) * np.linalg.norm(vecs, axis=-1))
     records = [
         EigenRecord(
             tau=tau,

@@ -190,18 +190,18 @@ def test_monodromy_blocks_assemble_the_transfer():
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
 def test_eigen_decomposition_is_biorthonormal(n_sites):
     params = cached_params(n_sites, 0)
-    triples = diagonalize_transfer(params)
-    assert len(triples) == 2**n_sites
+    rights, lefts = diagonalize_transfer(params)
+    assert rights.shape == lefts.shape == (2**n_sites, 2**n_sites)
     lam0 = default_eval_point(params, 0)
     mat = transfer_antiperiodic(params, lam0)
-    for k, (_, right, left) in enumerate(triples):
+    for k, (right, left) in enumerate(zip(rights.T, lefts)):
         # eigenvectors are shared by the whole commuting family, so the
         # pair must diagonalize the transfer at any probe point
         val_at = left @ (mat @ right)
         assert np.linalg.norm(mat @ right - val_at * right) <= 1e-8 * _norm(
             mat
         ) * np.linalg.norm(right)
-        for j, (_, right_j, _) in enumerate(triples):
+        for j, right_j in enumerate(rights.T):
             want = 1.0 if j == k else 0.0
             assert abs(left @ right_j - want) <= 1e-9
 

@@ -1,10 +1,14 @@
 """Dead-code guard: every function, class and method the package defines
-must be named somewhere in production code besides its own definition.
+must be referenced somewhere in production code besides its own definition.
 
 The search covers the package, the benchmark harness and the project
 metadata (console-script entry points live there), not the tests: a
 route that only tests call is a test reference and belongs in the tests.
-Dunder methods are called by the language itself and are exempt.
+A reference is a code reference, not a word: a name read, an attribute
+read, a name imported, a string constant that is a bare identifier (such
+as a key of the tracer's table of wrapped functions) or an entry point.
+The same word in a docstring or a comment keeps nothing alive.  Dunder
+methods are called by the language itself and are exempt.
 """
 
 from __future__ import annotations
@@ -17,11 +21,24 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sovxxx"
 
 
-def _corpus() -> list[str]:
-    paths = sorted(ROOT.glob("src/**/*.py"))
-    paths += sorted(ROOT.glob("perfbench/**/*.py"))
-    paths.append(ROOT / "pyproject.toml")
-    return [p.read_text(encoding="utf-8") for p in paths if p.is_file()]
+def _references() -> set[str]:
+    names: set[str] = set()
+    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("perfbench/**/*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    names.add(node.value)
+    # console-script entry points: name = "module:function"
+    metadata = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    names.update(re.findall(r'^\w[\w-]*\s*=\s*"[\w.]+:(\w+)"', metadata, re.MULTILINE))
+    return names
 
 
 def _definitions():
@@ -39,13 +56,11 @@ def _definitions():
 
 
 def test_every_definition_is_referenced():
-    corpus = _corpus()
-    unreferenced = []
-    for module, qualname, name in _definitions():
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        # the definition itself accounts for exactly one occurrence
-        if sum(len(word.findall(text)) for text in corpus) <= 1:
-            unreferenced.append(f"{module}.{qualname}")
+    references = _references()
+    unreferenced = [
+        f"{module}.{qualname}"
+        for module, qualname, name in _definitions()
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in references
+    ]
     assert not unreferenced, f"unreferenced definitions: {unreferenced}"

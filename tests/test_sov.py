@@ -4,30 +4,75 @@ from __future__ import annotations
 
 import gc
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from sovxxx import sov
-from sovxxx.chain import a_of, d_of, sample_generic_params, shifted_xi, vandermonde
+from sovxxx import chain, sov
+from sovxxx.chain import (
+    ChainParams,
+    a_of,
+    d_of,
+    sample_generic_params,
+    shifted_xi,
+    vandermonde,
+)
 from sovxxx.dense import basis_rotation, flipped_reference_state, monodromy
 from sovxxx.sov import (
     SeparateStateSpec,
     bilinear,
     diagonal_eigenvalue,
-    occupation_patterns,
-    pattern_index,
     separate_state_dense,
     sov_basis,
-    sov_basis_state,
     sov_gram_check,
-    sov_tables,
     spec_constant_one,
     spec_from_roots,
 )
 
 from conftest import cached_params, separated_cloud
+
+
+def occupation_patterns(n_sites: int):
+    """All occupation patterns as tuples, site 1 first, in integer order
+    of the bitmask with site 1 as the most significant bit."""
+    return product((0, 1), repeat=n_sites)
+
+
+def pattern_index(h) -> int:
+    idx = 0
+    for bit in h:
+        idx = (idx << 1) | int(bit)
+    return idx
+
+
+def sov_basis_state(params, h, side: str) -> np.ndarray:
+    """One separated-basis vector for occupation pattern ``h``."""
+    return sov_basis(params, side)[pattern_index(h)]
+
+
+def gram_check_per_pattern(params) -> dict[str, float]:
+    """Reference for ``sov_gram_check``: each Gram row normalized by its
+    own weight, and the resolution of the identity accumulated one outer
+    product per pattern."""
+    right = sov_basis(params, "right")
+    left = sov_basis(params, "left")
+    gram = left @ right.T
+    v_xi = vandermonde(params.xi)
+    gram_res = 0.0
+    recon = np.zeros((params.dim, params.dim), dtype=complex)
+    for h in occupation_patterns(params.n_sites):
+        idx = pattern_index(h)
+        parity = (-1) ** sum(h)
+        weight = v_xi * vandermonde(shifted_xi(params, np.asarray(h), direction=-1))
+        target = np.zeros(params.dim)
+        target[idx] = 1.0
+        row = gram[idx] * parity * weight
+        gram_res = max(gram_res, float(np.max(np.abs(row - target))))
+        recon += parity * weight * np.outer(right[idx], left[idx])
+    identity_res = float(np.max(np.abs(recon - np.eye(params.dim))))
+    return {"gram": gram_res, "identity": identity_res}
 
 
 def spec_alternating_one(params, side):
@@ -138,14 +183,13 @@ def test_stacked_separate_states_match_each_spec(n_sites):
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
 def test_tables_match_per_pattern_evaluation(n_sites):
     params = cached_params(n_sites, 0)
-    tables = sov_tables(params)
     patterns = list(occupation_patterns(n_sites))
-    assert tables.bits.astype(int).tolist() == [list(h) for h in patterns]
+    assert params.occupation.astype(int).tolist() == [list(h) for h in patterns]
     ref = np.array(
         [vandermonde(shifted_xi(params, np.asarray(h), direction=-1)) for h in patterns],
         dtype=complex,
     )
-    assert tables.shifted_vandermonde.tobytes() == ref.tobytes()
+    assert params.shifted_vandermonde.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n_sites", [1, 3, 5])
@@ -168,21 +212,27 @@ def test_root_spec_values_match_horner(n_sites):
 def test_tables_are_built_once_per_chain(monkeypatch):
     params = sample_generic_params(3, 7, None)
     calls = {"monodromy": 0, "vandermonde": 0}
-    for name in calls:
-        real = getattr(sov, name)
+    for module, name in ((sov, "monodromy"), (chain, "vandermonde")):
+        real = getattr(module, name)
 
         def counted(*args, real=real, name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sov, name, counted)
+        monkeypatch.setattr(module, name, counted)
     spec = spec_from_roots(params, [0.3 + 0.2j], "right")
     first = separate_state_dense(params, spec)
-    assert calls["monodromy"] == 3
+    # one ladder per node, one shifted Vandermonde per pattern
+    assert calls == {"monodromy": 3, "vandermonde": 8}
     calls.update(monodromy=0, vandermonde=0)
     second = separate_state_dense(params, spec)
     assert calls == {"monodromy": 0, "vandermonde": 0}
     assert np.array_equal(first, second)
+    # an equal chain is another instance, with tables of its own
+    twin = ChainParams(params.n_sites, params.eta, params.xi, params.margin)
+    assert np.array_equal(separate_state_dense(twin, spec), first)
+    assert calls == {"monodromy": 3, "vandermonde": 8}
+    assert sov_basis(twin, "right") is not sov_basis(params, "right")
 
 
 def test_tables_live_only_as_long_as_their_chain():
@@ -192,10 +242,24 @@ def test_tables_live_only_as_long_as_their_chain():
         for side in ("left", "right"):
             separate_state_dense(params, spec_constant_one(params, side))
             refs.append(weakref.ref(sov_basis(params, side)))
-        refs.append(weakref.ref(sov_tables(params)))
+        refs.append(weakref.ref(params.occupation))
+        refs.append(weakref.ref(params.shifted_vandermonde))
     del params
     gc.collect()
     assert sum(ref() is not None for ref in refs) == 0
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_separated_basis_refuses_a_chain_that_is_not_generic(side):
+    collapsed = ChainParams(n_sites=2, eta=1.0, xi=(0.1, 0.1 + 1e-9), margin=0.05)
+    with pytest.raises(ValueError, match="not separated enough"):
+        sov_basis(collapsed, side)
+    with pytest.raises(ValueError, match="not separated enough"):
+        separate_state_dense(collapsed, spec_constant_one(collapsed, side))
+    # a refused build keeps nothing, so a later read refuses again
+    assert not {"occupation", "shifted_vandermonde", "left_basis", "right_basis"} & set(
+        vars(collapsed)
+    )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -221,6 +285,19 @@ def test_gram_and_identity_decomposition(n_sites):
     assert report["identity"] <= 1e-9
 
 
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
+def test_gram_check_matches_per_pattern_loop(n_sites):
+    params = cached_params(n_sites, 0)
+    got = sov_gram_check(params)
+    ref = gram_check_per_pattern(params)
+    # both are rounding-level residuals of order-one entries, summed in
+    # different orders: they agree to a few ulps per basis vector
+    bound = 4 * params.dim * np.finfo(float).eps
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert abs(got[key] - ref[key]) <= bound
+
+
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_diagonal_eigenrelation_both_sides(n_sites):
     params = cached_params(n_sites, 0)
@@ -228,7 +305,11 @@ def test_diagonal_eigenrelation_both_sides(n_sites):
     for _ in range(2):
         lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         dmat = monodromy(params, lam)[1][1]
+        table = diagonal_eigenvalue(params, params.occupation, lam)
         for h in occupation_patterns(n_sites):
+            assert table[pattern_index(h)] == pytest.approx(
+                diagonal_eigenvalue(params, h, lam), rel=1e-14
+            )
             val = diagonal_eigenvalue(params, h, lam)
             right = sov_basis_state(params, h, "right")
             left = sov_basis_state(params, h, "left")

@@ -155,14 +155,20 @@ def test_stored_residuals_meet_module_gates():
             assert rec.residuals["eigenstate"] <= 1e-8
 
 
+def scaled(poly: ComplexPoly, factor: complex) -> ComplexPoly:
+    return ComplexPoly(poly.coeffs * factor)
+
+
 def test_q_solution_is_independent_of_collocation_points():
     params = cached_params(3, 0)
-    for rec in cached_spectrum(3, 0)[:3]:
-        for seed in (5, 17):
-            again = solve_q_from_tau(params, rec.tau, seed=seed)
-            assert again.degree == rec.q_tau.degree
+    records = cached_spectrum(3, 0)[:3]
+    for seed in (5, 17):
+        again = solve_q_from_tau(params, [rec.tau for rec in records], seed=seed)
+        assert len(again) == len(records)
+        for rec, q in zip(records, again):
+            assert q.degree == rec.q_tau.degree
             scale = float(np.max(np.abs(rec.q_tau.coeffs)))
-            assert np.max(np.abs(again.coeffs - rec.q_tau.coeffs)) <= 1e-9 * scale
+            assert np.max(np.abs(q.coeffs - rec.q_tau.coeffs)) <= 1e-9 * scale
 
 
 def test_leading_coefficient_off_every_degree_is_refused():
@@ -170,14 +176,14 @@ def test_leading_coefficient_off_every_degree_is_refused():
     for rec in cached_spectrum(3, 0)[:4]:
         # t_{N-1} / eta = 1.1 (2r - 3) is an odd integer for no r
         with pytest.raises(SpectrumError, match="leading coefficient"):
-            solve_q_from_tau(params, rec.tau.scaled(1.1))
+            solve_q_from_tau(params, [scaled(rec.tau, 1.1)])
 
 
 def test_degree_zero_solutions_are_one_with_no_warning():
     params = cached_params(3, 0)
     rec = next(r for r in cached_spectrum(3, 0) if r.n_roots == 0)
     # any warning is an error under the test configuration
-    q = solve_q_from_tau(params, rec.tau)
+    (q,) = solve_q_from_tau(params, [rec.tau])
     assert np.array_equal(q.coeffs, [1.0])
     for rec in full_spectrum(fixture_params(1), 0):
         if rec.n_roots == 0:
@@ -239,7 +245,7 @@ def test_stacked_q_solve_matches_stack_of_one_solves():
     probes = probe_points(params, 2 * params.n_sites + 2)
     coeffs = spectrum._padded(taus, params.n_sites)
     stacked = spectrum._solve_q_stack(params, coeffs, probes, 0)
-    singles = [solve_q_from_tau(params, tau, seed=0) for tau in taus]
+    singles = [solve_q_from_tau(params, [tau], seed=0)[0] for tau in taus]
     for sol, single in zip(stacked, singles):
         assert sol.q.degree == single.degree
         scale = float(np.max(np.abs(single.coeffs)))
