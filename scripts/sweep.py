@@ -10,7 +10,8 @@ failing rows (name and relative error) and aborted suites.  The exit
 status is 1 when any row fails or any suite aborts, 0 otherwise.
 ``--json`` also writes every row's relative error and verdict, keyed by
 configuration, so two checkouts' sweeps can be compared row by row, and
-next to them the configuration's wall seconds (``cli.run`` alone) and
+next to them the sha256 of the configuration's JSON report
+(``cli.render_json``), its wall seconds (``cli.run`` alone) and
 each suite's (the script times the entries of ``cli._SUITES``; a build
 shared by several suites is charged to the first that uses it).  The
 times stay out of the report, whose bytes do not depend on them;
@@ -27,6 +28,7 @@ then reproduces with a rerun.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -40,7 +42,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sovxxx import cli  # noqa: E402
-from sovxxx.cli import RunConfig, run  # noqa: E402
+from sovxxx.cli import RunConfig, render_json, run  # noqa: E402
 
 
 def parse_range(text: str) -> list[int]:
@@ -94,7 +96,9 @@ def compare(before: dict, after: dict) -> list[str]:
     writes them), as printable lines.
 
     First each configuration of both whose exit status, aborted suites
-    or failing rows differ; then, per row, the number of configurations
+    or failing rows differ; then, over the configurations of both that
+    carry a report digest, how many have different report bytes, and
+    which; then, per row, the number of configurations
     whose relative error moved down and up and the row's worst value
     before and after, over the configurations of both.  The rows of
     ``VERDICT_ONLY`` enter through their verdicts alone.  Last, per chain
@@ -122,6 +126,17 @@ def compare(before: dict, after: dict) -> list[str]:
         lines.append(f"N={config.replace('/', ' seed=')}: " + "; ".join(parts))
     if not lines:
         lines.append("no configuration differs in exit status, aborts or failing rows")
+    digests = {
+        config: (before[config]["report_sha256"], after[config]["report_sha256"])
+        for config in common
+        if "report_sha256" in before[config] and "report_sha256" in after[config]
+    }
+    if digests:
+        moved = [config for config, (old, new) in digests.items() if old != new]
+        lines.append(
+            f"report bytes differ in {len(moved)} of {len(digests)} configurations"
+        )
+        lines += [f"  N={config.replace('/', ' seed=')}" for config in moved]
     names = sorted({name for config in common for name in after[config]["checks"]})
     for name in names:
         pairs = [
@@ -188,9 +203,11 @@ def main(argv=None) -> int:
             verdict = "; ".join(bad) if bad else "pass"
             print(f"N={n} seed={seed}: {verdict}", flush=True)
             checks = {r["name"]: [r["rel_err"], r["pass"]] for r in report["checks"]}
+            digest = hashlib.sha256(render_json(report).encode()).hexdigest()
             rows[f"{n}/{seed}"] = {
                 "checks": checks,
                 "aborted": report["aborted"],
+                "report_sha256": digest,
                 "seconds": seconds,
                 "suite_seconds": suite_seconds,
             }

@@ -25,6 +25,9 @@ stack of dense states per (on-shell, left) root-count pair, and the
 aba-check suite one weighted-expansion call per root count.  The oracle
 and sov suites build the monodromy at all their points in one stacked
 call.  Grouping changes no draw; values move at rounding level only.
+The rejection sampler (``_draw_separated``) tests attempts in blocks,
+and a set that avoids the set drawn just before it is drawn with it and
+split; each point and generator state is as with one test per attempt.
 """
 
 from __future__ import annotations
@@ -362,21 +365,30 @@ def _draw_separated(
 ) -> np.ndarray:
     """Draw points no closer than min_sep to each other, to the avoid
     list, or to any of those shifted by plus or minus eta, in at most
-    4000 attempts.  Each attempt takes both coordinates from one draw of
-    two doubles, the same two a pair of scalar draws would give."""
-    shifts = (0.0, complex(eta), -complex(eta))
-    # the avoid list, then every accepted point in order of acceptance
-    anchors = [complex(w) for w in avoid]
-    end = len(anchors) + count
-    for _ in range(4000):
-        if len(anchors) == end:
-            break
-        z = complex(*rng.uniform(-box, box, 2))
-        if all(abs(z - w + s) >= min_sep for w in anchors for s in shifts):
-            anchors.append(z)
-    if len(anchors) != end:
+    4000 attempts of two doubles each.  Attempts come in blocks of as
+    many as points are missing, so no block draws past the attempt that
+    completes the set; a block is tested against the avoid list as one
+    array, then point by point against the points already accepted.  A
+    pair of sets drawn as one and split shares one attempt budget."""
+    shifts = (0j, complex(eta), -complex(eta))
+    shift_row = np.array(shifts)
+    fixed = np.asarray(avoid, dtype=complex).ravel()
+    accepted: list[complex] = []
+    attempts = 0
+    while len(accepted) < count and attempts < 4000:
+        k = min(count - len(accepted), 4000 - attempts)
+        attempts += k
+        zs = rng.uniform(-box, box, 2 * k).view(complex)
+        free = np.ones(k, dtype=bool)
+        if fixed.size:
+            gaps = np.abs(zs[:, None, None] - fixed[:, None] + shift_row)
+            free = (gaps >= min_sep).all(axis=(1, 2))
+        for z, ok in zip(zs.tolist(), free.tolist()):
+            if ok and all(abs(z - w + s) >= min_sep for w in accepted for s in shifts):
+                accepted.append(z)
+    if len(accepted) != count:
         raise SamplingFailureError("could not draw well-separated sample points")
-    return np.array(anchors[end - count :], dtype=complex)
+    return np.array(accepted, dtype=complex)
 
 
 def _stacks(samples) -> list[tuple]:
@@ -402,8 +414,8 @@ def _suite_identities(config: RunConfig, chains: Chains):
     rows = []
     rng = np.random.Generator(np.random.Philox(key=[config.seed, 0x1D5]))
     # each block draws all of its samples first, in the order the
-    # generator serves them, and then evaluates each size group in one
-    # stacked call per determinant
+    # generator serves them (ys, which avoids xs, in one draw with xs),
+    # and then evaluates each size group in one stacked call per determinant
 
     samples = []
     for _ in range(100):
@@ -424,8 +436,7 @@ def _suite_identities(config: RunConfig, chains: Chains):
     for _ in range(100):
         m = int(rng.integers(1, 6))
         eta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2))
-        xs = _draw_separated(rng, m, eta)
-        ys = _draw_separated(rng, m, eta, avoid=xs)
+        xs, ys = np.split(_draw_separated(rng, 2 * m, eta), [m])
         mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         samples.append((xs, ys, eta, mu))
     worst = 0.0
@@ -452,8 +463,7 @@ def _suite_identities(config: RunConfig, chains: Chains):
                 if m > n and mu == 1.0:
                     continue
                 eta = complex(0.9, 0.2 * ((m + n) % 3 - 1))
-                xs = _draw_separated(rng, m, eta)
-                ys = _draw_separated(rng, n, eta, avoid=xs)
+                xs, ys = np.split(_draw_separated(rng, m + n, eta), [m])
                 samples.append((xs, ys, eta, mu))
     worst = 0.0
     for xs, ys, eta, mu in _stacks(samples):
@@ -467,8 +477,7 @@ def _suite_identities(config: RunConfig, chains: Chains):
     samples = []
     for small in range(0, 5):
         for big in range(small + 1, 6):
-            xs = _draw_separated(rng, small, eta)
-            ys = _draw_separated(rng, big, eta, avoid=xs)
+            xs, ys = np.split(_draw_separated(rng, small + big, eta), [small])
             samples.append(
                 (ys, shift_ratio(xs, eta, ys, -1), shift_ratio(xs, eta, ys, +1))
             )
@@ -578,9 +587,8 @@ def _suite_scalar_products(config: RunConfig, chains: Chains):
     for _ in range(50):
         m_left = int(rng.integers(0, n + 1))
         m_right = int(rng.integers(0, n + 1))
-        left_roots = _draw_separated(rng, m_left, params.eta, avoid=xi)
-        right_roots = _draw_separated(
-            rng, m_right, params.eta, avoid=np.concatenate([xi, left_roots])
+        left_roots, right_roots = np.split(
+            _draw_separated(rng, m_left + m_right, params.eta, avoid=xi), [m_left]
         )
         samples.append((left_roots, right_roots))
     worst_closed = 0.0

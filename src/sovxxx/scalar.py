@@ -31,7 +31,7 @@ from .determinants import (
 )
 from .dense import diagonalize_transfer, transfer_antiperiodic
 from .errors import LimitFailureError, PoleCollisionError, SpectrumError
-from .polynomials import ComplexPoly, poly_roots
+from .polynomials import ComplexPoly, cardinal_coefficients, poly_roots
 from .sov import SeparateStateSpec, separate_state_dense, spec_from_roots
 from .spectrum import EigenRecord, tq_collocation, tq_functional_residual
 
@@ -281,14 +281,20 @@ def _first_family(
     points: np.ndarray, degree: int,
 ) -> tuple[int, np.ndarray]:
     """The eigenvalue family a conditioning sweep follows, and its roots:
-    of the rows whose collocation solution passes ``_gated_roots`` and
-    whose roots meet the Bethe system to 1e-6, the least in
-    (value at the first point rounded to 9 digits, row index).  Rows are
-    gated lazily in that order and the first to pass is taken, which is
-    that least row without gating the others."""
+    of the rows in the sector of ``degree`` roots whose collocation
+    solution passes ``_gated_roots`` and whose roots meet the Bethe
+    system to 1e-6, the least in (value at the first point rounded to 9
+    digits, row index).  A row's sector is read off the leading
+    coefficient of its eigenvalue, (2r - N) eta for r roots, interpolated
+    at the first N points.  Rows are gated lazily in that order and the
+    first to pass is taken, which is that least row without gating the
+    others."""
+    n = params.n_sites
+    lead = tau_table[:, :n] @ cardinal_coefficients(points[:n])[:, n - 1]
+    in_sector = np.rint((lead / params.eta).real) + n == 2 * degree
     first = tau_table[:, 0]
     order = sorted(
-        range(len(first)),
+        np.flatnonzero(in_sector).tolist(),
         key=lambda i: (round(first[i].real, 9), round(first[i].imag, 9), i),
     )
     for idx in order:

@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sovxxx import aba, cli, dense, determinants, formfactors, scalar
 from sovxxx.chain import sample_generic_params
@@ -233,6 +236,30 @@ def _two_draw_sampler(rng, count, eta, avoid=(), min_sep=0.2, box=1.8):
     return np.array(accepted, dtype=complex)
 
 
+def _draw_outcome(draw, seed: int = 7):
+    """The points (None when the draw gives up) and the generator state
+    after ``draw(rng)``, from a generator started mid-stream, as a suite's
+    later draws are."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0x1D5]))
+    rng.uniform(size=3)
+    try:
+        points = draw(rng)
+    except SamplingFailureError:
+        points = None
+    state = dict(rng.bit_generator.state, **rng.bit_generator.state["state"])
+    del state["state"]
+    return points, {k: np.asarray(v).tolist() for k, v in state.items()}
+
+
+def _assert_same_draw(outcome, reference):
+    (points, state), (ref_points, ref_state) = outcome, reference
+    assert state == ref_state
+    assert (points is None) == (ref_points is None)
+    if ref_points is not None:
+        assert points.dtype == ref_points.dtype and points.shape == ref_points.shape
+        assert points.tobytes() == ref_points.tobytes()
+
+
 @pytest.mark.parametrize(
     "count, avoid, min_sep, box",
     [
@@ -246,24 +273,81 @@ def _two_draw_sampler(rng, count, eta, avoid=(), min_sep=0.2, box=1.8):
 )
 def test_separated_draw_matches_two_scalar_draws(count, avoid, min_sep, box):
     eta = 0.9 + 0.15j
-    outcomes = []
-    for sampler in (cli._draw_separated, _two_draw_sampler):
-        rng = np.random.Generator(np.random.Philox(key=[7, 0x1D5]))
-        rng.uniform(size=3)  # start mid-stream, as a suite's later draws do
-        try:
-            points = sampler(rng, count, eta, avoid=avoid, min_sep=min_sep, box=box)
-        except SamplingFailureError:
-            points = None
-        state = dict(rng.bit_generator.state, **rng.bit_generator.state["state"])
-        del state["state"]
-        outcomes.append((points, {k: np.asarray(v).tolist() for k, v in state.items()}))
-    (points, state), (ref_points, ref_state) = outcomes
-    assert state == ref_state
-    if ref_points is None:
-        assert points is None and count == 40
-    else:
-        assert points.dtype == ref_points.dtype and points.shape == (count,)
-        assert points.tobytes() == ref_points.tobytes()
+    outcomes = [
+        _draw_outcome(lambda rng, f=f: f(rng, count, eta, avoid, min_sep, box))
+        for f in (cli._draw_separated, _two_draw_sampler)
+    ]
+    _assert_same_draw(*outcomes)
+    assert (outcomes[1][0] is None) == (count == 40)
+    if count != 40:
+        assert outcomes[0][0].shape == (count,)
+
+
+_NON_FINITE = [
+    complex("nan"), complex("inf"), complex(0.3, -math.inf), complex(math.nan, 1)
+]
+_AVOID_POINT = st.one_of(
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+    st.sampled_from(_NON_FINITE),
+)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    count=st.integers(0, 10),
+    points=st.lists(_AVOID_POINT, max_size=5),
+    duplicate=st.booleans(),
+    as_array=st.booleans(),
+    eta=st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
+    min_sep=st.floats(0.02, 1.0),
+    box=st.floats(0.2, 2.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one point fits the box, so the budget runs out in the middle of a block
+# of nine attempts
+@example(count=10, points=[], duplicate=False, as_array=False, eta=1j,
+         min_sep=1.0, box=0.3, seed=0)
+def test_separated_draw_property_matches_two_scalar_draws(
+    count, points, duplicate, as_array, eta, min_sep, box, seed
+):
+    points = points + points[:2] if duplicate else points
+    avoid = np.array(points, dtype=complex) if as_array else tuple(points)
+    outcomes = [
+        _draw_outcome(lambda rng, f=f: f(rng, count, eta, avoid, min_sep, box), seed)
+        for f in (cli._draw_separated, _two_draw_sampler)
+    ]
+    _assert_same_draw(*outcomes)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    m=st.integers(0, 4),
+    n=st.integers(0, 4),
+    points=st.lists(
+        st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+        max_size=3,
+    ),
+    min_sep=st.floats(0.02, 0.25),
+    box=st.floats(1.5, 2.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_pair_draw_equals_two_chained_draws(m, n, points, min_sep, box, seed):
+    eta = 0.9 + 0.15j
+    avoid = np.array(points, dtype=complex)
+
+    def chained(rng):
+        xs = cli._draw_separated(rng, m, eta, avoid, min_sep, box)
+        ys = cli._draw_separated(
+            rng, n, eta, np.concatenate([avoid, xs]), min_sep, box
+        )
+        return np.concatenate([xs, ys])
+
+    # the suites split the one draw after its first m points
+    split = _draw_outcome(
+        lambda rng: cli._draw_separated(rng, m + n, eta, avoid, min_sep, box), seed
+    )
+    assert split[0] is not None
+    _assert_same_draw(split, _draw_outcome(chained, seed))
 
 
 def _count_on_shell_checks(monkeypatch) -> list:

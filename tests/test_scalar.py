@@ -361,6 +361,24 @@ def test_lazy_family_gate_matches_the_exhaustive_choice(seed, monkeypatch):
     assert lazy(*tied)[0] == _exhaustive_first_family(*tied)[0] == 0
 
 
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
+def test_family_choice_gates_only_the_target_sector(n_sites, monkeypatch):
+    # rows of other sectors fail the gate; read off the leading
+    # coefficient of tau they are never gated, so the first row gated is
+    # the first in order of the target sector, and it passes
+    gated, gates = scalar._gated_roots, []
+
+    def counting(*args):
+        gates.append(args)
+        return gated(*args)
+
+    monkeypatch.setattr(scalar, "_gated_roots", counting)
+    for seed in range(3):
+        gates.clear()
+        homogeneous_stress_sweep(n_sites=n_sites, eps_values=(1e-2,), seed=seed)
+        assert len(gates) == 1
+
+
 @pytest.mark.parametrize("n_sites", [3, 4])
 def test_equal_count_eigenstate_pairing_equals_domain_wall_form(n_sites):
     params = cached_params(n_sites, 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -39,6 +40,9 @@ def test_sweep_writes_every_row_as_an_error_verdict_pair(tmp_path, monkeypatch):
     assert cli._SUITES == suites
     rows = json.loads(out.read_text())
     assert sorted(rows) == ["1/0", "2/0", "3/0"]
+    # each configuration carries the digest of its report's bytes
+    report = cli.render_json(cli.run(cli.RunConfig(n_sites=2, seed=0)))
+    assert rows["2/0"]["report_sha256"] == hashlib.sha256(report.encode()).hexdigest()
     for config in rows.values():
         assert config["aborted"] == {}
         # the run's wall time and each suite's ride next to the rows,
@@ -120,3 +124,26 @@ def test_compare_sums_wall_time_per_length_where_both_sides_have_it(monkeypatch)
         "N=4: 3.00 s -> 1.50 s over 2 configurations",
         "  oracle: 0.500 s -> 0.375 s",
     ]
+
+
+def test_compare_counts_and_names_configurations_whose_report_bytes_differ(
+    monkeypatch,
+):
+    sweep = _load_sweep(monkeypatch, dict(os.environ))
+
+    def entry(digest=None):
+        out = {"checks": {"a/x": [1e-12, True]}, "aborted": {}}
+        if digest is not None:
+            out["report_sha256"] = digest
+        return out
+
+    # "8/2" comes from a sweep written before the digests were recorded
+    before = {"7/0": entry("aa"), "7/1": entry("bb"), "8/0": entry("cc"), "8/2": entry()}
+    after = {"7/0": entry("aa"), "7/1": entry("b2"), "8/0": entry("c2"), "8/2": entry("dd")}
+    assert sweep.compare(before, after) == [
+        "no configuration differs in exit status, aborts or failing rows",
+        "report bytes differ in 2 of 3 configurations",
+        "  N=7 seed=1",
+        "  N=8 seed=0",
+    ]
+    assert sweep.compare(after, after)[1:] == ["report bytes differ in 0 of 4 configurations"]
