@@ -372,18 +372,18 @@ def _draw_separated(
     pair of sets drawn as one and split shares one attempt budget."""
     shifts = (0j, complex(eta), -complex(eta))
     shift_row = np.array(shifts)
-    fixed = np.asarray(avoid, dtype=complex).ravel()
+    fixed = np.asarray(avoid, dtype=complex).reshape(-1, 1)
     accepted: list[complex] = []
     attempts = 0
     while len(accepted) < count and attempts < 4000:
         k = min(count - len(accepted), 4000 - attempts)
         attempts += k
         zs = rng.uniform(-box, box, 2 * k).view(complex)
-        free = np.ones(k, dtype=bool)
+        free = [True] * k
         if fixed.size:
-            gaps = np.abs(zs[:, None, None] - fixed[:, None] + shift_row)
-            free = (gaps >= min_sep).all(axis=(1, 2))
-        for z, ok in zip(zs.tolist(), free.tolist()):
+            gaps = np.abs(zs[:, None, None] - fixed + shift_row)
+            free = (gaps >= min_sep).all(axis=(1, 2)).tolist()
+        for z, ok in zip(zs.tolist(), free):
             if ok and all(abs(z - w + s) >= min_sep for w in accepted for s in shifts):
                 accepted.append(z)
     if len(accepted) != count:
