@@ -305,8 +305,10 @@ _AVOID_POINT = st.one_of(
 )
 # one point fits the box, so the budget runs out in the middle of a block
 # of nine attempts
-@example(count=10, points=[], duplicate=False, as_array=False, eta=1j,
-         min_sep=1.0, box=0.3, seed=0)
+@example(
+    count=10, points=[], duplicate=False, as_array=False, eta=1j, min_sep=1.0,
+    box=0.3, seed=0,
+)
 def test_separated_draw_property_matches_two_scalar_draws(
     count, points, duplicate, as_array, eta, min_sep, box, seed
 ):

@@ -363,9 +363,9 @@ def test_lazy_family_gate_matches_the_exhaustive_choice(seed, monkeypatch):
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
 def test_family_choice_gates_only_the_target_sector(n_sites, monkeypatch):
-    # rows of other sectors fail the gate; read off the leading
-    # coefficient of tau they are never gated, so the first row gated is
-    # the first in order of the target sector, and it passes
+    # a row of another sector would fail the gate; its sector, read off
+    # tau's leading coefficient, keeps it from being gated, so the one row
+    # gated is the target sector's first in order, and it passes
     gated, gates = scalar._gated_roots, []
 
     def counting(*args):
