@@ -2,10 +2,11 @@
 
 Thin, deliberately small layer over ``numpy.polynomial.polynomial``:
 construction from roots, Horner evaluation, Lagrange interpolation and
-companion-matrix root extraction, plus the trimming policy used by the
-linear solves elsewhere in the package (trailing coefficients below a
-relative threshold are numerical noise from near-singular systems and
-are dropped).
+companion-matrix root extraction (a stack of rows of one degree per
+eigensolve), plus the trimming policy used by the linear solves
+elsewhere in the package (trailing coefficients below a relative
+threshold are numerical noise from near-singular systems and are
+dropped).
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class ComplexPoly:
     @property
     def degree(self) -> int:
         return -1 if self.is_zero else self.coeffs.size - 1
-
-    @property
-    def leading(self) -> complex:
-        return complex(self.coeffs[-1])
 
     def __call__(self, z):
         return npoly.polyval(z, self.coeffs)
@@ -134,23 +131,42 @@ def lagrange_interpolate(nodes, values) -> ComplexPoly:
     return ComplexPoly(values @ cardinal_coefficients(nodes))
 
 
-def poly_roots(poly: ComplexPoly) -> np.ndarray:
-    """All roots via the companion matrix, validated by re-expansion.
-
-    The monic re-expansion of the computed roots must reproduce the
-    input coefficients to relative 1e-8, otherwise the root set is not
-    trustworthy and a ``SpectrumError`` is raised.
+def poly_roots(coeffs) -> np.ndarray:
+    """Sorted roots of each row of a stack of ascending coefficient rows
+    of one degree (a 1-D row is the one-row case), bit for bit those of
+    ``npoly.polyroots``: each companion matrix is built as
+    ``npoly.polycompanion`` builds it, and all go through one ``eigvals``
+    call.  A row that is not finite, whose leading coefficient the
+    trimming rule would drop, or whose roots' monic re-expansion misses it
+    by more than relative 1e-8 raises ``SpectrumError``.
     """
-    if poly.is_zero:
-        raise ValueError("the zero polynomial does not have a root set")
-    if poly.degree == 0:
-        return np.zeros(0, dtype=complex)
-    roots = np.asarray(npoly.polyroots(poly.coeffs), dtype=complex)
-    rebuilt = npoly.polyfromroots(roots) * poly.leading
-    scale = np.max(np.abs(poly.coeffs))
-    err = np.max(np.abs(rebuilt - poly.coeffs)) / scale
-    if err > 1e-8:
+    coeffs = np.asarray(coeffs, dtype=complex)
+    rows = coeffs.reshape(-1, coeffs.shape[-1])
+    count, n = rows.shape[0], rows.shape[1] - 1
+    if not np.all(np.isfinite(rows)):
+        raise SpectrumError("a polynomial with non-finite coefficients has no root set")
+    scale = np.abs(rows).max(axis=-1)
+    if np.any(np.abs(rows[:, -1]) <= TRIM_TOL * scale):
         raise SpectrumError(
-            f"companion-matrix roots failed the re-expansion check (residual {err:.3e})"
+            f"a degree-{n} row has its leading coefficient below the trimming threshold"
         )
-    return roots
+    if n < 2:
+        roots = -rows[:, :n] / rows[:, n:]
+    else:
+        mat = np.zeros((count, n, n), dtype=complex)
+        mat.reshape(count, -1)[:, n :: n + 1] = 1
+        mat[:, :, -1] -= rows[:, :-1] / rows[:, -1:]
+        roots = np.linalg.eigvals(mat)
+        roots.sort(axis=-1)
+    rebuilt = np.zeros_like(rows)
+    rebuilt[:, 0] = 1.0
+    for k in range(n):
+        # the top coefficient is still zero: the roll shifts it to the bottom
+        rebuilt = np.roll(rebuilt, 1, axis=1) - roots[:, k, None] * rebuilt
+    err = np.abs(rebuilt * rows[:, -1:] - rows).max(axis=-1) / scale
+    if err.max(initial=0.0) > 1e-8:
+        raise SpectrumError(
+            f"companion-matrix roots of row {int(np.argmax(err))} failed the "
+            f"re-expansion check (residual {err.max():.3e})"
+        )
+    return roots.reshape(coeffs.shape[:-1] + (n,))

@@ -273,7 +273,7 @@ def _gated_roots(
         )
     if poly.degree != degree:
         raise SpectrumError("collocation solve lost the leading coefficient")
-    return poly_roots(poly)
+    return poly_roots(poly.coeffs)
 
 
 def _first_family(

@@ -20,12 +20,14 @@ cardinal-coefficient matrix gives every eigenvalue polynomial; one
 least-squares solve per degree (``tq_collocation``, which the
 homogeneous stress sweep calls too) gives every auxiliary polynomial of
 every eigenvalue and its negative (``solve_q_from_tau`` runs the same
-solve on any list of eigenvalue polynomials); the polish runs stacked by
-root count; and every residual is one array expression over the chain's
-one probe set.  The N + 2 transfer matrices the records read (one per
-inhomogeneity, one at the held-out point and one at the eigenstate-check
-point) are built once per spectrum, one point at a time, and each is
-dropped after its one contraction.
+solve on any list of eigenvalue polynomials); the roots of each degree
+come from one stacked companion eigensolve (``poly_roots``) and are
+polished together, one Bethe-ratio evaluation per Newton iterate; and
+every residual is one array expression over the chain's one probe set.
+The N + 2 transfer matrices the records read (one per inhomogeneity,
+one at the held-out point and one at the eigenstate-check point) are
+built once per spectrum, one point at a time, and each is dropped after
+its one contraction.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .dense import (
     diagonalize_transfer,
     transfer_antiperiodic,
 )
-from .determinants import _bethe_ratios, gaudin_matrix, mu_bethe_residuals
+from .determinants import _bethe_ratios, gaudin_matrix
 from .errors import PairingError, SpectrumError
 from .polynomials import (
     ComplexPoly,
@@ -160,53 +162,59 @@ def _polish(params: ChainParams, roots: np.ndarray):
 
     The Bethe system is F_m = 1 with F the ratios of ``_bethe_ratios``;
     the Jacobian of log F is ``gaudin_matrix`` G, so Newton's step for
-    1 - 1/F = 0 is G^-1 (F - 1).  A set stops at the first step that does
-    not lower its worst residual, and that step is dropped, so no set
-    leaves worse than it came in.  The Jacobians are at most N x N and
-    well conditioned at simple roots, and the corrections are of the
-    roots' own rounding size, so one batched inverse per step resolves
-    them.
+    1 - 1/F = 0 is G^-1 (F - 1).  F is evaluated once per iterate: a kept
+    trial's F - 1 is the next step's, and |F - 1| its residual.  A set
+    stops at the first step that does not lower its worst residual, and
+    that step is dropped, so no set leaves worse than it came in.  The
+    Jacobians are at most N x N and well conditioned at simple roots, and
+    the corrections are of the roots' own rounding size, so one batched
+    inverse per step resolves them.
     """
     roots = roots.copy()
-    raw = mu_bethe_residuals(params, -1.0, roots).max(axis=-1, initial=0.0)
+    excess = _bethe_ratios(params, -1.0, roots) - 1.0
+    raw = np.abs(excess).max(axis=-1, initial=0.0)
     worst = raw.copy()
     steps = np.zeros(roots.shape[0], dtype=int)
     active = np.flatnonzero(worst > 0.0)
+    excess = excess[active]
     for _ in range(_MAX_NEWTON_STEPS):
         if active.size == 0:
             break
         current = roots[active]
-        excess = _bethe_ratios(params, -1.0, current) - 1.0
         jac_inv = np.linalg.inv(gaudin_matrix(params, current))
         trial = current - (jac_inv @ excess[..., None])[..., 0]
         with np.errstate(all="ignore"):
-            trial_worst = mu_bethe_residuals(params, -1.0, trial).max(axis=-1)
+            trial_excess = _bethe_ratios(params, -1.0, trial) - 1.0
+            trial_worst = np.abs(trial_excess).max(axis=-1)
         better = trial_worst < worst[active]
         kept = active[better]
         roots[kept] = trial[better]
         worst[kept] = trial_worst[better]
         steps[kept] += 1
-        active = kept[worst[kept] > 0.0]
+        going = worst[kept] > 0.0
+        active = kept[going]
+        excess = trial_excess[better][going]
     return roots, raw, worst, steps
 
 
-def _polished(params: ChainParams, q: np.ndarray) -> list[_QSolution]:
-    """Roots of each row of a stack of monic polynomials (zero-padded
-    ascending coefficients), polished by ``_polish`` stacked by root
-    count, with each polynomial rebuilt from its polished roots."""
-    roots = [poly_roots(ComplexPoly(row)) for row in q]
-    out: list[_QSolution] = [None] * len(roots)
-    for size in sorted({r.size for r in roots}):
-        members = [i for i, r in enumerate(roots) if r.size == size]
-        stack = np.array([roots[i] for i in members]).reshape(len(members), size)
-        polished, raw, worst, steps = _polish(params, stack)
+def _polished(
+    params: ChainParams, q: np.ndarray, degrees: np.ndarray
+) -> list[_QSolution]:
+    """Roots of each row of a stack of monic polynomials (ascending
+    coefficients, zero-padded above each row's ``degrees`` entry), one
+    ``poly_roots`` and one ``_polish`` per degree, and each polynomial
+    rebuilt from its polished roots, else ``SpectrumError``."""
+    out: list[_QSolution] = [None] * len(degrees)
+    for r in sorted(set(degrees.tolist())):
+        members = np.flatnonzero(degrees == r)
+        polished, raw, worst, steps = _polish(params, poly_roots(q[members, : r + 1]))
         for k, i in enumerate(members):
+            try:
+                rebuilt = poly_from_roots(polished[k])
+            except ValueError as exc:
+                raise SpectrumError(f"auxiliary polynomial {i}: {exc}") from exc
             out[i] = _QSolution(
-                poly_from_roots(polished[k]),
-                polished[k],
-                float(raw[k]),
-                float(worst[k]),
-                int(steps[k]),
+                rebuilt, polished[k], float(raw[k]), float(worst[k]), int(steps[k])
             )
     return out
 
@@ -290,10 +298,9 @@ def _solve_q_stack(
     """
     n = params.n_sites
     points = _point_cloud(params, 2 * n + 2, [seed, 0xA5F0])
-    q = tq_collocation(
-        params, _values(tau_coeffs, points), points, _degrees(params, tau_coeffs)
-    )
-    solutions = _polished(params, q)
+    degrees = _degrees(params, tau_coeffs)
+    q = tq_collocation(params, _values(tau_coeffs, points), points, degrees)
+    solutions = _polished(params, q, degrees)
     rebuilt = _padded([sol.q for sol in solutions], n + 1)
     resid = _tq_residuals(params, _values(tau_coeffs, probes), rebuilt, probes)
     if resid.max() > 1e-8:

@@ -30,7 +30,7 @@ def test_root_roundtrip_up_to_degree_twelve():
     rng = np.random.Generator(np.random.Philox(key=101))
     for size in (1, 2, 3, 5, 8, 12):
         roots = separated_cloud(rng, size, 0.0, min_sep=0.12, box=1.4)
-        recovered = poly_roots(poly_from_roots(roots))
+        recovered = poly_roots(poly_from_roots(roots).coeffs)
         assert recovered.size == size
         for r in roots:
             assert np.min(np.abs(recovered - r)) <= 1e-8
@@ -108,10 +108,22 @@ def test_interpolating_non_finite_input_is_rejected(nodes, values):
 
 def test_failed_re_expansion_raises_spectrum_error(monkeypatch):
     poly = poly_from_roots([0.5, -1.25j, 1.0 + 1.0j])
-    exact = npoly.polyroots
-    monkeypatch.setattr(npoly, "polyroots", lambda c: exact(c) + 1e-3)
+    exact = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: exact(m) + 1e-3)
     with pytest.raises(SpectrumError, match="re-expansion"):
-        poly_roots(poly)
+        poly_roots(poly.coeffs)
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_stacked_roots_are_per_row_polyroots_bit_for_bit(degree):
+    rng = np.random.Generator(np.random.Philox(key=[103, degree]))
+    for count in (2, 7):
+        rows = rng.standard_normal((count, degree + 1, 2)) @ np.array([1.0, 1j])
+        roots = poly_roots(rows)
+        assert roots.shape == (count, degree)
+        expected = np.array([npoly.polyroots(row) for row in rows], dtype=complex)
+        assert roots.tobytes() == expected.reshape(count, degree).tobytes()
+    assert poly_roots(rows[0]).tobytes() == roots[0].tobytes()
 
 
 def _per_node_interpolant(nodes, values):

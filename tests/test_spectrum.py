@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from sovxxx import dense, spectrum
+from sovxxx import dense, determinants, spectrum
 from sovxxx.chain import a_of, d_of, fixture_params
 from sovxxx.dense import transfer_antiperiodic
 from sovxxx.determinants import mu_bethe_residuals
 from sovxxx.errors import PoleCollisionError, SpectrumError
-from sovxxx.polynomials import ComplexPoly, poly_from_roots
+from sovxxx.polynomials import ComplexPoly, poly_from_roots, poly_roots
 from sovxxx.sov import bilinear, separate_state_dense, spec_from_roots
 from sovxxx.spectrum import (
     full_spectrum,
@@ -323,3 +324,177 @@ def test_a_record_without_a_negated_partner_is_refused():
     kept = [rec for k, rec in enumerate(records) if k != partner[0]]
     with pytest.raises(SpectrumError, match="record 0"):
         pairing_indices(kept)
+
+
+def _reference_polish(params, roots):
+    """The polish with the Bethe ratios evaluated twice per iterate: once
+    as the current sets' excess and once as the trials' residuals."""
+    roots = roots.copy()
+    raw = mu_bethe_residuals(params, -1.0, roots).max(axis=-1, initial=0.0)
+    worst = raw.copy()
+    steps = np.zeros(roots.shape[0], dtype=int)
+    active = np.flatnonzero(worst > 0.0)
+    for _ in range(spectrum._MAX_NEWTON_STEPS):
+        if active.size == 0:
+            break
+        current = roots[active]
+        excess = determinants._bethe_ratios(params, -1.0, current) - 1.0
+        jac_inv = np.linalg.inv(determinants.gaudin_matrix(params, current))
+        trial = current - (jac_inv @ excess[..., None])[..., 0]
+        with np.errstate(all="ignore"):
+            trial_worst = mu_bethe_residuals(params, -1.0, trial).max(axis=-1)
+        better = trial_worst < worst[active]
+        kept = active[better]
+        roots[kept] = trial[better]
+        worst[kept] = trial_worst[better]
+        steps[kept] += 1
+        active = kept[worst[kept] > 0.0]
+    return roots, raw, worst, steps
+
+
+def _per_row_polished(params, q, degrees):
+    """Reference route of ``spectrum._polished``: each row's roots by
+    ``npoly.polyroots`` one row at a time, grouped by root count for
+    ``_reference_polish``, each polynomial rebuilt from its roots."""
+    roots = [npoly.polyroots(ComplexPoly(row).coeffs) for row in q]
+    out = [None] * len(roots)
+    for size in sorted({r.size for r in roots}):
+        members = [i for i, r in enumerate(roots) if r.size == size]
+        stack = np.array([roots[i] for i in members]).reshape(len(members), size)
+        polished, raw, worst, steps = _reference_polish(params, stack)
+        for k, i in enumerate(members):
+            out[i] = spectrum._QSolution(
+                poly_from_roots(polished[k]),
+                polished[k],
+                float(raw[k]),
+                float(worst[k]),
+                int(steps[k]),
+            )
+    return out
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+def test_records_equal_the_per_row_route_bit_for_bit(n_sites, monkeypatch):
+    params = cached_params(n_sites, 0)
+    records = cached_spectrum(n_sites, 0)
+    monkeypatch.setattr(spectrum, "_polished", _per_row_polished)
+    for rec, ref in zip(records, full_spectrum(params, 0), strict=True):
+        for got, want in (
+            (rec.bethe_roots, ref.bethe_roots),
+            (rec.q_minus_roots, ref.q_minus_roots),
+            (rec.q_tau.coeffs, ref.q_tau.coeffs),
+            (rec.q_minus_tau.coeffs, ref.q_minus_tau.coeffs),
+        ):
+            assert got.tobytes() == want.tobytes()
+        assert rec.residuals == ref.residuals
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+def test_collocation_roots_are_per_row_polyroots_bit_for_bit(n_sites, monkeypatch):
+    solves = []
+    collocate = spectrum.tq_collocation
+
+    def recording(params, tau_values, points, degrees):
+        q = collocate(params, tau_values, points, degrees)
+        solves.append((q, np.asarray(degrees)))
+        return q
+
+    monkeypatch.setattr(spectrum, "tq_collocation", recording)
+    full_spectrum(cached_params(n_sites, 0), 0)
+    ((q, degrees),) = solves
+    for r in range(1, n_sites + 1):
+        rows = q[degrees == r, : r + 1]
+        assert rows.shape[0] >= 2
+        expected = np.array([npoly.polyroots(row) for row in rows])
+        assert poly_roots(rows).tobytes() == expected.tobytes()
+
+
+def test_polish_evaluates_the_bethe_ratios_once_per_iterate(monkeypatch):
+    calls = {"ratios": 0, "jacobians": 0}
+
+    def counting(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        spectrum, "_bethe_ratios", counting("ratios", spectrum._bethe_ratios)
+    )
+    monkeypatch.setattr(
+        spectrum, "gaudin_matrix", counting("jacobians", spectrum.gaudin_matrix)
+    )
+    polish = spectrum._polish
+    groups = []
+
+    def recording(params, roots):
+        before = dict(calls)
+        out = polish(params, roots)
+        groups.append({name: calls[name] - before[name] for name in calls})
+        return out
+
+    monkeypatch.setattr(spectrum, "_polish", recording)
+    full_spectrum(cached_params(4, 0), 0)
+    # one Jacobian per Newton iteration, and one evaluation per iterate
+    assert len(groups) == 5
+    assert all(group["ratios"] == 1 + group["jacobians"] for group in groups)
+    params = cached_params(4, 0)
+    sets = [rec.bethe_roots for rec in cached_spectrum(4, 0) if rec.n_roots == 2]
+    rng = np.random.Generator(np.random.Philox(key=515))
+    kicked = np.array(sets) + 1e-7 * (rng.standard_normal((len(sets), 2)) + 1j)
+    groups.clear()
+    steps = spectrum._polish(params, kicked)[3]
+    (group,) = groups
+    assert group["jacobians"] >= steps.max() >= 2
+    assert group["ratios"] == 1 + group["jacobians"]
+
+
+def _corrupted_collocation(monkeypatch, where, value):
+    """Set the coefficients ``where`` of the first degree-3 row of
+    ``full_spectrum``'s collocation solve to ``value``."""
+    collocate = spectrum.tq_collocation
+
+    def patched(params, tau_values, points, degrees):
+        q = collocate(params, tau_values, points, degrees)
+        q[int(np.argmax(np.asarray(degrees) == 3)), where] = value
+        return q
+
+    monkeypatch.setattr(spectrum, "tq_collocation", patched)
+
+
+def test_non_finite_collocation_row_raises_spectrum_error(monkeypatch):
+    _corrupted_collocation(monkeypatch, 1, np.nan)
+    with pytest.raises(SpectrumError, match="non-finite"):
+        full_spectrum(cached_params(3, 0), 0)
+
+
+def test_collocation_row_failing_re_expansion_raises_spectrum_error(monkeypatch):
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: eigvals(m) + 1e-3)
+    with pytest.raises(SpectrumError, match="re-expansion"):
+        full_spectrum(cached_params(3, 0), 0)
+
+
+def test_collocation_row_losing_its_leading_coefficient_raises_spectrum_error(
+    monkeypatch,
+):
+    # the lower coefficients exceed the monic top one by more than 1 / TRIM_TOL
+    _corrupted_collocation(monkeypatch, slice(0, 3), 1e11)
+    with pytest.raises(SpectrumError, match="leading coefficient"):
+        full_spectrum(cached_params(3, 0), 0)
+
+
+def test_rebuilt_polynomial_losing_its_leading_coefficient_raises_spectrum_error(
+    monkeypatch,
+):
+    polish = spectrum._polish
+
+    def wandering(params, roots):
+        polished, raw, worst, steps = polish(params, roots)
+        # three roots of modulus about 1e4 expand past 1 / TRIM_TOL
+        return 1e4 * polished, raw, worst, steps
+
+    monkeypatch.setattr(spectrum, "_polish", wandering)
+    with pytest.raises(SpectrumError, match="leading coefficient"):
+        full_spectrum(cached_params(3, 0), 0)
