@@ -13,9 +13,13 @@ layer ROADMAP aim 1 lists, ``--repeat`` times, and prints the least:
 - ``separate_state``: ``sov.separate_state_dense`` of a record of the
   middle sector
 - ``izergin``, ``slavnov``, ``gen_slavnov`` (one free point more than
-  on-shell roots), ``lattice_column``, ``dressed_vandermonde``: each
-  determinant evaluator at every size m = 1..N, the on-shell set being a
-  record's m Bethe roots and the free set the chain's first probe points
+  on-shell roots), ``lattice_column``, ``column_substituted`` (the first
+  column moved onto the first lattice node, as the aba-check suite moves
+  columns), ``dressed_vandermonde``: each determinant evaluator at every
+  size m = 1..N, the on-shell set being a record's m Bethe roots and the
+  free set the chain's first probe points
+- ``sp_on_shell``: one pairing of the middle sector's eigenstate with a
+  left state of one root more (the chain's first probe points)
 - ``ff_sigma_minus``: one form-factor element between the middle sector
   and the one above it, at site 1
 
@@ -43,7 +47,7 @@ _HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(_HERE.parent / "src"))
 sys.path.insert(0, str(_HERE))
 
-from sovxxx import dense, determinants, formfactors, sov, spectrum  # noqa: E402
+from sovxxx import dense, determinants, formfactors, scalar, sov, spectrum  # noqa: E402
 from sovxxx.chain import sample_generic_params  # noqa: E402
 from sweep import parse_range  # noqa: E402
 
@@ -84,9 +88,17 @@ def layer_calls(n: int):
         yield "lattice_column", m, partial(
             determinants.lattice_column_determinant, params, -1.0, xs, ys, 1
         )
+        yield "column_substituted", m, partial(
+            determinants.column_substituted_slavnov,
+            params, -1.0, xs, ys, 1, params.xi[0],
+        )
         yield "dressed_vandermonde", m, partial(
             determinants.dressed_vandermonde, ys, eta, weights, -1
         )
+    roots = middle.bethe_roots
+    yield "sp_on_shell", n, partial(
+        scalar.sp_on_shell, params, free[: roots.size + 1], roots
+    )
     ket = sector[min(n // 2 + 1, n)]
     yield "ff_sigma_minus", n, partial(formfactors.ff_sigma_minus, params, middle, ket, 1)
 

@@ -9,32 +9,38 @@ determinants (Izergin and Slavnov types) that reduce to it.  Weight
 functions always enter as value lists evaluated by the caller, never as
 callbacks, so the identities can be tested point set by point set.
 
-Every Slavnov-type matrix in the package -- on-shell, rectangular,
-lattice-column and column-substituted -- is built by ``_kernel_matrix``,
-alpha_k K(x_j - y_k) + beta_k K(y_k - x_j) with K(u) = 1/u - 1/(u + eta);
-only the per-column weights differ.  Those weights, g = mu a/d and the
-balanced shift ratio rho over the on-shell rows, come from one function
-(``_weights``) at the rows and at the columns: at the rows they are the
-on-shell gate (g/(-rho) = 1 on shell) and the coincident-entry limits,
-at the columns the kernel weights.  Entries of the on-shell matrices
-have removable singularities when a column point collides with an
-on-shell row point; those entries are evaluated through their
-closed-form limits, which is what makes norms (coinciding point sets)
-directly computable.
+Every Slavnov-type determinant -- square, rectangular, lattice-column
+and column-substituted -- is one evaluator, ``_on_shell``, behind a thin
+wrapper that checks the set sizes.  It weighs the on-shell rows, then
+the free columns, then a node's or moved column: ``_weights`` gives
+g = mu a/d, d and the balanced shift ratio rho over the rows, with the
+pole guards.  At the rows g and rho are the on-shell gate
+(g/(-rho) = 1 on shell; ``mu_bethe_residuals`` reads the same function),
+at the columns the weights of the kernel rows g K(x - y) - rho K(y - x),
+K(u) = 1/u - 1/(u + eta), and of the moment rows g y^p - rho (y + eta)^p.
+A lattice node's column is its pole's residue (g = 1, rho = 0, times
+mu a at the node); a moved column is weighed at its new point, or is the
+residue on a node.  The same differences give the prefactor
+prod (x - y + eta), and the weights the d-products over both sets,
+which ``scalar.sp_on_shell`` and ``formfactors._lowering`` take from
+the evaluator.  An entry whose column point coincides with its row
+point has a removable singularity and takes its closed-form limit,
+which makes norms directly computable.
 
 Stacks: every point-set argument of a determinant evaluator is an
 array whose last axis runs over the set and whose leading axes, if any,
 index a stack of sets of that size; the sets of one call broadcast
-against each other.  The free parameters of the chain-free evaluators
-(``eta`` and ``mu`` of the dressed Vandermonde and Izergin forms) may be
-arrays of the stack shape, one per set, as may the substituted column
-and its point and the lattice column's site; the on-shell evaluators
-take one chain and one twist per call.  One call makes one
-guard pass, builds one (..., m, m) matrix stack and takes one batched
-``det``, returning an array of the stack shape; a 1-D set is the
-no-stack case of the same code and gives a ``complex``.  The on-shell
-gate runs once per call: a row set shared by a stack of column sets is
-weighed and checked in the same pass as the columns.
+against each other.  ``eta`` and ``mu`` of the dressed Vandermonde and
+Izergin forms may be given per set, as may the substituted column and
+its point and the lattice column's site; the on-shell evaluators take
+one chain and one twist per call.  One call makes one guard pass and
+one batched ``det`` and returns an array of the stack shape; a 1-D set
+gives a ``complex``, equal bit for bit to the stack member it would be.
+Each on-shell quantity takes the smallest stack shape it depends on:
+the rows' weights, gate and Vandermonde that of the row sets, the free
+columns' g, d and Vandermonde that of the free sets, rho and the kernel
+once per pair of sets, and a node's or moved column the stack of its
+site or point.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ _POLE_TOL = 1e-8
 # below this relative separation two points are treated as intentionally
 # equal and limit formulas are used
 _COINCIDE_TOL = 1e-12
+# how far above the samples' rounding floor the final correction of
+# ``richardson_limit`` may lie: the coinciding-root norm limits of N = 1..8
+# reach about 2e3, a pole, a logarithm or a square root at 0 about 1e12
+_LIMIT_FLOOR_FACTOR = 1e6
 
 
 def _result(value) -> complex | np.ndarray:
@@ -97,11 +107,6 @@ def _require_distinct(points: np.ndarray, scale) -> np.ndarray:
     if np.count_nonzero(apart) < apart.size - apart.size // points.shape[-1]:
         raise PoleCollisionError("coinciding or NaN points within one set")
     return diffs
-
-
-def two_pole_kernel(x: complex, eta: complex) -> complex:
-    """The kernel K(x) = 1/x - 1/(x + eta) = eta/(x (x + eta))."""
-    return 1.0 / x - 1.0 / (x + eta)
 
 
 def _guarded_ratio(points, eta: complex, y, up: complex, down: complex, what: str):
@@ -252,37 +257,63 @@ def izergin_determinant_clustered(
     return _result(sign * pref * np.linalg.det(dd) / vandermonde(xs))
 
 
-def _weights(params: ChainParams, mu: complex, xs, points):
-    """The weights of the on-shell matrix at ``points``, the row points
-    ``xs`` followed by any column points, in one evaluation:
-    g = mu a(p)/d(p) and rho = the balanced shift ratio over the row set.
+def _one_based(value, size: int, what: str) -> np.ndarray:
+    """A 1-based site or column index, an integer or an integer array of
+    the stack shape, as a 0-based index array.  A bool, a float (even a
+    whole one) and an index outside 1..size raise ``ValueError``."""
+    index = np.asarray(value)
+    if index.dtype.kind not in "iu" or np.count_nonzero((index < 1) | (index > size)):
+        raise ValueError(f"{what} index must be an integer in 1..{size}")
+    return index - 1
 
-    A stack of points takes one row set per stack member, or one row set
-    for all.  A row point within the pole guard of an inhomogeneity,
-    relative to max(1, |eta|, max |xi|, max |x| over its set), raises
-    ``PoleCollisionError``; so does a column point y, relative to
-    max(1, |eta|, max |xi|, |y|), and a NaN point of either kind.
-    """
-    r = xs.shape[-1]
+
+def _weights(params: ChainParams, mu: complex, xs, points, bound):
+    """``(g, rho, d, near, scale, diffs, up, down)`` at ``points`` against
+    the row set ``xs``: g = mu a/d, d as ``chain.d_of`` gives it, rho the
+    balanced shift ratio over the rows and the p - x, p - x +- eta it is
+    built from (last two axes: point, row).  g and d keep the shape of
+    ``points``, the rest takes the common stack shape of the points and
+    the rows.  Guards are relative to ``scale`` = max(|p|, ``bound``), the
+    row set's max(1, |eta|, max |xi|, max |x|).  ``near`` flags each point
+    and node closer than that (or NaN), where g is the pole's residue;
+    a point on a pole of rho raises ``PoleCollisionError``."""
+    eta = params.eta
+    scale = np.maximum(np.abs(points), bound[..., None])
+    guard = _POLE_TOL * scale[..., None]
     to_xi = points[..., None] - params.xi
-    gaps = np.abs(to_xi)
-    bound = params.pole_scale
-    row_scale = _set_bound(xs, bound)[..., None, None]
-    if not (gaps[..., :r, :] > _POLE_TOL * row_scale).all():
+    near = ~(np.abs(to_xi) > guard)
+    d = to_xi.prod(axis=-1)
+    pole_free = d
+    if np.count_nonzero(near):
+        pole_free = np.where(near, 1.0, to_xi).prod(axis=-1)
+    g = mu * (to_xi + eta).prod(axis=-1) / pole_free
+    diffs = points[..., :, None] - xs[..., None, :]
+    up, down = diffs + eta, diffs - eta
+    if not (np.abs(down) > guard).all():
+        raise PoleCollisionError("balanced shift ratio evaluated on a shifted point")
+    return g, (up / down).prod(axis=-1), d, near, scale, diffs, up, down
+
+
+def _pole_bound(params: ChainParams, points) -> np.ndarray:
+    """max(1, |eta|, max |xi|, max |x|) over each set of ``points``."""
+    return np.maximum.reduce(np.abs(points), axis=-1, initial=params.pole_scale)
+
+
+def _row_weights(params: ChainParams, mu: complex, xs):
+    """The row set's pole bound and ``_weights`` at its own points, at the
+    shape of ``xs``; a row point on a lattice node, or NaN, raises
+    ``PoleCollisionError``."""
+    bound = _pole_bound(params, xs)
+    weights = _weights(params, mu, xs, xs, bound)
+    if np.count_nonzero(weights[3]):
         raise PoleCollisionError("Bethe root collides with an inhomogeneity")
-    column_scale = np.maximum(np.abs(points[..., r:]), bound)[..., None]
-    if not (gaps[..., r:, :] > _POLE_TOL * column_scale).all():
-        raise PoleCollisionError("shift-ratio product evaluated on a set point")
-    # a(p) and d(p), as ``chain.a_of`` and ``chain.d_of`` evaluate them
-    g = mu * (to_xi + params.eta).prod(axis=-1) / to_xi.prod(axis=-1)
-    return g, balanced_shift_ratio(xs, params.eta, points)
+    return bound, weights
 
 
 def _bethe_ratios(params: ChainParams, mu: complex, roots) -> np.ndarray:
     """mu a(x)/d(x) over -prod (x - x_m + eta)/(x - x_m - eta) (self factor
     -1) at every root x: 1 at each root of a twist-mu on-shell set."""
-    roots = np.asarray(roots, dtype=complex)
-    g, rho = _weights(params, mu, roots, roots)
+    g, rho = _row_weights(params, mu, np.asarray(roots, dtype=complex))[1][:2]
     return g / -rho
 
 
@@ -320,115 +351,121 @@ def gaudin_matrix(params: ChainParams, roots) -> np.ndarray:
     return np.where(eye, diag[..., None], -exchange)
 
 
-def _on_shell_weights(params: ChainParams, mu: complex, xs, ys):
-    """The on-shell gate and every weight of the on-shell matrix, from one
-    ``_weights`` evaluation at the rows and the columns: refuses row
-    points off the twist-mu Bethe system (worst residual |g/(-rho) - 1|
-    over the rows above 1e-7 or NaN, the arithmetic of
-    ``mu_bethe_residuals``) and returns ((g, rho) at the rows, (g, rho)
-    at the columns), broadcast to the common stack shape."""
-    r = xs.shape[-1]
-    # rows then columns, each broadcast to the common stack shape
-    points = np.concatenate(
-        [xs + np.zeros(ys.shape[:-1] + (1,)), ys + np.zeros(xs.shape[:-1] + (1,))],
-        axis=-1,
-    )
-    g, rho = _weights(params, mu, xs, points)
-    worst = np.abs(g[..., :r] / -rho[..., :r] - 1.0).max(initial=0.0)
+def _on_shell_gate(mu: complex, g, rho) -> np.ndarray:
+    """The on-shell gate over the weights at the rows: their residuals
+    |g/(-rho) - 1|, the arithmetic of ``mu_bethe_residuals``; a worst
+    residual above 1e-7, or NaN, raises ``NotOnShellError``."""
+    residuals = np.abs(g / -rho - 1.0)
+    worst = residuals.max(initial=0.0)
     if not worst <= 1e-7:
         raise NotOnShellError(
             f"row points violate the twist-{mu} Bethe system "
             f"(worst residual {worst:.3e})"
         )
-    return (g[..., :r], rho[..., :r]), (g[..., r:], rho[..., r:])
+    return residuals
 
 
-def _kernel_matrix(diffs, alpha, beta, eta: complex) -> np.ndarray:
-    """The two-pole kernel matrix alpha_k K(x_j - y_k) + beta_k K(y_k - x_j),
-    K(u) = 1/u - 1/(u + eta), from the differences x_j - y_k of rows at
-    the x and columns at the y.
-
-    This is the one builder behind every Slavnov-type determinant of the
-    package: the on-shell scalar products, their rectangular and
-    lattice-column extensions and the column-substituted determinants
-    differ only in the per-column weights.  Stacks of sets give a stack
-    of matrices.
-    """
-    alpha = np.asarray(alpha, dtype=complex)[..., None, :]
-    beta = np.asarray(beta, dtype=complex)[..., None, :]
-    return alpha * two_pole_kernel(diffs, eta) + beta * two_pole_kernel(-diffs, eta)
+def _pair_product(points, bound) -> np.ndarray:
+    """prod over b < a of (x_a - x_b) per set, refusing a NaN point or two
+    points within the pole guard relative to ``bound``.  The factors are
+    reduced along a contiguous axis, so a stack member rounds as its own
+    one-set call (a strided complex reduction rounds differently)."""
+    index = np.arange(points.shape[-1])
+    pairs = (points[..., :, None] - points[..., None, :])[..., index[:, None] > index]
+    apart = np.abs(pairs) > _POLE_TOL * bound[..., None]
+    if np.count_nonzero(apart) < apart.size:
+        raise PoleCollisionError("coinciding or NaN points within one set")
+    return np.ascontiguousarray(pairs).prod(axis=-1)
 
 
-def _coincident_entries(params: ChainParams, xs, g, rho) -> np.ndarray:
-    """On-shell matrix entries in the limit where a column point reaches
-    a row point x, one per row point, from the weights g and rho at the
-    row points.
-
-    The generic entry is g(y) K(x - y) - rho(y) K(y - x); on shell the
-    two poles cancel as y -> x, leaving -g'(x) - rho'(x) - 2 g(x)/eta.
-    """
+def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, z=None):
+    """The on-shell determinant of the rows ``xs`` against the columns
+    ``ys`` and, with ``site``, that node's residue column, or, with
+    ``column`` and ``z``, one column moved to ``z`` (module docstring),
+    with the d-products over the rows and over the free columns.  The
+    matrix is built transposed, one row per column point.  A column point
+    close to a row point but not coincident with it raises
+    ``PoleCollisionError``."""
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
     eta, xi = params.eta, params.xi
-    to_xi = xs[..., None] - xi
-    g_prime = g * np.sum(1.0 / (to_xi + eta) - 1.0 / to_xi, axis=-1)
-    to_xs = xs[..., :, None] - xs[..., None, :]
-    rho_prime = rho * np.sum(1.0 / (to_xs + eta) - 1.0 / (to_xs - eta), axis=-1)
-    return -g_prime - rho_prime - 2.0 * g / eta
+    r, m = xs.shape[-1], ys.shape[-1]
+    if site is not None:
+        index = _one_based(site, params.n_sites, "site")
+    if column is not None:
+        moved = np.arange(m) == _one_based(column, m, "column")[..., None]
+        z = np.asarray(z, dtype=complex)[..., None]
+        if not np.isfinite(z).all():
+            raise PoleCollisionError("NaN or infinite substituted point")
+    bound, (g_x, rho_x, d_x, *_, x_up, x_down) = _row_weights(params, mu, xs)
+    _on_shell_gate(mu, g_x, rho_x)
+    g_y, rho_y, d_y, near, scale, diffs, up, down = _weights(params, mu, xs, ys, bound)
+    if np.count_nonzero(near):
+        raise PoleCollisionError("free point on a lattice node")
+    # V(xs) and V(reversed ys); the products of per-set factors here are
+    # ufunc calls, since numpy's scalar arithmetic rounds a complex
+    # product differently from its array loops
+    denom = np.multiply(
+        _pair_product(xs, bound),
+        _pair_product(ys[..., ::-1], _pole_bound(params, ys)),
+    )
 
+    def kernel_rows(g, rho, scale, diffs, up, down):
+        """g K(x - y) - rho K(y - x) for column points y (axis -2) and rows
+        x (axis -1), from y - x and y - x +- eta: K(x - y) is
+        1/(y - x - eta) - 1/(y - x), a difference of two reciprocals as in
+        K's definition (three separate weighted terms round worse)."""
+        gaps = np.abs(diffs)
+        close = gaps < _POLE_TOL * scale[..., None]
+        coincident = np.count_nonzero(close)
+        if coincident:
+            if (close & (gaps > _COINCIDE_TOL * scale[..., None])).any():
+                raise PoleCollisionError(
+                    "column point ambiguously close to a row point "
+                    "(neither separated nor coincident)"
+                )
+            diffs = np.where(close, 1.0, diffs)
+        inverse = 1.0 / diffs
+        entries = g[..., None] * (1.0 / down - inverse) - rho[..., None] * (
+            inverse - 1.0 / up
+        )
+        if not coincident:
+            return entries
+        to_xi = xs[..., None] - xi
+        g_prime = g_x * np.sum(1.0 / (to_xi + eta) - 1.0 / to_xi, axis=-1)
+        rho_prime = rho_x * np.sum(1.0 / x_up - 1.0 / x_down, axis=-1)
+        limits = -g_prime - rho_prime - 2.0 * g_x / eta
+        return np.where(close, limits[..., None, :], entries)
 
-def _on_shell_matrix(
-    params: ChainParams, xs, ys, diffs, row_weights, g, rho
-) -> np.ndarray:
-    """Kernel rows g K(x - y) - rho K(y - x) against the on-shell set,
-    followed by |ys| - |xs| moment rows g y^p - rho (y + eta)^p;
-    ``diffs`` holds every x - y and ``row_weights`` the weights at the
-    rows.
-
-    Entries whose column point coincides with their row point take the
-    closed-form limit; a column point close to a row point but not
-    coincident with it is refused.
-    """
-    eta = params.eta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mat = _kernel_matrix(diffs, g, -rho, eta)
-    bound = _set_bound(xs, params.pole_scale)
-    scale = np.maximum(bound[..., None], np.abs(ys))[..., None, :]
-    gaps = np.abs(diffs)
-    near = gaps < _POLE_TOL * scale
-    if near.any():
-        if (near & (gaps > _COINCIDE_TOL * scale)).any():
-            raise PoleCollisionError(
-                "column point ambiguously close to a row point "
-                "(neither separated nor coincident)"
-            )
-        limits = _coincident_entries(params, xs, *row_weights)
-        mat = np.where(near, limits[..., :, None], mat)
-    extra = ys.shape[-1] - xs.shape[-1]
-    if extra:
-        powers = np.arange(extra)[:, None]
-        g, rho, ys = g[..., None, :], rho[..., None, :], ys[..., None, :]
-        moments = g * ys**powers - rho * (ys + eta) ** powers
-        mat = np.concatenate([mat, moments], axis=-2)
-    return mat
-
-
-def _normalized_det(mat: np.ndarray, xs, ys, diffs, eta: complex) -> complex | np.ndarray:
-    """pref det(mat) / (V(xs) V(reversed ys)), pref the product of every
-    x - y + eta (``diffs`` holds every x - y)."""
-    scale = _set_bound(ys, _set_bound(xs, abs(eta)))
-    _require_distinct(xs, scale)
-    _require_distinct(ys, scale)
-    denom = vandermonde(xs) * vandermonde(ys[..., ::-1])
-    pref = np.prod(diffs + eta, axis=(-2, -1))
-    return _result(pref * np.linalg.det(mat) / denom)
-
-
-def _on_shell_determinant(
-    params: ChainParams, mu: complex, xs, ys
-) -> complex | np.ndarray:
-    rows, (g, rho) = _on_shell_weights(params, mu, xs, ys)
-    diffs = xs[..., :, None] - ys[..., None, :]
-    mat = _on_shell_matrix(params, xs, ys, diffs, rows, g, rho)
-    return _normalized_det(mat, xs, ys, diffs, params.eta)
+    mat = kernel_rows(g_y, rho_y, scale, diffs, up, down)
+    # x - y + eta = -(y - x - eta) over every row and free column
+    pref = (-1.0) ** (r * m) * down.prod(axis=(-2, -1))
+    powers = np.arange(m - r + (site is not None))
+    if powers.size:
+        y = ys[..., None]
+        moments = g_y[..., None] * y**powers - rho_y[..., None] * (y + eta) ** powers
+        mat = np.concatenate([mat, moments], axis=-1)
+    if column is not None:
+        g_z, rho_z, _, near, scale, *z_diffs = _weights(params, mu, xs, z, bound)
+        # on a node the column is the pole's residue: rho has no pole there
+        rho_z = np.where(near.any(axis=-1), 0.0, rho_z)
+        mat = np.where(moved[..., None], kernel_rows(g_z, rho_z, scale, *z_diffs), mat)
+    if site is not None:
+        # the node's residue column: weights g = 1 and rho = 0, scaled by
+        # mu a at the node
+        node = xi[index][..., None]
+        to_node = xs - node
+        shifted = to_node + eta
+        pref = np.multiply(pref, shifted.prod(axis=-1))
+        full = np.empty(pref.shape + (m + 1, m + 1), dtype=complex)
+        full[..., :m, :] = mat
+        full[..., m, :r] = 1.0 / to_node - 1.0 / shifted
+        full[..., m, r:] = node**powers
+        mat = full
+        pref = np.multiply(pref, np.multiply(mu, params.a_at_nodes[index]))
+        denom = np.multiply(denom, (ys - node).prod(axis=-1))
+    value = np.multiply(pref, np.linalg.det(mat)) / denom
+    return value, d_x.prod(axis=-1), d_y.prod(axis=-1)
 
 
 def slavnov_determinant(
@@ -441,11 +478,9 @@ def slavnov_determinant(
     column points are handled through the closed-form limit entries, so
     the fully coinciding case (a norm) works directly.
     """
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    if xs.shape[-1] != ys.shape[-1]:
+    if np.shape(xs)[-1] != np.shape(ys)[-1]:
         raise ValueError("the two point sets must have equal size")
-    return _on_shell_determinant(params, mu, xs, ys)
+    return _result(_on_shell(params, mu, xs, ys)[0])
 
 
 def gen_slavnov_determinant(
@@ -458,11 +493,9 @@ def gen_slavnov_determinant(
     balanced shift ratio times (y_k + eta)^(p) for p = 0..s-1.  With
     equal sizes this reduces exactly to ``slavnov_determinant``.
     """
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    if ys.shape[-1] < xs.shape[-1]:
+    if np.shape(ys)[-1] < np.shape(xs)[-1]:
         raise ValueError("the free set cannot be smaller than the on-shell set")
-    return _on_shell_determinant(params, mu, xs, ys)
+    return _result(_on_shell(params, mu, xs, ys)[0])
 
 
 def gen_slavnov_sign(m: int, s: int) -> int:
@@ -486,34 +519,14 @@ def lattice_column_determinant(
     powers in the moment rows -- and the whole thing is scaled by mu
     times the eta-shifted lattice product at the node.  The remaining
     free points may still coincide with on-shell rows; those entries go
-    through the usual closed-form limits.  ``site`` may be an array of
-    the stack shape, one site per member; the weights of the free points
-    do not depend on it and are evaluated once per pair of sets.
+    through the usual closed-form limits.  ``site`` (an integer in
+    1..N, or an integer array of the stack shape, one site per member)
+    only enters the node's column; the free columns are weighed once per
+    pair of sets.
     """
-    xs = np.asarray(xs, dtype=complex)
-    ys_free = np.asarray(ys_free, dtype=complex)
-    index = np.asarray(site) - 1
-    if index.min() < 0 or index.max() >= params.n_sites:
-        raise ValueError("site index out of range")
-    m = ys_free.shape[-1]
-    if m < xs.shape[-1] - 1:
+    if np.shape(ys_free)[-1] < np.shape(xs)[-1] - 1:
         raise ValueError("the free set cannot be smaller than the on-shell set")
-    rows, (g_free, rho_free) = _on_shell_weights(params, mu, xs, ys_free)
-    # the node joins the free set as one more column, whose weights (those
-    # of its pole residue, g = 1 and rho = 0) do not depend on the node;
-    # each array is filled in place, with no concatenation
-    stack = np.broadcast_shapes(ys_free.shape[:-1], index.shape)
-    ys = np.empty(stack + (m + 1,), dtype=complex)
-    ys[..., :m] = ys_free
-    ys[..., m] = params.xi[index]
-    g, rho = np.zeros((2,) + g_free.shape[:-1] + (m + 1,), dtype=complex)
-    g[..., :m] = g_free
-    g[..., m] = 1.0
-    rho[..., :m] = rho_free
-    diffs = xs[..., :, None] - ys[..., None, :]
-    mat = _on_shell_matrix(params, xs, ys, diffs, rows, g, rho)
-    residue = mu * params.a_at_nodes[index]
-    return _result(residue * _normalized_det(mat, xs, ys, diffs, params.eta))
+    return _result(_on_shell(params, mu, xs, ys_free, site=site)[0])
 
 
 def column_substituted_slavnov(
@@ -521,11 +534,11 @@ def column_substituted_slavnov(
 ) -> complex | np.ndarray:
     """Scalar-product determinant with one column moved to a new point.
 
-    Column ``m`` (1-based) of the matrix is evaluated at ``z`` in place
-    of the m-th free point; the external products and Vandermonde
-    normalization keep the original free set, so ``z`` equal to the m-th
-    free point reproduces the plain determinant exactly.  At generic
-    ``z`` the literal entries are used.  When ``z`` lands on an
+    Column ``m`` (an integer in 1..|ys|) of the matrix is evaluated at
+    ``z`` in place of the m-th free point; the external products and
+    Vandermonde normalization keep the original free set, so ``z`` equal
+    to the m-th free point reproduces the plain determinant exactly.  At
+    generic ``z`` the literal entries are used.  When ``z`` lands on an
     inhomogeneity the literal entry has a simple pole (through the
     lattice shift ratio); the returned value is then the residue of the
     determinant at that pole: the singular part of the column, which is
@@ -533,37 +546,9 @@ def column_substituted_slavnov(
     lattice shift ratio.  ``m`` and ``z`` are per-set scalars, so one
     call can substitute every column of one pair of sets.
     """
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    if xs.shape[-1] != ys.shape[-1]:
+    if np.shape(xs)[-1] != np.shape(ys)[-1]:
         raise ValueError("the two point sets must have equal size")
-    column = np.asarray(m) - 1
-    if np.any((column < 0) | (column >= ys.shape[-1])):
-        raise ValueError("column index out of range")
-    eta, xi = params.eta, params.xi
-    z = np.asarray(z, dtype=complex)
-    moved = np.arange(ys.shape[-1]) == column[..., None]
-    cols = np.where(moved, z[..., None], ys)
-    to_xi = z[..., None] - xi
-    gaps = np.abs(to_xi)
-    node = gaps.argmin(axis=-1)
-    scale = np.maximum(_set_bound(xs, params.pole_scale), np.abs(z))
-    on_node = gaps.min(axis=-1) < _POLE_TOL * scale
-    # a column moved onto a node keeps the weights of its old point until
-    # they are replaced by the residue below, so no pole is evaluated
-    residue_column = moved & on_node[..., None]
-    rows, (g, rho) = _on_shell_weights(
-        params, mu, xs, np.where(residue_column, ys, cols)
-    )
-    if on_node.any():
-        others = np.where(np.arange(xi.size) == node[..., None], 1.0, to_xi)
-        residue = mu * (np.prod(to_xi + eta, axis=-1) / np.prod(others, axis=-1))
-        g = np.where(residue_column, residue[..., None], g)
-        rho = np.where(residue_column, 0.0, rho)
-    mat = _on_shell_matrix(
-        params, xs, cols, xs[..., :, None] - cols[..., None, :], rows, g, rho
-    )
-    return _normalized_det(mat, xs, ys, xs[..., :, None] - ys[..., None, :], eta)
+    return _result(_on_shell(params, mu, xs, ys, column=m, z=z)[0])
 
 
 def dressed_vandermonde_unbalanced_check(
@@ -594,9 +579,14 @@ def richardson_limit(evaluator) -> tuple[complex, float]:
 
     Neville's scheme on the geometric schedule eps = 1e-2 / 2^k,
     k = 0..5; returns the extrapolated value and an error estimate (the
-    size of the final correction).  Corrections that grow instead of
-    shrinking, and a NaN or infinite sample or limit, raise
-    ``LimitFailureError``.
+    size of the final correction).  The limit is sum_k w_k v_k over the
+    samples v_k, with w_k the weights of polynomial extrapolation to 0,
+    so the samples' own rounding leaves it uncertain by about
+    eps_mach sum_k |w_k| |v_k|.  A final correction more than
+    ``_LIMIT_FLOOR_FACTOR`` times that floor means the samples are not a
+    polynomial in eps to working precision -- a pole, a logarithm or a
+    root at 0 -- and raises ``LimitFailureError``, as does a NaN or
+    infinite sample or limit.
     """
     schedule = 1e-2 * 0.5 ** np.arange(6)
     vals = np.array([evaluator(float(e)) for e in schedule], dtype=complex)
@@ -604,7 +594,6 @@ def richardson_limit(evaluator) -> tuple[complex, float]:
         raise LimitFailureError("the evaluator returned a NaN or infinite sample")
     table = vals.copy()
     best = table[-1]
-    corrections = []
     # an overflow leaves a non-finite limit, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(1, schedule.size):
@@ -612,18 +601,19 @@ def richardson_limit(evaluator) -> tuple[complex, float]:
             for i in range(new.size):
                 e0, e1 = schedule[i], schedule[i + level]
                 new[i] = (e0 * table[i + 1] - e1 * table[i]) / (e0 - e1)
-            corrections.append(abs(new[-1] - best))
+            correction = abs(new[-1] - best)
             best = new[-1]
             table = new
     if not np.isfinite(best):
         raise LimitFailureError("the extrapolated limit is NaN or infinite")
-    rounding_floor = 1e-14 * (abs(best) + 1.0)
-    if (
-        len(corrections) >= 2
-        and corrections[-1] > rounding_floor
-        and corrections[-1] > 10.0 * (corrections[0] + 1e-300)
-    ):
+    # w_k = prod over j != k of e_j / (e_j - e_k)
+    eye = np.eye(schedule.size, dtype=bool)
+    gaps = np.where(eye, 1.0, schedule - schedule[:, None])
+    weights = np.where(eye, 1.0, schedule / gaps).prod(axis=1)
+    floor = np.finfo(float).eps * np.sum(np.abs(weights) * np.abs(vals))
+    if correction > _LIMIT_FLOOR_FACTOR * floor:
         raise LimitFailureError(
-            "extrapolation corrections grew instead of converging"
+            f"extrapolation did not converge: final correction {correction:.3e} "
+            f"against a rounding floor of {floor:.3e}"
         )
-    return complex(best), float(corrections[-1])
+    return complex(best), float(correction)

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainParams, d_of
+from .chain import ChainParams
 from . import dense
-from .determinants import lattice_column_determinant
+from .determinants import _on_shell, _one_based
 from .scalar import _on_shell_weight
 from .sov import bilinear, separate_state_dense, spec_from_roots
 from .spectrum import EigenRecord
@@ -76,15 +76,15 @@ def _lowering(params: ChainParams, bra_roots, ket_roots, bra_nodes, ket_nodes, s
     """
     n = params.n_sites
     r_bra, r_ket = np.shape(bra_roots)[-1], np.shape(ket_roots)[-1]
-    core = lattice_column_determinant(params, -1.0, bra_roots, ket_roots, site)
+    # the lattice-column determinant and the d-products over both root sets
+    core, d_bra, d_ket = _on_shell(params, -1.0, bra_roots, ket_roots, site=site)
     # the partner polynomial has the ket roots and the site's node, whose
     # d factor the lattice-column limit has absorbed
     weight = (-1.0) ** r_ket * _on_shell_weight(n, r_ket + 1, r_bra)
     node = np.arange(1, n + 1)
     at = np.asarray(site)[..., None]
     nodes = np.where(node < at, bra_nodes, np.where(node > at, ket_nodes, 1.0))
-    d_bra, d_ket = d_of(params, bra_roots), d_of(params, ket_roots)
-    pref = nodes.prod(axis=-1) * d_bra.prod(axis=-1) * d_ket.prod(axis=-1)
+    pref = nodes.prod(axis=-1) * d_bra * d_ket
     return weight * pref / params.a_at_nodes.prod() * core
 
 
@@ -130,9 +130,9 @@ def ff_sigma_minus(
     record with roots from another chain fails the determinant's
     on-shell gate: ``NotOnShellError``.
     """
-    if not 1 <= site <= params.n_sites:
-        raise ValueError("site index out of range")
     if abs(bra_record.n_roots - ket_record.n_roots) > 1:
+        # the determinant validates the site of every other element
+        _one_based(site, params.n_sites, "site")
         return 0.0 + 0.0j
     return complex(
         _lowering(

@@ -19,10 +19,10 @@ import numpy as np
 
 from .chain import ChainParams, d_of, vandermonde
 from .determinants import (
+    _on_shell,
     _result,
     dressed_vandermonde,
     gaudin_matrix,
-    gen_slavnov_determinant,
     gen_slavnov_sign,
     izergin_determinant,
     izergin_determinant_clustered,
@@ -198,17 +198,12 @@ def sp_on_shell(params: ChainParams, left_roots, on_shell_roots):
     ``complex``.
     """
     left_roots = np.asarray(left_roots, dtype=complex)
-    on_shell_roots = np.asarray(on_shell_roots, dtype=complex)
-    m, r = left_roots.shape[-1], on_shell_roots.shape[-1]
+    m, r = left_roots.shape[-1], np.shape(on_shell_roots)[-1]
     if m < r:
         return _result(np.zeros(left_roots.shape[:-1], dtype=complex))
-    pooled = np.concatenate([left_roots, on_shell_roots], axis=-1)
-    pref = np.prod(d_of(params, pooled), axis=-1)
-    return _result(
-        _on_shell_weight(params.n_sites, m, r)
-        * pref
-        * gen_slavnov_determinant(params, -1.0, on_shell_roots, left_roots)
-    )
+    # the rectangular determinant and the d-products over both root sets
+    det, d_on_shell, d_left = _on_shell(params, -1.0, on_shell_roots, left_roots)
+    return _result(_on_shell_weight(params.n_sites, m, r) * (d_left * d_on_shell) * det)
 
 
 def sp_with_eigenstate(

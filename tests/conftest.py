@@ -13,6 +13,12 @@ _PARAMS: dict = {}
 _SPECTRA: dict = {}
 
 
+def two_pole_kernel(x, eta):
+    """The kernel K(x) = 1/x - 1/(x + eta) = eta/(x (x + eta)) of every
+    Slavnov-type matrix, for the entrywise references."""
+    return 1.0 / x - 1.0 / (x + eta)
+
+
 def cached_params(n_sites: int, seed: int = 0):
     key = (n_sites, seed)
     if key not in _PARAMS:

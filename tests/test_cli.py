@@ -353,15 +353,15 @@ def test_split_pair_draw_equals_two_chained_draws(m, n, points, min_sep, box, se
 
 
 def _count_on_shell_checks(monkeypatch) -> list:
-    """Record the row-set shape of every on-shell gate pass."""
+    """Record the row-set shape of every pass of the on-shell core's gate."""
     checks = []
-    gate = determinants._on_shell_weights
+    gate = determinants._on_shell_gate
 
-    def counting(params, mu, xs, ys):
-        checks.append(np.shape(xs))
-        return gate(params, mu, xs, ys)
+    def counting(mu, g, rho):
+        checks.append(np.shape(g))
+        return gate(mu, g, rho)
 
-    monkeypatch.setattr(determinants, "_on_shell_weights", counting)
+    monkeypatch.setattr(determinants, "_on_shell_gate", counting)
     return checks
 
 
@@ -510,13 +510,13 @@ def test_identities_suite_checks_each_row_set_once_per_stack(monkeypatch):
 
 def test_scalar_products_suite_pairs_each_sector_group_once(monkeypatch):
     calls = []
-    rectangular = scalar.gen_slavnov_determinant
+    rectangular = scalar._on_shell
 
     def counting(params, mu, xs, ys):
         calls.append((np.shape(xs), np.shape(ys)))
         return rectangular(params, mu, xs, ys)
 
-    monkeypatch.setattr(scalar, "gen_slavnov_determinant", counting)
+    monkeypatch.setattr(scalar, "_on_shell", counting)
     report = run(RunConfig(n_sites=3, seed=0, suites=("scalar-products",)))
     assert report["aborted"] == {}
     counts = [rec.n_roots for rec in full_spectrum(sample_generic_params(3, 0), 0)]

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sovxxx import determinants
 from sovxxx.determinants import (
     balanced_shift_ratio,
     column_substituted_slavnov,
@@ -24,14 +26,13 @@ from sovxxx.determinants import (
     richardson_limit,
     shift_ratio,
     slavnov_determinant,
-    two_pole_kernel,
     vandermonde,
 )
 from sovxxx.chain import a_of, d_of
 from sovxxx.errors import LimitFailureError, NotOnShellError, PoleCollisionError
 from sovxxx.scalar import gaudin_norm, sp_b_form, sp_on_shell
 
-from conftest import cached_params, cached_spectrum, separated_cloud
+from conftest import cached_params, cached_spectrum, separated_cloud, two_pole_kernel
 
 
 def test_weight_exchange_identity_hundred_instances():
@@ -242,6 +243,18 @@ def test_iterated_limit_rejects_non_finite_values(evaluator):
         richardson_limit(evaluator)
 
 
+@pytest.mark.parametrize(
+    "evaluator",
+    [lambda eps: 1.0 / eps, math.log, math.sqrt],
+    ids=["pole", "log", "sqrt"],
+)
+def test_iterated_limit_rejects_divergent_evaluators(evaluator):
+    # none is a polynomial in eps at 0: the final correction stays far
+    # above the rounding floor of the samples (1/eps once gave (6300, 100))
+    with pytest.raises(LimitFailureError):
+        richardson_limit(evaluator)
+
+
 def test_empty_sets_give_unit_determinants():
     assert izergin_determinant(0.3, [], [], 1.0) == 1.0
     assert dressed_vandermonde([], 1.0, [], +1) == 1.0
@@ -320,6 +333,92 @@ def _non_finite_calls():
 def test_non_finite_points_raise_typed_errors(name):
     with pytest.raises(ValueError):
         _non_finite_calls()[name]()
+
+
+def test_coinciding_free_points_anywhere_in_the_set_are_the_limit():
+    # a free point on an on-shell row, in any column of a square,
+    # rectangular or lattice-column matrix, takes the limit of its entry
+    params = cached_params(4, 0)
+    rng = np.random.Generator(np.random.Philox(key=617))
+    checked = 0
+    for rec in cached_spectrum(4, 0):
+        xs = rec.bethe_roots
+        if xs.size < 2:
+            continue
+        avoid = np.concatenate([xs, params.xi])
+        for extra in (0, 1, 2):
+            ys = separated_cloud(rng, xs.size + extra, params.eta, avoid=avoid)
+            k, j = int(rng.integers(ys.size)), int(rng.integers(xs.size))
+            direction = np.exp(2j * np.pi * rng.uniform())
+            evaluators = [
+                partial(gen_slavnov_determinant, params, -1.0, xs),
+                partial(lattice_column_determinant, params, -1.0, xs, site=2),
+            ]
+            for evaluate in evaluators:
+
+                def displaced(eps, evaluate=evaluate, ys=ys, k=k, j=j, d=direction):
+                    moved = ys.copy()
+                    moved[k] = xs[j] + eps * d
+                    return evaluate(moved)
+
+                limit, _ = richardson_limit(displaced)
+                value = displaced(0.0)
+                assert abs(value - limit) <= 1e-7 * abs(limit)
+                checked += 1
+    assert checked > 0
+
+
+def _index_calls():
+    """One call per evaluator with a site or column index that is not an
+    integer in range, on the seed-0 three-site chain."""
+    params = cached_params(3, 0)
+    record = next(r for r in cached_spectrum(3, 0) if r.n_roots == 2)
+    xs = record.bethe_roots
+    avoid = np.concatenate([xs, params.xi])
+    rng = np.random.Generator(np.random.Philox(key=615))
+    ys = separated_cloud(rng, 2, params.eta, avoid=avoid)
+    z = ys[0] + 0.3
+    return {
+        # once a plausible-looking 2.5e-16
+        "column_1.5": lambda: column_substituted_slavnov(params, -1, xs, ys, 1.5, z),
+        "column_2.0": lambda: column_substituted_slavnov(params, -1, xs, ys, 2.0, z),
+        "column_0": lambda: column_substituted_slavnov(params, -1, xs, ys, 0, z),
+        # once a bare IndexError after the range check
+        "site_2.0": lambda: lattice_column_determinant(params, -1.0, xs, ys, 2.0),
+        # once site 1
+        "site_True": lambda: lattice_column_determinant(params, -1.0, xs, ys, True),
+        "site_4": lambda: lattice_column_determinant(params, -1.0, xs, ys, 4),
+        "sites_with_a_float": lambda: lattice_column_determinant(
+            params, -1.0, xs, ys, np.array([1.0, 2.5])
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_index_calls()))
+def test_non_integer_or_out_of_range_indices_raise_value_errors(name):
+    with pytest.raises(ValueError, match="index must be an integer"):
+        _index_calls()[name]()
+
+
+def test_on_shell_gate_residuals_equal_the_bethe_residuals_bit_for_bit(monkeypatch):
+    # the gate and mu_bethe_residuals read one weights definition
+    gated = []
+    gate = determinants._on_shell_gate
+
+    def recording(mu, g, rho):
+        gated.append(gate(mu, g, rho))
+        return gated[-1]
+
+    monkeypatch.setattr(determinants, "_on_shell_gate", recording)
+    for n_sites in (3, 5):
+        params = cached_params(n_sites, 0)
+        rng = np.random.Generator(np.random.Philox(key=[616, n_sites]))
+        for rec in cached_spectrum(n_sites, 0):
+            roots = rec.bethe_roots
+            avoid = np.concatenate([roots, params.xi])
+            ys = separated_cloud(rng, roots.size + 1, params.eta, avoid=avoid)
+            gen_slavnov_determinant(params, -1.0, roots, ys)
+            assert np.array_equal(gated[-1], mu_bethe_residuals(params, -1.0, roots))
 
 
 def test_shift_ratio_checks_sign_on_the_empty_set():

@@ -8,7 +8,6 @@ import pytest
 from sovxxx import formfactors
 from sovxxx.chain import a_of, d_of, fixture_params, vandermonde
 from sovxxx.dense import global_flip, monodromy, site_sigma, transfer_antiperiodic
-from sovxxx.determinants import _kernel_matrix
 from sovxxx.errors import NotOnShellError, PairingError
 from sovxxx.formfactors import (
     eigenstate_vectors,
@@ -20,7 +19,7 @@ from sovxxx.formfactors import (
 from sovxxx.sov import bilinear
 from sovxxx.spectrum import full_spectrum
 
-from conftest import cached_params, cached_spectrum, total_sx
+from conftest import cached_params, cached_spectrum, total_sx, two_pole_kernel
 
 
 def ff(params, bra, ket, site, op):
@@ -208,6 +207,22 @@ def test_site_index_bounds_are_enforced():
         ff_sigma_minus(params, records[0], records[1], 4)
 
 
+@pytest.mark.parametrize(
+    "site", [2.0, True, np.float64(1.0)], ids=["float", "bool", "numpy_float"]
+)
+def test_non_integer_sites_raise_value_errors(site):
+    # a whole float once passed the range check and then indexed the
+    # nodes; True passed as site 1
+    params = cached_params(3, 0)
+    records = cached_spectrum(3, 0)
+    pairs = [(bra, ket) for bra in records for ket in records]
+    adjacent = next(p for p in pairs if p[1].n_roots == p[0].n_roots + 1)
+    distant = next(p for p in pairs if p[1].n_roots >= p[0].n_roots + 2)
+    for bra, ket in (adjacent, distant):
+        with pytest.raises(ValueError):
+            ff_sigma_minus(params, bra, ket, site)
+
+
 def _a_site_split(params, site, lam):
     """Product of (lam - xi_j + eta) for j <= site times (lam - xi_j) beyond."""
     lam = np.asarray(lam, dtype=complex)
@@ -251,8 +266,10 @@ def _ff_det(params, bra, ket, site):
     q = rows.q_tau
     alpha = a_of(params, y) / d_of(params, y) * q(y - eta)
     beta = q(y + eta)
-    mat = _kernel_matrix(x[:, None] - y, alpha, beta, eta)
-    node_column = _kernel_matrix(x[:, None] - node, [1.0], [0.0], eta)
+    # alpha K(x - y) + beta K(y - x), and the node's kernel column
+    diffs = x[:, None] - y
+    mat = alpha * two_pole_kernel(diffs, eta) + beta * two_pole_kernel(-diffs, eta)
+    node_column = two_pole_kernel(x[:, None] - node, eta)
     if x.size == y.size:
         mat = mat + node_column * (alpha + beta)
         sign = 0.5

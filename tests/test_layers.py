@@ -35,9 +35,11 @@ def test_layers_times_every_layer_once_per_size(tmp_path, monkeypatch):
                 "slavnov",
                 "gen_slavnov",
                 "lattice_column",
+                "column_substituted",
                 "dressed_vandermonde",
             )
         ],
+        ("sp_on_shell", 2),
         ("ff_sigma_minus", 2),
     ]
     assert all(row["n"] == 2 and row["seconds"] > 0 for row in rows)
