@@ -33,11 +33,13 @@ count for a whole spectrum.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import dense
 from .chain import ChainParams, a_of, d_of
 from .determinants import column_substituted_slavnov
 from .errors import PairingError
+from .spectrum import sectors
 
 _MASK_TOL = 1e-12
 
@@ -197,23 +199,22 @@ def weighted_expansion_table(
     """Both weighted expansions of the equal-sector matrix element and
     their gap (``_weighted_expansions``) between records i and j at site
     s, at ``[i, j, s - 1]`` of each of its three arrays: one
-    ``_weighted_expansions`` call per nonzero root count, over every bra
-    and ket of that sector and every site (stack axes bra, ket, site).
+    ``_weighted_expansions`` call per nonzero root count
+    (``spectrum.sectors``), over every bra and ket of that sector and
+    every site (stack axes bra, ket, site).
     Pairs of unequal root counts and root-free records hold zeros.
     """
     n = params.n_sites
-    counts = np.array([rec.n_roots for rec in records])
     shape = (len(records), len(records), n)
     out = (np.zeros(shape, complex), np.zeros(shape, complex), np.zeros(shape))
     sites = np.arange(1, n + 1)
-    for r in sorted(set(counts.tolist()) - {0}):
-        members = np.flatnonzero(counts == r)
-        sector = [records[i] for i in members]
-        roots = np.array([rec.bethe_roots for rec in sector]).reshape(members.size, r)
+    for r, (members, roots, _, q_rows) in sectors(records).items():
+        if r == 0:
+            continue
         shifted = roots + np.array([[[-1.0]], [[1.0]]]) * params.eta
         # each bra's Q at every ket's roots, shifted down and up: axes
         # (shift, bra, ket, root); each ket's own Q is on the diagonal
-        q = np.array([rec.q_tau(shifted) for rec in sector]).swapaxes(0, 1)
+        q = npoly.polyval(shifted, q_rows.T).swapaxes(0, 1)
         ket_q_minus = np.diagonal(q[0]).T
         values = _weighted_expansions(
             params,
@@ -310,7 +311,7 @@ def completeness_check(params: ChainParams, records, states) -> dict:
     if np.any(scale == 0.0):
         raise PairingError("product state vanished identically")
     lam = dense.default_eval_point(params, 2)
-    taus = np.array([record.tau(lam) for record in records])
+    taus = npoly.polyval(lam, np.array([record.tau for record in records]).T)
     resid = dense.transfer_twisted(params, lam) @ cols - taus * cols
     residuals = np.max(np.abs(resid), axis=0) / scale
     fingerprints = set()

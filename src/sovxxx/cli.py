@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .aba import (
     completeness_check,
@@ -341,8 +340,8 @@ def _suite_spectrum(config: RunConfig, chains: Chains):
     )
     again = solve_q_from_tau(params, [rec.tau for rec in records], seed=config.seed + 1)
     redraw_worst = max(
-        float(np.max(np.abs(npoly.polysub(rec.q_tau.coeffs, q.coeffs))))
-        / max(float(np.max(np.abs(rec.q_tau.coeffs))), _TINY)
+        float(np.max(np.abs(rec.q_tau - q)))
+        / max(float(np.max(np.abs(rec.q_tau))), _TINY)
         for rec, q in zip(records, again)
     )
     rows.append(

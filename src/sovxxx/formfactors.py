@@ -30,7 +30,7 @@ from . import dense
 from .determinants import _on_shell, _one_based
 from .scalar import _on_shell_weight
 from .sov import bilinear, separate_state_dense, spec_from_roots
-from .spectrum import EigenRecord
+from .spectrum import EigenRecord, sectors
 
 
 def eigenstate_vectors(
@@ -84,34 +84,31 @@ def _lowering(params: ChainParams, bra_roots, ket_roots, bra_nodes, ket_nodes, s
     node = np.arange(1, n + 1)
     at = np.asarray(site)[..., None]
     nodes = np.where(node < at, bra_nodes, np.where(node > at, ket_nodes, 1.0))
-    pref = nodes.prod(axis=-1) * d_bra * d_ket
-    return weight * pref / params.a_at_nodes.prod() * core
+    # complex products as ufunc calls, so one element rounds as its member
+    # of a stack does (numpy's scalar complex product rounds differently)
+    pref = np.multiply(np.multiply(nodes.prod(axis=-1), d_bra), d_ket)
+    return np.multiply(weight * pref / params.a_at_nodes.prod(), core)
 
 
 def lowering_table(params: ChainParams, records) -> np.ndarray:
     """``ff_sigma_minus`` between records i and j at site s, at
-    ``[i, j, s - 1]``: one ``_lowering`` call per pair of sectors at
-    most one root apart, over every bra and ket of those sectors and
-    every site, and exact zeros between sectors further apart."""
-    counts = np.array([rec.n_roots for rec in records])
-    sectors = {}
-    for r in sorted(set(counts.tolist())):
-        members = np.flatnonzero(counts == r)
-        roots = np.array([records[i].bethe_roots for i in members])
-        nodes = np.array([records[i].tau_at_nodes for i in members])
-        sectors[r] = members, roots.reshape(members.size, r), nodes
+    ``[i, j, s - 1]``: one ``_lowering`` call per pair of sectors
+    (``spectrum.sectors``) at most one root apart, over every bra and ket
+    of those sectors and every site, and exact zeros between sectors
+    further apart."""
+    groups = sectors(records)
     table = np.zeros((len(records), len(records), params.n_sites), dtype=complex)
     sites = np.arange(1, params.n_sites + 1)
     # stack axes: bra, ket, site
-    for r_bra, (bras, bra_roots, bra_nodes) in sectors.items():
-        for r_ket, (kets, ket_roots, ket_nodes) in sectors.items():
+    for r_bra, bra in groups.items():
+        for r_ket, ket in groups.items():
             if abs(r_bra - r_ket) <= 1:
-                table[np.ix_(bras, kets)] = _lowering(
+                table[np.ix_(bra.members, ket.members)] = _lowering(
                     params,
-                    bra_roots[:, None, None, :],
-                    ket_roots[None, :, None, :],
-                    bra_nodes[:, None, None, :],
-                    ket_nodes[None, :, None, :],
+                    bra.roots[:, None, None, :],
+                    ket.roots[None, :, None, :],
+                    bra.tau_at_nodes[:, None, None, :],
+                    ket.tau_at_nodes[None, :, None, :],
                     sites,
                 )
     return table

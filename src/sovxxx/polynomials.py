@@ -1,17 +1,18 @@
-"""Complex polynomials with ascending coefficients.
+"""Complex polynomials as rows of ascending coefficients.
 
-Thin, deliberately small layer over ``numpy.polynomial.polynomial``:
-construction from roots, Horner evaluation, Lagrange interpolation and
-companion-matrix root extraction (a stack of rows of one degree per
-eigensolve), plus the trimming policy used by the linear solves
-elsewhere in the package (trailing coefficients below a relative
-threshold are numerical noise from near-singular systems and are
-dropped).
+Thin, deliberately small layer over ``numpy.polynomial.polynomial``: a
+polynomial is its coefficient row (``row[k]`` multiplies ``z**k``),
+evaluated with ``npoly.polyval``, and a stack of rows zero-padded to one
+width evaluates bit for bit like each row alone.  Here are the
+expansion from roots, Lagrange interpolation and companion-matrix root
+extraction (a stack of rows of one degree per eigensolve), with the
+trimming threshold the package reads its degrees by: a coefficient
+below ``TRIM_TOL`` times its row's largest is numerical noise from a
+near-singular solve, so a leading coefficient that small drops the
+degree.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -22,68 +23,25 @@ from .errors import DegenerateNodesError, SpectrumError
 TRIM_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexPoly:
-    """A polynomial with complex coefficients, lowest order first.
+def poly_from_roots(roots) -> np.ndarray:
+    """Coefficient row of the monic polynomial with the given roots, one
+    longer than the roots; an empty set gives ``[1]``.
 
-    ``coeffs[k]`` multiplies ``z**k``.  Trailing coefficients whose
-    modulus is below ``TRIM_TOL`` times the largest modulus are removed
-    on construction.  The zero polynomial is stored as a single zero
-    coefficient and reports ``degree == -1``.  Non-finite coefficients
-    raise ``ValueError``: the trimming rule would otherwise read them as
-    the zero polynomial.
-    """
-
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=complex))
-
-    def __post_init__(self) -> None:
-        raw = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).ravel()
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("polynomial coefficients must be finite")
-        scale = np.max(np.abs(raw)) if raw.size else 0.0
-        if scale == 0.0:
-            trimmed = np.zeros(1, dtype=complex)
-        else:
-            keep = np.nonzero(np.abs(raw) > TRIM_TOL * scale)[0]
-            if keep.size == 0:
-                trimmed = np.zeros(1, dtype=complex)
-            else:
-                trimmed = raw[: keep[-1] + 1].copy()
-        trimmed.setflags(write=False)
-        object.__setattr__(self, "coeffs", trimmed)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.size == 1 and self.coeffs[0] == 0
-
-    @property
-    def degree(self) -> int:
-        return -1 if self.is_zero else self.coeffs.size - 1
-
-    def __call__(self, z):
-        return npoly.polyval(z, self.coeffs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ComplexPoly({np.array2string(self.coeffs, precision=6)})"
-
-
-def poly_from_roots(roots) -> ComplexPoly:
-    """Monic polynomial with the given roots; an empty set gives 1.
-
-    Raises ``ValueError`` when the trimming rule would drop the leading
-    coefficient, which happens when the other coefficients exceed it by
-    more than ``1 / TRIM_TOL`` (roots of modulus about 1e3 at degree 4).
+    Raises ``ValueError`` when the leading one is not above ``TRIM_TOL``
+    times the largest coefficient, so that the trimming rule would drop
+    it: the other coefficients exceed it by more than ``1 / TRIM_TOL``
+    (roots of modulus about 1e3 at degree 4), or are not finite.
     """
     roots = np.asarray(roots, dtype=complex).ravel()
     if roots.size == 0:
-        return ComplexPoly(np.ones(1, dtype=complex))
-    poly = ComplexPoly(npoly.polyfromroots(roots))
-    if poly.degree != roots.size:
+        return np.ones(1, dtype=complex)
+    row = npoly.polyfromroots(roots)
+    if not abs(row[-1]) > TRIM_TOL * np.abs(row).max():
         raise ValueError(
-            f"{roots.size} roots expand to a polynomial of degree {poly.degree}: "
-            "the leading coefficient is below the trimming threshold"
+            f"{roots.size} roots expand to a row whose leading coefficient is "
+            "below the trimming threshold"
         )
-    return poly
+    return row
 
 
 def cardinal_coefficients(nodes) -> np.ndarray:
@@ -119,16 +77,17 @@ def cardinal_coefficients(nodes) -> np.ndarray:
     return coeffs / gaps.prod(axis=1)[:, None]
 
 
-def lagrange_interpolate(nodes, values) -> ComplexPoly:
-    """The unique polynomial of degree < len(nodes) through the given points:
-    the values times the cardinal-coefficient matrix of the nodes."""
+def lagrange_interpolate(nodes, values) -> np.ndarray:
+    """Coefficient row, one entry per node, of the unique polynomial of
+    degree < len(nodes) through the given points: the values times the
+    cardinal-coefficient matrix of the nodes."""
     nodes = np.asarray(nodes, dtype=complex).ravel()
     values = np.asarray(values, dtype=complex).ravel()
     if nodes.size != values.size:
         raise ValueError("nodes and values must have equal length")
     if not np.all(np.isfinite(values)):
         raise ValueError("interpolation nodes and values must be finite")
-    return ComplexPoly(values @ cardinal_coefficients(nodes))
+    return values @ cardinal_coefficients(nodes)
 
 
 def poly_roots(coeffs) -> np.ndarray:

@@ -31,9 +31,9 @@ from .determinants import (
 )
 from .dense import diagonalize_transfer, transfer_antiperiodic
 from .errors import LimitFailureError, PoleCollisionError, SpectrumError
-from .polynomials import ComplexPoly, cardinal_coefficients, poly_roots
+from .polynomials import cardinal_coefficients, poly_roots
 from .sov import SeparateStateSpec, separate_state_dense, spec_from_roots
-from .spectrum import EigenRecord, tq_collocation, tq_functional_residual
+from .spectrum import EigenRecord, _tq_residuals, tq_collocation
 
 
 def sp_dense(
@@ -257,18 +257,17 @@ def _gated_roots(
     params: ChainParams, tau_values: np.ndarray, q: np.ndarray,
     points: np.ndarray, degree: int,
 ) -> np.ndarray:
-    """Roots of a collocation solution (``tq_collocation``) that keeps
-    its degree and meets the functional equation to relative 1e-8 at the
-    collocation points; ``SpectrumError`` otherwise."""
-    poly = ComplexPoly(q)
-    worst = tq_functional_residual(params, tau_values, poly, points)
-    if worst > 1e-8:
+    """Roots of a collocation solution (``tq_collocation``) that meets
+    the functional equation to relative 1e-8 at the collocation points
+    and keeps its degree (``poly_roots``' leading-coefficient gate);
+    ``SpectrumError`` otherwise, a non-finite row included."""
+    worst = _tq_residuals(params, tau_values[None], q[None], points)[0]
+    # NaN fails this comparison
+    if not worst <= 1e-8:
         raise SpectrumError(
             f"collocation solve failed the functional gate (residual {worst:.3e})"
         )
-    if poly.degree != degree:
-        raise SpectrumError("collocation solve lost the leading coefficient")
-    return poly_roots(poly.coeffs)
+    return poly_roots(q[: degree + 1])
 
 
 def _first_family(

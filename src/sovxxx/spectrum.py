@@ -20,14 +20,20 @@ cardinal-coefficient matrix gives every eigenvalue polynomial; one
 least-squares solve per degree (``tq_collocation``, which the
 homogeneous stress sweep calls too) gives every auxiliary polynomial of
 every eigenvalue and its negative (``solve_q_from_tau`` runs the same
-solve on any list of eigenvalue polynomials); the roots of each degree
-come from one stacked companion eigensolve (``poly_roots``) and are
-polished together, one Bethe-ratio evaluation per Newton iterate; and
-every residual is one array expression over the chain's one probe set.
-The N + 2 transfer matrices the records read (one per inhomogeneity,
-one at the held-out point and one at the eigenstate-check point) are
-built once per spectrum, one point at a time, and each is dropped after
-its one contraction.
+solve on any stack of eigenvalue rows); the roots of each degree come
+from one stacked companion eigensolve (``poly_roots``) and are polished
+together, one Bethe-ratio evaluation per Newton iterate; and every
+residual is one array expression over the chain's one probe set.  The
+N + 2 transfer matrices the records read (one per inhomogeneity, one at
+the held-out point and one at the eigenstate-check point) are built once
+per spectrum, one point at a time, and each is dropped after its one
+contraction.
+
+A polynomial is a row of ascending coefficients: each record holds its
+eigenvalue and its two auxiliary polynomials as read-only rows of the
+stacked coefficient arrays ``full_spectrum`` builds, and ``sectors``
+stacks the records of each root count once for the consumers that work
+per sector.
 """
 
 from __future__ import annotations
@@ -46,12 +52,7 @@ from .dense import (
 )
 from .determinants import _bethe_ratios, gaudin_matrix
 from .errors import PairingError, SpectrumError
-from .polynomials import (
-    ComplexPoly,
-    cardinal_coefficients,
-    poly_from_roots,
-    poly_roots,
-)
+from .polynomials import TRIM_TOL, cardinal_coefficients, poly_from_roots, poly_roots
 from .sov import separate_state_dense, spec_from_roots
 
 # largest distance of an eigenvalue's t_{N-1} / eta from the integer 2r - N
@@ -64,9 +65,13 @@ _MAX_NEWTON_STEPS = 8
 class EigenRecord:
     """One transfer eigenvalue with its auxiliary-polynomial data.
 
-    ``q_tau`` and ``q_minus_tau`` are monic; ``bethe_roots`` are the
-    roots of ``q_tau`` and ``q_minus_roots`` those of ``q_minus_tau``, both
-    Newton-polished, and each polynomial is rebuilt from its roots.
+    ``tau`` (width N), ``q_tau`` and ``q_minus_tau`` (width N + 1) are
+    read-only rows of ascending coefficients, zero above each degree;
+    ``tau`` is zero exactly where its trailing coefficients fell below
+    ``TRIM_TOL`` of its largest.  The two auxiliary polynomials are
+    monic; ``bethe_roots`` are the roots of ``q_tau`` and
+    ``q_minus_roots`` those of ``q_minus_tau``, both Newton-polished, and
+    each polynomial is rebuilt from its roots.
     ``tau_at_nodes`` holds the eigenvalue at each inhomogeneity, the
     values the discrete-system gate checked.
     ``residuals`` collects the relative residuals of every structural
@@ -75,9 +80,9 @@ class EigenRecord:
     extracted, and ``newton_steps``, the steps kept on both root sets.
     """
 
-    tau: ComplexPoly
-    q_tau: ComplexPoly
-    q_minus_tau: ComplexPoly
+    tau: np.ndarray
+    q_tau: np.ndarray
+    q_minus_tau: np.ndarray
     bethe_roots: np.ndarray
     q_minus_roots: np.ndarray
     tau_at_nodes: np.ndarray
@@ -86,6 +91,36 @@ class EigenRecord:
     @property
     def n_roots(self) -> int:
         return self.bethe_roots.size
+
+
+class Sector(NamedTuple):
+    """The m records of one root count r, stacked: their indices in the
+    record list, Bethe roots (m, r), eigenvalues at the nodes (m, N) and
+    ``q_tau`` rows (m, N + 1)."""
+
+    members: np.ndarray
+    roots: np.ndarray
+    tau_at_nodes: np.ndarray
+    q: np.ndarray
+
+
+def sectors(records) -> dict[int, Sector]:
+    """The records grouped by root count, in ascending order of the
+    count, each group as one ``Sector`` of read-only arrays."""
+    counts = np.array([rec.n_roots for rec in records])
+    out = {}
+    for r in sorted(set(counts.tolist())):
+        members = np.flatnonzero(counts == r)
+        group = [records[i] for i in members]
+        out[r] = Sector(
+            members,
+            np.array([rec.bethe_roots for rec in group]).reshape(members.size, r),
+            np.array([rec.tau_at_nodes for rec in group]),
+            np.array([rec.q_tau for rec in group]),
+        )
+        for stack in out[r]:
+            stack.setflags(write=False)
+    return out
 
 
 def _point_cloud(params: ChainParams, count: int, key) -> np.ndarray:
@@ -106,16 +141,8 @@ def probe_points(params: ChainParams, count: int) -> np.ndarray:
 def _values(coeffs: np.ndarray, points) -> np.ndarray:
     """Values of a stack of polynomials (rows of ascending coefficients,
     zero-padded) at the points, one row per polynomial; the same Horner
-    arithmetic as ``ComplexPoly.__call__``."""
+    arithmetic as ``npoly.polyval`` on each row alone."""
     return npoly.polyval(np.asarray(points, dtype=complex), coeffs.T)
-
-
-def _padded(polys, width: int) -> np.ndarray:
-    """Coefficient rows of the polynomials, zero-padded to ``width``."""
-    out = np.zeros((len(polys), width), dtype=complex)
-    for row, poly in zip(out, polys):
-        row[: poly.coeffs.size] = poly.coeffs
-    return out
 
 
 def _tq_residuals(params: ChainParams, tau_values, q_coeffs, points) -> np.ndarray:
@@ -132,22 +159,11 @@ def _tq_residuals(params: ChainParams, tau_values, q_coeffs, points) -> np.ndarr
     return np.max(np.abs(t1 + t2 - t3) / np.maximum(scale, 1e-300), axis=-1)
 
 
-def tq_functional_residual(
-    params: ChainParams, tau_values, q: ComplexPoly, points
-) -> float:
-    """Largest relative residual of the functional equation
-    tau(z) q(z) + a(z) q(z - eta) - d(z) q(z + eta) = 0 over ``points``,
-    given the eigenvalue's values ``tau_values`` there."""
-    tau_values = np.asarray(tau_values, dtype=complex)[None]
-    return float(_tq_residuals(params, tau_values, q.coeffs[None], points)[0])
-
-
 class _QSolution(NamedTuple):
-    """One auxiliary solve: the polynomial, its polished roots, their worst
-    Bethe residual before and after the polish, the steps kept and the
+    """One auxiliary solve: its polished roots, their worst Bethe residual
+    before and after the polish, the steps kept and the rebuilt
     polynomial's functional residual at the probe points."""
 
-    q: ComplexPoly
     roots: np.ndarray
     bethe_unpolished: float
     bethe: float
@@ -199,24 +215,26 @@ def _polish(params: ChainParams, roots: np.ndarray):
 
 def _polished(
     params: ChainParams, q: np.ndarray, degrees: np.ndarray
-) -> list[_QSolution]:
+) -> tuple[np.ndarray, list[_QSolution]]:
     """Roots of each row of a stack of monic polynomials (ascending
     coefficients, zero-padded above each row's ``degrees`` entry), one
     ``poly_roots`` and one ``_polish`` per degree, and each polynomial
-    rebuilt from its polished roots, else ``SpectrumError``."""
+    rebuilt from its polished roots, else ``SpectrumError``: the rebuilt
+    rows, padded like ``q``, and one ``_QSolution`` per row."""
+    rebuilt = np.zeros_like(q)
     out: list[_QSolution] = [None] * len(degrees)
     for r in sorted(set(degrees.tolist())):
         members = np.flatnonzero(degrees == r)
         polished, raw, worst, steps = _polish(params, poly_roots(q[members, : r + 1]))
         for k, i in enumerate(members):
             try:
-                rebuilt = poly_from_roots(polished[k])
+                rebuilt[i, : r + 1] = poly_from_roots(polished[k])
             except ValueError as exc:
                 raise SpectrumError(f"auxiliary polynomial {i}: {exc}") from exc
             out[i] = _QSolution(
-                rebuilt, polished[k], float(raw[k]), float(worst[k]), int(steps[k])
+                polished[k], float(raw[k]), float(worst[k]), int(steps[k])
             )
-    return out
+    return rebuilt, out
 
 
 def tq_collocation(
@@ -284,7 +302,7 @@ def _degrees(params: ChainParams, tau_coeffs: np.ndarray) -> np.ndarray:
 
 def _solve_q_stack(
     params: ChainParams, tau_coeffs: np.ndarray, probes: np.ndarray, seed: int
-) -> list[_QSolution]:
+) -> tuple[np.ndarray, list[_QSolution]]:
     """Monic auxiliary polynomials of a stack of eigenvalue polynomials
     (rows of ascending coefficients, zero-padded to N).
 
@@ -294,46 +312,53 @@ def _solve_q_stack(
     Newton steps on the Bethe system (``_polished``) and each polynomial
     is rebuilt from its roots, so polynomial and roots are one set.  The
     rebuilt polynomial must then satisfy the functional equation to
-    relative 1e-8 at the probe points, else ``SpectrumError``.
+    relative 1e-8 at the probe points, else ``SpectrumError``.  Returns
+    the rebuilt rows (zero-padded to N + 1) and one ``_QSolution`` each.
     """
     n = params.n_sites
     points = _point_cloud(params, 2 * n + 2, [seed, 0xA5F0])
     degrees = _degrees(params, tau_coeffs)
     q = tq_collocation(params, _values(tau_coeffs, points), points, degrees)
-    solutions = _polished(params, q, degrees)
-    rebuilt = _padded([sol.q for sol in solutions], n + 1)
+    rebuilt, solutions = _polished(params, q, degrees)
     resid = _tq_residuals(params, _values(tau_coeffs, probes), rebuilt, probes)
-    if resid.max() > 1e-8:
+    worst = resid.max(initial=0.0)
+    # NaN fails this comparison
+    if not worst <= 1e-8:
         raise SpectrumError(
             f"auxiliary polynomial {int(np.argmax(resid))} failed the "
-            f"functional gate (residual {resid.max():.3e})"
+            f"functional gate (residual {worst:.3e})"
         )
-    return [sol._replace(functional=float(r)) for sol, r in zip(solutions, resid)]
+    solutions = [sol._replace(functional=float(r)) for sol, r in zip(solutions, resid)]
+    return rebuilt, solutions
 
 
-def solve_q_from_tau(
-    params: ChainParams, taus, seed: int = 0
-) -> list[ComplexPoly]:
+def solve_q_from_tau(params: ChainParams, taus, seed: int = 0) -> np.ndarray:
     """Monic auxiliary polynomial of each eigenvalue polynomial in
-    ``taus``, in one stacked solve (``_solve_q_stack``): T-Q collocation
-    at points drawn from ``seed``, Newton polish, and the functional gate
-    at the chain's probe points."""
+    ``taus`` (finite coefficient rows of width N, else ``SpectrumError``),
+    one row of width N + 1 each, in one stacked solve (``_solve_q_stack``):
+    T-Q collocation at points drawn from ``seed``, Newton polish, and the
+    functional gate at the chain's probe points."""
     require_generic(params)
-    probes = probe_points(params, 2 * params.n_sites + 2)
-    solutions = _solve_q_stack(params, _padded(taus, params.n_sites), probes, seed)
-    return [solution.q for solution in solutions]
+    n = params.n_sites
+    taus = np.asarray(taus, dtype=complex)
+    if taus.ndim != 2 or taus.shape[1] != n or not np.isfinite(taus).all():
+        raise SpectrumError(f"eigenvalue polynomials must be finite rows of width {n}")
+    return _solve_q_stack(params, taus, probe_points(params, 2 * n + 2), seed)[0]
 
 
 def _tau_stack(
     params: ChainParams, rights: np.ndarray, lefts: np.ndarray
-) -> list[ComplexPoly]:
+) -> np.ndarray:
     """Eigenvalue polynomials of every biorthogonal eigenvector pair
-    (columns of ``rights``, rows of ``lefts``).
+    (columns of ``rights``, rows of ``lefts``), one coefficient row of
+    width N each.
 
     The Rayleigh quotients at the inhomogeneities determine each
     polynomial (degree at most one less than the chain length) through
-    one product with the nodes' cardinal-coefficient matrix; a held-out
-    quotient at a generic point must agree to relative 1e-9.
+    one product with the nodes' cardinal-coefficient matrix.  A row that
+    is not finite raises ``SpectrumError``; trailing coefficients below
+    ``TRIM_TOL`` of a row's largest are noise and set to zero.  A
+    held-out quotient at a generic point must agree to relative 1e-9.
     """
     pairing = np.einsum("kd,dk->k", lefts, rights)
     scale = np.linalg.norm(lefts, axis=1) * np.linalg.norm(rights, axis=0)
@@ -350,15 +375,15 @@ def _tau_stack(
         ],
         axis=1,
     )
-    taus = [
-        ComplexPoly(row)
-        for row in (at_nodes / pairing[:, None]) @ cardinal_coefficients(params.xi)
-    ]
+    taus = (at_nodes / pairing[:, None]) @ cardinal_coefficients(params.xi)
+    if not np.isfinite(taus).all():
+        raise SpectrumError("an eigenvalue polynomial has non-finite coefficients")
+    big = np.abs(taus) > TRIM_TOL * np.abs(taus).max(axis=-1, keepdims=True)
+    taus[~np.logical_or.accumulate(big[:, ::-1], axis=-1)[:, ::-1]] = 0.0
     held = default_eval_point(params, 3)
     at_held = transfer_antiperiodic(params, held)
     direct = np.einsum("kd,dk->k", lefts, at_held @ rights) / pairing
-    coeffs = _padded(taus, params.n_sites)
-    interpolated = _values(coeffs, [held])[:, 0]
+    interpolated = _values(taus, [held])[:, 0]
     if np.any(np.abs(interpolated - direct) > 1e-9 * np.maximum(1.0, np.abs(direct))):
         raise SpectrumError(
             "interpolated eigenvalue polynomial failed the held-out check"
@@ -404,10 +429,11 @@ def _pq_residuals(
 
 def pairing_indices(records: list[EigenRecord]) -> list[int]:
     """For each record, the index of the first record carrying the negated
-    eigenvalue polynomial; raises ``SpectrumError`` when a partner is
-    missing."""
-    sizes = np.array([rec.tau.coeffs.size for rec in records])
-    coeffs = _padded([rec.tau for rec in records], int(sizes.max()))
+    eigenvalue polynomial, of equal length up to its last nonzero
+    coefficient; raises ``SpectrumError`` when a partner is missing."""
+    coeffs = np.array([rec.tau for rec in records])
+    lengths = np.arange(1, coeffs.shape[-1] + 1) * (coeffs != 0)
+    sizes = lengths.max(axis=-1, initial=1)
     scale = np.maximum(np.abs(coeffs).max(axis=-1), 1.0)
     gap = np.zeros((len(records), len(records)))
     for column in coeffs.T:
@@ -436,8 +462,7 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
     eta = params.eta
     rights, lefts = diagonalize_transfer(params)
     probes = probe_points(params, 2 * n + 2)
-    taus = _tau_stack(params, rights, lefts)
-    tau_coeffs = _padded(taus, n)
+    tau_coeffs = _tau_stack(params, rights, lefts)
     at_xi = _values(tau_coeffs, params.xi)
     prod_ad = params.a_at_nodes * d_of(params, params.xi - eta)
     ds_res = np.max(
@@ -448,12 +473,15 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
     if ds_res.max() > 1e-9:
         raise SpectrumError(f"discrete-system residual {ds_res.max():.3e} too large")
     at_probes = _values(tau_coeffs, probes)
-    solutions = _solve_q_stack(
+    q, solutions = _solve_q_stack(
         params, np.concatenate([tau_coeffs, -tau_coeffs]), probes, seed
     )
-    plus, minus = solutions[: len(taus)], solutions[len(taus) :]
-    q_plus = _padded([sol.q for sol in plus], n + 1)
-    q_minus = _padded([sol.q for sol in minus], n + 1)
+    # the records hold rows of these, and every consumer shares them
+    for rows in (tau_coeffs, at_xi, q):
+        rows.setflags(write=False)
+    count = len(tau_coeffs)
+    plus, minus = solutions[:count], solutions[count:]
+    q_plus, q_minus = q[:count], q[count:]
     wron_res, rec_res = _pq_residuals(
         params,
         at_probes,
@@ -476,9 +504,9 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
     ) / (np.abs(at_check[:, 0]) * np.linalg.norm(vecs, axis=-1))
     records = [
         EigenRecord(
-            tau=tau,
-            q_tau=up.q,
-            q_minus_tau=down.q,
+            tau=tau_coeffs[k],
+            q_tau=q_plus[k],
+            q_minus_tau=q_minus[k],
             bethe_roots=up.roots,
             q_minus_roots=down.roots,
             tau_at_nodes=at_xi[k],
@@ -493,7 +521,7 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
                 "eigenstate": float(eig_res[k]),
             },
         )
-        for k, (tau, up, down) in enumerate(zip(taus, plus, minus))
+        for k, (up, down) in enumerate(zip(plus, minus))
     ]
     lam_ref = default_eval_point(params, 0)
     vals = _values(tau_coeffs, [lam_ref])[:, 0]

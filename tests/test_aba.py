@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from sovxxx.aba import (
     _weighted_expansions,
@@ -37,8 +38,8 @@ def one_expansion(params, bra, ket, site):
         params,
         np.asarray(bra.bethe_roots, dtype=complex),
         ys,
-        bra.q_tau(shifted),
-        ket.q_tau(shifted[0]),
+        npoly.polyval(shifted, bra.q_tau),
+        npoly.polyval(shifted[0], ket.q_tau),
         site,
     )
     return complex(values[0]), complex(values[1]), float(values[2])

@@ -1,4 +1,4 @@
-"""Polynomial container, interpolation, and root extraction."""
+"""Coefficient rows: expansion from roots, interpolation, root extraction."""
 
 from __future__ import annotations
 
@@ -8,29 +8,21 @@ from numpy.polynomial import polynomial as npoly
 
 from sovxxx.errors import SpectrumError
 from sovxxx.polynomials import (
-    ComplexPoly,
     cardinal_coefficients,
     lagrange_interpolate,
     poly_from_roots,
     poly_roots,
 )
+from sovxxx.spectrum import solve_q_from_tau
 
-from conftest import separated_cloud
-
-
-def _poly_mul(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    return ComplexPoly(npoly.polymul(p.coeffs, q.coeffs))
-
-
-def _poly_add(p: ComplexPoly, q: ComplexPoly) -> ComplexPoly:
-    return ComplexPoly(npoly.polyadd(p.coeffs, q.coeffs))
+from conftest import cached_params, separated_cloud
 
 
 def test_root_roundtrip_up_to_degree_twelve():
     rng = np.random.Generator(np.random.Philox(key=101))
     for size in (1, 2, 3, 5, 8, 12):
         roots = separated_cloud(rng, size, 0.0, min_sep=0.12, box=1.4)
-        recovered = poly_roots(poly_from_roots(roots).coeffs)
+        recovered = poly_roots(poly_from_roots(roots))
         assert recovered.size == size
         for r in roots:
             assert np.min(np.abs(recovered - r)) <= 1e-8
@@ -41,51 +33,62 @@ def test_lagrange_interpolation_reproduces_coefficients():
     for degree in (0, 1, 3, 6, 9):
         coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
         coeffs[-1] += 2.0  # keep the top coefficient away from the trim window
-        poly = ComplexPoly(coeffs)
         nodes = separated_cloud(rng, degree + 1, 0.0, min_sep=0.15, box=1.5)
-        rebuilt = lagrange_interpolate(nodes, [poly(z) for z in nodes])
-        assert rebuilt.degree == degree
+        rebuilt = lagrange_interpolate(nodes, npoly.polyval(nodes, coeffs))
+        assert rebuilt.shape == (degree + 1,)
         scale = float(np.max(np.abs(coeffs)))
-        assert np.max(np.abs(rebuilt.coeffs - coeffs)) <= 1e-10 * scale
+        assert np.max(np.abs(rebuilt - coeffs)) <= 1e-10 * scale
 
 
 def test_evaluation_is_linear():
     rng = np.random.Generator(np.random.Philox(key=103))
-    p = ComplexPoly(rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5))
-    q = ComplexPoly(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
-    both = _poly_add(p, q)
+    p = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
+    q = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+    both = npoly.polyadd(p, q)
     for _ in range(20):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        lhs = both(z)
-        rhs = p(z) + q(z)
+        lhs = npoly.polyval(z, both)
+        rhs = npoly.polyval(z, p) + npoly.polyval(z, q)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_product_evaluates_to_product_of_values():
     p = poly_from_roots([0.5, -1.25j])
     q = poly_from_roots([1.0 + 1.0j])
-    prod = _poly_mul(p, q)
+    prod = npoly.polymul(p, q)
     for z in (0.3, -1.1 + 0.4j, 2.0j):
-        assert abs(prod(z) - p(z) * q(z)) <= 1e-12 * max(1.0, abs(prod(z)))
+        value = npoly.polyval(z, prod)
+        expected = npoly.polyval(z, p) * npoly.polyval(z, q)
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(value))
 
 
-def test_trailing_noise_is_trimmed():
-    poly = ComplexPoly([1.0, 2.0, 1e-16])
-    assert poly.degree == 1
+@pytest.mark.parametrize("width", [3, 5, 9])
+def test_padded_stack_evaluates_like_each_row_alone(width):
+    # rows of every length up to the width, zero-padded: one stacked
+    # Horner evaluation equals each unpadded row's own, bit for bit
+    rng = np.random.Generator(np.random.Philox(key=[105, width]))
+    complex_pair = np.array([1.0, 1j])
+    rows = [rng.standard_normal((k, 2)) @ complex_pair for k in range(1, width + 1)]
+    padded = np.zeros((len(rows), width), dtype=complex)
+    for stack_row, row in zip(padded, rows):
+        stack_row[: row.size] = row
+    points = rng.standard_normal((2, 4, 2)) @ complex_pair
+    stacked = npoly.polyval(points, padded.T)
+    for value, row in zip(stacked, rows):
+        assert value.tobytes() == npoly.polyval(points, row).tobytes()
 
 
 def test_empty_and_constant_behaviour():
-    const = ComplexPoly([3.5])
-    assert const.degree == 0
-    assert const(123.0) == 3.5
-    assert poly_from_roots([]).degree == 0
-    assert poly_from_roots([])(7.0 + 1j) == 1.0
+    assert np.array_equal(poly_from_roots([]), [1.0])
+    assert npoly.polyval(7.0 + 1j, poly_from_roots([])) == 1.0
+    row = poly_from_roots([0.5, -1.25j])
+    assert row.shape == (3,) and row[-1] == 1.0
 
 
 def test_monic_expansion_that_loses_its_leading_one_is_rejected():
     # the constant term is about 3e12, so the relative trim reads the
     # leading 1 as noise
-    with pytest.raises(ValueError, match="degree 3"):
+    with pytest.raises(ValueError, match="leading coefficient"):
         poly_from_roots([1e3 + 1j, 2e3, -1.5e3, 1e3j])
 
 
@@ -93,8 +96,21 @@ def test_monic_expansion_that_loses_its_leading_one_is_rejected():
     "coeffs", [[1.0, np.nan], [1.0, 2.0, np.inf], [np.nan], [complex(1.0, -np.inf)]]
 )
 def test_non_finite_coefficients_are_rejected(coeffs):
-    with pytest.raises(ValueError, match="finite"):
-        ComplexPoly(coeffs)
+    # a root set and a public eigenvalue row, zero-padded to the chain's
+    # width, both raise the typed error
+    with pytest.raises(SpectrumError, match="non-finite"):
+        poly_roots(coeffs)
+    params = cached_params(3, 0)
+    row = np.zeros(params.n_sites, dtype=complex)
+    row[: len(coeffs)] = coeffs
+    with pytest.raises(SpectrumError, match="finite rows"):
+        solve_q_from_tau(params, [row])
+
+
+@pytest.mark.parametrize("roots", [[1.0, np.nan], [np.inf], [complex(1.0, -np.inf)]])
+def test_non_finite_roots_are_rejected(roots):
+    with pytest.raises(ValueError, match="leading coefficient"):
+        poly_from_roots(roots)
 
 
 @pytest.mark.parametrize(
@@ -111,7 +127,7 @@ def test_failed_re_expansion_raises_spectrum_error(monkeypatch):
     exact = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: exact(m) + 1e-3)
     with pytest.raises(SpectrumError, match="re-expansion"):
-        poly_roots(poly.coeffs)
+        poly_roots(poly)
 
 
 @pytest.mark.parametrize("degree", range(9))
@@ -142,7 +158,7 @@ def test_lagrange_interpolate_matches_the_per_node_form(size):
     nodes = separated_cloud(rng, size, 0.5 + 0.2j, min_sep=0.2, box=1.6)
     values = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
     reference = _per_node_interpolant(nodes, values)
-    coeffs = lagrange_interpolate(nodes, values).coeffs
+    coeffs = lagrange_interpolate(nodes, values)
     assert coeffs.size == size
     assert np.max(np.abs(coeffs - reference)) <= 1e-12 * np.max(np.abs(reference))
     # the matrix form interpolates a stack of value rows at once

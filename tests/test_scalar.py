@@ -361,6 +361,29 @@ def test_lazy_family_gate_matches_the_exhaustive_choice(seed, monkeypatch):
     assert lazy(*tied)[0] == _exhaustive_first_family(*tied)[0] == 0
 
 
+def test_non_finite_collocation_row_is_skipped_by_the_family_choice(monkeypatch):
+    lazy, calls = scalar._first_family, []
+
+    def recording(*args):
+        calls.append(args)
+        return lazy(*args)
+
+    monkeypatch.setattr(scalar, "_first_family", recording)
+    homogeneous_stress_sweep(n_sites=4, eps_values=(1e-2,), seed=0)
+    [(params, tau_table, q_rows, points, degree)] = calls
+    pick, _ = lazy(*calls[0])
+    broken = q_rows.copy()
+    broken[pick, 0] = np.nan
+    # the typed error, which the family choice catches: it takes the
+    # next row that passes instead of aborting the sweep
+    with pytest.raises(SpectrumError, match="functional gate"):
+        scalar._gated_roots(params, tau_table[pick], broken[pick], points, degree)
+    args = (params, tau_table, broken, points, degree)
+    again, _ = lazy(*args)
+    assert again != pick
+    assert again == _exhaustive_first_family(*args)[0]
+
+
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
 def test_family_choice_gates_only_the_target_sector(n_sites, monkeypatch):
     # a row of another sector would fail the gate; its sector, read off

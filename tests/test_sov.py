@@ -150,8 +150,8 @@ def test_table_product_matches_compensated_reference(n_sites, spectrum_of):
             specs.append(
                 SeparateStateSpec(
                     side,
-                    rec.q_tau(params.xi),
-                    rec.q_tau(params.xi - params.eta),
+                    npoly.polyval(params.xi, rec.q_tau),
+                    npoly.polyval(params.xi - params.eta, rec.q_tau),
                 )
             )
     for spec in specs:

@@ -11,14 +11,15 @@ from sovxxx.chain import a_of, d_of, fixture_params
 from sovxxx.dense import transfer_antiperiodic
 from sovxxx.determinants import mu_bethe_residuals
 from sovxxx.errors import PoleCollisionError, SpectrumError
-from sovxxx.polynomials import ComplexPoly, poly_from_roots, poly_roots
+from sovxxx.polynomials import poly_from_roots, poly_roots
 from sovxxx.sov import bilinear, separate_state_dense, spec_from_roots
 from sovxxx.spectrum import (
+    EigenRecord,
     full_spectrum,
     pairing_indices,
     probe_points,
+    sectors,
     solve_q_from_tau,
-    tq_functional_residual,
 )
 
 from conftest import cached_params, cached_spectrum
@@ -27,15 +28,15 @@ from conftest import cached_params, cached_spectrum
 def test_single_site_fixture_is_closed_form():
     records = full_spectrum(fixture_params(1), 0)
     assert len(records) == 2
-    taus = sorted(rec.tau(0.0).real for rec in records)
+    taus = sorted(npoly.polyval(0.0, rec.tau).real for rec in records)
     assert taus == pytest.approx([-1.0, 1.0], abs=1e-12)
     for rec in records:
-        monic = rec.q_tau.coeffs / rec.q_tau.coeffs[-1]
-        if rec.tau(0.0).real > 0:
+        monic = rec.q_tau / rec.q_tau[rec.n_roots]
+        if npoly.polyval(0.0, rec.tau).real > 0:
             assert monic == pytest.approx([0.5, 1.0], abs=1e-10)
             assert rec.bethe_roots == pytest.approx([-0.5], abs=1e-10)
         else:
-            assert monic == pytest.approx([1.0], abs=1e-10)
+            assert monic == pytest.approx([1.0, 0.0], abs=1e-10)
             assert rec.n_roots == 0
 
 
@@ -44,7 +45,7 @@ def test_record_counts_and_distinctness(n_sites):
     records = cached_spectrum(n_sites, 0)
     assert len(records) == 2**n_sites
     probe = 0.319 - 0.777j
-    values = np.array([rec.tau(probe) for rec in records])
+    values = npoly.polyval(probe, np.array([rec.tau for rec in records]).T)
     gaps = np.abs(values[:, None] - values[None, :]) + np.eye(values.size)
     assert np.min(gaps) > 1e-6
 
@@ -57,15 +58,16 @@ def test_functional_residual_on_fresh_points(n_sites):
     points = pts[:, 0] + 1j * pts[:, 1]
     eta = params.eta
     for rec in cached_spectrum(n_sites, 0):
-        residual = tq_functional_residual(params, rec.tau(points), rec.q_tau, points)
-        assert residual <= 1e-8
+        tau_values = npoly.polyval(points, rec.tau)[None]
+        residual = spectrum._tq_residuals(params, tau_values, rec.q_tau[None], points)
+        assert residual[0] <= 1e-8
         # an off-shell q, against the residual evaluated point by point
-        off = ComplexPoly(rec.q_tau.coeffs + 0.1)
+        off = rec.q_tau + 0.1
         terms = [
             (
-                rec.tau(z) * off(z),
-                a_of(params, z) * off(z - eta),
-                d_of(params, z) * off(z + eta),
+                npoly.polyval(z, rec.tau) * npoly.polyval(z, off),
+                a_of(params, z) * npoly.polyval(z - eta, off),
+                d_of(params, z) * npoly.polyval(z + eta, off),
             )
             for z in points
         ]
@@ -73,8 +75,8 @@ def test_functional_residual_on_fresh_points(n_sites):
             abs(t1 + t2 - t3) / max(abs(t1), abs(t2), abs(t3), 1e-300)
             for t1, t2, t3 in terms
         )
-        residual = tq_functional_residual(params, rec.tau(points), off, points)
-        assert residual == pytest.approx(per_point, rel=1e-12)
+        residual = spectrum._tq_residuals(params, tau_values, off[None], points)
+        assert residual[0] == pytest.approx(per_point, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_sites", [2, 3])
@@ -86,7 +88,7 @@ def test_separate_state_is_dense_eigenvector(n_sites):
         vec = separate_state_dense(
             params, spec_from_roots(params, rec.bethe_roots, "right")
         )
-        tau_val = rec.tau(lam)
+        tau_val = npoly.polyval(lam, rec.tau)
         num = np.linalg.norm(mat @ vec - tau_val * vec)
         assert num <= 1e-8 * max(abs(tau_val), 1.0) * np.linalg.norm(vec)
 
@@ -116,17 +118,18 @@ def test_distinct_eigenstates_pair_to_zero(n_sites):
 
 
 def _first_negated_partner(records):
-    """The partner search written as a loop over record pairs."""
+    """The partner search written as a loop over record pairs, each
+    eigenvalue row cut after its last nonzero coefficient."""
+    rows = [np.trim_zeros(rec.tau, "b") for rec in records]
     out = []
-    for rec in records:
-        coeffs = rec.tau.coeffs
+    for coeffs in rows:
         scale = max(float(np.max(np.abs(coeffs))), 1.0)
         out.append(
             next(
                 j
-                for j, other in enumerate(records)
-                if other.tau.coeffs.size == coeffs.size
-                and np.max(np.abs(other.tau.coeffs + coeffs)) <= 1e-9 * scale
+                for j, other in enumerate(rows)
+                if other.size == coeffs.size
+                and np.max(np.abs(other + coeffs)) <= 1e-9 * scale
             )
         )
     return out
@@ -141,9 +144,9 @@ def test_negation_pairing_is_exact_involution(n_sites):
     for i, rec in enumerate(records):
         j = partner[i]
         assert partner[j] == i
-        assert abs(records[j].tau(probe) + rec.tau(probe)) <= 1e-9 * max(
-            1.0, abs(rec.tau(probe))
-        )
+        value = npoly.polyval(probe, rec.tau)
+        partner_value = npoly.polyval(probe, records[j].tau)
+        assert abs(partner_value + value) <= 1e-9 * max(1.0, abs(value))
 
 
 def test_stored_residuals_meet_module_gates():
@@ -156,8 +159,8 @@ def test_stored_residuals_meet_module_gates():
             assert rec.residuals["eigenstate"] <= 1e-8
 
 
-def scaled(poly: ComplexPoly, factor: complex) -> ComplexPoly:
-    return ComplexPoly(poly.coeffs * factor)
+def _degree(row) -> int:
+    return int(np.flatnonzero(row)[-1])
 
 
 def test_q_solution_is_independent_of_collocation_points():
@@ -165,11 +168,11 @@ def test_q_solution_is_independent_of_collocation_points():
     records = cached_spectrum(3, 0)[:3]
     for seed in (5, 17):
         again = solve_q_from_tau(params, [rec.tau for rec in records], seed=seed)
-        assert len(again) == len(records)
+        assert again.shape == (len(records), params.n_sites + 1)
         for rec, q in zip(records, again):
-            assert q.degree == rec.q_tau.degree
-            scale = float(np.max(np.abs(rec.q_tau.coeffs)))
-            assert np.max(np.abs(q.coeffs - rec.q_tau.coeffs)) <= 1e-9 * scale
+            assert _degree(q) == _degree(rec.q_tau) == rec.n_roots
+            scale = float(np.max(np.abs(rec.q_tau)))
+            assert np.max(np.abs(q - rec.q_tau)) <= 1e-9 * scale
 
 
 def test_leading_coefficient_off_every_degree_is_refused():
@@ -177,7 +180,7 @@ def test_leading_coefficient_off_every_degree_is_refused():
     for rec in cached_spectrum(3, 0)[:4]:
         # t_{N-1} / eta = 1.1 (2r - 3) is an odd integer for no r
         with pytest.raises(SpectrumError, match="leading coefficient"):
-            solve_q_from_tau(params, [scaled(rec.tau, 1.1)])
+            solve_q_from_tau(params, [rec.tau * 1.1])
 
 
 def test_degree_zero_solutions_are_one_with_no_warning():
@@ -185,12 +188,12 @@ def test_degree_zero_solutions_are_one_with_no_warning():
     rec = next(r for r in cached_spectrum(3, 0) if r.n_roots == 0)
     # any warning is an error under the test configuration
     (q,) = solve_q_from_tau(params, [rec.tau])
-    assert np.array_equal(q.coeffs, [1.0])
+    assert np.array_equal(q, [1.0, 0.0, 0.0, 0.0])
     for rec in full_spectrum(fixture_params(1), 0):
         if rec.n_roots == 0:
-            assert np.array_equal(rec.q_tau.coeffs, [1.0])
+            assert np.array_equal(rec.q_tau, [1.0, 0.0])
         else:
-            assert np.array_equal(rec.q_minus_tau.coeffs, [1.0])
+            assert np.array_equal(rec.q_minus_tau, [1.0, 0.0])
 
 
 def test_full_spectrum_builds_each_transfer_matrix_once(monkeypatch):
@@ -241,21 +244,20 @@ def test_probe_points_deterministic_and_away_from_lattice():
 def test_stacked_q_solve_matches_stack_of_one_solves():
     params = cached_params(3, 0)
     records = cached_spectrum(3, 0)
-    taus = [rec.tau for rec in records]
-    taus += [ComplexPoly(-tau.coeffs) for tau in taus]
+    taus = np.array([rec.tau for rec in records])
+    taus = np.concatenate([taus, -taus])
     probes = probe_points(params, 2 * params.n_sites + 2)
-    coeffs = spectrum._padded(taus, params.n_sites)
-    stacked = spectrum._solve_q_stack(params, coeffs, probes, 0)
+    stacked, _ = spectrum._solve_q_stack(params, taus, probes, 0)
     singles = [solve_q_from_tau(params, [tau], seed=0)[0] for tau in taus]
-    for sol, single in zip(stacked, singles):
-        assert sol.q.degree == single.degree
-        scale = float(np.max(np.abs(single.coeffs)))
-        assert np.max(np.abs(sol.q.coeffs - single.coeffs)) <= 1e-12 * scale
+    for q, single in zip(stacked, singles):
+        assert _degree(q) == _degree(single)
+        scale = float(np.max(np.abs(single)))
+        assert np.max(np.abs(q - single)) <= 1e-12 * scale
     # the spectrum's records hold the same solves
     for rec, up, down in zip(records, stacked, stacked[len(records) :]):
-        scale = float(np.max(np.abs(rec.q_tau.coeffs)))
-        assert np.max(np.abs(up.q.coeffs - rec.q_tau.coeffs)) <= 1e-12 * scale
-        assert down.q.degree == rec.q_minus_tau.degree
+        scale = float(np.max(np.abs(rec.q_tau)))
+        assert np.max(np.abs(up - rec.q_tau)) <= 1e-12 * scale
+        assert _degree(down) == _degree(rec.q_minus_tau)
 
 
 def test_probe_points_are_drawn_once_per_chain(monkeypatch):
@@ -302,7 +304,9 @@ def test_polished_roots_never_have_a_larger_residual(n_sites):
             initial=0.0
         )
         assert res["newton_steps"] >= 0
-        assert np.array_equal(rec.q_tau.coeffs, poly_from_roots(rec.bethe_roots).coeffs)
+        r = rec.n_roots
+        assert np.array_equal(rec.q_tau[: r + 1], poly_from_roots(rec.bethe_roots))
+        assert not rec.q_tau[r + 1 :].any()
 
 
 def test_polish_recovers_perturbed_root_sets():
@@ -356,21 +360,19 @@ def _per_row_polished(params, q, degrees):
     """Reference route of ``spectrum._polished``: each row's roots by
     ``npoly.polyroots`` one row at a time, grouped by root count for
     ``_reference_polish``, each polynomial rebuilt from its roots."""
-    roots = [npoly.polyroots(ComplexPoly(row).coeffs) for row in q]
+    roots = [npoly.polyroots(row[: r + 1]) for row, r in zip(q, degrees)]
+    rebuilt = np.zeros_like(q)
     out = [None] * len(roots)
     for size in sorted({r.size for r in roots}):
         members = [i for i, r in enumerate(roots) if r.size == size]
         stack = np.array([roots[i] for i in members]).reshape(len(members), size)
         polished, raw, worst, steps = _reference_polish(params, stack)
         for k, i in enumerate(members):
+            rebuilt[i, : size + 1] = poly_from_roots(polished[k])
             out[i] = spectrum._QSolution(
-                poly_from_roots(polished[k]),
-                polished[k],
-                float(raw[k]),
-                float(worst[k]),
-                int(steps[k]),
+                polished[k], float(raw[k]), float(worst[k]), int(steps[k])
             )
-    return out
+    return rebuilt, out
 
 
 @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
@@ -382,8 +384,8 @@ def test_records_equal_the_per_row_route_bit_for_bit(n_sites, monkeypatch):
         for got, want in (
             (rec.bethe_roots, ref.bethe_roots),
             (rec.q_minus_roots, ref.q_minus_roots),
-            (rec.q_tau.coeffs, ref.q_tau.coeffs),
-            (rec.q_minus_tau.coeffs, ref.q_minus_tau.coeffs),
+            (rec.q_tau, ref.q_tau),
+            (rec.q_minus_tau, ref.q_minus_tau),
         ):
             assert got.tobytes() == want.tobytes()
         assert rec.residuals == ref.residuals
@@ -498,3 +500,103 @@ def test_rebuilt_polynomial_losing_its_leading_coefficient_raises_spectrum_error
     monkeypatch.setattr(spectrum, "_polish", wandering)
     with pytest.raises(SpectrumError, match="leading coefficient"):
         full_spectrum(cached_params(3, 0), 0)
+
+
+@pytest.mark.parametrize("n_sites", [2, 4])
+def test_tau_rows_trim_trailing_noise(n_sites, monkeypatch):
+    # noise of relative size about 1e-13 in every row's top coefficient:
+    # the middle sector, whose top coefficient (2r - N) eta is zero,
+    # drops it to an exact zero, and every other sector keeps its own
+    real = spectrum.cardinal_coefficients
+
+    def noisy(nodes):
+        out = real(nodes)
+        out[:, -1] += 1e-12 * np.abs(out[:, -1]).max()
+        return out
+
+    monkeypatch.setattr(spectrum, "cardinal_coefficients", noisy)
+    for rec in full_spectrum(cached_params(n_sites, 0), 0):
+        assert (rec.tau[-1] == 0) == (2 * rec.n_roots == n_sites)
+
+
+def test_non_finite_tau_row_raises_spectrum_error(monkeypatch):
+    params = cached_params(3, 0)
+
+    def broken(params, lam):
+        out = transfer_antiperiodic(params, lam)
+        return out * np.nan if lam == params.xi[1] else out
+
+    monkeypatch.setattr(spectrum, "transfer_antiperiodic", broken)
+    with pytest.raises(SpectrumError, match="non-finite"):
+        full_spectrum(params, 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 4), (3,), (1, 1, 3)])
+def test_eigenvalue_rows_of_another_width_are_refused(shape):
+    with pytest.raises(SpectrumError, match="rows of width 3"):
+        solve_q_from_tau(cached_params(3, 0), np.ones(shape))
+
+
+def test_an_empty_stack_of_eigenvalue_rows_gives_no_rows():
+    q = solve_q_from_tau(cached_params(3, 0), np.zeros((0, 3)))
+    assert q.shape == (0, 4)
+
+
+def test_nan_functional_residual_fails_the_gate(monkeypatch):
+    real = spectrum._tq_residuals
+    monkeypatch.setattr(spectrum, "_tq_residuals", lambda *args: real(*args) * np.nan)
+    with pytest.raises(SpectrumError, match="functional gate"):
+        full_spectrum(cached_params(3, 0), 0)
+
+
+def test_record_rows_and_sector_stacks_are_read_only():
+    records = cached_spectrum(3, 0)
+    arrays = [
+        array
+        for rec in records
+        for array in (rec.tau, rec.q_tau, rec.q_minus_tau, rec.tau_at_nodes)
+    ]
+    arrays += [array for sector in sectors(records).values() for array in sector]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def _synthetic_record(tau) -> EigenRecord:
+    tau = np.asarray(tau, dtype=complex)
+    q, none = np.ones(tau.size + 1), np.zeros(0, dtype=complex)
+    return EigenRecord(tau, q, q, none, none, tau)
+
+
+def test_negated_partner_needs_a_row_of_equal_length():
+    # the two rows negate each other to 1e-12 of their scale, but the
+    # first ends at its second coefficient and the second at its third
+    trimmed = _synthetic_record([1.0, 2.0, 0.0])
+    with pytest.raises(SpectrumError, match="record 0"):
+        pairing_indices([trimmed, _synthetic_record([-1.0, -2.0, 1e-12])])
+    assert pairing_indices([trimmed, _synthetic_record([-1.0, -2.0, 0.0])]) == [1, 0]
+
+
+@pytest.mark.parametrize("n_sites", [1, 3, 4])
+def test_sectors_stack_each_root_count_once(n_sites):
+    params = cached_params(n_sites, 0)
+    records = cached_spectrum(n_sites, 0)
+    groups = sectors(records)
+    assert list(groups) == sorted({rec.n_roots for rec in records})
+    members = np.concatenate([sector.members for sector in groups.values()])
+    assert sorted(members.tolist()) == list(range(len(records)))
+    for r, (members, roots, nodes, q) in groups.items():
+        assert roots.shape == (members.size, r)
+        assert q.shape == (members.size, n_sites + 1)
+        points = roots + params.eta
+        # every row's Q at every member's shifted roots, in one evaluation
+        # of the padded rows equal to each record's own unpadded one
+        values = npoly.polyval(points, q.T)
+        for k, i in enumerate(members):
+            rec = records[i]
+            assert rec.n_roots == r
+            assert np.array_equal(roots[k], rec.bethe_roots)
+            assert np.array_equal(nodes[k], rec.tau_at_nodes)
+            assert np.array_equal(q[k], rec.q_tau)
+            own = npoly.polyval(points, rec.q_tau[: r + 1])
+            assert values[k].tobytes() == own.tobytes()
