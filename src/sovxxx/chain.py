@@ -85,13 +85,10 @@ class ChainParams:
 
     @cached_property
     def shifted_vandermonde(self) -> np.ndarray:
-        """``vandermonde(shifted_xi(self, occupation[k], -1))`` for every
-        pattern ``k``, one pattern at a time: the stacked product rounds
-        differently."""
-        values = np.array(
-            [vandermonde(shifted_xi(self, h, direction=-1)) for h in self.occupation],
-            dtype=complex,
-        )
+        """The Vandermonde of the inhomogeneities with each occupied site
+        shifted down by ``eta``, for every pattern: one stacked
+        ``vandermonde`` call over the occupation table."""
+        values = vandermonde(self.xi - self.eta * self.occupation)
         values.setflags(write=False)
         return values
 
@@ -219,20 +216,15 @@ def vandermonde(values) -> complex | np.ndarray:
     Empty and singleton tuples give 1.  The ordering convention matters:
     all separated-basis weights in this package use the product in the
     natural site order of the argument.  Leading axes index a stack of
-    sets, giving one product per set in the same order; a 1-D set gives
-    a ``complex``.
+    sets, giving one product per set; a 1-D set gives a ``complex``.
+    The pair differences are gathered along one contiguous axis and
+    reduced by one ``prod``, so every stack member equals its one-set
+    call bit for bit (a strided complex reduction rounds differently).
     """
     values = np.asarray(values, dtype=complex)
     if values.shape[-1] < 2:
         return 1.0 + 0.0j if values.ndim == 1 else np.ones(values.shape[:-1], complex)
-    diffs = values[..., :, None] - values[..., None, :]
-    out = 1.0 + 0.0j
-    for a in range(1, values.shape[-1]):
-        out = out * diffs[..., a, :a].prod(axis=-1)
+    index = np.arange(values.shape[-1])
+    pairs = (values[..., :, None] - values[..., None, :])[..., index[:, None] > index]
+    out = np.ascontiguousarray(pairs).prod(axis=-1)
     return complex(out) if out.ndim == 0 else out
-
-
-def shifted_xi(params: ChainParams, h, direction: int = -1) -> np.ndarray:
-    """The inhomogeneities with each occupied slot shifted by ``direction*eta``."""
-    h = np.asarray(h)
-    return params.xi + direction * params.eta * h

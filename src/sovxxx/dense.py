@@ -10,7 +10,11 @@ the diagonal Pauli matrix, and diagonalizes the former with
 biorthogonal left/right eigenvector pairs.  The monodromy and both
 transfer matrices take an array of spectral points as well as one
 point: leading axes of the point array lead the result, every entry
-equal bit for bit to the one-point build.
+equal bit for bit to the one-point build.  The monodromy is built only
+this way: the transfer matrix's derivative at the origin, for the local
+Hamiltonian, is a coefficient of its polynomial interpolated from one
+stacked build.  The site operators, the global flip and the basis
+rotation are one Kronecker product over per-site 2x2 factors.
 Dense linear algebra keeps every object explicit; the intended regime
 is at most eight sites.
 """
@@ -21,6 +25,7 @@ import numpy as np
 
 from .chain import ChainParams, a_of, d_of
 from .errors import PairingError
+from .polynomials import cardinal_coefficients
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,14 +57,21 @@ def _site_factors(params: ChainParams, lam: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def _site_product(factors) -> np.ndarray:
+    """The Kronecker product of per-site 2x2 factors, site 1 first."""
+    out = np.ones((1, 1), dtype=complex)
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
 def site_operator(n_sites: int, site: int, local: np.ndarray) -> np.ndarray:
     """Embed a 2x2 operator at a 1-based site; site 1 is the first factor."""
     if not 1 <= site <= n_sites:
         raise ValueError(f"site index {site} outside 1..{n_sites}")
-    op = np.ones((1, 1), dtype=complex)
-    for n in range(1, n_sites + 1):
-        op = np.kron(op, local if n == site else IDENTITY_2)
-    return op
+    return _site_product(
+        local if n == site else IDENTITY_2 for n in range(1, n_sites + 1)
+    )
 
 
 def _site_step(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -82,12 +94,6 @@ def _site_step(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
     del term
     out += blocks[..., None, 1, :, :, None, :, None] * r[..., :, 1, None, None, :, None, :]
     return out.reshape(out.shape[:-6] + (2, 2, 2 * dim, 2 * dim))
-
-
-# Derivative of every site factor in the spectral parameter: the identity
-# in both the auxiliary and the local space, in ``_site_factors`` layout.
-_IDENTITY_FACTOR = np.multiply.outer(IDENTITY_2, IDENTITY_2)
-_IDENTITY_FACTOR.setflags(write=False)
 
 
 def _unstack(blocks: np.ndarray) -> list[list[np.ndarray]]:
@@ -114,24 +120,6 @@ def monodromy(params: ChainParams, lam) -> list[list[np.ndarray]]:
     return _unstack(blocks)
 
 
-def monodromy_with_derivative(
-    params: ChainParams, lam: complex
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """Monodromy blocks together with their derivatives in the spectral
-    parameter, via the product rule applied factor by factor: the
-    derivative of a site factor is the identity in both spaces."""
-    blocks = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
-    dblocks = np.zeros((2, 2, 1, 1), dtype=complex)
-    for r in _site_factors(params, np.asarray(lam, dtype=complex)):
-        # Adding the identity term after both r terms rather than between
-        # them changes no bit: wherever it is nonzero, the off-diagonal
-        # local block of r contributes an exact zero (kron-sum reference
-        # in the tests).
-        dblocks = _site_step(dblocks, r) + _site_step(blocks, _IDENTITY_FACTOR)
-        blocks = _site_step(blocks, r)
-    return _unstack(blocks), _unstack(dblocks)
-
-
 def transfer_antiperiodic(params: ChainParams, lam) -> np.ndarray:
     """Spin-flip-twisted transfer matrix: sum of off-diagonal entries.
     An array of points gives a stack of matrices (``monodromy``)."""
@@ -145,13 +133,6 @@ def transfer_twisted(params: ChainParams, lam) -> np.ndarray:
     matrices (``monodromy``)."""
     blocks = monodromy(params, lam)
     return blocks[0][0] - blocks[1][1]
-
-
-def transfer_with_derivative(
-    params: ChainParams, lam: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    blocks, dblocks = monodromy_with_derivative(params, lam)
-    return blocks[0][1] + blocks[1][0], dblocks[0][1] + dblocks[1][0]
 
 
 def reference_state(params: ChainParams) -> np.ndarray:
@@ -185,19 +166,13 @@ def quantum_det_check(params: ChainParams, lam: complex) -> float:
 
 def global_flip(params: ChainParams) -> np.ndarray:
     """Product over sites of the x Pauli matrix (an involution)."""
-    out = np.ones((1, 1), dtype=complex)
-    for _ in range(params.n_sites):
-        out = np.kron(out, SIGMA_X)
-    return out
+    return _site_product([SIGMA_X] * params.n_sites)
 
 
 def basis_rotation(params: ChainParams) -> np.ndarray:
     """Sitewise rotation conjugating the antiperiodic transfer matrix into
     its diagonally twisted companion."""
-    out = np.ones((1, 1), dtype=complex)
-    for _ in range(params.n_sites):
-        out = np.kron(out, U_ROTATION)
-    return out
+    return _site_product([U_ROTATION] * params.n_sites)
 
 
 def site_sigma(params: ChainParams, site: int, kind: str) -> np.ndarray:
@@ -298,11 +273,17 @@ def hamiltonian_pauli(n_sites: int) -> np.ndarray:
 def hamiltonian_from_transfer(params: ChainParams) -> np.ndarray:
     """Logarithmic derivative of the antiperiodic transfer matrix at the
     origin, normalized to the Pauli Hamiltonian convention:
-    2 eta T(0)^{-1} T'(0) - 2 N."""
-    tmat, dtmat = transfer_with_derivative(params, 0.0)
-    return 2.0 * params.eta * np.linalg.solve(tmat, dtmat) - 2.0 * params.n_sites * np.eye(
-        params.dim
-    )
+    2 eta T(0)^{-1} T'(0) - 2 N.
+
+    T(0) and T'(0) are the two lowest coefficients of the transfer
+    polynomial (degree N - 1), interpolated from one stacked build at the
+    N + 1 roots of unity scaled by ``pole_scale``.
+    """
+    n = params.n_sites
+    points = params.pole_scale * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    lowest = cardinal_coefficients(points)[:, :2]
+    tmat, dtmat = np.tensordot(lowest.T, transfer_antiperiodic(params, points), axes=1)
+    return 2.0 * params.eta * np.linalg.solve(tmat, dtmat) - 2.0 * n * np.eye(params.dim)
 
 
 def hamiltonian_limit_check(n_sites: int, eps: float) -> float:

@@ -294,16 +294,11 @@ def _weights(params: ChainParams, mu: complex, xs, points, bound):
     return g, (up / down).prod(axis=-1), d, near, scale, diffs, up, down
 
 
-def _pole_bound(params: ChainParams, points) -> np.ndarray:
-    """max(1, |eta|, max |xi|, max |x|) over each set of ``points``."""
-    return np.maximum.reduce(np.abs(points), axis=-1, initial=params.pole_scale)
-
-
 def _row_weights(params: ChainParams, mu: complex, xs):
     """The row set's pole bound and ``_weights`` at its own points, at the
     shape of ``xs``; a row point on a lattice node, or NaN, raises
     ``PoleCollisionError``."""
-    bound = _pole_bound(params, xs)
+    bound = _set_bound(xs, params.pole_scale)
     weights = _weights(params, mu, xs, xs, bound)
     if np.count_nonzero(weights[3]):
         raise PoleCollisionError("Bethe root collides with an inhomogeneity")
@@ -366,16 +361,10 @@ def _on_shell_gate(mu: complex, g, rho) -> np.ndarray:
 
 
 def _pair_product(points, bound) -> np.ndarray:
-    """prod over b < a of (x_a - x_b) per set, refusing a NaN point or two
-    points within the pole guard relative to ``bound``.  The factors are
-    reduced along a contiguous axis, so a stack member rounds as its own
-    one-set call (a strided complex reduction rounds differently)."""
-    index = np.arange(points.shape[-1])
-    pairs = (points[..., :, None] - points[..., None, :])[..., index[:, None] > index]
-    apart = np.abs(pairs) > _POLE_TOL * bound[..., None]
-    if np.count_nonzero(apart) < apart.size:
-        raise PoleCollisionError("coinciding or NaN points within one set")
-    return np.ascontiguousarray(pairs).prod(axis=-1)
+    """``vandermonde`` of each set, refusing a NaN point or two points
+    within the pole guard relative to ``bound``."""
+    _require_distinct(points, bound)
+    return vandermonde(points)
 
 
 def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, z=None):
@@ -407,7 +396,7 @@ def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, 
     # product differently from its array loops
     denom = np.multiply(
         _pair_product(xs, bound),
-        _pair_product(ys[..., ::-1], _pole_bound(params, ys)),
+        _pair_product(ys[..., ::-1], _set_bound(ys, params.pole_scale)),
     )
 
     def kernel_rows(g, rho, scale, diffs, up, down):
@@ -462,7 +451,12 @@ def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, 
         full[..., m, :r] = 1.0 / to_node - 1.0 / shifted
         full[..., m, r:] = node**powers
         mat = full
-        pref = np.multiply(pref, np.multiply(mu, params.a_at_nodes[index]))
+        # mu a at the node, given the stack's number of axes before it
+        # multiplies: numpy rounds a complex product whose output holds one
+        # element and whose operands differ in their number of axes (an
+        # N = 1 table's stack) in its scalar loop, and a single element not
+        node_a = np.multiply(mu, params.a_at_nodes[index])
+        pref = np.multiply(pref, node_a[(None,) * (pref.ndim - node_a.ndim)])
         denom = np.multiply(denom, (ys - node).prod(axis=-1))
     value = np.multiply(pref, np.linalg.det(mat)) / denom
     return value, d_x.prod(axis=-1), d_y.prod(axis=-1)

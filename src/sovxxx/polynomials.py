@@ -9,13 +9,14 @@ extraction (a stack of rows of one degree per eigensolve), with the
 trimming threshold the package reads its degrees by: a coefficient
 below ``TRIM_TOL`` times its row's largest is numerical noise from a
 near-singular solve, so a leading coefficient that small drops the
-degree.
+degree.  One monic expansion (``_monic``, one linear factor per step
+for a whole stack of root sets) backs ``poly_from_roots``, the
+cardinal polynomials' numerators and ``poly_roots``' re-expansion gate.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateNodesError, SpectrumError
 
@@ -23,25 +24,43 @@ from .errors import DegenerateNodesError, SpectrumError
 TRIM_TOL = 1e-10
 
 
+def _monic(roots: np.ndarray) -> np.ndarray:
+    """Ascending coefficient rows of the monic polynomials whose roots are
+    the last axis of ``roots``, one longer than it, expanded one linear
+    factor per step for every set of the stack at once, so a stack member
+    equals its one-set expansion bit for bit."""
+    rows = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
+    rows[..., 0] = 1.0
+    for k in range(roots.shape[-1]):
+        # the top coefficient is still zero: the roll shifts it to the bottom
+        rows = np.roll(rows, 1, axis=-1) - roots[..., k, None] * rows
+    return rows
+
+
 def poly_from_roots(roots) -> np.ndarray:
     """Coefficient row of the monic polynomial with the given roots, one
-    longer than the roots; an empty set gives ``[1]``.
+    longer than the roots; an empty set gives ``[1]``.  Leading axes index
+    a stack of root sets of one size, giving one row per set, each equal
+    bit for bit to its one-set call.
 
-    Raises ``ValueError`` when the leading one is not above ``TRIM_TOL``
-    times the largest coefficient, so that the trimming rule would drop
-    it: the other coefficients exceed it by more than ``1 / TRIM_TOL``
-    (roots of modulus about 1e3 at degree 4), or are not finite.
+    Raises ``ValueError`` when a row's leading one is not above
+    ``TRIM_TOL`` times its largest coefficient, so that the trimming rule
+    would drop it: the other coefficients exceed it by more than
+    ``1 / TRIM_TOL`` (roots of modulus about 1e3 at degree 4), or are not
+    finite.
     """
-    roots = np.asarray(roots, dtype=complex).ravel()
-    if roots.size == 0:
-        return np.ones(1, dtype=complex)
-    row = npoly.polyfromroots(roots)
-    if not abs(row[-1]) > TRIM_TOL * np.abs(row).max():
+    roots = np.array(roots, dtype=complex, ndmin=1)
+    # a non-finite or overflowing root leaves a row refused below
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = _monic(roots)
+    kept = np.abs(rows[..., -1]) > TRIM_TOL * np.abs(rows).max(axis=-1)
+    if not kept.all():
+        where = f"root set {int(np.argmin(kept))} of the stack: " if kept.ndim else ""
         raise ValueError(
-            f"{roots.size} roots expand to a row whose leading coefficient is "
-            "below the trimming threshold"
+            f"{where}{roots.shape[-1]} roots expand to a row whose leading "
+            "coefficient is below the trimming threshold"
         )
-    return row
+    return rows
 
 
 def cardinal_coefficients(nodes) -> np.ndarray:
@@ -49,8 +68,8 @@ def cardinal_coefficients(nodes) -> np.ndarray:
     nodes, one row per node: ``values @ cardinal_coefficients(nodes)`` is
     the interpolant of ``values`` (or of each row of a stack of values).
 
-    Every row's numerator is expanded in the same loop, one linear factor
-    per step for all nodes at once.  Nodes closer than ``1e-8`` relative
+    Every row's numerator is one monic expansion (``_monic``) of the
+    other nodes, all rows at once.  Nodes closer than ``1e-8`` relative
     to their overall scale cannot be separated and raise
     ``DegenerateNodesError``.
     """
@@ -68,13 +87,7 @@ def cardinal_coefficients(nodes) -> np.ndarray:
         raise DegenerateNodesError(
             "interpolation nodes are too close to separate polynomial values"
         )
-    coeffs = np.zeros((m, m), dtype=complex)
-    coeffs[:, 0] = 1.0
-    for k in range(m - 1):
-        # row b times (z - others[b, k]): its top coefficient is still zero,
-        # so the roll shifts a zero into the constant term
-        coeffs = np.roll(coeffs, 1, axis=1) - others[:, k, None] * coeffs
-    return coeffs / gaps.prod(axis=1)[:, None]
+    return _monic(others) / gaps.prod(axis=1)[:, None]
 
 
 def lagrange_interpolate(nodes, values) -> np.ndarray:
@@ -117,12 +130,7 @@ def poly_roots(coeffs) -> np.ndarray:
         mat[:, :, -1] -= rows[:, :-1] / rows[:, -1:]
         roots = np.linalg.eigvals(mat)
         roots.sort(axis=-1)
-    rebuilt = np.zeros_like(rows)
-    rebuilt[:, 0] = 1.0
-    for k in range(n):
-        # the top coefficient is still zero: the roll shifts it to the bottom
-        rebuilt = np.roll(rebuilt, 1, axis=1) - roots[:, k, None] * rebuilt
-    err = np.abs(rebuilt * rows[:, -1:] - rows).max(axis=-1) / scale
+    err = np.abs(_monic(roots) * rows[:, -1:] - rows).max(axis=-1) / scale
     if err.max(initial=0.0) > 1e-8:
         raise SpectrumError(
             f"companion-matrix roots of row {int(np.argmax(err))} failed the "

@@ -21,9 +21,11 @@ least-squares solve per degree (``tq_collocation``, which the
 homogeneous stress sweep calls too) gives every auxiliary polynomial of
 every eigenvalue and its negative (``solve_q_from_tau`` runs the same
 solve on any stack of eigenvalue rows); the roots of each degree come
-from one stacked companion eigensolve (``poly_roots``) and are polished
-together, one Bethe-ratio evaluation per Newton iterate; and every
-residual is one array expression over the chain's one probe set.  The
+from one stacked companion eigensolve (``poly_roots``), are polished
+together, one Bethe-ratio evaluation per Newton iterate, and rebuild
+their polynomials in one expansion (``poly_from_roots``); every residual
+is one array expression over the chain's one probe set, and the
+eigenstate check builds one stack of separate states per root count.  The
 N + 2 transfer matrices the records read (one per inhomogeneity, one at
 the held-out point and one at the eigenstate-check point) are built once
 per spectrum, one point at a time, and each is dropped after its one
@@ -218,19 +220,21 @@ def _polished(
 ) -> tuple[np.ndarray, list[_QSolution]]:
     """Roots of each row of a stack of monic polynomials (ascending
     coefficients, zero-padded above each row's ``degrees`` entry), one
-    ``poly_roots`` and one ``_polish`` per degree, and each polynomial
-    rebuilt from its polished roots, else ``SpectrumError``: the rebuilt
-    rows, padded like ``q``, and one ``_QSolution`` per row."""
+    ``poly_roots``, one ``_polish`` and one ``poly_from_roots`` rebuild
+    from the polished roots per degree, else ``SpectrumError``: the
+    rebuilt rows, padded like ``q``, and one ``_QSolution`` per row."""
     rebuilt = np.zeros_like(q)
     out: list[_QSolution] = [None] * len(degrees)
     for r in sorted(set(degrees.tolist())):
         members = np.flatnonzero(degrees == r)
         polished, raw, worst, steps = _polish(params, poly_roots(q[members, : r + 1]))
+        try:
+            rebuilt[members, : r + 1] = poly_from_roots(polished)
+        except ValueError as exc:
+            raise SpectrumError(
+                f"auxiliary polynomials {members.tolist()}: {exc}"
+            ) from exc
         for k, i in enumerate(members):
-            try:
-                rebuilt[i, : r + 1] = poly_from_roots(polished[k])
-            except ValueError as exc:
-                raise SpectrumError(f"auxiliary polynomial {i}: {exc}") from exc
             out[i] = _QSolution(
                 polished[k], float(raw[k]), float(worst[k]), int(steps[k])
             )
@@ -490,13 +494,16 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
         np.array([2 * sol.roots.size <= n for sol in plus]),
         probes,
     )
-    # eigenvector property of the separate states built on the roots
-    vecs = np.stack(
-        [
-            separate_state_dense(params, spec_from_roots(params, sol.roots, "right"))
-            for sol in plus
-        ]
-    )
+    # eigenvector property of the separate states built on the roots, one
+    # stacked state build per root count
+    counts = np.array([sol.roots.size for sol in plus])
+    vecs = np.empty((count, params.dim), dtype=complex)
+    for r in sorted(set(counts.tolist())):
+        members = np.flatnonzero(counts == r)
+        roots = np.array([plus[i].roots for i in members]).reshape(members.size, r)
+        vecs[members] = separate_state_dense(
+            params, spec_from_roots(params, roots, "right")
+        )
     check = default_eval_point(params, 1)
     at_check = _values(tau_coeffs, [check])
     eig_res = np.linalg.norm(

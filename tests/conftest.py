@@ -19,6 +19,12 @@ def two_pole_kernel(x, eta):
     return 1.0 / x - 1.0 / (x + eta)
 
 
+def shifted_xi(params, h, direction: int = -1) -> np.ndarray:
+    """The inhomogeneities with each occupied slot shifted by ``direction*eta``."""
+    h = np.asarray(h)
+    return params.xi + direction * params.eta * h
+
+
 def cached_params(n_sites: int, seed: int = 0):
     key = (n_sites, seed)
     if key not in _PARAMS:

@@ -14,11 +14,10 @@ from sovxxx.chain import (
     fixture_params,
     require_generic,
     sample_generic_params,
-    shifted_xi,
     vandermonde,
 )
 
-from conftest import cached_params
+from conftest import cached_params, shifted_xi
 
 
 def _vandermonde_shift_check(params: ChainParams, h) -> tuple[complex, complex]:
@@ -100,6 +99,17 @@ def test_vandermonde_natural_order():
     assert vandermonde([2.0]) == 1.0
     assert vandermonde([1.0, 3.0]) == pytest.approx(2.0)
     assert vandermonde([0.0, 1.0, 3.0]) == pytest.approx(1.0 * 3.0 * 2.0)
+    # a stack of sets, stack shapes of one member included: each member
+    # equals its one-set call bit for bit
+    rng = np.random.Generator(np.random.Philox(key=203))
+    for shape in ((1,), (1, 1), (3,), (2, 4)):
+        for size in range(9):
+            sets = rng.standard_normal(shape + (size, 2)) @ np.array([1.0, 1j])
+            stacked = vandermonde(sets)
+            assert stacked.shape == shape
+            for index in np.ndindex(shape):
+                one = np.complex128(vandermonde(sets[index]))
+                assert stacked[index].tobytes() == one.tobytes()
 
 
 def test_fixture_values():

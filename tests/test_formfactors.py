@@ -307,7 +307,7 @@ def test_lowering_element_matches_slavnov_type_reference(n_sites):
     assert worst <= 1e-10
 
 
-@pytest.mark.parametrize("n_sites", [2, 3, 4])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
 def test_lowering_table_holds_each_element(n_sites):
     params = cached_params(n_sites, 0)
     records = cached_spectrum(n_sites, 0)

@@ -83,6 +83,7 @@ def test_empty_and_constant_behaviour():
     assert npoly.polyval(7.0 + 1j, poly_from_roots([])) == 1.0
     row = poly_from_roots([0.5, -1.25j])
     assert row.shape == (3,) and row[-1] == 1.0
+    assert np.array_equal(poly_from_roots(np.zeros((2, 3, 0))), np.ones((2, 3, 1)))
 
 
 def test_monic_expansion_that_loses_its_leading_one_is_rejected():
@@ -90,6 +91,10 @@ def test_monic_expansion_that_loses_its_leading_one_is_rejected():
     # leading 1 as noise
     with pytest.raises(ValueError, match="leading coefficient"):
         poly_from_roots([1e3 + 1j, 2e3, -1.5e3, 1e3j])
+    # in a stack, the message names the set
+    stack = [[0.5, 1j, -0.5, 2.0], [1e3 + 1j, 2e3, -1.5e3, 1e3j]]
+    with pytest.raises(ValueError, match="root set 1 of the stack"):
+        poly_from_roots(stack)
 
 
 @pytest.mark.parametrize(
@@ -139,6 +144,14 @@ def test_stacked_roots_are_per_row_polyroots_bit_for_bit(degree):
         assert roots.shape == (count, degree)
         expected = np.array([npoly.polyroots(row) for row in rows], dtype=complex)
         assert roots.tobytes() == expected.reshape(count, degree).tobytes()
+        # the roots expanded as a stack (of one set too): each member equals
+        # its own set's expansion bit for bit
+        for stack in (roots, roots[:1], roots.reshape(1, count, degree)):
+            expanded = poly_from_roots(stack)
+            assert expanded.shape == stack.shape[:-1] + (degree + 1,)
+            for index in np.ndindex(stack.shape[:-1]):
+                one = poly_from_roots(stack[index])
+                assert expanded[index].tobytes() == one.tobytes()
     assert poly_roots(rows[0]).tobytes() == roots[0].tobytes()
 
 

@@ -16,7 +16,6 @@ from sovxxx.chain import (
     a_of,
     d_of,
     sample_generic_params,
-    shifted_xi,
     vandermonde,
 )
 from sovxxx.dense import basis_rotation, flipped_reference_state, monodromy
@@ -31,7 +30,7 @@ from sovxxx.sov import (
     spec_from_roots,
 )
 
-from conftest import cached_params, separated_cloud
+from conftest import cached_params, separated_cloud, shifted_xi
 
 
 def occupation_patterns(n_sites: int):
@@ -180,7 +179,7 @@ def test_stacked_separate_states_match_each_spec(n_sites):
                 assert np.max(np.abs(got[index] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_tables_match_per_pattern_evaluation(n_sites):
     params = cached_params(n_sites, 0)
     patterns = list(occupation_patterns(n_sites))
@@ -222,8 +221,8 @@ def test_tables_are_built_once_per_chain(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     spec = spec_from_roots(params, [0.3 + 0.2j], "right")
     first = separate_state_dense(params, spec)
-    # one ladder per node, one shifted Vandermonde per pattern
-    assert calls == {"monodromy": 3, "vandermonde": 8}
+    # one ladder per node, one stacked shifted Vandermonde
+    assert calls == {"monodromy": 3, "vandermonde": 1}
     calls.update(monodromy=0, vandermonde=0)
     second = separate_state_dense(params, spec)
     assert calls == {"monodromy": 0, "vandermonde": 0}
@@ -231,7 +230,7 @@ def test_tables_are_built_once_per_chain(monkeypatch):
     # an equal chain is another instance, with tables of its own
     twin = ChainParams(params.n_sites, params.eta, params.xi, params.margin)
     assert np.array_equal(separate_state_dense(twin, spec), first)
-    assert calls == {"monodromy": 3, "vandermonde": 8}
+    assert calls == {"monodromy": 3, "vandermonde": 1}
     assert sov_basis(twin, "right") is not sov_basis(params, "right")
 
 
