@@ -9,6 +9,9 @@ layer ROADMAP aim 1 lists, ``--repeat`` times, and prints the least:
 
 - ``monodromy``: ``dense.monodromy`` at a generic point
 - ``diagonalize``: ``dense.diagonalize_transfer``
+- ``hamiltonian``: ``dense.hamiltonian_pauli``, the Pauli Hamiltonian of
+  N sites
+- ``site_sigma``: ``dense.site_sigma``, the lowering operator at site 1
 - ``spectrum``: ``spectrum.full_spectrum``, all 2^N records
 - ``separate_state``: ``sov.separate_state_dense`` of a record of the
   middle sector
@@ -73,6 +76,8 @@ def layer_calls(n: int):
     spec = sov.spec_from_roots(params, middle.bethe_roots, "right")
     yield "monodromy", n, partial(dense.monodromy, params, lam)
     yield "diagonalize", n, partial(dense.diagonalize_transfer, params)
+    yield "hamiltonian", n, partial(dense.hamiltonian_pauli, n)
+    yield "site_sigma", n, partial(dense.site_sigma, params, 1, "-")
     yield "spectrum", n, partial(spectrum.full_spectrum, params, 0)
     yield "separate_state", n, partial(sov.separate_state_dense, params, spec)
     free = spectrum.probe_points(params, n + 1)

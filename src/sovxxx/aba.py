@@ -33,12 +33,12 @@ count for a whole spectrum.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import dense
 from .chain import ChainParams, a_of, d_of
 from .determinants import column_substituted_slavnov
 from .errors import PairingError
+from .polynomials import poly_values
 from .spectrum import sectors
 
 _MASK_TOL = 1e-12
@@ -214,7 +214,7 @@ def weighted_expansion_table(
         shifted = roots + np.array([[[-1.0]], [[1.0]]]) * params.eta
         # each bra's Q at every ket's roots, shifted down and up: axes
         # (shift, bra, ket, root); each ket's own Q is on the diagonal
-        q = npoly.polyval(shifted, q_rows.T).swapaxes(0, 1)
+        q = poly_values(q_rows, shifted).swapaxes(0, 1)
         ket_q_minus = np.diagonal(q[0]).T
         values = _weighted_expansions(
             params,
@@ -311,7 +311,7 @@ def completeness_check(params: ChainParams, records, states) -> dict:
     if np.any(scale == 0.0):
         raise PairingError("product state vanished identically")
     lam = dense.default_eval_point(params, 2)
-    taus = npoly.polyval(lam, np.array([record.tau for record in records]).T)
+    taus = poly_values(np.array([record.tau for record in records]), lam)
     resid = dense.transfer_twisted(params, lam) @ cols - taus * cols
     residuals = np.max(np.abs(resid), axis=0) / scale
     fingerprints = set()

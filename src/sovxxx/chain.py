@@ -210,6 +210,16 @@ def log_derivative_d(params: ChainParams, lam) -> complex:
     return np.sum(1.0 / (lam[..., None] - params.xi), axis=-1)
 
 
+def pair_differences(values) -> np.ndarray:
+    """The differences v_a - v_b over pairs b < a of each set (last axis),
+    gathered along one contiguous last axis in row-major order of (a, b);
+    leading axes index a stack of sets."""
+    values = np.asarray(values, dtype=complex)
+    index = np.arange(values.shape[-1])
+    pairs = (values[..., :, None] - values[..., None, :])[..., index[:, None] > index]
+    return np.ascontiguousarray(pairs)
+
+
 def vandermonde(values) -> complex | np.ndarray:
     """Ordered Vandermonde product over pairs b < a of (v_a - v_b).
 
@@ -217,14 +227,12 @@ def vandermonde(values) -> complex | np.ndarray:
     all separated-basis weights in this package use the product in the
     natural site order of the argument.  Leading axes index a stack of
     sets, giving one product per set; a 1-D set gives a ``complex``.
-    The pair differences are gathered along one contiguous axis and
-    reduced by one ``prod``, so every stack member equals its one-set
-    call bit for bit (a strided complex reduction rounds differently).
+    The contiguous ``pair_differences`` are reduced by one ``prod``, so
+    every stack member equals its one-set call bit for bit (a strided
+    complex reduction rounds differently).
     """
     values = np.asarray(values, dtype=complex)
     if values.shape[-1] < 2:
         return 1.0 + 0.0j if values.ndim == 1 else np.ones(values.shape[:-1], complex)
-    index = np.arange(values.shape[-1])
-    pairs = (values[..., :, None] - values[..., None, :])[..., index[:, None] > index]
-    out = np.ascontiguousarray(pairs).prod(axis=-1)
+    out = pair_differences(values).prod(axis=-1)
     return complex(out) if out.ndim == 0 else out

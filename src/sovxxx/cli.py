@@ -398,7 +398,7 @@ def _stacks(samples) -> list[tuple]:
     groups: dict[tuple, list] = {}
     for sample in samples:
         groups.setdefault(tuple(np.shape(v) for v in sample), []).append(sample)
-    return [tuple(map(np.stack, zip(*group))) for group in groups.values()]
+    return [tuple(map(np.array, zip(*group))) for group in groups.values()]
 
 
 def _worst_gap(diff, *values, floor: float = _TINY) -> float:
@@ -435,7 +435,7 @@ def _suite_identities(config: RunConfig, chains: Chains):
     for _ in range(100):
         m = int(rng.integers(1, 6))
         eta = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2))
-        xs, ys = np.split(_draw_separated(rng, 2 * m, eta), [m])
+        xs, ys = _draw_separated(rng, 2 * m, eta).reshape(2, m)
         mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         samples.append((xs, ys, eta, mu))
     worst = 0.0
@@ -462,8 +462,8 @@ def _suite_identities(config: RunConfig, chains: Chains):
                 if m > n and mu == 1.0:
                     continue
                 eta = complex(0.9, 0.2 * ((m + n) % 3 - 1))
-                xs, ys = np.split(_draw_separated(rng, m + n, eta), [m])
-                samples.append((xs, ys, eta, mu))
+                points = _draw_separated(rng, m + n, eta)
+                samples.append((points[:m], points[m:], eta, mu))
     worst = 0.0
     for xs, ys, eta, mu in _stacks(samples):
         lhs, rhs = dressed_vandermonde_unbalanced_check(mu, xs, ys, eta)
@@ -476,7 +476,8 @@ def _suite_identities(config: RunConfig, chains: Chains):
     samples = []
     for small in range(0, 5):
         for big in range(small + 1, 6):
-            xs, ys = np.split(_draw_separated(rng, small + big, eta), [small])
+            points = _draw_separated(rng, small + big, eta)
+            xs, ys = points[:small], points[small:]
             samples.append(
                 (ys, shift_ratio(xs, eta, ys, -1), shift_ratio(xs, eta, ys, +1))
             )
@@ -586,10 +587,8 @@ def _suite_scalar_products(config: RunConfig, chains: Chains):
     for _ in range(50):
         m_left = int(rng.integers(0, n + 1))
         m_right = int(rng.integers(0, n + 1))
-        left_roots, right_roots = np.split(
-            _draw_separated(rng, m_left + m_right, params.eta, avoid=xi), [m_left]
-        )
-        samples.append((left_roots, right_roots))
+        roots = _draw_separated(rng, m_left + m_right, params.eta, avoid=xi)
+        samples.append((roots[:m_left], roots[m_left:]))
     worst_closed = 0.0
     for left_roots, right_roots in _stacks(samples):
         left_spec = spec_from_roots(params, left_roots, "left")

@@ -13,8 +13,11 @@ point: leading axes of the point array lead the result, every entry
 equal bit for bit to the one-point build.  The monodromy is built only
 this way: the transfer matrix's derivative at the origin, for the local
 Hamiltonian, is a coefficient of its polynomial interpolated from one
-stacked build.  The site operators, the global flip and the basis
-rotation are one Kronecker product over per-site 2x2 factors.
+stacked build.  The site operators, the global flip, the basis
+rotation and each bond term of the Pauli Hamiltonian are one Kronecker
+chain over per-site 2x2 factors (a bond's factors are the sitewise
+products of its two site operators), each step one broadcast outer
+product.
 Dense linear algebra keeps every object explicit; the intended regime
 is at most eight sites.
 """
@@ -58,10 +61,15 @@ def _site_factors(params: ChainParams, lam: np.ndarray) -> np.ndarray:
 
 
 def _site_product(factors) -> np.ndarray:
-    """The Kronecker product of per-site 2x2 factors, site 1 first."""
+    """The Kronecker product of per-site 2x2 factors, site 1 first: each
+    step is the broadcast outer product of the chain so far with the next
+    factor, in that operand order, so every entry equals numpy's ``kron``
+    chain bit for bit."""
     out = np.ones((1, 1), dtype=complex)
     for factor in factors:
-        out = np.kron(out, factor)
+        rows, cols = out.shape
+        out = out[:, None, :, None] * factor[None, :, None, :]
+        out = out.reshape(2 * rows, 2 * cols)
     return out
 
 
@@ -81,11 +89,12 @@ def _site_step(blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
     ``r[..., i, j, :, :]`` the 2x2 local block of the new site's factor;
     the result is ``new[i, k] = sum_j kron(blocks[j, k], r[i, j])``,
     over the broadcast leading (spectral point) axes of both.  One
-    broadcast product per j forms every elementwise product ``np.kron``
-    would, and the two are added to zeros in the order j = 0, 1, so every
-    entry, signed zeros included, equals the block-by-block kron sum bit
-    for bit, whatever the stack.  Only one j term is alive at a time, so
-    the largest temporary is one result-sized term rather than two.
+    broadcast product per j forms every elementwise product a Kronecker
+    product would, and the two are added to zeros in the order j = 0, 1,
+    so every entry, signed zeros included, equals the block-by-block
+    Kronecker sum bit for bit, whatever the stack.  Only one j term is
+    alive at a time, so the largest temporary is one result-sized term
+    rather than two.
     """
     dim = blocks.shape[-1]
     term = blocks[..., None, 0, :, :, None, :, None] * r[..., :, 0, None, None, :, None, :]
@@ -258,14 +267,18 @@ def hamiltonian_pauli(n_sites: int) -> np.ndarray:
         raise ValueError("a chain needs at least one site")
     dim = 2**n_sites
     ham = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, n_sites + 1):
+    for n in range(n_sites):
         for local in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-            left = site_operator(n_sites, n, local)
-            if n < n_sites:
-                right = site_operator(n_sites, n + 1, local)
+            # the product of the bond's two site operators is the Kronecker
+            # chain of their sitewise products (the mixed-product property);
+            # on one site the closing bond's two factors share site 1
+            factors = [IDENTITY_2] * n_sites
+            factors[n] = local
+            if n + 1 < n_sites:
+                factors[n + 1] = local
             else:
-                right = site_operator(n_sites, 1, SIGMA_X @ local @ SIGMA_X)
-            ham += left @ right
+                factors[0] = factors[0] @ (SIGMA_X @ local @ SIGMA_X)
+            ham += _site_product(factors)
         ham -= np.eye(dim)
     return ham
 

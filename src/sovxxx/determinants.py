@@ -51,6 +51,7 @@ from .chain import (
     ChainParams,
     log_derivative_a,
     log_derivative_d,
+    pair_differences,
     vandermonde,
 )
 from .errors import LimitFailureError, NotOnShellError, PoleCollisionError
@@ -107,6 +108,19 @@ def _require_distinct(points: np.ndarray, scale) -> np.ndarray:
     if np.count_nonzero(apart) < apart.size - apart.size // points.shape[-1]:
         raise PoleCollisionError("coinciding or NaN points within one set")
     return diffs
+
+
+def _pair_product(points, bound) -> complex | np.ndarray:
+    """``vandermonde`` of each set, reduced from the ``pair_differences``
+    its guard reads: a NaN point, or two points within the pole guard
+    relative to ``bound``, raises ``PoleCollisionError``."""
+    if np.shape(points)[-1] < 2:
+        return vandermonde(points)
+    pairs = pair_differences(points)
+    apart = np.abs(pairs) > _POLE_TOL * _per_set(bound)
+    if np.count_nonzero(apart) < apart.size:
+        raise PoleCollisionError("coinciding or NaN points within one set")
+    return _result(pairs.prod(axis=-1))
 
 
 def _guarded_ratio(points, eta: complex, y, up: complex, down: complex, what: str):
@@ -198,7 +212,8 @@ def dressed_vandermonde(
 def _kernel_differences(xs, ys, eta: complex):
     """Equal-size point sets, their differences x - y and x - y + eta and
     the pole guard's scale per set, refusing an x on a kernel pole (y or
-    y - eta), two equal x or a NaN point."""
+    y - eta) or a NaN point; the callers' ``_pair_product`` of xs refuses
+    two equal x."""
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
     if xs.shape[-1] != ys.shape[-1]:
@@ -211,7 +226,6 @@ def _kernel_differences(xs, ys, eta: complex):
     shifted = diffs + _per_matrix(eta)
     if not (np.abs(shifted) > guard).all():
         raise PoleCollisionError("kernel pole: point sets overlap after shift")
-    _require_distinct(xs, scale)
     return xs, ys, diffs, shifted, scale
 
 
@@ -223,10 +237,9 @@ def izergin_determinant(mu: complex, xs, ys, eta: complex) -> complex | np.ndarr
     det[mu/(x_a - y_b) - 1/(x_a - y_b + eta)].
     """
     xs, ys, diffs, shifted, scale = _kernel_differences(xs, ys, eta)
-    _require_distinct(ys, scale)
+    denom = _pair_product(xs, scale) * _pair_product(ys[..., ::-1], scale)
     kernel = _per_matrix(mu) / diffs - 1.0 / shifted
     pref = np.prod(shifted, axis=(-2, -1))
-    denom = vandermonde(xs) * vandermonde(ys[..., ::-1])
     return _result(pref * np.linalg.det(kernel) / denom)
 
 
@@ -246,7 +259,8 @@ def izergin_determinant_clustered(
     """
     # the second set is not refused when it clusters: that is what this
     # route is for
-    xs, _, diffs, shifted, _ = _kernel_differences(xs, ys, eta)
+    xs, _, diffs, shifted, scale = _kernel_differences(xs, ys, eta)
+    denom = _pair_product(xs, scale)
     # column k holds the order-k divided difference over ys[:k+1]
     dd = _per_matrix(mu) / np.cumprod(diffs, axis=-1) - 1.0 / np.cumprod(
         shifted, axis=-1
@@ -254,7 +268,7 @@ def izergin_determinant_clustered(
     pref = np.prod(shifted, axis=(-2, -1))
     m = xs.shape[-1]
     sign = (-1.0) ** (m * (m - 1) // 2)
-    return _result(sign * pref * np.linalg.det(dd) / vandermonde(xs))
+    return _result(sign * pref * np.linalg.det(dd) / denom)
 
 
 def _one_based(value, size: int, what: str) -> np.ndarray:
@@ -358,13 +372,6 @@ def _on_shell_gate(mu: complex, g, rho) -> np.ndarray:
             f"(worst residual {worst:.3e})"
         )
     return residuals
-
-
-def _pair_product(points, bound) -> np.ndarray:
-    """``vandermonde`` of each set, refusing a NaN point or two points
-    within the pole guard relative to ``bound``."""
-    _require_distinct(points, bound)
-    return vandermonde(points)
 
 
 def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, z=None):

@@ -1,15 +1,15 @@
 """Complex polynomials as rows of ascending coefficients.
 
-Thin, deliberately small layer over ``numpy.polynomial.polynomial``: a
-polynomial is its coefficient row (``row[k]`` multiplies ``z**k``),
-evaluated with ``npoly.polyval``, and a stack of rows zero-padded to one
-width evaluates bit for bit like each row alone.  Here are the
-expansion from roots, Lagrange interpolation and companion-matrix root
-extraction (a stack of rows of one degree per eigensolve), with the
-trimming threshold the package reads its degrees by: a coefficient
-below ``TRIM_TOL`` times its row's largest is numerical noise from a
-near-singular solve, so a leading coefficient that small drops the
-degree.  One monic expansion (``_monic``, one linear factor per step
+A deliberately small layer of plain numpy arithmetic: a polynomial is
+its coefficient row (``row[k]`` multiplies ``z**k``), evaluated by one
+Horner recurrence for a whole stack of rows (``poly_values``), and a
+stack of rows zero-padded to one width evaluates bit for bit like each
+row alone.  Here are the evaluation, the expansion from roots, Lagrange
+interpolation and companion-matrix root extraction (a stack of rows of
+one degree per eigensolve), with the trimming threshold the package
+reads its degrees by: a coefficient below ``TRIM_TOL`` times its row's
+largest is numerical noise from a near-singular solve, so a leading
+coefficient that small drops the degree.  One monic expansion (``_monic``, one linear factor per step
 for a whole stack of root sets) backs ``poly_from_roots``, the
 cardinal polynomials' numerators and ``poly_roots``' re-expansion gate.
 """
@@ -32,9 +32,30 @@ def _monic(roots: np.ndarray) -> np.ndarray:
     rows = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
     rows[..., 0] = 1.0
     for k in range(roots.shape[-1]):
-        # the top coefficient is still zero: the roll shifts it to the bottom
-        rows = np.roll(rows, 1, axis=-1) - roots[..., k, None] * rows
+        # a cyclic shift up by one multiplies by z: the top coefficient is
+        # still zero, and it moves to the bottom
+        shifted = np.concatenate((rows[..., -1:], rows[..., :-1]), axis=-1)
+        rows = shifted - roots[..., k, None] * rows
     return rows
+
+
+def poly_values(coeffs, points) -> np.ndarray:
+    """Values of a stack of polynomials (the rows of a 2-D array of
+    ascending coefficients, zero-padded to one width, or one 1-D row) at
+    the points: the stack's axis leads, the points' axes follow.  Horner's
+    recurrence for all rows at once, the arithmetic of numpy's
+    ``polyval`` on each row alone: start from the top coefficient plus
+    ``z * 0`` and step down with ``c + value * z``.  The points are an
+    array (a scalar is a 0-d one), so a single row at a scalar point
+    takes numpy's array loops, not its scalar arithmetic, which rounds a
+    complex product differently."""
+    points = np.asarray(points, dtype=complex)
+    coeffs = np.asarray(coeffs).T
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * points.ndim)
+    values = coeffs[-1] + points * 0
+    for c in coeffs[-2::-1]:
+        values = c + values * points
+    return values
 
 
 def poly_from_roots(roots) -> np.ndarray:
@@ -106,8 +127,8 @@ def lagrange_interpolate(nodes, values) -> np.ndarray:
 def poly_roots(coeffs) -> np.ndarray:
     """Sorted roots of each row of a stack of ascending coefficient rows
     of one degree (a 1-D row is the one-row case), bit for bit those of
-    ``npoly.polyroots``: each companion matrix is built as
-    ``npoly.polycompanion`` builds it, and all go through one ``eigvals``
+    numpy's ``polyroots``: each companion matrix is built as its
+    ``polycompanion`` builds it, and all go through one ``eigvals``
     call.  A row that is not finite, whose leading coefficient the
     trimming rule would drop, or whose roots' monic re-expansion misses it
     by more than relative 1e-8 raises ``SpectrumError``.

@@ -140,7 +140,7 @@ def spec_from_roots(params: ChainParams, roots, side: str) -> SeparateStateSpec:
     A stack of root sets (last axis: the roots) gives a stack of states.
     Non-finite roots give non-finite values, which the spec rejects."""
     roots = np.array(roots, dtype=complex, ndmin=1)
-    points = np.stack((params.xi, params.xi - params.eta))
+    points = np.array((params.xi, params.xi - params.eta))
     values = np.prod(points[..., None] - roots[..., None, None, :], axis=-1)
     return SeparateStateSpec(
         side=side,

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .chain import ChainParams, a_of, d_of, require_generic
 from .dense import (
@@ -54,7 +53,13 @@ from .dense import (
 )
 from .determinants import _bethe_ratios, gaudin_matrix
 from .errors import PairingError, SpectrumError
-from .polynomials import TRIM_TOL, cardinal_coefficients, poly_from_roots, poly_roots
+from .polynomials import (
+    TRIM_TOL,
+    cardinal_coefficients,
+    poly_from_roots,
+    poly_roots,
+    poly_values,
+)
 from .sov import separate_state_dense, spec_from_roots
 
 # largest distance of an eigenvalue's t_{N-1} / eta from the integer 2r - N
@@ -140,13 +145,6 @@ def probe_points(params: ChainParams, count: int) -> np.ndarray:
     return _point_cloud(params, count, 777)
 
 
-def _values(coeffs: np.ndarray, points) -> np.ndarray:
-    """Values of a stack of polynomials (rows of ascending coefficients,
-    zero-padded) at the points, one row per polynomial; the same Horner
-    arithmetic as ``npoly.polyval`` on each row alone."""
-    return npoly.polyval(np.asarray(points, dtype=complex), coeffs.T)
-
-
 def _tq_residuals(params: ChainParams, tau_values, q_coeffs, points) -> np.ndarray:
     """Largest relative residual of tau(z) q(z) + a(z) q(z - eta) -
     d(z) q(z + eta) over the points, for each row of a stack of
@@ -154,9 +152,9 @@ def _tq_residuals(params: ChainParams, tau_values, q_coeffs, points) -> np.ndarr
     (rows of ``q_coeffs``)."""
     points = np.asarray(points, dtype=complex)
     eta = params.eta
-    t1 = tau_values * _values(q_coeffs, points)
-    t2 = a_of(params, points) * _values(q_coeffs, points - eta)
-    t3 = d_of(params, points) * _values(q_coeffs, points + eta)
+    t1 = tau_values * poly_values(q_coeffs, points)
+    t2 = a_of(params, points) * poly_values(q_coeffs, points - eta)
+    t3 = d_of(params, points) * poly_values(q_coeffs, points + eta)
     scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3))
     return np.max(np.abs(t1 + t2 - t3) / np.maximum(scale, 1e-300), axis=-1)
 
@@ -322,9 +320,9 @@ def _solve_q_stack(
     n = params.n_sites
     points = _point_cloud(params, 2 * n + 2, [seed, 0xA5F0])
     degrees = _degrees(params, tau_coeffs)
-    q = tq_collocation(params, _values(tau_coeffs, points), points, degrees)
+    q = tq_collocation(params, poly_values(tau_coeffs, points), points, degrees)
     rebuilt, solutions = _polished(params, q, degrees)
-    resid = _tq_residuals(params, _values(tau_coeffs, probes), rebuilt, probes)
+    resid = _tq_residuals(params, poly_values(tau_coeffs, probes), rebuilt, probes)
     worst = resid.max(initial=0.0)
     # NaN fails this comparison
     if not worst <= 1e-8:
@@ -387,7 +385,7 @@ def _tau_stack(
     held = default_eval_point(params, 3)
     at_held = transfer_antiperiodic(params, held)
     direct = np.einsum("kd,dk->k", lefts, at_held @ rights) / pairing
-    interpolated = _values(taus, [held])[:, 0]
+    interpolated = poly_values(taus, [held])[:, 0]
     if np.any(np.abs(interpolated - direct) > 1e-9 * np.maximum(1.0, np.abs(direct))):
         raise SpectrumError(
             "interpolated eigenvalue polynomial failed the held-out check"
@@ -412,8 +410,8 @@ def _pq_residuals(
     eta = params.eta
     q = np.where(tau_is_lower[:, None], q_tau, q_minus)
     p = np.where(tau_is_lower[:, None], q_minus, q_tau)
-    p_m, p_0, p_p = (_values(p, probes + h) for h in (-eta, 0.0, eta))
-    q_m, q_0, q_p = (_values(q, probes + h) for h in (-eta, 0.0, eta))
+    p_m, p_0, p_p = (poly_values(p, probes + h) for h in (-eta, 0.0, eta))
+    q_m, q_0, q_p = (poly_values(q, probes + h) for h in (-eta, 0.0, eta))
     d_vals = d_of(params, probes)
     anchor = np.argmax(np.abs(d_vals))
     wron = 0.5 * (p_0 * q_m + q_0 * p_m)
@@ -467,16 +465,16 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
     rights, lefts = diagonalize_transfer(params)
     probes = probe_points(params, 2 * n + 2)
     tau_coeffs = _tau_stack(params, rights, lefts)
-    at_xi = _values(tau_coeffs, params.xi)
+    at_xi = poly_values(tau_coeffs, params.xi)
     prod_ad = params.a_at_nodes * d_of(params, params.xi - eta)
     ds_res = np.max(
-        np.abs(at_xi * _values(tau_coeffs, params.xi - eta) + prod_ad)
+        np.abs(at_xi * poly_values(tau_coeffs, params.xi - eta) + prod_ad)
         / np.maximum(np.abs(prod_ad), 1e-300),
         axis=-1,
     )
     if ds_res.max() > 1e-9:
         raise SpectrumError(f"discrete-system residual {ds_res.max():.3e} too large")
-    at_probes = _values(tau_coeffs, probes)
+    at_probes = poly_values(tau_coeffs, probes)
     q, solutions = _solve_q_stack(
         params, np.concatenate([tau_coeffs, -tau_coeffs]), probes, seed
     )
@@ -505,7 +503,7 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
             params, spec_from_roots(params, roots, "right")
         )
     check = default_eval_point(params, 1)
-    at_check = _values(tau_coeffs, [check])
+    at_check = poly_values(tau_coeffs, [check])
     eig_res = np.linalg.norm(
         vecs @ transfer_antiperiodic(params, check).T - at_check * vecs, axis=-1
     ) / (np.abs(at_check[:, 0]) * np.linalg.norm(vecs, axis=-1))
@@ -531,7 +529,7 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
         for k, (up, down) in enumerate(zip(plus, minus))
     ]
     lam_ref = default_eval_point(params, 0)
-    vals = _values(tau_coeffs, [lam_ref])[:, 0]
+    vals = poly_values(tau_coeffs, [lam_ref])[:, 0]
     diff = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(diff, np.inf)
     if np.min(diff) <= 1e-9 * max(1.0, float(np.max(np.abs(vals)))):

@@ -352,6 +352,26 @@ def test_split_pair_draw_equals_two_chained_draws(m, n, points, min_sep, box, se
     _assert_same_draw(split, _draw_outcome(chained, seed))
 
 
+def test_stacks_equal_numpy_stack_field_by_field():
+    # the unbalanced-weight grid's samples: set sizes 0..2, float and
+    # complex mu in one group, points drawn as the suite draws them
+    rng = np.random.Generator(np.random.Philox(key=[7, 0x1D5]))
+    eta = 0.9 + 0.2j
+    samples = []
+    for m in range(3):
+        for mu in (-1.0, 2.0, 0.5 + 0.5j):
+            points = cli._draw_separated(rng, m + 1, eta)
+            samples.append((points[:m], points[m:], eta, mu))
+    groups = cli._stacks(samples)
+    assert len(groups) == 3
+    for m, group in enumerate(groups):
+        members = samples[3 * m : 3 * m + 3]
+        for field, stacked in zip(zip(*members), group):
+            expected = np.stack(field)
+            assert stacked.dtype == expected.dtype and stacked.shape == expected.shape
+            assert stacked.tobytes() == expected.tobytes()
+
+
 def _count_on_shell_checks(monkeypatch) -> list:
     """Record the row-set shape of every pass of the on-shell core's gate."""
     checks = []

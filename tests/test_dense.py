@@ -9,13 +9,22 @@ from numpy.polynomial import polynomial as npoly
 from sovxxx.chain import fixture_params
 from sovxxx.dense import (
     IDENTITY_2,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    U_ROTATION,
+    _site_product,
     basis_rotation,
     default_eval_point,
     diagonalize_transfer,
     global_flip,
     hamiltonian_limit_check,
+    hamiltonian_pauli,
     monodromy,
     quantum_det_check,
+    site_operator,
     site_sigma,
     transfer_antiperiodic,
     transfer_twisted,
@@ -220,3 +229,54 @@ def test_local_operators_and_total_sx():
     sx = total_sx(cached_params(2, 0))
     assert np.allclose(sx, sx.T)
     assert np.allclose(np.sort(np.linalg.eigvalsh(sx)), [-2.0, 0.0, 0.0, 2.0])
+
+
+def _kron_chain(factors):
+    """The Kronecker product of per-site factors by numpy's ``kron``."""
+    out = np.ones((1, 1), dtype=complex)
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
+def _pauli_sum_of_products(n_sites):
+    """The Pauli Hamiltonian summed bond by bond as the dense product of
+    its two site operators, each a ``kron`` chain."""
+
+    def embedded(site, local):
+        chain = [local if n == site else IDENTITY_2 for n in range(1, n_sites + 1)]
+        return _kron_chain(chain)
+
+    dim = 2**n_sites
+    ham = np.zeros((dim, dim), dtype=complex)
+    for n in range(1, n_sites + 1):
+        for local in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+            left = embedded(n, local)
+            if n < n_sites:
+                right = embedded(n + 1, local)
+            else:
+                right = embedded(1, SIGMA_X @ local @ SIGMA_X)
+            ham += left @ right
+        ham -= np.eye(dim)
+    return ham
+
+
+@pytest.mark.parametrize("n_sites", range(1, 9))
+def test_site_product_equals_kron_chain_bit_for_bit(n_sites):
+    # random factors with negative and signed-zero entries, then every
+    # local operator at every site
+    rng = np.random.Generator(np.random.Philox(key=[211, n_sites]))
+    factors = rng.standard_normal((n_sites, 2, 2, 2)) @ np.array([1.0, 1j])
+    factors[:, 0, 1] = -0.0
+    assert _site_product(factors).tobytes() == _kron_chain(factors).tobytes()
+    for local in (SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS, U_ROTATION):
+        for site in range(1, n_sites + 1):
+            chain = [local if n == site else IDENTITY_2 for n in range(1, n_sites + 1)]
+            built = site_operator(n_sites, site, local)
+            assert built.tobytes() == _kron_chain(chain).tobytes()
+
+
+@pytest.mark.parametrize("n_sites", range(1, 9))
+def test_hamiltonian_pauli_equals_sum_of_site_operator_products(n_sites):
+    ham = hamiltonian_pauli(n_sites)
+    assert ham.tobytes() == _pauli_sum_of_products(n_sites).tobytes()

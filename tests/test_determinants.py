@@ -306,6 +306,24 @@ def test_dressed_functional_rejects_numerically_coinciding_points(gap):
             evaluate()
 
 
+def test_pair_product_is_the_vandermonde_of_the_pairs_its_guard_reads():
+    rng = np.random.Generator(np.random.Philox(key=607))
+    for shape in ((), (3,), (2, 4)):
+        for size in range(6):
+            sets = rng.standard_normal(shape + (size, 2)) @ np.array([1.0, 1j])
+            value = determinants._pair_product(sets, determinants._set_bound(sets))
+            expected = vandermonde(sets)
+            assert type(value) is type(expected)
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+    # one close pair or one NaN in one member refuses the whole stack
+    stack = rng.standard_normal((3, 4)) + 0j
+    for bad in (stack[1, 0] + 1e-12, complex("nan")):
+        broken = stack.copy()
+        broken[1, 2] = bad
+        with pytest.raises(PoleCollisionError, match="within one set"):
+            determinants._pair_product(broken, determinants._set_bound(broken))
+
+
 def _non_finite_calls():
     """One call per evaluator, each with one NaN (or, for the shift
     ratio, infinite) point among otherwise valid input."""

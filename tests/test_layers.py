@@ -25,6 +25,8 @@ def test_layers_times_every_layer_once_per_size(tmp_path, monkeypatch):
     assert [(row["layer"], row["m"]) for row in rows] == [
         ("monodromy", 2),
         ("diagonalize", 2),
+        ("hamiltonian", 2),
+        ("site_sigma", 2),
         ("spectrum", 2),
         ("separate_state", 2),
         *[

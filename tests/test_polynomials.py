@@ -8,10 +8,12 @@ from numpy.polynomial import polynomial as npoly
 
 from sovxxx.errors import SpectrumError
 from sovxxx.polynomials import (
+    _monic,
     cardinal_coefficients,
     lagrange_interpolate,
     poly_from_roots,
     poly_roots,
+    poly_values,
 )
 from sovxxx.spectrum import solve_q_from_tau
 
@@ -76,6 +78,14 @@ def test_padded_stack_evaluates_like_each_row_alone(width):
     stacked = npoly.polyval(points, padded.T)
     for value, row in zip(stacked, rows):
         assert value.tobytes() == npoly.polyval(points, row).tobytes()
+    # the package's Horner evaluation is numpy's: a stack at 2-D, 1-D,
+    # listed and scalar points, one row at an array of points
+    for at in (points, points[0], list(points[0]), points[0, 0], complex(points[1, 2])):
+        expected = npoly.polyval(at, padded.T)
+        assert poly_values(padded, at).tobytes() == expected.tobytes()
+    for row in rows:
+        for at in (points, points[0]):
+            assert poly_values(row, at).tobytes() == npoly.polyval(at, row).tobytes()
 
 
 def test_empty_and_constant_behaviour():
@@ -84,6 +94,26 @@ def test_empty_and_constant_behaviour():
     row = poly_from_roots([0.5, -1.25j])
     assert row.shape == (3,) and row[-1] == 1.0
     assert np.array_equal(poly_from_roots(np.zeros((2, 3, 0))), np.ones((2, 3, 1)))
+
+
+def _rolled_monic(roots):
+    """The monic expansion one linear factor per step, shifting by
+    ``np.roll``."""
+    rows = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
+    rows[..., 0] = 1.0
+    for k in range(roots.shape[-1]):
+        rows = np.roll(rows, 1, axis=-1) - roots[..., k, None] * rows
+    return rows
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (4,), (16, 4), (2, 3, 5), (3, 0)])
+def test_monic_expansion_equals_the_rolled_recurrence(shape):
+    rng = np.random.Generator(np.random.Philox(key=[106, 10 * len(shape) + shape[-1]]))
+    roots = rng.standard_normal(shape + (2,)) @ np.array([1.0, 1j])
+    rows = _monic(roots)
+    assert rows.tobytes() == _rolled_monic(roots).tobytes()
+    for index in np.ndindex(shape[:-1]):
+        assert rows[index].tobytes() == _monic(roots[index]).tobytes()
 
 
 def test_monic_expansion_that_loses_its_leading_one_is_rejected():
