@@ -24,7 +24,12 @@ layer ROADMAP aim 1 lists, ``--repeat`` times, and prints the least:
 - ``sp_on_shell``: one pairing of the middle sector's eigenstate with a
   left state of one root more (the chain's first probe points)
 - ``ff_sigma_minus``: one form-factor element between the middle sector
-  and the one above it, at site 1
+  and the one above it, at site 1, on fresh copies of the two records
+  (``dataclasses.replace``, inside the timed call), so each call builds
+  the bra's row half and the ket's column half as a record's first use
+  does
+- ``ff_sigma_minus_warm``: the same element on the records themselves,
+  whose halves the untimed call has built
 
 Every layer is called once before it is timed, so a call reads the
 chain's own caches warm, as in a run of the CLI.  ``--json PATH`` writes
@@ -39,6 +44,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -105,7 +111,14 @@ def layer_calls(n: int):
         scalar.sp_on_shell, params, free[: roots.size + 1], roots
     )
     ket = sector[min(n // 2 + 1, n)]
-    yield "ff_sigma_minus", n, partial(formfactors.ff_sigma_minus, params, middle, ket, 1)
+
+    def ff_fresh():
+        return formfactors.ff_sigma_minus(params, replace(middle), replace(ket), 1)
+
+    yield "ff_sigma_minus", n, ff_fresh
+    yield "ff_sigma_minus_warm", n, partial(
+        formfactors.ff_sigma_minus, params, middle, ket, 1
+    )
 
 
 def main(argv=None) -> int:

@@ -72,6 +72,28 @@ class ChainParams:
         return values
 
     @cached_property
+    def a_node_product(self) -> complex:
+        """The product of ``a_at_nodes``, the full a-product on the nodes
+        that every lowering element divides by."""
+        return self.a_at_nodes.prod()
+
+    @cached_property
+    def separation_deficit(self) -> float:
+        """Smallest of the quantities the genericity condition bounds below:
+        ``|eta|`` and ``|xi_a - xi_b - h*eta|`` for ``a != b`` and shifts
+        ``h`` in {-1, 0, 1}."""
+        vals = [abs(self.eta)]
+        xi = self.xi
+        n = self.n_sites
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                for h in (-1, 0, 1):
+                    vals.append(abs(xi[a] - xi[b] - h * self.eta))
+        return min(vals)
+
+    @cached_property
     def occupation(self) -> np.ndarray:
         """``occupation[k, a]``: whether site ``a`` is occupied in the
         separated-basis pattern ``k`` (bitmask order, site 1 most
@@ -107,30 +129,12 @@ class ChainParams:
         return ladder_basis(self, "left")
 
 
-def separation_deficit(params: ChainParams) -> float:
-    """Smallest of the quantities the genericity condition bounds below.
-
-    Checks ``|eta|`` and ``|xi_a - xi_b - h*eta|`` for ``a != b`` and
-    shifts ``h`` in {-1, 0, 1}.
-    """
-    vals = [abs(params.eta)]
-    xi = params.xi
-    n = params.n_sites
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            for h in (-1, 0, 1):
-                vals.append(abs(xi[a] - xi[b] - h * params.eta))
-    return min(vals)
-
-
 def require_generic(params: ChainParams) -> None:
     m = params.margin
-    if m <= 0 or separation_deficit(params) < m:
+    if m <= 0 or params.separation_deficit < m:
         raise ValueError(
             "inhomogeneities are not separated enough for the separated-basis "
-            f"construction (deficit {separation_deficit(params):.3e}, margin {m:.3e})"
+            f"construction (deficit {params.separation_deficit:.3e}, margin {m:.3e})"
         )
 
 
@@ -163,7 +167,7 @@ def sample_generic_params(
         if np.min(np.abs(xi.imag)) < 1e-3 * abs(eta):
             continue
         candidate = ChainParams(n_sites=n_sites, eta=eta, xi=xi, margin=delta)
-        if separation_deficit(candidate) >= delta:
+        if candidate.separation_deficit >= delta:
             return candidate
     raise SamplingFailureError(
         f"could not draw {n_sites} separated inhomogeneities with margin {delta:.3e}"

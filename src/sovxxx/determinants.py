@@ -36,14 +36,26 @@ its point and the lattice column's site; the on-shell evaluators take
 one chain and one twist per call.  One call makes one guard pass and
 one batched ``det`` and returns an array of the stack shape; a 1-D set
 gives a ``complex``, equal bit for bit to the stack member it would be.
-Each on-shell quantity takes the smallest stack shape it depends on:
-the rows' weights, gate and Vandermonde that of the row sets, the free
-columns' g, d and Vandermonde that of the free sets, rho and the kernel
-once per pair of sets, and a node's or moved column the stack of its
-site or point.
+Each on-shell quantity takes the smallest stack shape it depends on, in
+one of three parts.  The row half (``_rows``) is the work on the
+on-shell sets alone: their pole bound, g and rho at their own points
+with the on-shell gate, V(xs) with its guard and the d-products.  The
+column half (``_columns``) is the work on the free sets alone: g = mu
+a/d, the distances to the nodes, V(reversed ys) with its guard at the
+sets' own bound, and the d-products.  The pair core, ``_on_shell``
+itself, does everything that depends on both sets or on the site: the
+free points' node guard against the rows' bound, rho and the
+differences, the kernel, the moments, a node's or moved column (at the
+stack of its site or point) and the det.  The wrappers pass point sets,
+and ``_on_shell`` builds both halves from them; ``formfactors`` builds
+the halves of every sector once per ``lowering_table``, and each
+``spectrum.EigenRecord`` holds its own twist -1 halves, built on first
+use, for the one-element form factors and pairings.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -281,17 +293,28 @@ def _one_based(value, size: int, what: str) -> np.ndarray:
     return index - 1
 
 
+def _balanced(eta: complex, xs, points, guard):
+    """``(rho, diffs, up, down)``: the balanced shift ratio over the row
+    set ``xs`` at ``points`` and the p - x, p - x +- eta it is built from
+    (last two axes: point, row).  A point on a pole of rho, not farther
+    than ``guard`` (one value per point, on a trailing axis of length 1),
+    or NaN, raises ``PoleCollisionError``."""
+    diffs = points[..., :, None] - xs[..., None, :]
+    up, down = diffs + eta, diffs - eta
+    if not (np.abs(down) > guard).all():
+        raise PoleCollisionError("balanced shift ratio evaluated on a shifted point")
+    return (up / down).prod(axis=-1), diffs, up, down
+
+
 def _weights(params: ChainParams, mu: complex, xs, points, bound):
     """``(g, rho, d, near, scale, diffs, up, down)`` at ``points`` against
-    the row set ``xs``: g = mu a/d, d as ``chain.d_of`` gives it, rho the
-    balanced shift ratio over the rows and the p - x, p - x +- eta it is
-    built from (last two axes: point, row).  g and d keep the shape of
-    ``points``, the rest takes the common stack shape of the points and
-    the rows.  Guards are relative to ``scale`` = max(|p|, ``bound``), the
-    row set's max(1, |eta|, max |xi|, max |x|).  ``near`` flags each point
-    and node closer than that (or NaN), where g is the pole's residue;
-    a point on a pole of rho raises ``PoleCollisionError``."""
-    eta = params.eta
+    the row set ``xs``: g = mu a/d, d as ``chain.d_of`` gives it, and rho
+    with its differences as ``_balanced`` gives them.  g and d keep the
+    shape of ``points``, the rest takes the common stack shape of the
+    points and the rows.  Guards are relative to ``scale`` =
+    max(|p|, ``bound``), the row set's max(1, |eta|, max |xi|, max |x|).
+    ``near`` flags each point and node closer than that (or NaN), where g
+    is the pole's residue."""
     scale = np.maximum(np.abs(points), bound[..., None])
     guard = _POLE_TOL * scale[..., None]
     to_xi = points[..., None] - params.xi
@@ -300,12 +323,9 @@ def _weights(params: ChainParams, mu: complex, xs, points, bound):
     pole_free = d
     if np.count_nonzero(near):
         pole_free = np.where(near, 1.0, to_xi).prod(axis=-1)
-    g = mu * (to_xi + eta).prod(axis=-1) / pole_free
-    diffs = points[..., :, None] - xs[..., None, :]
-    up, down = diffs + eta, diffs - eta
-    if not (np.abs(down) > guard).all():
-        raise PoleCollisionError("balanced shift ratio evaluated on a shifted point")
-    return g, (up / down).prod(axis=-1), d, near, scale, diffs, up, down
+    g = mu * (to_xi + params.eta).prod(axis=-1) / pole_free
+    rho, diffs, up, down = _balanced(params.eta, xs, points, guard)
+    return g, rho, d, near, scale, diffs, up, down
 
 
 def _row_weights(params: ChainParams, mu: complex, xs):
@@ -374,37 +394,104 @@ def _on_shell_gate(mu: complex, g, rho) -> np.ndarray:
     return residuals
 
 
+class _Rows(NamedTuple):
+    """The row half of the on-shell evaluator, the work on the on-shell
+    set alone: the set, its pole bound, the weights g and rho at its own
+    points with the x - x' +- eta they were built from (``_weights``),
+    its Vandermonde V(xs) and the d-product over it."""
+
+    xs: np.ndarray
+    bound: np.ndarray
+    g: np.ndarray
+    rho: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    vandermonde: complex | np.ndarray
+    d_product: complex | np.ndarray
+
+
+class _Columns(NamedTuple):
+    """The column half of the on-shell evaluator, the work on the free set
+    alone: the set, |y|, each point's least distance to a node, g = mu a/d
+    at its points, the Vandermonde of the reversed set and the d-product
+    over it."""
+
+    ys: np.ndarray
+    size: np.ndarray
+    node_gap: np.ndarray
+    g: np.ndarray
+    vandermonde: complex | np.ndarray
+    d_product: complex | np.ndarray
+
+
+def _rows(params: ChainParams, mu: complex, xs) -> _Rows:
+    """The row half over the on-shell set ``xs``: a row point on a lattice
+    node, on a pole of rho or NaN raises ``PoleCollisionError``, a set off
+    the twist-mu Bethe system ``NotOnShellError`` (``_on_shell_gate``), two
+    coinciding rows ``PoleCollisionError``."""
+    xs = np.asarray(xs, dtype=complex)
+    bound, (g, rho, d, *_, up, down) = _row_weights(params, mu, xs)
+    _on_shell_gate(mu, g, rho)
+    return _Rows(xs, bound, g, rho, up, down, _pair_product(xs, bound), d.prod(axis=-1))
+
+
+def _columns(params: ChainParams, mu: complex, ys) -> _Columns:
+    """The column half over the free set ``ys``; two coinciding or NaN
+    free points raise ``PoleCollisionError``, relative to the set's own
+    max(1, |eta|, max |xi|, max |y|).  A free point on a node is refused
+    by ``_on_shell``, against the rows' bound, so g may hold an infinity
+    or a NaN there."""
+    ys = np.asarray(ys, dtype=complex)
+    to_xi = ys[..., None] - params.xi
+    d = to_xi.prod(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = mu * (to_xi + params.eta).prod(axis=-1) / d
+    return _Columns(
+        ys,
+        np.abs(ys),
+        np.abs(to_xi).min(axis=-1),
+        g,
+        _pair_product(ys[..., ::-1], _set_bound(ys, params.pole_scale)),
+        d.prod(axis=-1),
+    )
+
+
 def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, z=None):
     """The on-shell determinant of the rows ``xs`` against the columns
     ``ys`` and, with ``site``, that node's residue column, or, with
     ``column`` and ``z``, one column moved to ``z`` (module docstring),
-    with the d-products over the rows and over the free columns.  The
-    matrix is built transposed, one row per column point.  A column point
-    close to a row point but not coincident with it raises
+    with the d-products over the rows and over the free columns.  ``xs``
+    is the row set or its row half (``_rows``), ``ys`` the free set or its
+    column half (``_columns``); a set given as points has its half built
+    here.  This is the pair core: the free points' guards against the
+    rows, rho and the differences, the kernel, the moments, the node or
+    moved column and the det.  The matrix is built transposed, one row
+    per column point.  A free point on a lattice node, and a column point
+    close to a row point but not coincident with it, raise
     ``PoleCollisionError``."""
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
     eta, xi = params.eta, params.xi
-    r, m = xs.shape[-1], ys.shape[-1]
     if site is not None:
         index = _one_based(site, params.n_sites, "site")
     if column is not None:
-        moved = np.arange(m) == _one_based(column, m, "column")[..., None]
+        size = (ys.ys if isinstance(ys, _Columns) else np.asarray(ys)).shape[-1]
+        moved = np.arange(size) == _one_based(column, size, "column")[..., None]
         z = np.asarray(z, dtype=complex)[..., None]
         if not np.isfinite(z).all():
             raise PoleCollisionError("NaN or infinite substituted point")
-    bound, (g_x, rho_x, d_x, *_, x_up, x_down) = _row_weights(params, mu, xs)
-    _on_shell_gate(mu, g_x, rho_x)
-    g_y, rho_y, d_y, near, scale, diffs, up, down = _weights(params, mu, xs, ys, bound)
-    if np.count_nonzero(near):
+    rows = xs if isinstance(xs, _Rows) else _rows(params, mu, xs)
+    cols = ys if isinstance(ys, _Columns) else _columns(params, mu, ys)
+    xs, ys, bound = rows.xs, cols.ys, rows.bound
+    r, m = xs.shape[-1], ys.shape[-1]
+    scale = np.maximum(cols.size, bound[..., None])
+    guard = _POLE_TOL * scale[..., None]
+    rho_y, diffs, up, down = _balanced(eta, xs, ys, guard)
+    apart = cols.node_gap[..., None] > guard
+    if np.count_nonzero(apart) < apart.size:
         raise PoleCollisionError("free point on a lattice node")
     # V(xs) and V(reversed ys); the products of per-set factors here are
     # ufunc calls, since numpy's scalar arithmetic rounds a complex
     # product differently from its array loops
-    denom = np.multiply(
-        _pair_product(xs, bound),
-        _pair_product(ys[..., ::-1], _set_bound(ys, params.pole_scale)),
-    )
+    denom = np.multiply(rows.vandermonde, cols.vandermonde)
 
     def kernel_rows(g, rho, scale, diffs, up, down):
         """g K(x - y) - rho K(y - x) for column points y (axis -2) and rows
@@ -428,18 +515,18 @@ def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, 
         if not coincident:
             return entries
         to_xi = xs[..., None] - xi
-        g_prime = g_x * np.sum(1.0 / (to_xi + eta) - 1.0 / to_xi, axis=-1)
-        rho_prime = rho_x * np.sum(1.0 / x_up - 1.0 / x_down, axis=-1)
-        limits = -g_prime - rho_prime - 2.0 * g_x / eta
+        g_prime = rows.g * np.sum(1.0 / (to_xi + eta) - 1.0 / to_xi, axis=-1)
+        rho_prime = rows.rho * np.sum(1.0 / rows.up - 1.0 / rows.down, axis=-1)
+        limits = -g_prime - rho_prime - 2.0 * rows.g / eta
         return np.where(close, limits[..., None, :], entries)
 
-    mat = kernel_rows(g_y, rho_y, scale, diffs, up, down)
+    mat = kernel_rows(cols.g, rho_y, scale, diffs, up, down)
     # x - y + eta = -(y - x - eta) over every row and free column
     pref = (-1.0) ** (r * m) * down.prod(axis=(-2, -1))
     powers = np.arange(m - r + (site is not None))
     if powers.size:
         y = ys[..., None]
-        moments = g_y[..., None] * y**powers - rho_y[..., None] * (y + eta) ** powers
+        moments = cols.g[..., None] * y**powers - rho_y[..., None] * (y + eta) ** powers
         mat = np.concatenate([mat, moments], axis=-1)
     if column is not None:
         g_z, rho_z, _, near, scale, *z_diffs = _weights(params, mu, xs, z, bound)
@@ -466,7 +553,7 @@ def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, 
         pref = np.multiply(pref, node_a[(None,) * (pref.ndim - node_a.ndim)])
         denom = np.multiply(denom, (ys - node).prod(axis=-1))
     value = np.multiply(pref, np.linalg.det(mat)) / denom
-    return value, d_x.prod(axis=-1), d_y.prod(axis=-1)
+    return value, rows.d_product, cols.d_product
 
 
 def slavnov_determinant(

@@ -11,8 +11,12 @@ to a pairing of the bra eigenstate with a root-augmented partner
 polynomial, which is the one on-shell pairing rule of
 ``scalar.sp_on_shell`` evaluated through the lattice-column determinant.
 One core (``_lowering``) evaluates it over stacks of one pair of
-sectors: ``lowering_table`` calls it once per sector pair for a whole
-spectrum, and ``ff_sigma_minus`` is its one-element case.  The raising
+sectors, from the row half of the bra roots and the column half of the
+ket roots (``determinants``): ``lowering_table`` builds both halves of
+every sector once and calls the core once per sector pair for a whole
+spectrum, and ``ff_sigma_minus`` is its one-element case, reading the
+halves each record holds (``spectrum.EigenRecord``), so the work on one
+record's roots is done once however many elements it enters.  The raising
 and z elements follow from the lowering one (``ff_from_lowering``), and
 ``ff_dense`` is the dense oracle for all three.
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from .chain import ChainParams
 from . import dense
-from .determinants import _on_shell, _one_based
+from .determinants import _columns, _on_shell, _one_based, _rows
 from .scalar import _on_shell_weight
 from .sov import bilinear, separate_state_dense, spec_from_roots
 from .spectrum import EigenRecord, sectors
@@ -60,10 +64,12 @@ def ff_dense(
     return bilinear(left, dense.site_sigma(params, site, op) @ right)
 
 
-def _lowering(params: ChainParams, bra_roots, ket_roots, bra_nodes, ket_nodes, site):
-    """Lowering elements of one sector pair, over broadcastable stacks of
-    the bra and ket Bethe roots (last axis: the roots), their eigenvalues
-    at the nodes (last axis: the nodes) and the site.
+def _lowering(params: ChainParams, rows, columns, bra_nodes, ket_nodes, site):
+    """Lowering elements of one sector pair, from the twist -1 row half
+    of the bra Bethe roots and the column half of the ket's
+    (``determinants._rows``, ``determinants._columns``), over
+    broadcastable stacks of those roots, of their eigenvalues at the nodes
+    (last axis: the nodes) and of the site.
 
     Every element factorizes into transfer eigenvalues at the nodes (the
     bra's before the site and the ket's after it, over the full
@@ -75,9 +81,9 @@ def _lowering(params: ChainParams, bra_roots, ket_roots, bra_nodes, ket_nodes, s
     number per call.
     """
     n = params.n_sites
-    r_bra, r_ket = np.shape(bra_roots)[-1], np.shape(ket_roots)[-1]
+    r_bra, r_ket = rows.xs.shape[-1], columns.ys.shape[-1]
     # the lattice-column determinant and the d-products over both root sets
-    core, d_bra, d_ket = _on_shell(params, -1.0, bra_roots, ket_roots, site=site)
+    core, d_bra, d_ket = _on_shell(params, -1.0, rows, columns, site=site)
     # the partner polynomial has the ket roots and the site's node, whose
     # d factor the lattice-column limit has absorbed
     weight = (-1.0) ** r_ket * _on_shell_weight(n, r_ket + 1, r_bra)
@@ -87,26 +93,33 @@ def _lowering(params: ChainParams, bra_roots, ket_roots, bra_nodes, ket_nodes, s
     # complex products as ufunc calls, so one element rounds as its member
     # of a stack does (numpy's scalar complex product rounds differently)
     pref = np.multiply(np.multiply(nodes.prod(axis=-1), d_bra), d_ket)
-    return np.multiply(weight * pref / params.a_at_nodes.prod(), core)
+    return np.multiply(weight * pref / params.a_node_product, core)
 
 
 def lowering_table(params: ChainParams, records) -> np.ndarray:
     """``ff_sigma_minus`` between records i and j at site s, at
     ``[i, j, s - 1]``: one ``_lowering`` call per pair of sectors
     (``spectrum.sectors``) at most one root apart, over every bra and ket
-    of those sectors and every site, and exact zeros between sectors
-    further apart."""
+    of those sectors and every site, from one row half and one column half
+    per sector, and exact zeros between sectors further apart."""
     groups = sectors(records)
     table = np.zeros((len(records), len(records), params.n_sites), dtype=complex)
     sites = np.arange(1, params.n_sites + 1)
     # stack axes: bra, ket, site
+    halves = {
+        r: (
+            _rows(params, -1.0, sector.roots[:, None, None, :]),
+            _columns(params, -1.0, sector.roots[None, :, None, :]),
+        )
+        for r, sector in groups.items()
+    }
     for r_bra, bra in groups.items():
         for r_ket, ket in groups.items():
             if abs(r_bra - r_ket) <= 1:
                 table[np.ix_(bra.members, ket.members)] = _lowering(
                     params,
-                    bra.roots[:, None, None, :],
-                    ket.roots[None, :, None, :],
+                    halves[r_bra][0],
+                    halves[r_ket][1],
                     bra.tau_at_nodes[:, None, None, :],
                     ket.tau_at_nodes[None, :, None, :],
                     sites,
@@ -121,7 +134,9 @@ def ff_sigma_minus(
     site: int,
 ) -> complex:
     """Lowering-operator matrix element through the lattice-column route
-    (``_lowering`` for one element).
+    (``_lowering`` for one element), from the bra record's row half and
+    the ket record's column half (``EigenRecord.rows_on``, ``columns_on``):
+    on the records' own chain each is built once per record.
 
     Sectors further than one root apart vanish identically.  A bra
     record with roots from another chain fails the determinant's
@@ -134,8 +149,8 @@ def ff_sigma_minus(
     return complex(
         _lowering(
             params,
-            bra_record.bethe_roots,
-            ket_record.bethe_roots,
+            bra_record.rows_on(params),
+            ket_record.columns_on(params),
             bra_record.tau_at_nodes,
             ket_record.tau_at_nodes,
             site,

@@ -10,10 +10,14 @@ form is exposed separately so they can be cross-validated against the
 dense pairing and against one another; the norm of an eigenstate gets
 its dedicated derivative-matrix determinant.  The on-shell rule takes
 stacks of root sets (one determinant call per stack);
-``sp_with_eigenstate`` is its one-element case.
+``sp_with_eigenstate`` is its one-element case, which reads the row half
+its record holds (``spectrum.EigenRecord``) instead of redoing the work
+on the record's roots.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -183,6 +187,19 @@ def _on_shell_weight(n_sites: int, m: int, r: int) -> float:
     return sign * 2.0 ** (n_sites - m - r)
 
 
+def _pairing(params: ChainParams, left_roots, r: int, on_shell):
+    """``sp_on_shell`` over R = ``r`` on-shell roots: ``on_shell()`` gives
+    the roots or their row half (``determinants._rows``), and is asked
+    for only from M = R on, so a pairing that vanishes runs no gate."""
+    left_roots = np.asarray(left_roots, dtype=complex)
+    m = left_roots.shape[-1]
+    if m < r:
+        return _result(np.zeros(left_roots.shape[:-1], dtype=complex))
+    # the rectangular determinant and the d-products over both root sets
+    det, d_on_shell, d_left = _on_shell(params, -1.0, on_shell(), left_roots)
+    return _result(_on_shell_weight(params.n_sites, m, r) * (d_left * d_on_shell) * det)
+
+
 def sp_on_shell(params: ChainParams, left_roots, on_shell_roots):
     """Pairing of a polynomial left separate state with the eigenstate of
     an on-shell root set: the one rule behind every pairing with an
@@ -197,21 +214,18 @@ def sp_on_shell(params: ChainParams, left_roots, on_shell_roots):
     stack shape from one determinant call; two single sets give a
     ``complex``.
     """
-    left_roots = np.asarray(left_roots, dtype=complex)
-    m, r = left_roots.shape[-1], np.shape(on_shell_roots)[-1]
-    if m < r:
-        return _result(np.zeros(left_roots.shape[:-1], dtype=complex))
-    # the rectangular determinant and the d-products over both root sets
-    det, d_on_shell, d_left = _on_shell(params, -1.0, on_shell_roots, left_roots)
-    return _result(_on_shell_weight(params.n_sites, m, r) * (d_left * d_on_shell) * det)
+    r = np.shape(on_shell_roots)[-1]
+    return _pairing(params, left_roots, r, lambda: on_shell_roots)
 
 
 def sp_with_eigenstate(
     params: ChainParams, left_roots, record: EigenRecord
 ) -> complex:
     """Pairing of a polynomial left separate state with the eigenstate of
-    a spectrum record (``sp_on_shell`` over its Bethe roots)."""
-    return sp_on_shell(params, left_roots, record.bethe_roots)
+    a spectrum record (``sp_on_shell`` over its Bethe roots), from the
+    record's row half (``EigenRecord.rows_on``): on the record's own chain
+    the work on its roots is done once per record."""
+    return _pairing(params, left_roots, record.n_roots, partial(record.rows_on, params))
 
 
 def gaudin_norm(params: ChainParams, record: EigenRecord) -> complex:

@@ -41,6 +41,7 @@ per sector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +52,7 @@ from .dense import (
     diagonalize_transfer,
     transfer_antiperiodic,
 )
-from .determinants import _bethe_ratios, gaudin_matrix
+from .determinants import _bethe_ratios, _columns, _rows, gaudin_matrix
 from .errors import PairingError, SpectrumError
 from .polynomials import (
     TRIM_TOL,
@@ -80,7 +81,15 @@ class EigenRecord:
     ``q_minus_roots`` those of ``q_minus_tau``, both Newton-polished, and
     each polynomial is rebuilt from its roots.
     ``tau_at_nodes`` holds the eigenvalue at each inhomogeneity, the
-    values the discrete-system gate checked.
+    values the discrete-system gate checked.  ``chain`` is the chain
+    ``full_spectrum`` built the record on.  On first use the record
+    builds, once, the twist -1 halves of the on-shell evaluator over its
+    Bethe roots on that chain: ``rows`` as an on-shell set (a bra), with
+    its gate, and ``columns`` as a free set (a ket); both hold read-only
+    arrays.  ``rows_on`` and ``columns_on`` give them to
+    ``formfactors.ff_sigma_minus`` and ``scalar.sp_with_eigenstate`` when
+    those are called with that very chain, and build fresh halves on any
+    other, where the gate refuses roots of another chain.
     ``residuals`` collects the relative residuals of every structural
     check performed while building the record, plus the recovery the
     polish made: ``bethe_unpolished``, the Bethe residual of the roots as
@@ -93,11 +102,51 @@ class EigenRecord:
     bethe_roots: np.ndarray
     q_minus_roots: np.ndarray
     tau_at_nodes: np.ndarray
+    chain: ChainParams
     residuals: dict = field(default_factory=dict)
 
     @property
     def n_roots(self) -> int:
         return self.bethe_roots.size
+
+    @cached_property
+    def rows(self):
+        """The twist -1 row half of the on-shell evaluator over the Bethe
+        roots on ``chain`` (``determinants._rows``), read-only."""
+        return _read_only(_rows(self.chain, -1.0, self.bethe_roots))
+
+    @cached_property
+    def columns(self):
+        """The twist -1 column half over the Bethe roots on ``chain``
+        (``determinants._columns``), read-only."""
+        return _read_only(_columns(self.chain, -1.0, self.bethe_roots))
+
+    def rows_on(self, params: ChainParams):
+        """``rows`` on the record's own chain; on any other chain the half
+        is built there, where the on-shell gate refuses roots of another
+        chain."""
+        if params is self.chain:
+            return self.rows
+        return _rows(params, -1.0, self.bethe_roots)
+
+    def columns_on(self, params: ChainParams):
+        """``columns`` on the record's own chain, built on ``params`` on any
+        other."""
+        if params is self.chain:
+            return self.columns
+        return _columns(params, -1.0, self.bethe_roots)
+
+
+def _read_only(half):
+    """A half of the on-shell evaluator whose arrays are read-only views
+    (the record's own arrays keep their flags)."""
+    views = []
+    for value in half:
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.setflags(write=False)
+        views.append(value)
+    return type(half)(*views)
 
 
 class Sector(NamedTuple):
@@ -515,6 +564,7 @@ def full_spectrum(params: ChainParams, seed: int = 0) -> list[EigenRecord]:
             bethe_roots=up.roots,
             q_minus_roots=down.roots,
             tau_at_nodes=at_xi[k],
+            chain=params,
             residuals={
                 "discrete_system": float(ds_res[k]),
                 "functional_tq": up.functional,

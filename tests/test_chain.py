@@ -143,6 +143,34 @@ def test_require_generic_rejects_collapsed_nodes():
         require_generic(collapsed)
 
 
+def _deficit_loop(params: ChainParams) -> float:
+    """The separation deficit as one loop over ordered site pairs and the
+    shifts -1, 0, 1."""
+    xi, eta = params.xi, params.eta
+    vals = [abs(eta)]
+    for a, b in product(range(params.n_sites), repeat=2):
+        if a != b:
+            vals += [abs(xi[a] - xi[b] - h * eta) for h in (-1, 0, 1)]
+    return min(vals)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 5, 8])
+def test_chain_only_values_are_computed_once(n_sites):
+    params = sample_generic_params(n_sites, 3, None)
+    deficit = params.separation_deficit
+    assert deficit is params.separation_deficit
+    assert deficit == _deficit_loop(params) and deficit >= params.margin
+    product_ = params.a_node_product
+    assert product_ is params.a_node_product
+    assert np.array(product_).tobytes() == np.array(params.a_at_nodes.prod()).tobytes()
+
+
+def test_require_generic_reports_the_cached_deficit():
+    collapsed = ChainParams(n_sites=2, eta=1.0, xi=(0.1, 0.1 + 1e-9), margin=0.05)
+    with pytest.raises(ValueError, match=f"deficit {collapsed.separation_deficit:.3e}"):
+        require_generic(collapsed)
+
+
 def test_json_roundtrip():
     params = cached_params(3, 2)
     data = _params_to_json(params)

@@ -456,9 +456,9 @@ def _count_lowering_calls(monkeypatch) -> list:
     calls = []
     core = formfactors._lowering
 
-    def counting(params, bra_roots, ket_roots, *rest):
-        calls.append((np.shape(bra_roots)[-1], np.shape(ket_roots)[-1]))
-        return core(params, bra_roots, ket_roots, *rest)
+    def counting(params, rows, columns, *rest):
+        calls.append((rows.xs.shape[-1], columns.ys.shape[-1]))
+        return core(params, rows, columns, *rest)
 
     monkeypatch.setattr(formfactors, "_lowering", counting)
     return calls

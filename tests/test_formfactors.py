@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from sovxxx import formfactors
-from sovxxx.chain import a_of, d_of, fixture_params, vandermonde
+from sovxxx import formfactors, spectrum
+from sovxxx.chain import ChainParams, a_of, d_of, fixture_params, vandermonde
+from sovxxx.determinants import _columns, _rows
 from sovxxx.dense import global_flip, monodromy, site_sigma, transfer_antiperiodic
 from sovxxx.errors import NotOnShellError, PairingError
 from sovxxx.formfactors import (
@@ -17,6 +20,7 @@ from sovxxx.formfactors import (
     ff_sigma_minus,
     lowering_table,
 )
+from sovxxx.scalar import sp_on_shell, sp_with_eigenstate
 from sovxxx.sov import bilinear
 from sovxxx.spectrum import full_spectrum
 
@@ -323,6 +327,98 @@ def test_lowering_table_holds_each_element(n_sites):
     # bit for bit, and the exact zeros of distant sectors fall in the
     # same places
     assert np.array_equal(table, single)
+
+
+def _record_elements(params, records, seed):
+    """Every lowering element and every pairing with an eigenstate at
+    M = R..N+1 (left roots drawn from ``seed``), each as (value through the
+    records' halves, value through halves built from raw arrays)."""
+    n = params.n_sites
+    for bra in records:
+        for ket in records:
+            if abs(bra.n_roots - ket.n_roots) > 1:
+                continue
+            raw = (
+                _rows(params, -1.0, bra.bethe_roots),
+                _columns(params, -1.0, ket.bethe_roots),
+            )
+            for site in range(1, n + 1):
+                yield ff_sigma_minus(params, bra, ket, site), complex(
+                    formfactors._lowering(
+                        params, *raw, bra.tau_at_nodes, ket.tau_at_nodes, site
+                    )
+                )
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0x5E7]))
+    for rec in records:
+        for m in range(rec.n_roots, n + 2):
+            left = 2.5 + rng.normal(size=m) + 1j * rng.normal(size=m)
+            yield (
+                sp_with_eigenstate(params, left, rec),
+                sp_on_shell(params, left, rec.bethe_roots),
+            )
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_record_halves_give_the_raw_values(n_sites, seed):
+    params = cached_params(n_sites, seed)
+    records = cached_spectrum(n_sites, seed)
+    pairs = list(_record_elements(params, records, seed))
+    for held, raw in pairs:
+        assert type(held) is complex
+        assert np.array(held).tobytes() == np.array(raw).tobytes()
+    # every record served as a bra through its own cached halves
+    assert all("rows" in vars(rec) and "columns" in vars(rec) for rec in records)
+
+
+def test_record_halves_are_read_only_and_built_once(monkeypatch):
+    params = cached_params(3, 0)
+    records = [replace(rec) for rec in cached_spectrum(3, 0)]
+    built = []
+
+    def counted(name):
+        build = getattr(spectrum, name)
+
+        def counting(*args):
+            built.append(name)
+            return build(*args)
+
+        return counting
+
+    for name in ("_rows", "_columns"):
+        monkeypatch.setattr(spectrum, name, counted(name))
+    for bra in records:
+        for ket in records:
+            for site in (1, 2, 3):
+                ff_sigma_minus(params, bra, ket, site)
+    # one row half per bra and one column half per ket, all records being
+    # both (each sector neighbours one), however many elements read them
+    assert sorted(built) == ["_columns"] * len(records) + ["_rows"] * len(records)
+    for rec in records:
+        assert rec.rows is rec.rows and rec.columns is rec.columns
+        for half in (rec.rows, rec.columns):
+            arrays = [value for value in half if isinstance(value, np.ndarray)]
+            assert arrays
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        # the halves hold views: the record's roots keep their flags
+        assert rec.n_roots == 0 or np.shares_memory(rec.rows.xs, rec.bethe_roots)
+        assert rec.bethe_roots.flags.writeable
+
+
+def test_an_equal_valued_chain_builds_its_own_halves():
+    params = cached_params(3, 0)
+    records = cached_spectrum(3, 0)
+    twin = ChainParams(params.n_sites, params.eta, params.xi, params.margin)
+    assert twin is not params
+    fresh = [replace(rec) for rec in records]
+    for (held, _), (twin_value, _) in zip(
+        _record_elements(params, records, 0), _record_elements(twin, fresh, 0)
+    ):
+        assert np.array(twin_value).tobytes() == np.array(held).tobytes()
+    # the twin's halves were built per call, never cached on the records
+    assert not any("rows" in vars(rec) or "columns" in vars(rec) for rec in fresh)
 
 
 def test_records_of_another_chain_are_refused():

@@ -43,5 +43,6 @@ def test_layers_times_every_layer_once_per_size(tmp_path, monkeypatch):
         ],
         ("sp_on_shell", 2),
         ("ff_sigma_minus", 2),
+        ("ff_sigma_minus_warm", 2),
     ]
     assert all(row["n"] == 2 and row["seconds"] > 0 for row in rows)

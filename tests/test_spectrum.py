@@ -565,7 +565,7 @@ def test_record_rows_and_sector_stacks_are_read_only():
 def _synthetic_record(tau) -> EigenRecord:
     tau = np.asarray(tau, dtype=complex)
     q, none = np.ones(tau.size + 1), np.zeros(0, dtype=complex)
-    return EigenRecord(tau, q, q, none, none, tau)
+    return EigenRecord(tau, q, q, none, none, tau, cached_params(tau.size, 0))
 
 
 def test_negated_partner_needs_a_row_of_equal_length():
