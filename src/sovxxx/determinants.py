@@ -198,7 +198,8 @@ def dressed_vandermonde(
 
     ``f_values`` lists the weight at each point.  The empty set gives 1;
     identically zero weights give 1 for any set of distinct points, while
-    a coinciding set raises ``PoleCollisionError`` whatever the weights.
+    a coinciding set raises ``PoleCollisionError`` whatever the weights,
+    as does an infinite or NaN weight (a weight evaluated on its pole).
     Points, weights and ``eta`` may carry stack axes (module docstring).
     """
     points = np.asarray(points, dtype=complex)
@@ -207,6 +208,8 @@ def dressed_vandermonde(
         raise ValueError("need exactly one weight value per point")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not np.isfinite(f_values).all():
+        raise PoleCollisionError("infinite or NaN weight value")
     # factoring the plain power matrix out of the determinant leaves
     # det(I - diag(f) G) with G holding Lagrange cardinal values at the
     # shifted points; every entry is a product of point differences, so
@@ -223,14 +226,17 @@ def dressed_vandermonde(
 
 def _kernel_differences(xs, ys, eta: complex):
     """Equal-size point sets, their differences x - y and x - y + eta and
-    the pole guard's scale per set, refusing an x on a kernel pole (y or
-    y - eta) or a NaN point; the callers' ``_pair_product`` of xs refuses
-    two equal x."""
+    the pole guard's scale per set, refusing an eta within the guard (the
+    kernel's two poles y and y - eta then coincide), an x on a kernel pole
+    or a NaN point; the callers' ``_pair_product`` of xs refuses two
+    equal x."""
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
     if xs.shape[-1] != ys.shape[-1]:
         raise ValueError("the two point sets must have equal size")
     scale = _set_bound(ys, _set_bound(xs, abs(eta)))
+    if not (np.abs(eta) > _POLE_TOL * scale).all():
+        raise PoleCollisionError("kernel poles coincide: eta within the pole guard")
     guard = _POLE_TOL * scale[..., None, None]
     diffs = xs[..., :, None] - ys[..., None, :]
     if not (np.abs(diffs) > guard).all():

@@ -195,9 +195,14 @@ def _pairing(params: ChainParams, left_roots, r: int, on_shell):
     m = left_roots.shape[-1]
     if m < r:
         return _result(np.zeros(left_roots.shape[:-1], dtype=complex))
-    # the rectangular determinant and the d-products over both root sets
-    det, d_on_shell, d_left = _on_shell(params, -1.0, on_shell(), left_roots)
-    return _result(_on_shell_weight(params.n_sites, m, r) * (d_left * d_on_shell) * det)
+    # the rectangular determinant and the d-products over both root sets;
+    # left roots so large that some product overflows give no pairing
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, d_on_shell, d_left = _on_shell(params, -1.0, on_shell(), left_roots)
+        value = _on_shell_weight(params.n_sites, m, r) * (d_left * d_on_shell) * det
+    if not np.isfinite(value).all():
+        raise PoleCollisionError("the pairing overflows: a left root is too large")
+    return _result(value)
 
 
 def sp_on_shell(params: ChainParams, left_roots, on_shell_roots):
@@ -233,7 +238,10 @@ def gaudin_norm(params: ChainParams, record: EigenRecord) -> complex:
 
     2^(N-2R) times the squared product of d over the roots, times the
     exchange-product ratio over root pairs, times the determinant of the
-    derivative matrix of the logarithmic Bethe system.
+    derivative matrix of the logarithmic Bethe system.  Roots off the
+    Bethe system raise ``NotOnShellError``, by the gate of the record's
+    row half (``EigenRecord.rows_on``), which is built once per record on
+    its own chain.
     """
     roots = record.bethe_roots
     r = roots.size
@@ -246,6 +254,8 @@ def gaudin_norm(params: ChainParams, record: EigenRecord) -> complex:
     scale = np.abs(roots).max(initial=1.0)
     if not np.abs(diffs[off]).min(initial=np.inf) >= 1e-10 * scale:
         raise PoleCollisionError("coinciding or NaN roots in the norm formula")
+    # the on-shell gate, over every root at once
+    record.rows_on(params)
     num = complex(np.prod(diffs + params.eta))
     den = complex(np.prod(diffs[off])) if r > 1 else 1.0 + 0.0j
     pref = complex(np.prod(d_of(params, roots))) ** 2

@@ -2,7 +2,8 @@
 
 Each criterion runs the ``sovxxx`` suites that implement it on the seed-0
 chain (the chain every other test draws) at each N of its range, and
-requires every report row that gates it to pass at the CLI's tolerance.
+requires every report row that gates it (the ``cli.CHECKS`` entries
+naming the criterion) to pass at its tolerance there.
 Only what no row checks is computed here.  Each test prints the worst relative
 error of its rows, so the verbose log doubles as the acceptance report.
 """
@@ -18,7 +19,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from sovxxx.chain import fixture_params
-from sovxxx.cli import SUITE_ORDER, RunConfig, run
+from sovxxx.cli import CHECKS, SUITE_ORDER, RunConfig, run
 from sovxxx.dense import default_eval_point, hamiltonian_limit_check
 from sovxxx.scalar import gaudin_norm, sp_direct
 from sovxxx.sov import spec_constant_one
@@ -28,105 +29,21 @@ from conftest import cached_params, cached_spectrum
 
 _TINY = 1e-300
 
-# criterion -> (chain lengths its suites run at, the report rows gating it);
-# every row of ``sovxxx all`` gates exactly one criterion
+# criterion -> the chain lengths its suites run at; the rows gating each
+# criterion are the ``CHECKS`` entries naming it
 GATES = {
-    1: (
-        (1,),
-        (
-            "form-factors/single_site_lowering_fixture",
-            "form-factors/single_site_raising_fixture",
-            "form-factors/single_site_z_fixture",
-        ),
-    ),
-    2: (
-        range(1, 6),
-        (
-            "oracle/transfer_family_commutes",
-            "oracle/quantum_determinant_factorizes",
-            "oracle/global_flip_fixes_antiperiodic_transfer",
-            "oracle/global_flip_negates_twisted_transfer",
-            "oracle/rotation_maps_antiperiodic_to_twisted",
-        ),
-    ),
-    3: (
-        range(1, 6),
-        (
-            "sov/basis_gram_is_known_diagonal",
-            "sov/basis_resolves_identity",
-            "sov/basis_diagonal_eigenrelation",
-        ),
-    ),
-    4: (
-        range(1, 7),
-        (
-            "spectrum/eigenvalue_count_complete",
-            "spectrum/worst_functional_tq_residual",
-            "spectrum/worst_bethe_residual",
-            "spectrum/worst_wronskian_residual",
-            "spectrum/worst_discrete_system_residual",
-            "spectrum/worst_eigenstate_residual",
-            "spectrum/negation_pairing_is_involution",
-            "spectrum/auxiliary_solve_seed_independent",
-        ),
-    ),
-    5: (
-        range(2, 6),
-        (
-            "identities/plus_minus_weight_exchange",
-            "identities/domain_wall_equals_dressed_functional",
-            "identities/unbalanced_weight_exchange_grid",
-            "identities/oversized_weight_overlap_vanishes",
-            "identities/on_shell_determinant_reduction",
-            "identities/rectangular_on_shell_reduction",
-            "identities/saturated_on_shell_equals_domain_wall",
-            "identities/coinciding_root_limit_matches_norm",
-        ),
-    ),
-    6: (
-        range(2, 6),
-        (
-            "scalar-products/closed_forms_agree_with_dense",
-            "scalar-products/eigenstate_dispatch_matches_dense",
-            "scalar-products/below_sector_pairings_vanish",
-        ),
-    ),
-    7: (
-        range(1, 7),
-        (
-            "form-factors/lowering_matches_dense",
-            "form-factors/raising_matches_dense",
-            "form-factors/z_matches_dense",
-            "form-factors/distant_sectors_vanish",
-            "form-factors/z_sign_follows_flip_parity_derivation",
-        ),
-    ),
-    8: (
-        range(1, 5),
-        (
-            "aba-check/correspondence_constant_matches",
-            "aba-check/correspondence_ratio_spread",
-            "aba-check/weighted_expansions_agree",
-            "aba-check/reference_state_identity",
-            "aba-check/antiperiodic_twisted_isospectral",
-            "aba-check/product_state_completeness",
-            "aba-check/operator_translation_constants",
-        ),
-    ),
+    1: (1,),
+    2: range(1, 6),
+    3: range(1, 6),
+    4: range(1, 7),
+    5: range(2, 6),
+    6: range(2, 6),
+    7: range(1, 7),
+    8: range(1, 5),
     # the stress sweep always collapses a 4-site lattice
-    9: (
-        (4,),
-        (
-            "homogeneous-stress/b_form_cauchy_in_eps",
-            "homogeneous-stress/slavnov_form_cauchy_in_eps",
-            "homogeneous-stress/izergin_form_cauchy_in_eps",
-            "homogeneous-stress/smooth_routes_mutually_agree",
-            "homogeneous-stress/raw_matrix_condition_grows_inverse_cubed",
-            "homogeneous-stress/plain_lattice_route_degrades",
-        ),
-    ),
+    9: (4,),
     # the row compares the Hamiltonian forms at N = 2 and 3 whatever the run's N
-    10: ((1,), ("oracle/hamiltonian_forms_agree_at_zero_lattice",)),
+    10: (1,),
 }
 
 
@@ -138,9 +55,8 @@ def _report(n_sites: int) -> tuple[dict, float]:
         suite
         for suite in SUITE_ORDER
         if any(
-            n_sites in sizes and name.startswith(suite + "/")
-            for sizes, names in GATES.values()
-            for name in names
+            n_sites in GATES[criterion] and name.startswith(suite + "/")
+            for name, (criterion, _) in CHECKS.items()
         )
     )
     start = time.perf_counter()
@@ -151,7 +67,8 @@ def _report(n_sites: int) -> tuple[dict, float]:
 def _gated_rows(criterion: int) -> None:
     """Require every row gating the criterion to pass at each of its N and
     print each row's worst relative error."""
-    sizes, names = GATES[criterion]
+    sizes = GATES[criterion]
+    names = [name for name, (gated, _) in CHECKS.items() if gated == criterion]
     by_n = {}
     for n_sites in sizes:
         report, _ = _report(n_sites)
@@ -173,10 +90,10 @@ def _sectors(n_sites: int) -> Counter:
 
 
 def test_every_report_row_gates_one_criterion():
+    assert {criterion for criterion, _ in CHECKS.values()} == set(GATES)
     report, _ = _report(4)
     assert report["config"]["suites"] == list(SUITE_ORDER)
-    gated = [name for _, names in GATES.values() for name in names]
-    assert sorted(gated) == [row["name"] for row in report["checks"]]
+    assert [row["name"] for row in report["checks"]] == sorted(CHECKS)
 
 
 def test_criterion_01_single_site_closed_forms():
@@ -208,7 +125,7 @@ def test_criterion_01_single_site_closed_forms():
 
 def test_criterion_02_dense_oracle_gates():
     _gated_rows(2)
-    elapsed = sum(_report(n)[1] for n in GATES[2][0])
+    elapsed = sum(_report(n)[1] for n in GATES[2])
     assert elapsed < 30.0
     print(f"criterion 2: every suite gated at N <= 5 ran in {elapsed:.2f}s")
 
@@ -221,7 +138,7 @@ def test_criterion_04_spectrum_completeness():
     # the gated rows include the re-solve of every record at another seed
     _gated_rows(4)
     worst_pairing = 0.0
-    for n_sites in GATES[4][0]:
+    for n_sites in GATES[4]:
         params = cached_params(n_sites, 0)
         records = cached_spectrum(n_sites, 0)
         probe = default_eval_point(params, 5)
@@ -240,7 +157,7 @@ def test_criterion_05_determinant_identities():
     # the saturated row reads 0 unless some root set fills half the chain
     assert any(
         2 * roots.size == n_sites
-        for n_sites in GATES[5][0]
+        for n_sites in GATES[5]
         for rec in cached_spectrum(n_sites, 0)
         for roots in (rec.bethe_roots, rec.q_minus_roots)
     )
@@ -252,7 +169,7 @@ def test_criterion_06_scalar_product_coherence():
 
 def test_criterion_07_form_factors_full_spectrum():
     _gated_rows(7)
-    sectors = [_sectors(n) for n in GATES[7][0]]
+    sectors = [_sectors(n) for n in GATES[7]]
     # distant-sector zeros and equal-sector off-diagonal pairs both occur
     assert any(max(s) - min(s) > 1 for s in sectors)
     assert any(count > 1 for s in sectors for count in s.values())
@@ -261,7 +178,7 @@ def test_criterion_07_form_factors_full_spectrum():
 def test_criterion_08_product_state_bridge():
     _gated_rows(8)
     # some equal-sector pair inside the chain feeds the weighted expansions
-    assert any(1 <= r < n for n in GATES[8][0] for r in _sectors(n))
+    assert any(1 <= r < n for n in GATES[8] for r in _sectors(n))
 
 
 def test_criterion_09_homogeneous_limit_smoothness():
