@@ -16,11 +16,12 @@ layer ROADMAP aim 1 lists, ``--repeat`` times, and prints the least:
 - ``separate_state``: ``sov.separate_state_dense`` of a record of the
   middle sector
 - ``izergin``, ``slavnov``, ``gen_slavnov`` (one free point more than
-  on-shell roots), ``lattice_column``, ``column_substituted`` (the first
-  column moved onto the first lattice node, as the aba-check suite moves
-  columns), ``dressed_vandermonde``: each determinant evaluator at every
-  size m = 1..N, the on-shell set being a record's m Bethe roots and the
-  free set the chain's first probe points
+  on-shell roots), ``lattice_column``, ``node_substituted`` (the plain
+  determinant and every column moved onto the first lattice node, the
+  terms of the aba-check suite's weighted expansions,
+  ``aba._node_substituted``), ``dressed_vandermonde``: each determinant
+  evaluator at every size m = 1..N, the on-shell set being a record's m
+  Bethe roots and the free set the chain's first probe points
 - ``sp_on_shell``: one pairing of the middle sector's eigenstate with a
   left state of one root more (the chain's first probe points)
 - ``ff_sigma_minus``: one form-factor element between the middle sector
@@ -56,7 +57,15 @@ _HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(_HERE.parent / "src"))
 sys.path.insert(0, str(_HERE))
 
-from sovxxx import dense, determinants, formfactors, scalar, sov, spectrum  # noqa: E402
+from sovxxx import (  # noqa: E402
+    aba,
+    dense,
+    determinants,
+    formfactors,
+    scalar,
+    sov,
+    spectrum,
+)
 from sovxxx.chain import sample_generic_params  # noqa: E402
 from sweep import parse_range  # noqa: E402
 
@@ -74,7 +83,7 @@ def least(call, repeat: int) -> float:
 
 def layer_calls(n: int):
     """(layer, m, call) for every timed layer of the chain of length n."""
-    params = sample_generic_params(n, 0, None)
+    params = sample_generic_params(n, 0)
     records = spectrum.full_spectrum(params, 0)
     sector = {rec.n_roots: rec for rec in records}
     lam = dense.default_eval_point(params, 0)
@@ -99,10 +108,7 @@ def layer_calls(n: int):
         yield "lattice_column", m, partial(
             determinants.lattice_column_determinant, params, -1.0, xs, ys, 1
         )
-        yield "column_substituted", m, partial(
-            determinants.column_substituted_slavnov,
-            params, -1.0, xs, ys, 1, params.xi[0],
-        )
+        yield "node_substituted", m, partial(aba._node_substituted, params, xs, ys, 1)
         yield "dressed_vandermonde", m, partial(
             determinants.dressed_vandermonde, ys, eta, weights, -1
         )

@@ -14,19 +14,20 @@ them -- after the site-wise rotation -- to the separated eigenstates.
 It also runs the determinant-level cross-check tying the two frameworks
 together at the level of matrix elements: the lowering-operator element
 of the antiperiodic chain and the z-operator element of the twisted
-chain both expand over the same family of column-substituted scalar
-product determinants, with different per-column weights, and the two
-weighted sums agree.  The substituted column evaluated exactly on an
-inhomogeneity is singular as a literal entry substitution (the lattice
-shift ratio has a pole there); the finite object entering the expansion
-is the residue column, dressed per column by the a/d ratio at the
-replaced root.  The substituted determinants come from
-``determinants.column_substituted_slavnov``, built on the same two-pole
-kernel matrix builder as every other Slavnov-type determinant.  Any
-remaining column-independent normalization drops out of the difference
-of the two sums, which is the testable content.  One core evaluates both
-expansions over stacks of bras, kets and sites with one stacked
-determinant call; ``weighted_expansion_table`` calls it once per root
+chain both expand over the plain scalar-product determinant and the
+node-substituted ones, one free column moved onto the site's
+inhomogeneity, with different per-column weights, and the two weighted
+sums agree.  A literal entry substitution is singular on a node (the
+lattice shift ratio has a pole there); the finite column is the pole's
+residue, dressed per column by the a/d ratio at the replaced root.
+Each node-substituted determinant is the lattice-column determinant
+over the other free points times a closed-form factor
+(``_node_substituted``), so it comes from the same on-shell evaluator
+as every other Slavnov-type determinant.  Any remaining
+column-independent normalization drops out of the difference of the two
+sums, which is the testable content.  One core evaluates both
+expansions over stacks of bras, kets and sites with two stacked
+determinant calls; ``weighted_expansion_table`` calls it once per root
 count for a whole spectrum.
 """
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import dense
 from .chain import ChainParams, a_of, d_of
-from .determinants import column_substituted_slavnov
+from .determinants import _on_shell, _rows
 from .errors import PairingError
 from .polynomials import poly_values
 from .spectrum import sectors
@@ -135,9 +136,9 @@ def reference_state_identity(params: ChainParams) -> float:
     """Relative deviation of the closed dense form of the root-free
     separated state: the constant-one separate state equals
     (-sqrt(2))^sites times the back-rotated all-down reference."""
-    from .sov import separate_state_dense, spec_constant_one
+    from .sov import separate_state_dense, spec_from_roots
 
-    target = separate_state_dense(params, spec_constant_one(params, "right"))
+    target = separate_state_dense(params, spec_from_roots(params, (), "right"))
     constant = (-np.sqrt(2.0)) ** params.n_sites
     candidate = constant * (
         dense.basis_rotation(params).T @ dense.flipped_reference_state(params)
@@ -147,6 +148,42 @@ def reference_state_identity(params: ChainParams) -> float:
     )
 
 
+def _node_substituted(params: ChainParams, xs, ys, site):
+    """``(plain, moved)`` over broadcastable stacks of the bra roots ``xs``,
+    the ket roots ``ys`` (last axis: the roots) and the site s: the twist
+    -1 on-shell determinant of the rows ``xs`` against the columns
+    ``ys``, and at ``moved[..., k]`` the same with column k moved onto
+    the node xi_s.  There the column is the pole's residue: g is
+    -a(xi_s)/prod_(j != s) (xi_s - xi_j) and rho is 0, while the
+    prefactor and the Vandermonde keep y_k.  That determinant is the
+    lattice-column determinant over ``ys`` without y_k, times
+    (-1)^r prod_a (y_k - x_a - eta) prod_(b != k) (y_b - xi_s) over
+    prod_(b != k) (y_b - y_k) prod_a (x_a - xi_s + eta)
+    prod_(j != s) (xi_s - xi_j).  Both determinant calls share the row
+    half of ``xs``, so the on-shell gate runs once."""
+    eta, xi, r = params.eta, params.xi, ys.shape[-1]
+    # axes (..., k, a): the rows, and the ket roots without y_k, in C
+    # order, so the products of differences below reduce contiguous rows
+    # and round like the one-set call's
+    rows = _rows(params, -1.0, xs[..., None, :])
+    others = np.arange(r - 1) + (np.arange(r - 1) >= np.arange(r)[:, None])
+    rest = np.ascontiguousarray(ys[..., others])
+    site = np.asarray(site)[..., None]
+    node = xi[site - 1][..., None]
+    plain = _on_shell(params, -1.0, rows, ys[..., None, :])[0][..., 0]
+    lattice = _on_shell(params, -1.0, rows, rest, site=site)[0]
+    node_gaps = np.where(np.eye(xi.size, dtype=bool), 1.0, xi[:, None] - xi)
+    factor = (
+        (-1.0) ** r
+        * (ys[..., :, None] - xs[..., None, :] - eta).prod(axis=-1)
+        * (rest - node).prod(axis=-1)
+        / (rest - ys[..., None]).prod(axis=-1)
+        / (xs[..., None, :] - node + eta).prod(axis=-1)
+        / node_gaps.prod(axis=-1)[site - 1]
+    )
+    return plain, factor * lattice
+
+
 def _weighted_expansions(params: ChainParams, xs, ys, bra_q, ket_q_minus, site):
     """Both weighted determinant expansions of the equal-sector matrix
     element and their gap, over broadcastable stacks of the bra roots
@@ -154,41 +191,26 @@ def _weighted_expansions(params: ChainParams, xs, ys, bra_q, ket_q_minus, site):
     at ``ys - eta`` and ``ys + eta`` (``bra_q``, a pair shaped like
     ``ys``), the ket's own Q at ``ys - eta`` and the site.
 
-    The substituted-column determinants are one stack: the base (column
-    1 at its own point, which reproduces the plain determinant), then
-    every column moved onto the site's node, where the returned residue
-    is dressed per column by the a/d ratio at the replaced ket root.
-    The separated-chain weights combine a, d and the bra Q at the ket
-    roots; the product-state weights are twice the ratio of shifted Q
-    polynomials.  On shared eigenvalues every separated weight collapses
-    to 2 and the two families agree term by term.  Returns
+    Both expand over the plain determinant and the node-substituted ones
+    (``_node_substituted``), each dressed by the a/d ratio at the moved
+    ket root.  The separated-chain weights combine a, d and the bra Q at
+    the ket roots; the product-state weights are twice the ratio of
+    shifted Q polynomials.  On shared eigenvalues every separated weight
+    collapses to 2 and the two families agree term by term.  Returns
     ``(sov_value, aba_value, diff)``, each of the stack shape; the gap
     is accumulated from the weight gaps (the two sums share every
     determinant, so subtracting the assembled totals would only add
     cancellation noise).
     """
-    r = ys.shape[-1]
     q_minus, q_plus = bra_q
     a_val, d_val = a_of(params, ys), d_of(params, ys)
     w_sov = (a_val * q_minus + d_val * q_plus) / (a_val * q_minus)
     w_aba = 2.0 * ket_q_minus / q_minus
-    stack = np.broadcast_shapes(ys.shape[:-1], np.shape(site))
-    node = params.xi[np.asarray(site) - 1]
-    points = np.concatenate(
-        [
-            np.broadcast_to(ys[..., :1], stack + (1,)),
-            np.broadcast_to(node[..., None], stack + (r,)),
-        ],
-        axis=-1,
-    )
-    columns = np.append(1, np.arange(1, r + 1))
-    dets = column_substituted_slavnov(
-        params, -1, xs[..., None, :], ys[..., None, :], columns, points
-    )
-    base, terms = dets[..., 0], (a_val / d_val) * dets[..., 1:]
+    plain, moved = _node_substituted(params, xs, ys, site)
+    terms = (a_val / d_val) * moved
     return (
-        base + np.sum(w_sov * terms, axis=-1),
-        base + np.sum(w_aba * terms, axis=-1),
+        plain + np.sum(w_sov * terms, axis=-1),
+        plain + np.sum(w_aba * terms, axis=-1),
         np.abs(np.sum((w_sov - w_aba) * terms, axis=-1)),
     )
 

@@ -138,17 +138,16 @@ def require_generic(params: ChainParams) -> None:
         )
 
 
-def sample_generic_params(
-    n_sites: int, seed: int, margin: float | None = None
-) -> ChainParams:
+def sample_generic_params(n_sites: int, seed: int) -> ChainParams:
     """Draw a well-separated parameter set, deterministically per seed.
 
     Uses the counter-based Philox generator so runs are reproducible
     across platforms.  The crossing parameter is drawn first (redrawn
     until its modulus is at least 0.5), then whole inhomogeneity vectors
     are drawn with nonzero imaginary parts and rejected until the
-    separation condition holds.  A thousand failed attempts raise
-    ``SamplingFailureError``.
+    separation condition holds, at the margin (recorded on the chain)
+    ``DEFAULT_MARGIN_FRACTION`` times |eta|.  A thousand failed attempts
+    raise ``SamplingFailureError``.
     """
     if n_sites < 1:
         raise ValueError("a chain needs at least one site")
@@ -157,9 +156,7 @@ def sample_generic_params(
         eta = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         if abs(eta) >= 0.5:
             break
-    delta = DEFAULT_MARGIN_FRACTION * abs(eta) if margin is None else float(margin)
-    if delta <= 0:
-        raise ValueError("margin must be positive")
+    delta = DEFAULT_MARGIN_FRACTION * abs(eta)
     span = 2.5 * abs(eta) * max(1.0, n_sites / 4.0)
     for _ in range(_MAX_SAMPLING_ATTEMPTS):
         draw = rng.uniform(-span, span, size=(n_sites, 2))

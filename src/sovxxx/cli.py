@@ -641,7 +641,7 @@ def _suite_form_factors(config: RunConfig, chains: Chains):
     for op, name in (("-", "lowering"), ("+", "raising"), ("z", "z")):
         worst = 0.0
         for site in range(1, params.n_sites + 1):
-            # every element ff_dense evaluates, from the shared vectors
+            # every dense element of the operator, from the shared vectors
             dense = lefts @ site_sigma(params, site, op) @ rights
             value = values[op][..., site - 1]
             err = np.abs(value - dense) / np.maximum(np.abs(dense), floor)

@@ -9,18 +9,16 @@ determinants (Izergin and Slavnov types) that reduce to it.  Weight
 functions always enter as value lists evaluated by the caller, never as
 callbacks, so the identities can be tested point set by point set.
 
-Every Slavnov-type determinant -- square, rectangular, lattice-column
-and column-substituted -- is one evaluator, ``_on_shell``, behind a thin
-wrapper that checks the set sizes.  It weighs the on-shell rows, then
-the free columns, then a node's or moved column: ``_weights`` gives
-g = mu a/d, d and the balanced shift ratio rho over the rows, with the
-pole guards.  At the rows g and rho are the on-shell gate
-(g/(-rho) = 1 on shell; ``mu_bethe_residuals`` reads the same function),
-at the columns the weights of the kernel rows g K(x - y) - rho K(y - x),
+Every Slavnov-type determinant -- square, rectangular and lattice-column
+-- is one evaluator, ``_on_shell``, behind a thin wrapper that checks the
+set sizes.  It weighs the on-shell rows, then the free columns: g = mu
+a/d and the balanced shift ratio rho over the rows, with the pole
+guards.  At the rows g and rho are the on-shell gate (g/(-rho) = 1 on
+shell; ``mu_bethe_residuals`` reads the same ``_row_weights``), at the
+columns the weights of the kernel rows g K(x - y) - rho K(y - x),
 K(u) = 1/u - 1/(u + eta), and of the moment rows g y^p - rho (y + eta)^p.
 A lattice node's column is its pole's residue (g = 1, rho = 0, times
-mu a at the node); a moved column is weighed at its new point, or is the
-residue on a node.  The same differences give the prefactor
+mu a at the node).  The same differences give the prefactor
 prod (x - y + eta), and the weights the d-products over both sets,
 which ``scalar.sp_on_shell`` and ``formfactors._lowering`` take from
 the evaluator.  An entry whose column point coincides with its row
@@ -31,24 +29,22 @@ Stacks: every point-set argument of a determinant evaluator is an
 array whose last axis runs over the set and whose leading axes, if any,
 index a stack of sets of that size; the sets of one call broadcast
 against each other.  ``eta`` and ``mu`` of the dressed Vandermonde and
-Izergin forms may be given per set, as may the substituted column and
-its point and the lattice column's site; the on-shell evaluators take
-one chain and one twist per call.  One call makes one guard pass and
-one batched ``det`` and returns an array of the stack shape; a 1-D set
-gives a ``complex``, equal bit for bit to the stack member it would be.
-Each on-shell quantity takes the smallest stack shape it depends on, in
-one of three parts.  The row half (``_rows``) is the work on the
-on-shell sets alone: their pole bound, g and rho at their own points
-with the on-shell gate, V(xs) with its guard and the d-products.  The
-column half (``_columns``) is the work on the free sets alone: g = mu
-a/d, the distances to the nodes, V(reversed ys) with its guard at the
-sets' own bound, and the d-products.  The pair core, ``_on_shell``
-itself, does everything that depends on both sets or on the site: the
-free points' node guard against the rows' bound, rho and the
-differences, the kernel, the moments, a node's or moved column (at the
-stack of its site or point) and the det.  The wrappers pass point sets,
-and ``_on_shell`` builds both halves from them; ``formfactors`` builds
-the halves of every sector once per ``lowering_table``, and each
+Izergin forms may be given per set, as may the lattice column's site;
+the on-shell evaluators take one chain and one twist per call.  One
+call makes one guard pass and one batched ``det`` and returns an array
+of the stack shape; a 1-D set gives a ``complex``, equal bit for bit to
+the stack member it would be.  Each on-shell quantity takes the
+smallest stack shape it depends on, in one of three parts: the row half
+(``_rows``: the on-shell sets' pole bound, g and rho at their own
+points with the on-shell gate, V(xs) and the d-products), the column
+half (``_columns``: the free sets' g, distances to the nodes,
+V(reversed ys) at their own bound and d-products) and the pair core,
+``_on_shell`` itself (the free points' node guard against the rows'
+bound, rho and the differences, the kernel, the moments, the node's
+column at the stack of its site, and the det).  The wrappers pass point
+sets, and ``_on_shell`` builds both halves from them; ``formfactors``
+builds the halves of every sector once per ``lowering_table``,
+``aba._node_substituted`` one row half for two calls, and each
 ``spectrum.EigenRecord`` holds its own twist -1 halves, built on first
 use, for the one-element form factors and pairings.
 """
@@ -77,6 +73,7 @@ _COINCIDE_TOL = 1e-12
 # ``richardson_limit`` may lie: the coinciding-root norm limits of N = 1..8
 # reach about 2e3, a pole, a logarithm or a square root at 0 about 1e12
 _LIMIT_FLOOR_FACTOR = 1e6
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _result(value) -> complex | np.ndarray:
@@ -199,7 +196,8 @@ def dressed_vandermonde(
     ``f_values`` lists the weight at each point.  The empty set gives 1;
     identically zero weights give 1 for any set of distinct points, while
     a coinciding set raises ``PoleCollisionError`` whatever the weights,
-    as does an infinite or NaN weight (a weight evaluated on its pole).
+    as does an infinite or NaN weight (a weight evaluated on its pole) or
+    a point so large that a product of m - 1 differences could overflow.
     Points, weights and ``eta`` may carry stack axes (module docstring).
     """
     points = np.asarray(points, dtype=complex)
@@ -210,12 +208,17 @@ def dressed_vandermonde(
         raise ValueError("sign must be +1 or -1")
     if not np.isfinite(f_values).all():
         raise PoleCollisionError("infinite or NaN weight value")
+    scale, m = _set_bound(points, abs(eta)), points.shape[-1]
+    # each cardinal value below is a ratio of products of m - 1 differences,
+    # none above 3 scale: refuse points so large that one could overflow
+    if m > 1 and np.count_nonzero(scale >= _FLOAT_MAX ** (1.0 / (m - 1)) / 3.0):
+        raise PoleCollisionError("a point so large that its cardinal products overflow")
     # factoring the plain power matrix out of the determinant leaves
     # det(I - diag(f) G) with G holding Lagrange cardinal values at the
     # shifted points; every entry is a product of point differences, so
     # no high powers or Vandermonde quotients are ever formed
-    diffs = _require_distinct(points, _set_bound(points, abs(eta)))
-    eye = np.eye(points.shape[-1], dtype=bool)
+    diffs = _require_distinct(points, scale)
+    eye = np.eye(m, dtype=bool)
     # num[..., a, b, c] = x_a + sign*eta - x_c, with the c = b factor set to 1
     shifted = (points + sign * _per_set(eta))[..., :, None] - points[..., None, :]
     num = np.where(eye, 1.0, shifted[..., :, None, :])
@@ -247,6 +250,15 @@ def _kernel_differences(xs, ys, eta: complex):
     return xs, ys, diffs, shifted, scale
 
 
+def _twist(mu) -> np.ndarray:
+    """The twist of a two-pole-kernel determinant, per set, against each
+    set's matrix; an infinite or NaN twist raises ``PoleCollisionError``."""
+    mu = _per_matrix(mu)
+    if not np.isfinite(mu).all():
+        raise PoleCollisionError("infinite or NaN twist")
+    return mu
+
+
 def izergin_determinant(mu: complex, xs, ys, eta: complex) -> complex | np.ndarray:
     """Two-pole-kernel determinant over equal-size point sets.
 
@@ -256,7 +268,7 @@ def izergin_determinant(mu: complex, xs, ys, eta: complex) -> complex | np.ndarr
     """
     xs, ys, diffs, shifted, scale = _kernel_differences(xs, ys, eta)
     denom = _pair_product(xs, scale) * _pair_product(ys[..., ::-1], scale)
-    kernel = _per_matrix(mu) / diffs - 1.0 / shifted
+    kernel = _twist(mu) / diffs - 1.0 / shifted
     pref = np.prod(shifted, axis=(-2, -1))
     return _result(pref * np.linalg.det(kernel) / denom)
 
@@ -280,7 +292,7 @@ def izergin_determinant_clustered(
     xs, _, diffs, shifted, scale = _kernel_differences(xs, ys, eta)
     denom = _pair_product(xs, scale)
     # column k holds the order-k divided difference over ys[:k+1]
-    dd = _per_matrix(mu) / np.cumprod(diffs, axis=-1) - 1.0 / np.cumprod(
+    dd = _twist(mu) / np.cumprod(diffs, axis=-1) - 1.0 / np.cumprod(
         shifted, axis=-1
     )
     pref = np.prod(shifted, axis=(-2, -1))
@@ -289,13 +301,13 @@ def izergin_determinant_clustered(
     return _result(sign * pref * np.linalg.det(dd) / denom)
 
 
-def _one_based(value, size: int, what: str) -> np.ndarray:
-    """A 1-based site or column index, an integer or an integer array of
-    the stack shape, as a 0-based index array.  A bool, a float (even a
-    whole one) and an index outside 1..size raise ``ValueError``."""
+def _one_based(value, size: int) -> np.ndarray:
+    """A 1-based site index, an integer or an integer array of the stack
+    shape, as a 0-based index array.  A bool, a float (even a whole one)
+    and an index outside 1..size raise ``ValueError``."""
     index = np.asarray(value)
     if index.dtype.kind not in "iu" or np.count_nonzero((index < 1) | (index > size)):
-        raise ValueError(f"{what} index must be an integer in 1..{size}")
+        raise ValueError(f"site index must be an integer in 1..{size}")
     return index - 1
 
 
@@ -312,43 +324,27 @@ def _balanced(eta: complex, xs, points, guard):
     return (up / down).prod(axis=-1), diffs, up, down
 
 
-def _weights(params: ChainParams, mu: complex, xs, points, bound):
-    """``(g, rho, d, near, scale, diffs, up, down)`` at ``points`` against
-    the row set ``xs``: g = mu a/d, d as ``chain.d_of`` gives it, and rho
-    with its differences as ``_balanced`` gives them.  g and d keep the
-    shape of ``points``, the rest takes the common stack shape of the
-    points and the rows.  Guards are relative to ``scale`` =
-    max(|p|, ``bound``), the row set's max(1, |eta|, max |xi|, max |x|).
-    ``near`` flags each point and node closer than that (or NaN), where g
-    is the pole's residue."""
-    scale = np.maximum(np.abs(points), bound[..., None])
-    guard = _POLE_TOL * scale[..., None]
-    to_xi = points[..., None] - params.xi
-    near = ~(np.abs(to_xi) > guard)
-    d = to_xi.prod(axis=-1)
-    pole_free = d
-    if np.count_nonzero(near):
-        pole_free = np.where(near, 1.0, to_xi).prod(axis=-1)
-    g = mu * (to_xi + params.eta).prod(axis=-1) / pole_free
-    rho, diffs, up, down = _balanced(params.eta, xs, points, guard)
-    return g, rho, d, near, scale, diffs, up, down
-
-
 def _row_weights(params: ChainParams, mu: complex, xs):
-    """The row set's pole bound and ``_weights`` at its own points, at the
-    shape of ``xs``; a row point on a lattice node, or NaN, raises
-    ``PoleCollisionError``."""
+    """``(bound, g, rho, d, up, down)`` at the row set's own points: its
+    pole bound max(1, |eta|, max |xi|, max |x|), g = mu a/d, rho with the
+    x - x' +- eta it is built from (``_balanced``) and d, at the shape of
+    ``xs``.  A row point on a lattice node, on a pole of rho or NaN raises
+    ``PoleCollisionError``, relative to max(|x|, bound)."""
     bound = _set_bound(xs, params.pole_scale)
-    weights = _weights(params, mu, xs, xs, bound)
-    if np.count_nonzero(weights[3]):
+    guard = _POLE_TOL * np.maximum(np.abs(xs), bound[..., None])[..., None]
+    to_xi = xs[..., None] - params.xi
+    rho, _, up, down = _balanced(params.eta, xs, xs, guard)
+    if not (np.abs(to_xi) > guard).all():
         raise PoleCollisionError("Bethe root collides with an inhomogeneity")
-    return bound, weights
+    d = to_xi.prod(axis=-1)
+    g = mu * (to_xi + params.eta).prod(axis=-1) / d
+    return bound, g, rho, d, up, down
 
 
 def _bethe_ratios(params: ChainParams, mu: complex, roots) -> np.ndarray:
     """mu a(x)/d(x) over -prod (x - x_m + eta)/(x - x_m - eta) (self factor
     -1) at every root x: 1 at each root of a twist-mu on-shell set."""
-    g, rho = _row_weights(params, mu, np.asarray(roots, dtype=complex))[1][:2]
+    g, rho = _row_weights(params, mu, np.asarray(roots, dtype=complex))[1:3]
     return g / -rho
 
 
@@ -403,7 +399,7 @@ def _on_shell_gate(mu: complex, g, rho) -> np.ndarray:
 class _Rows(NamedTuple):
     """The row half of the on-shell evaluator, the work on the on-shell
     set alone: the set, its pole bound, the weights g and rho at its own
-    points with the x - x' +- eta they were built from (``_weights``),
+    points with the x - x' +- eta they were built from (``_row_weights``),
     its Vandermonde V(xs) and the d-product over it."""
 
     xs: np.ndarray
@@ -436,7 +432,7 @@ def _rows(params: ChainParams, mu: complex, xs) -> _Rows:
     the twist-mu Bethe system ``NotOnShellError`` (``_on_shell_gate``), two
     coinciding rows ``PoleCollisionError``."""
     xs = np.asarray(xs, dtype=complex)
-    bound, (g, rho, d, *_, up, down) = _row_weights(params, mu, xs)
+    bound, g, rho, d, up, down = _row_weights(params, mu, xs)
     _on_shell_gate(mu, g, rho)
     return _Rows(xs, bound, g, rho, up, down, _pair_product(xs, bound), d.prod(axis=-1))
 
@@ -444,52 +440,43 @@ def _rows(params: ChainParams, mu: complex, xs) -> _Rows:
 def _columns(params: ChainParams, mu: complex, ys) -> _Columns:
     """The column half over the free set ``ys``; two coinciding or NaN
     free points raise ``PoleCollisionError``, relative to the set's own
-    max(1, |eta|, max |xi|, max |y|).  A free point on a node is refused
-    by ``_on_shell``, against the rows' bound, so g may hold an infinity
-    or a NaN there."""
+    max(1, |eta|, max |xi|, max |y|), as does a free point so large that
+    the d-product over the set overflows.  A free point on a node is
+    refused by ``_on_shell``, against the rows' bound, so g may hold an
+    infinity or a NaN there."""
     ys = np.asarray(ys, dtype=complex)
     to_xi = ys[..., None] - params.xi
-    d = to_xi.prod(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    vandermonde = _pair_product(ys[..., ::-1], _set_bound(ys, params.pole_scale))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = to_xi.prod(axis=-1)
         g = mu * (to_xi + params.eta).prod(axis=-1) / d
-    return _Columns(
-        ys,
-        np.abs(ys),
-        np.abs(to_xi).min(axis=-1),
-        g,
-        _pair_product(ys[..., ::-1], _set_bound(ys, params.pole_scale)),
-        d.prod(axis=-1),
-    )
+        d_product = d.prod(axis=-1)
+    if not np.isfinite(d_product).all():
+        raise PoleCollisionError("the d-product overflows: a free point is too large")
+    return _Columns(ys, np.abs(ys), np.abs(to_xi).min(axis=-1), g, vandermonde, d_product)
 
 
-def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, z=None):
+def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None):
     """The on-shell determinant of the rows ``xs`` against the columns
-    ``ys`` and, with ``site``, that node's residue column, or, with
-    ``column`` and ``z``, one column moved to ``z`` (module docstring),
-    with the d-products over the rows and over the free columns.  ``xs``
-    is the row set or its row half (``_rows``), ``ys`` the free set or its
-    column half (``_columns``); a set given as points has its half built
-    here.  This is the pair core: the free points' guards against the
-    rows, rho and the differences, the kernel, the moments, the node or
-    moved column and the det.  The matrix is built transposed, one row
-    per column point.  A free point on a lattice node, and a column point
-    close to a row point but not coincident with it, raise
-    ``PoleCollisionError``."""
+    ``ys`` and, with ``site``, that node's residue column (module
+    docstring), with the d-products over the rows and over the free
+    columns.  ``xs`` is the row set or its row half (``_rows``), ``ys``
+    the free set or its column half (``_columns``); a set given as points
+    has its half built here.  This is the pair core: the free points'
+    guards against the rows, rho and the differences, the kernel, the
+    moments, the node's column and the det.  The matrix is built
+    transposed, one row per column point.  A free point on a lattice
+    node, and a column point close to a row point but not coincident
+    with it, raise ``PoleCollisionError``."""
     eta, xi = params.eta, params.xi
     if site is not None:
-        index = _one_based(site, params.n_sites, "site")
-    if column is not None:
-        size = (ys.ys if isinstance(ys, _Columns) else np.asarray(ys)).shape[-1]
-        moved = np.arange(size) == _one_based(column, size, "column")[..., None]
-        z = np.asarray(z, dtype=complex)[..., None]
-        if not np.isfinite(z).all():
-            raise PoleCollisionError("NaN or infinite substituted point")
+        index = _one_based(site, params.n_sites)
     rows = xs if isinstance(xs, _Rows) else _rows(params, mu, xs)
     cols = ys if isinstance(ys, _Columns) else _columns(params, mu, ys)
     xs, ys, bound = rows.xs, cols.ys, rows.bound
     r, m = xs.shape[-1], ys.shape[-1]
-    scale = np.maximum(cols.size, bound[..., None])
-    guard = _POLE_TOL * scale[..., None]
+    scale = np.maximum(cols.size, bound[..., None])[..., None]
+    guard = _POLE_TOL * scale
     rho_y, diffs, up, down = _balanced(eta, xs, ys, guard)
     apart = cols.node_gap[..., None] > guard
     if np.count_nonzero(apart) < apart.size:
@@ -498,35 +485,30 @@ def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, 
     # ufunc calls, since numpy's scalar arithmetic rounds a complex
     # product differently from its array loops
     denom = np.multiply(rows.vandermonde, cols.vandermonde)
-
-    def kernel_rows(g, rho, scale, diffs, up, down):
-        """g K(x - y) - rho K(y - x) for column points y (axis -2) and rows
-        x (axis -1), from y - x and y - x +- eta: K(x - y) is
-        1/(y - x - eta) - 1/(y - x), a difference of two reciprocals as in
-        K's definition (three separate weighted terms round worse)."""
-        gaps = np.abs(diffs)
-        close = gaps < _POLE_TOL * scale[..., None]
-        coincident = np.count_nonzero(close)
-        if coincident:
-            if (close & (gaps > _COINCIDE_TOL * scale[..., None])).any():
-                raise PoleCollisionError(
-                    "column point ambiguously close to a row point "
-                    "(neither separated nor coincident)"
-                )
-            diffs = np.where(close, 1.0, diffs)
-        inverse = 1.0 / diffs
-        entries = g[..., None] * (1.0 / down - inverse) - rho[..., None] * (
-            inverse - 1.0 / up
-        )
-        if not coincident:
-            return entries
+    # the kernel rows g K(x - y) - rho K(y - x), column points y on axis
+    # -2 and rows x on axis -1: K(x - y) is 1/(y - x - eta) - 1/(y - x), a
+    # difference of two reciprocals as in K's definition (three separate
+    # weighted terms round worse)
+    gaps = np.abs(diffs)
+    close = gaps < guard
+    coincident = np.count_nonzero(close)
+    if coincident:
+        if (close & (gaps > _COINCIDE_TOL * scale)).any():
+            raise PoleCollisionError(
+                "column point ambiguously close to a row point "
+                "(neither separated nor coincident)"
+            )
+        diffs = np.where(close, 1.0, diffs)
+    inverse = 1.0 / diffs
+    mat = cols.g[..., None] * (1.0 / down - inverse) - rho_y[..., None] * (
+        inverse - 1.0 / up
+    )
+    if coincident:
         to_xi = xs[..., None] - xi
         g_prime = rows.g * np.sum(1.0 / (to_xi + eta) - 1.0 / to_xi, axis=-1)
         rho_prime = rows.rho * np.sum(1.0 / rows.up - 1.0 / rows.down, axis=-1)
         limits = -g_prime - rho_prime - 2.0 * rows.g / eta
-        return np.where(close, limits[..., None, :], entries)
-
-    mat = kernel_rows(cols.g, rho_y, scale, diffs, up, down)
+        mat = np.where(close, limits[..., None, :], mat)
     # x - y + eta = -(y - x - eta) over every row and free column
     pref = (-1.0) ** (r * m) * down.prod(axis=(-2, -1))
     powers = np.arange(m - r + (site is not None))
@@ -534,11 +516,6 @@ def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None, column=None, 
         y = ys[..., None]
         moments = cols.g[..., None] * y**powers - rho_y[..., None] * (y + eta) ** powers
         mat = np.concatenate([mat, moments], axis=-1)
-    if column is not None:
-        g_z, rho_z, _, near, scale, *z_diffs = _weights(params, mu, xs, z, bound)
-        # on a node the column is the pole's residue: rho has no pole there
-        rho_z = np.where(near.any(axis=-1), 0.0, rho_z)
-        mat = np.where(moved[..., None], kernel_rows(g_z, rho_z, scale, *z_diffs), mat)
     if site is not None:
         # the node's residue column: weights g = 1 and rho = 0, scaled by
         # mu a at the node
@@ -621,28 +598,6 @@ def lattice_column_determinant(
     if np.shape(ys_free)[-1] < np.shape(xs)[-1] - 1:
         raise ValueError("the free set cannot be smaller than the on-shell set")
     return _result(_on_shell(params, mu, xs, ys_free, site=site)[0])
-
-
-def column_substituted_slavnov(
-    params: ChainParams, mu: complex, xs, ys, m, z
-) -> complex | np.ndarray:
-    """Scalar-product determinant with one column moved to a new point.
-
-    Column ``m`` (an integer in 1..|ys|) of the matrix is evaluated at
-    ``z`` in place of the m-th free point; the external products and
-    Vandermonde normalization keep the original free set, so ``z`` equal
-    to the m-th free point reproduces the plain determinant exactly.  At
-    generic ``z`` the literal entries are used.  When ``z`` lands on an
-    inhomogeneity the literal entry has a simple pole (through the
-    lattice shift ratio); the returned value is then the residue of the
-    determinant at that pole: the singular part of the column, which is
-    the two-pole kernel column scaled by the pole-free part of the
-    lattice shift ratio.  ``m`` and ``z`` are per-set scalars, so one
-    call can substitute every column of one pair of sets.
-    """
-    if np.shape(xs)[-1] != np.shape(ys)[-1]:
-        raise ValueError("the two point sets must have equal size")
-    return _result(_on_shell(params, mu, xs, ys, column=m, z=z)[0])
 
 
 def dressed_vandermonde_unbalanced_check(

@@ -17,8 +17,9 @@ every sector once and calls the core once per sector pair for a whole
 spectrum, and ``ff_sigma_minus`` is its one-element case, reading the
 halves each record holds (``spectrum.EigenRecord``), so the work on one
 record's roots is done once however many elements it enters.  The raising
-and z elements follow from the lowering one (``ff_from_lowering``), and
-``ff_dense`` is the dense oracle for all three.
+and z elements follow from the lowering one (``ff_from_lowering``); the
+dense oracle for all three is a test reference in
+``tests/test_formfactors.py``.
 
 Raw bilinear normalization throughout: values are pairings of the
 un-normalized left and right separate states, so they can be compared
@@ -45,23 +46,6 @@ def eigenstate_vectors(
     left = separate_state_dense(params, spec_from_roots(params, roots, "left"))
     right = separate_state_dense(params, spec_from_roots(params, roots, "right"))
     return left, right
-
-
-def ff_dense(
-    params: ChainParams,
-    bra_record: EigenRecord,
-    ket_record: EigenRecord,
-    site: int,
-    op: str,
-) -> complex:
-    """Brute-force matrix element of a single-site operator.
-
-    ``op`` is one of "-", "+", "z".  This is the oracle the determinant
-    representations are measured against.
-    """
-    left, _ = eigenstate_vectors(params, bra_record)
-    _, right = eigenstate_vectors(params, ket_record)
-    return bilinear(left, dense.site_sigma(params, site, op) @ right)
 
 
 def _lowering(params: ChainParams, rows, columns, bra_nodes, ket_nodes, site):
@@ -144,7 +128,7 @@ def ff_sigma_minus(
     """
     if abs(bra_record.n_roots - ket_record.n_roots) > 1:
         # the determinant validates the site of every other element
-        _one_based(site, params.n_sites, "site")
+        _one_based(site, params.n_sites)
         return 0.0 + 0.0j
     return complex(
         _lowering(

@@ -4,8 +4,8 @@ A deliberately small layer of plain numpy arithmetic: a polynomial is
 its coefficient row (``row[k]`` multiplies ``z**k``), evaluated by one
 Horner recurrence for a whole stack of rows (``poly_values``), and a
 stack of rows zero-padded to one width evaluates bit for bit like each
-row alone.  Here are the evaluation, the expansion from roots, Lagrange
-interpolation and companion-matrix root extraction (a stack of rows of
+row alone.  Here are the evaluation, the expansion from roots, the
+Lagrange cardinal coefficients and companion-matrix root extraction (a stack of rows of
 one degree per eigensolve), with the trimming threshold the package
 reads its degrees by: a coefficient below ``TRIM_TOL`` times its row's
 largest is numerical noise from a near-singular solve, so a leading
@@ -109,19 +109,6 @@ def cardinal_coefficients(nodes) -> np.ndarray:
             "interpolation nodes are too close to separate polynomial values"
         )
     return _monic(others) / gaps.prod(axis=1)[:, None]
-
-
-def lagrange_interpolate(nodes, values) -> np.ndarray:
-    """Coefficient row, one entry per node, of the unique polynomial of
-    degree < len(nodes) through the given points: the values times the
-    cardinal-coefficient matrix of the nodes."""
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    values = np.asarray(values, dtype=complex).ravel()
-    if nodes.size != values.size:
-        raise ValueError("nodes and values must have equal length")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("interpolation nodes and values must be finite")
-    return values @ cardinal_coefficients(nodes)
 
 
 def poly_roots(coeffs) -> np.ndarray:

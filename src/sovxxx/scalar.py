@@ -100,12 +100,16 @@ def _pooled_roots(
     pooled-root form shares: (-1)^(N P) times the d-product over both
     sets, P the pooled count.  The root sets may be stacks of one shape
     (last axis: the roots), giving one pooled set and prefactor per
-    member."""
+    member.  A root so large that the d-product overflows, or NaN,
+    raises ``PoleCollisionError``."""
     pooled = np.concatenate(
         [np.asarray(left_roots, dtype=complex), np.asarray(right_roots, dtype=complex)],
         axis=-1,
     )
-    pref = np.prod(d_of(params, pooled), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = np.prod(d_of(params, pooled), axis=-1)
+    if not np.isfinite(pref).all():
+        raise PoleCollisionError("the d-product overflows: a root is too large or NaN")
     return pooled, (-1.0) ** (params.n_sites * pooled.shape[-1]) * pref
 
 

@@ -149,12 +149,6 @@ def spec_from_roots(params: ChainParams, roots, side: str) -> SeparateStateSpec:
     )
 
 
-def spec_constant_one(params: ChainParams, side: str) -> SeparateStateSpec:
-    """The separate state of the constant function 1."""
-    ones = np.ones(params.n_sites, dtype=complex)
-    return SeparateStateSpec(side=side, values_at_xi=ones, values_at_xi_minus_eta=ones)
-
-
 def separate_state_dense(params: ChainParams, sspec: SeparateStateSpec) -> np.ndarray:
     """Dense vector of a separate state from its per-site weight values.
 

@@ -7,6 +7,7 @@ import pytest
 
 from sovxxx.chain import sample_generic_params
 from sovxxx.dense import site_sigma
+from sovxxx.polynomials import cardinal_coefficients
 from sovxxx.spectrum import full_spectrum
 
 _PARAMS: dict = {}
@@ -19,6 +20,19 @@ def two_pole_kernel(x, eta):
     return 1.0 / x - 1.0 / (x + eta)
 
 
+def lagrange_interpolate(nodes, values) -> np.ndarray:
+    """Reference coefficient row, one entry per node, of the unique
+    polynomial of degree < len(nodes) through the given points: the
+    values times the cardinal-coefficient matrix of the nodes."""
+    nodes = np.asarray(nodes, dtype=complex).ravel()
+    values = np.asarray(values, dtype=complex).ravel()
+    if nodes.size != values.size:
+        raise ValueError("nodes and values must have equal length")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("interpolation nodes and values must be finite")
+    return values @ cardinal_coefficients(nodes)
+
+
 def shifted_xi(params, h, direction: int = -1) -> np.ndarray:
     """The inhomogeneities with each occupied slot shifted by ``direction*eta``."""
     h = np.asarray(h)
@@ -28,7 +42,7 @@ def shifted_xi(params, h, direction: int = -1) -> np.ndarray:
 def cached_params(n_sites: int, seed: int = 0):
     key = (n_sites, seed)
     if key not in _PARAMS:
-        _PARAMS[key] = sample_generic_params(n_sites, seed, None)
+        _PARAMS[key] = sample_generic_params(n_sites, seed)
     return _PARAMS[key]
 
 

@@ -7,9 +7,9 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from sovxxx.aba import (
+    _node_substituted,
     _weighted_expansions,
     bethe_state,
-    column_substituted_slavnov,
     completeness_check,
     correspondence_report,
     expected_correspondence_constant,
@@ -21,12 +21,12 @@ from sovxxx.aba import (
     translation_residual,
     weighted_expansion_table,
 )
-from sovxxx.chain import fixture_params
+from sovxxx.chain import a_of, d_of, fixture_params, vandermonde
 from sovxxx.dense import site_sigma
 from sovxxx.determinants import mu_bethe_residuals, slavnov_determinant
 from sovxxx.formfactors import eigenstate_vectors, ff_sigma_minus
 
-from conftest import cached_params, cached_spectrum, separated_cloud
+from conftest import cached_params, cached_spectrum, two_pole_kernel
 
 
 def one_expansion(params, bra, ket, site):
@@ -163,6 +163,50 @@ def test_weighted_expansion_table_equals_each_crosscheck(n_sites, seed):
                     assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
 
+def residue_substituted(params, xs, ys, k, site):
+    """The twist -1 on-shell determinant of the rows ``xs`` against the
+    columns ``ys``, with column k (0-based) replaced by the residue column
+    of the node of ``site``, written out entry by entry: the kernel row
+    of y is g K(x - y) - rho K(y - x), g = -a(y)/d(y) and rho the balanced
+    shift ratio over xs; row k is -a(xi_s)/prod_(j != s) (xi_s - xi_j)
+    K(x - xi_s), with rho = 0.  The prefactor prod (x - y + eta) and the
+    Vandermondes V(xs) V(reversed ys) keep y_k."""
+    eta, xi = params.eta, params.xi
+    node = xi[site - 1]
+    to_x = ys[:, None] - xs
+    g = -a_of(params, ys) / d_of(params, ys)
+    rho = np.prod((to_x + eta) / (to_x - eta), axis=1)
+    mat = g[:, None] * two_pole_kernel(-to_x, eta) - rho[:, None] * two_pole_kernel(
+        to_x, eta
+    )
+    residue = -a_of(params, node) / np.prod(np.delete(node - xi, site - 1))
+    mat[k] = residue * two_pole_kernel(xs - node, eta)
+    pref = np.prod(eta - to_x)
+    return pref * np.linalg.det(mat) / (vandermonde(xs) * vandermonde(ys[::-1]))
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_node_substituted_terms_equal_the_residue_substituted_matrix(n_sites):
+    checked = 0
+    for seed in (0, 1, 2):
+        params = cached_params(n_sites, seed)
+        records = [rec for rec in cached_spectrum(n_sites, seed) if rec.n_roots]
+        for bra in records:
+            for ket in records:
+                # equal sets need the limit entries of a norm
+                if bra.n_roots != ket.n_roots or bra is ket:
+                    continue
+                xs, ys = bra.bethe_roots, ket.bethe_roots
+                for site in range(1, n_sites + 1):
+                    plain, moved = _node_substituted(params, xs, ys, site)
+                    assert plain == slavnov_determinant(params, -1.0, xs, ys)
+                    for k in range(ys.size):
+                        want = residue_substituted(params, xs, ys, k, site)
+                        assert abs(moved[k] - want) <= 1e-10 * abs(want)
+                        checked += 1
+    assert checked > 0
+
+
 def test_translation_constants_table():
     assert translation_constant(3, 1, 0) == pytest.approx(1.0)
     assert translation_constant(3, 2, 1) == pytest.approx(0.5)
@@ -227,23 +271,3 @@ def test_single_site_product_state_is_bare_spin():
     params = fixture_params(1)
     empty = bethe_state(params, np.zeros(0, dtype=complex))
     assert np.allclose(empty, np.array([0.0, 1.0]))
-
-
-def test_substituting_a_column_by_its_own_point_is_the_plain_determinant():
-    params = cached_params(3, 0)
-    rng = np.random.Generator(np.random.Philox(key=811))
-    xi = np.asarray(params.xi, dtype=complex)
-    checked = 0
-    for rec in cached_spectrum(3, 0):
-        if rec.n_roots == 0:
-            continue
-        xs = rec.bethe_roots
-        ys = separated_cloud(
-            rng, xs.size, params.eta, avoid=np.concatenate([xs, xi])
-        )
-        plain = slavnov_determinant(params, -1.0, xs, ys)
-        for m in range(1, xs.size + 1):
-            value = column_substituted_slavnov(params, -1.0, xs, ys, m, ys[m - 1])
-            assert abs(value - plain) <= 1e-13 * abs(plain)
-            checked += 1
-    assert checked > 0

@@ -22,7 +22,7 @@ from sovxxx.chain import fixture_params
 from sovxxx.cli import CHECKS, SUITE_ORDER, RunConfig, run
 from sovxxx.dense import default_eval_point, hamiltonian_limit_check
 from sovxxx.scalar import gaudin_norm, sp_direct
-from sovxxx.sov import spec_constant_one
+from sovxxx.sov import spec_from_roots
 from sovxxx.spectrum import full_spectrum, pairing_indices
 
 from conftest import cached_params, cached_spectrum
@@ -109,7 +109,7 @@ def test_criterion_01_single_site_closed_forms():
     assert np.allclose(plus.q_tau, [0.5, 1.0], atol=1e-10)
 
     one = sp_direct(
-        params, spec_constant_one(params, "left"), spec_constant_one(params, "right")
+        params, spec_from_roots(params, (), "left"), spec_from_roots(params, (), "right")
     )
     assert abs(one - 2.0) <= 1e-10
     assert abs(gaudin_norm(params, minus) - 2.0) <= 1e-10

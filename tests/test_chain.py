@@ -120,18 +120,13 @@ def test_fixture_values():
 
 
 def test_sampling_is_deterministic_and_generic():
-    first = sample_generic_params(4, 9, None)
-    second = sample_generic_params(4, 9, None)
+    first = sample_generic_params(4, 9)
+    second = sample_generic_params(4, 9)
     assert first.eta == second.eta
     assert np.array_equal(np.asarray(first.xi), np.asarray(second.xi))
     assert first.margin == second.margin
     require_generic(first)
     assert abs(first.eta) >= 0.5
-
-
-def test_sampling_rejects_nonpositive_margin():
-    with pytest.raises(ValueError):
-        sample_generic_params(3, 0, -0.1)
 
 
 def test_require_generic_rejects_collapsed_nodes():
@@ -156,7 +151,7 @@ def _deficit_loop(params: ChainParams) -> float:
 
 @pytest.mark.parametrize("n_sites", [1, 2, 5, 8])
 def test_chain_only_values_are_computed_once(n_sites):
-    params = sample_generic_params(n_sites, 3, None)
+    params = sample_generic_params(n_sites, 3)
     deficit = params.separation_deficit
     assert deficit is params.separation_deficit
     assert deficit == _deficit_loop(params) and deficit >= params.margin

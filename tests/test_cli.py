@@ -168,7 +168,7 @@ def test_suites_sharing_a_chain_report_what_they_report_alone():
 
 
 def test_shared_vectors_are_read_only_copies_of_the_library_build():
-    params = sample_generic_params(2, 0, None)
+    params = sample_generic_params(2, 0)
     chain = cli._Chain(params, 0)
     assert len(chain.vectors) == len(chain.records) == 4
     for rec, pair in zip(chain.records, chain.vectors):
@@ -368,8 +368,8 @@ def test_aba_check_reports_each_record_once(monkeypatch):
     reported = []
     correspondence_report = cli.correspondence_report
     checks = _count_on_shell_checks(monkeypatch)
-    substituted = []
-    column_substituted = aba.column_substituted_slavnov
+    evaluated = []
+    on_shell = aba._on_shell
     in_table = []
     table = cli.weighted_expansion_table
     built = {}
@@ -388,9 +388,9 @@ def test_aba_check_reports_each_record_once(monkeypatch):
         reported.extend(id(rec) for rec in records)
         return correspondence_report(params, records, states, vectors)
 
-    def counting_substituted(params, mu, xs, ys, m, z):
-        value = column_substituted(params, mu, xs, ys, m, z)
-        substituted.append((np.shape(xs)[-1], np.shape(value)))
+    def counting_on_shell(params, mu, rows, ys, site=None):
+        value = on_shell(params, mu, rows, ys, site=site)
+        evaluated.append((rows.xs.shape[-1], site is not None, np.shape(value[0])))
         return value
 
     def counting_table(params, records):
@@ -400,7 +400,7 @@ def test_aba_check_reports_each_record_once(monkeypatch):
         return value
 
     monkeypatch.setattr(cli, "correspondence_report", counting)
-    monkeypatch.setattr(aba, "column_substituted_slavnov", counting_substituted)
+    monkeypatch.setattr(aba, "_on_shell", counting_on_shell)
     monkeypatch.setattr(cli, "weighted_expansion_table", counting_table)
     for name in ("bethe_state", "left_bethe_state"):
         count_builds(aba, name)
@@ -419,14 +419,17 @@ def test_aba_check_reports_each_record_once(monkeypatch):
         "transfer_twisted": 2,
         "basis_rotation": 2,
     }
-    # one stacked call, and so one on-shell check, per nonzero root count:
-    # every bra, ket and site of the sector, each with its base and one
-    # member per substituted column (one call per expansion made 57)
+    # one on-shell check per nonzero root count, on the bra roots' row
+    # half, which two stacked calls share: the base of every bra and ket
+    # of the sector, and the lattice-column determinant of every bra, ket,
+    # site and moved column (one call per expansion made 57 checks)
     counts = [rec.n_roots for rec in full_spectrum(sample_generic_params(3, 0), 0)]
     sectors = {r: counts.count(r) for r in set(counts) - {0}}
     assert in_table == [len(sectors)]
-    assert substituted == [
-        (r, (size, size, 3, r + 1)) for r, size in sorted(sectors.items())
+    assert evaluated == [
+        call
+        for r, size in sorted(sectors.items())
+        for call in ((r, False, (size, size, 1, 1)), (r, True, (size, size, 3, r)))
     ]
 
 

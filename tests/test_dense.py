@@ -29,9 +29,8 @@ from sovxxx.dense import (
     transfer_antiperiodic,
     transfer_twisted,
 )
-from sovxxx.polynomials import lagrange_interpolate
 
-from conftest import cached_params, total_sx
+from conftest import cached_params, lagrange_interpolate, total_sx
 
 
 def _norm(mat):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from sovxxx import determinants
 from sovxxx.determinants import (
     balanced_shift_ratio,
-    column_substituted_slavnov,
     dressed_vandermonde,
     dressed_vandermonde_unbalanced_check,
     gen_slavnov_determinant,
@@ -31,7 +30,13 @@ from sovxxx.determinants import (
 )
 from sovxxx.chain import a_of, d_of
 from sovxxx.errors import LimitFailureError, NotOnShellError, PoleCollisionError
-from sovxxx.scalar import gaudin_norm, sp_b_form, sp_on_shell
+from sovxxx.scalar import (
+    gaudin_norm,
+    sp_a_form,
+    sp_b_form,
+    sp_izergin_form,
+    sp_on_shell,
+)
 
 from conftest import cached_params, cached_spectrum, separated_cloud, two_pole_kernel
 
@@ -356,14 +361,31 @@ def test_non_finite_points_raise_typed_errors(name):
 
 def _unrepresentable_calls():
     """One call per evaluator whose finite-looking input has no finite
-    value: a pairing that overflows, a weight on its pole, and a kernel
-    whose two poles coincide."""
+    value: a pairing, d-product or cardinal product that overflows, a
+    weight or twist on its pole, and a kernel whose two poles coincide."""
     params = cached_params(3, 0)
     on_shell = next(r for r in cached_spectrum(3, 0) if r.n_roots == 1).bethe_roots
     return {
         "sp_on_shell-huge-left-root": lambda: sp_on_shell(params, [1e300], on_shell),
+        "slavnov_determinant-huge-free-point": lambda: slavnov_determinant(
+            params, -1.0, on_shell, [1e300]
+        ),
+        "gen_slavnov_determinant-huge-free-point": lambda: gen_slavnov_determinant(
+            params, -1.0, on_shell, [1e300, 0.3]
+        ),
+        "sp_a_form-huge-root": lambda: sp_a_form(params, [1e300], [0.3, 0.2]),
+        "sp_b_form-huge-root": lambda: sp_b_form(params, [1e300], [0.3, 0.2]),
+        "sp_izergin_form-huge-root": lambda: sp_izergin_form(
+            params, [1e300], [0.3, 0.2]
+        ),
+        "dressed_vandermonde-huge-points": lambda: dressed_vandermonde(
+            [1e300, -1e300, 0.3], 1.0, [0.5, 0.5, 0.5], +1
+        ),
         "dressed_vandermonde-infinite-weight": lambda: dressed_vandermonde(
             [0.3, 0.5], 1.0, [1.0, math.inf], +1
+        ),
+        "izergin_determinant-infinite-twist": lambda: izergin_determinant(
+            math.inf, [0.2, 0.3], [1, -1], 1.0
         ),
         "izergin_determinant-zero-eta": lambda: izergin_determinant(
             0.7, [0.3, 0.5], [1, -1], 0.0
@@ -428,20 +450,15 @@ def test_coinciding_free_points_anywhere_in_the_set_are_the_limit():
 
 
 def _index_calls():
-    """One call per evaluator with a site or column index that is not an
-    integer in range, on the seed-0 three-site chain."""
+    """One call per site index that is not an integer in range, on the
+    seed-0 three-site chain."""
     params = cached_params(3, 0)
     record = next(r for r in cached_spectrum(3, 0) if r.n_roots == 2)
     xs = record.bethe_roots
     avoid = np.concatenate([xs, params.xi])
     rng = np.random.Generator(np.random.Philox(key=615))
     ys = separated_cloud(rng, 2, params.eta, avoid=avoid)
-    z = ys[0] + 0.3
     return {
-        # once a plausible-looking 2.5e-16
-        "column_1.5": lambda: column_substituted_slavnov(params, -1, xs, ys, 1.5, z),
-        "column_2.0": lambda: column_substituted_slavnov(params, -1, xs, ys, 2.0, z),
-        "column_0": lambda: column_substituted_slavnov(params, -1, xs, ys, 0, z),
         # once a bare IndexError after the range check
         "site_2.0": lambda: lattice_column_determinant(params, -1.0, xs, ys, 2.0),
         # once site 1
@@ -630,11 +647,7 @@ def _assert_stacks_match_per_set_loops(rng, m, size):
             for _ in range(size)
         ]
     )
-    # even members move their column onto a lattice node (a residue),
-    # odd ones onto a free point
     members = np.arange(size)
-    columns = 1 + members % max(m, 1)
-    moved_to = np.where(members % 2 == 0, params.xi[members % 6], free[:, m])
     for rows in (stacked_rows[0], stacked_rows):
         per_row = np.broadcast_to(rows, (size, m))
         square = free[:, :m].copy()
@@ -666,16 +679,6 @@ def _assert_stacks_match_per_set_loops(rng, m, size):
                 [
                     lattice_column_determinant(params, -1.0, *one)
                     for one in zip(per_row, ys_free, sites)
-                ],
-            )
-        if m > 0:
-            _assert_stack_matches(
-                column_substituted_slavnov(
-                    params, -1.0, rows, square, columns, moved_to
-                ),
-                [
-                    column_substituted_slavnov(params, -1.0, *one)
-                    for one in zip(per_row, square, columns, moved_to)
                 ],
             )
 

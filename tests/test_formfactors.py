@@ -15,7 +15,6 @@ from sovxxx.dense import global_flip, monodromy, site_sigma, transfer_antiperiod
 from sovxxx.errors import NotOnShellError, PairingError
 from sovxxx.formfactors import (
     eigenstate_vectors,
-    ff_dense,
     ff_from_lowering,
     ff_sigma_minus,
     lowering_table,
@@ -25,6 +24,15 @@ from sovxxx.sov import bilinear
 from sovxxx.spectrum import full_spectrum
 
 from conftest import cached_params, cached_spectrum, total_sx, two_pole_kernel
+
+
+def ff_dense(params, bra, ket, site, op):
+    """Brute-force matrix element of the single-site operator ``op`` ("-",
+    "+" or "z") between the dense eigenstates of two records: the oracle
+    the determinant representations are measured against."""
+    left, _ = eigenstate_vectors(params, bra)
+    _, right = eigenstate_vectors(params, ket)
+    return bilinear(left, site_sigma(params, site, op) @ right)
 
 
 def ff(params, bra, ket, site, op):

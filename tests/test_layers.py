@@ -37,7 +37,7 @@ def test_layers_times_every_layer_once_per_size(tmp_path, monkeypatch):
                 "slavnov",
                 "gen_slavnov",
                 "lattice_column",
-                "column_substituted",
+                "node_substituted",
                 "dressed_vandermonde",
             )
         ],

@@ -10,14 +10,13 @@ from sovxxx.errors import SpectrumError
 from sovxxx.polynomials import (
     _monic,
     cardinal_coefficients,
-    lagrange_interpolate,
     poly_from_roots,
     poly_roots,
     poly_values,
 )
 from sovxxx.spectrum import solve_q_from_tau
 
-from conftest import cached_params, separated_cloud
+from conftest import cached_params, lagrange_interpolate, separated_cloud
 
 
 def test_root_roundtrip_up_to_degree_twelve():

@@ -26,7 +26,6 @@ from sovxxx.sov import (
     separate_state_dense,
     sov_basis,
     sov_gram_check,
-    spec_constant_one,
     spec_from_roots,
 )
 
@@ -96,7 +95,7 @@ def separate_state_aba(params, roots, base="one", side="right", companion_roots=
     roots = np.asarray(roots, dtype=complex).ravel()
     n = params.n_sites
     if base == "one":
-        base_spec = spec_constant_one(params, side)
+        base_spec = spec_from_roots(params, (), side)
         sign = (-1.0) ** (roots.size * n)
         prefactor = 1.0 + 0.0j
     else:
@@ -209,7 +208,7 @@ def test_root_spec_values_match_horner(n_sites):
 
 
 def test_tables_are_built_once_per_chain(monkeypatch):
-    params = sample_generic_params(3, 7, None)
+    params = sample_generic_params(3, 7)
     calls = {"monodromy": 0, "vandermonde": 0}
     for module, name in ((sov, "monodromy"), (chain, "vandermonde")):
         real = getattr(module, name)
@@ -237,9 +236,9 @@ def test_tables_are_built_once_per_chain(monkeypatch):
 def test_tables_live_only_as_long_as_their_chain():
     refs = []
     for seed in range(20):
-        params = sample_generic_params(3, 1000 + seed, None)
+        params = sample_generic_params(3, 1000 + seed)
         for side in ("left", "right"):
-            separate_state_dense(params, spec_constant_one(params, side))
+            separate_state_dense(params, spec_from_roots(params, (), side))
             refs.append(weakref.ref(sov_basis(params, side)))
         refs.append(weakref.ref(params.occupation))
         refs.append(weakref.ref(params.shifted_vandermonde))
@@ -254,7 +253,7 @@ def test_separated_basis_refuses_a_chain_that_is_not_generic(side):
     with pytest.raises(ValueError, match="not separated enough"):
         sov_basis(collapsed, side)
     with pytest.raises(ValueError, match="not separated enough"):
-        separate_state_dense(collapsed, spec_constant_one(collapsed, side))
+        separate_state_dense(collapsed, spec_from_roots(collapsed, (), side))
     # a refused build keeps nothing, so a later read refuses again
     assert not {"occupation", "shifted_vandermonde", "left_basis", "right_basis"} & set(
         vars(collapsed)
@@ -374,7 +373,7 @@ def test_specs_are_projective_in_per_site_scalings():
 def test_constant_one_state_is_spin_flip_product(n_sites):
     for seed in (0, 1):
         params = cached_params(n_sites, seed)
-        vec = separate_state_dense(params, spec_constant_one(params, "right"))
+        vec = separate_state_dense(params, spec_from_roots(params, (), "right"))
         cell = np.array([1.0, -1.0], dtype=complex)
         expected = cell
         for _ in range(n_sites - 1):
