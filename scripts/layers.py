@@ -13,6 +13,9 @@ layer ROADMAP aim 1 lists, ``--repeat`` times, and prints the least:
   N sites
 - ``site_sigma``: ``dense.site_sigma``, the lowering operator at site 1
 - ``spectrum``: ``spectrum.full_spectrum``, all 2^N records
+- ``polish``: ``spectrum._polish`` of the collocation roots of
+  ``full_spectrum``'s one auxiliary solve, every degree in one padded
+  stack, as that solve hands them over
 - ``separate_state``: ``sov.separate_state_dense`` of a record of the
   middle sector
 - ``izergin``, ``slavnov``, ``gen_slavnov`` (one free point more than
@@ -81,6 +84,25 @@ def least(call, repeat: int) -> float:
     return best
 
 
+def polish_arguments(params):
+    """The arguments of the one ``spectrum._polish`` call of
+    ``full_spectrum(params, 0)``, recorded by wrapping it for that call."""
+    seen = []
+    polish = spectrum._polish
+
+    def recording(*args):
+        seen.append(args)
+        return polish(*args)
+
+    spectrum._polish = recording
+    try:
+        spectrum.full_spectrum(params, 0)
+    finally:
+        spectrum._polish = polish
+    (args,) = seen
+    return args
+
+
 def layer_calls(n: int):
     """(layer, m, call) for every timed layer of the chain of length n."""
     params = sample_generic_params(n, 0)
@@ -94,6 +116,7 @@ def layer_calls(n: int):
     yield "hamiltonian", n, partial(dense.hamiltonian_pauli, n)
     yield "site_sigma", n, partial(dense.site_sigma, params, 1, "-")
     yield "spectrum", n, partial(spectrum.full_spectrum, params, 0)
+    yield "polish", n, partial(spectrum._polish, *polish_arguments(params))
     yield "separate_state", n, partial(sov.separate_state_dense, params, spec)
     free = spectrum.probe_points(params, n + 1)
     eta = params.eta

@@ -30,7 +30,10 @@ array whose last axis runs over the set and whose leading axes, if any,
 index a stack of sets of that size; the sets of one call broadcast
 against each other.  ``eta`` and ``mu`` of the dressed Vandermonde and
 Izergin forms may be given per set, as may the lattice column's site;
-the on-shell evaluators take one chain and one twist per call.  One
+the on-shell evaluators take one chain and one twist per call.  The
+Bethe ratios and the Gaudin matrix also take root sets of several sizes
+as one stack padded to the largest, with a mask of the roots
+(``_row_weights``), for ``spectrum._polish``.  One
 call makes one guard pass and one batched ``det`` and returns an array
 of the stack shape; a 1-D set gives a ``complex``, equal bit for bit to
 the stack member it would be.  Each on-shell quantity takes the
@@ -93,10 +96,12 @@ def _per_matrix(value) -> np.ndarray:
     return np.asarray(value)[..., None, None]
 
 
-def _set_bound(points, floor=1.0) -> np.ndarray:
-    """max(1, floor, max |x|) over each set of a stack: every pole guard
-    here is relative to the largest of 1, |eta| and the points involved."""
-    return np.maximum(np.maximum.reduce(np.abs(points), axis=-1, initial=1.0), floor)
+def _set_bound(points, floor=1.0, where=True) -> np.ndarray:
+    """max(1, floor, max |x|) over each set of a stack, over the points
+    ``where`` marks: every pole guard here is relative to the largest of
+    1, |eta| and the points involved."""
+    largest = np.maximum.reduce(np.abs(points), axis=-1, initial=1.0, where=where)
+    return np.maximum(largest, floor)
 
 
 def _require_distinct(points: np.ndarray, scale) -> np.ndarray:
@@ -311,41 +316,60 @@ def _one_based(value, size: int) -> np.ndarray:
     return index - 1
 
 
-def _balanced(eta: complex, xs, points, guard):
+def _balanced(eta: complex, xs, points, guard, pairs=True):
     """``(rho, diffs, up, down)``: the balanced shift ratio over the row
     set ``xs`` at ``points`` and the p - x, p - x +- eta it is built from
     (last two axes: point, row).  A point on a pole of rho, not farther
     than ``guard`` (one value per point, on a trailing axis of length 1),
-    or NaN, raises ``PoleCollisionError``."""
+    or NaN, raises ``PoleCollisionError``.  Only the (point, row) pairs
+    ``pairs`` marks enter: any other contributes an exact factor 1 and
+    meets no guard."""
     diffs = points[..., :, None] - xs[..., None, :]
     up, down = diffs + eta, diffs - eta
-    if not (np.abs(down) > guard).all():
+    if not (np.abs(down) > guard).all(where=pairs):
         raise PoleCollisionError("balanced shift ratio evaluated on a shifted point")
-    return (up / down).prod(axis=-1), diffs, up, down
+    return (up / down).prod(axis=-1, where=pairs), diffs, up, down
 
 
-def _row_weights(params: ChainParams, mu: complex, xs):
+def _real_pairs(real):
+    """The (point, row) pairs of each set of a padded stack whose two
+    entries are roots (``real`` as in ``_row_weights``); ``True`` for a
+    stack without pads."""
+    return True if real is None else real[..., :, None] & real[..., None, :]
+
+
+def _row_weights(params: ChainParams, mu: complex, xs, real=None):
     """``(bound, g, rho, d, up, down)`` at the row set's own points: its
     pole bound max(1, |eta|, max |xi|, max |x|), g = mu a/d, rho with the
     x - x' +- eta it is built from (``_balanced``) and d, at the shape of
     ``xs``.  A row point on a lattice node, on a pole of rho or NaN raises
-    ``PoleCollisionError``, relative to max(|x|, bound)."""
-    bound = _set_bound(xs, params.pole_scale)
+    ``PoleCollisionError``, relative to max(|x|, bound).
+
+    ``real``, if given, marks the roots of a padded stack (``xs`` of its
+    shape, each set's roots first, then its pads): a pad enters no
+    bound, guard or rho.  Its own weights are computed but mean nothing,
+    so it must lie off the nodes and the poles of rho, as a copy of a
+    root of its set does."""
+    pairs, nodes = _real_pairs(real), True if real is None else real[..., None]
+    bound = _set_bound(xs, params.pole_scale, True if real is None else real)
     guard = _POLE_TOL * np.maximum(np.abs(xs), bound[..., None])[..., None]
     to_xi = xs[..., None] - params.xi
-    rho, _, up, down = _balanced(params.eta, xs, xs, guard)
-    if not (np.abs(to_xi) > guard).all():
+    rho, _, up, down = _balanced(params.eta, xs, xs, guard, pairs)
+    if not (np.abs(to_xi) > guard).all(where=nodes):
         raise PoleCollisionError("Bethe root collides with an inhomogeneity")
     d = to_xi.prod(axis=-1)
     g = mu * (to_xi + params.eta).prod(axis=-1) / d
     return bound, g, rho, d, up, down
 
 
-def _bethe_ratios(params: ChainParams, mu: complex, roots) -> np.ndarray:
+def _bethe_ratios(params: ChainParams, mu: complex, roots, real=None) -> np.ndarray:
     """mu a(x)/d(x) over -prod (x - x_m + eta)/(x - x_m - eta) (self factor
-    -1) at every root x: 1 at each root of a twist-mu on-shell set."""
-    g, rho = _row_weights(params, mu, np.asarray(roots, dtype=complex))[1:3]
-    return g / -rho
+    -1) at every root x: 1 at each root of a twist-mu on-shell set.  Of a
+    padded stack (``real`` as in ``_row_weights``) every pad reads
+    exactly 1."""
+    g, rho = _row_weights(params, mu, np.asarray(roots, dtype=complex), real)[1:3]
+    ratios = g / -rho
+    return ratios if real is None else np.where(real, ratios, 1.0)
 
 
 def mu_bethe_residuals(params: ChainParams, mu: complex, roots) -> np.ndarray:
@@ -360,25 +384,30 @@ def mu_bethe_residuals(params: ChainParams, mu: complex, roots) -> np.ndarray:
     return np.abs(_bethe_ratios(params, mu, roots) - 1.0)
 
 
-def gaudin_matrix(params: ChainParams, roots) -> np.ndarray:
+def gaudin_matrix(params: ChainParams, roots, real=None) -> np.ndarray:
     """Derivative matrix of the logarithmic Bethe system, the Jacobian of
     log ``_bethe_ratios`` in the roots.
 
     Diagonal entries carry the logarithmic derivatives of a and d at the
     root plus the exchange sums over the other roots; off-diagonal
     entries carry the exchange kernel alone.  A stack of root sets gives
-    a stack of matrices.
+    a stack of matrices.  Of a padded stack (``real`` as in
+    ``_row_weights``) a pad adds an exact 0 to every exchange sum and
+    takes an identity row and column.
     """
     roots = np.asarray(roots, dtype=complex)
     eye = np.eye(roots.shape[-1], dtype=bool)
+    pairs = _real_pairs(real)
     diffs = roots[..., :, None] - roots[..., None, :]
     eta = params.eta
-    exchange = np.where(eye, 0.0, 1.0 / (diffs - eta) - 1.0 / (diffs + eta))
+    exchange = np.where(~eye & pairs, 1.0 / (diffs - eta) - 1.0 / (diffs + eta), 0.0)
     diag = (
         log_derivative_a(params, roots)
         - log_derivative_d(params, roots)
-        + exchange.sum(axis=-1)
+        + exchange.sum(axis=-1, where=pairs)
     )
+    if real is not None:
+        diag = np.where(real, diag, 1.0)
     return np.where(eye, diag[..., None], -exchange)
 
 

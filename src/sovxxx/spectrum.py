@@ -21,10 +21,12 @@ least-squares solve per degree (``tq_collocation``, which the
 homogeneous stress sweep calls too) gives every auxiliary polynomial of
 every eigenvalue and its negative (``solve_q_from_tau`` runs the same
 solve on any stack of eigenvalue rows); the roots of each degree come
-from one stacked companion eigensolve (``poly_roots``), are polished
-together, one Bethe-ratio evaluation per Newton iterate, and rebuild
-their polynomials in one expansion (``poly_from_roots``); every residual
-is one array expression over the chain's one probe set, and the
+from one stacked companion eigensolve (``poly_roots``); the roots of
+every degree are polished in one Newton loop over one stack padded to
+the largest degree, one Bethe-ratio evaluation per iterate and one
+batched Jacobian inverse per iteration; the roots of each degree
+rebuild their polynomials in one expansion (``poly_from_roots``); every
+residual is one array expression over the chain's one probe set, and the
 eigenstate check builds one stack of separate states per root count.  The
 N + 2 transfer matrices the records read (one per inhomogeneity, one at
 the held-out point and one at the eigenstate-check point) are built once
@@ -220,36 +222,43 @@ class _QSolution(NamedTuple):
     functional: float = 0.0
 
 
-def _polish(params: ChainParams, roots: np.ndarray):
-    """Newton steps on the logarithmic Bethe system for a stack of root
-    sets of one size: the polished sets, the worst Bethe residual of each
-    set before and after, and the number of steps kept per set.
+def _polish(params: ChainParams, roots: np.ndarray, real: np.ndarray):
+    """Newton steps on the logarithmic Bethe system for a padded stack of
+    root sets: row k holds its set's roots where ``real[k]`` is True,
+    first, then pads.  Returns the polished rows, the worst Bethe
+    residual of each set before and after, and the number of steps kept
+    per set; a set without roots takes no step.
 
     The Bethe system is F_m = 1 with F the ratios of ``_bethe_ratios``;
     the Jacobian of log F is ``gaudin_matrix`` G, so Newton's step for
-    1 - 1/F = 0 is G^-1 (F - 1).  F is evaluated once per iterate: a kept
-    trial's F - 1 is the next step's, and |F - 1| its residual.  A set
+    1 - 1/F = 0 is G^-1 (F - 1).  F is evaluated once per iterate, over
+    every set still stepping: a kept trial's F - 1 is the next step's,
+    and |F - 1| its residual.  A pad reads F = 1 and has an identity row
+    in G, so it takes a zero step, and it enters no set's pole bound or
+    guards; each pad repeats its set's first root, off every pole.  A set
     stops at the first step that does not lower its worst residual, and
     that step is dropped, so no set leaves worse than it came in.  The
     Jacobians are at most N x N and well conditioned at simple roots, and
     the corrections are of the roots' own rounding size, so one batched
     inverse per step resolves them.
     """
-    roots = roots.copy()
-    excess = _bethe_ratios(params, -1.0, roots) - 1.0
-    raw = np.abs(excess).max(axis=-1, initial=0.0)
-    worst = raw.copy()
+    roots = np.where(real, roots, roots[:, :1])
+    raw = np.zeros(roots.shape[0])
     steps = np.zeros(roots.shape[0], dtype=int)
-    active = np.flatnonzero(worst > 0.0)
-    excess = excess[active]
+    active = np.flatnonzero(real.any(axis=-1))
+    excess = _bethe_ratios(params, -1.0, roots[active], real[active]) - 1.0
+    raw[active] = np.abs(excess).max(axis=-1, initial=0.0)
+    worst = raw.copy()
+    going = raw[active] > 0.0
+    active, excess = active[going], excess[going]
     for _ in range(_MAX_NEWTON_STEPS):
         if active.size == 0:
             break
-        current = roots[active]
-        jac_inv = np.linalg.inv(gaudin_matrix(params, current))
+        current, mask = roots[active], real[active]
+        jac_inv = np.linalg.inv(gaudin_matrix(params, current, mask))
         trial = current - (jac_inv @ excess[..., None])[..., 0]
         with np.errstate(all="ignore"):
-            trial_excess = _bethe_ratios(params, -1.0, trial) - 1.0
+            trial_excess = _bethe_ratios(params, -1.0, trial, mask) - 1.0
             trial_worst = np.abs(trial_excess).max(axis=-1)
         better = trial_worst < worst[active]
         kept = active[better]
@@ -266,25 +275,30 @@ def _polished(
     params: ChainParams, q: np.ndarray, degrees: np.ndarray
 ) -> tuple[np.ndarray, list[_QSolution]]:
     """Roots of each row of a stack of monic polynomials (ascending
-    coefficients, zero-padded above each row's ``degrees`` entry), one
-    ``poly_roots``, one ``_polish`` and one ``poly_from_roots`` rebuild
-    from the polished roots per degree, else ``SpectrumError``: the
-    rebuilt rows, padded like ``q``, and one ``_QSolution`` per row."""
+    coefficients, zero-padded above each row's ``degrees`` entry), else
+    ``SpectrumError``: one ``poly_roots`` per degree, then one ``_polish``
+    of every row's roots, padded to the largest degree, then one
+    ``poly_from_roots`` rebuild from the polished roots per degree.
+    Returns the rebuilt rows, padded like ``q``, and one ``_QSolution``
+    per row."""
+    groups = [(r, np.flatnonzero(degrees == r)) for r in sorted(set(degrees.tolist()))]
+    real = np.arange(degrees.max(initial=0)) < degrees[:, None]
+    roots = np.zeros(real.shape, dtype=complex)
+    for r, members in groups:
+        roots[members, :r] = poly_roots(q[members, : r + 1])
+    polished, raw, worst, steps = _polish(params, roots, real)
     rebuilt = np.zeros_like(q)
-    out: list[_QSolution] = [None] * len(degrees)
-    for r in sorted(set(degrees.tolist())):
-        members = np.flatnonzero(degrees == r)
-        polished, raw, worst, steps = _polish(params, poly_roots(q[members, : r + 1]))
+    for r, members in groups:
         try:
-            rebuilt[members, : r + 1] = poly_from_roots(polished)
+            rebuilt[members, : r + 1] = poly_from_roots(polished[members, :r])
         except ValueError as exc:
             raise SpectrumError(
                 f"auxiliary polynomials {members.tolist()}: {exc}"
             ) from exc
-        for k, i in enumerate(members):
-            out[i] = _QSolution(
-                polished[k], float(raw[k]), float(worst[k]), int(steps[k])
-            )
+    out = [
+        _QSolution(polished[k, :r], float(raw[k]), float(worst[k]), int(steps[k]))
+        for k, r in enumerate(degrees.tolist())
+    ]
     return rebuilt, out
 
 

@@ -28,6 +28,7 @@ def test_layers_times_every_layer_once_per_size(tmp_path, monkeypatch):
         ("hamiltonian", 2),
         ("site_sigma", 2),
         ("spectrum", 2),
+        ("polish", 2),
         ("separate_state", 2),
         *[
             (layer, m)

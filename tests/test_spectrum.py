@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from sovxxx import dense, determinants, spectrum
 from sovxxx.chain import a_of, d_of, fixture_params
 from sovxxx.dense import transfer_antiperiodic
-from sovxxx.determinants import mu_bethe_residuals
+from sovxxx.determinants import gaudin_matrix, mu_bethe_residuals
 from sovxxx.errors import PoleCollisionError, SpectrumError
 from sovxxx.polynomials import poly_from_roots, poly_roots
 from sovxxx.sov import bilinear, separate_state_dense, spec_from_roots
@@ -309,12 +311,17 @@ def test_polished_roots_never_have_a_larger_residual(n_sites):
         assert not rec.q_tau[r + 1 :].any()
 
 
+def _all_real(roots):
+    """The mask of a stack of root sets without pads."""
+    return np.ones(roots.shape, dtype=bool)
+
+
 def test_polish_recovers_perturbed_root_sets():
     params = cached_params(4, 0)
     sets = [rec.bethe_roots for rec in cached_spectrum(4, 0) if rec.n_roots == 2]
     rng = np.random.Generator(np.random.Philox(key=515))
     kicked = np.array(sets) + 1e-7 * (rng.standard_normal((len(sets), 2)) + 1j)
-    polished, raw, worst, steps = spectrum._polish(params, kicked)
+    polished, raw, worst, steps = spectrum._polish(params, kicked, _all_real(kicked))
     assert np.all(raw > 1e-9)
     assert np.all(worst < 1e-12)
     assert np.all(steps >= 2)
@@ -430,26 +437,119 @@ def test_polish_evaluates_the_bethe_ratios_once_per_iterate(monkeypatch):
     polish = spectrum._polish
     groups = []
 
-    def recording(params, roots):
+    def recording(params, roots, real):
         before = dict(calls)
-        out = polish(params, roots)
+        out = polish(params, roots, real)
         groups.append({name: calls[name] - before[name] for name in calls})
         return out
 
     monkeypatch.setattr(spectrum, "_polish", recording)
     full_spectrum(cached_params(4, 0), 0)
-    # one Jacobian per Newton iteration, and one evaluation per iterate
-    assert len(groups) == 5
-    assert all(group["ratios"] == 1 + group["jacobians"] for group in groups)
+    # one polish per solve, all degrees at once; one Jacobian per Newton
+    # iteration, and one evaluation per iterate
+    (group,) = groups
+    assert group["jacobians"] >= 2
+    assert group["ratios"] == 1 + group["jacobians"]
     params = cached_params(4, 0)
     sets = [rec.bethe_roots for rec in cached_spectrum(4, 0) if rec.n_roots == 2]
     rng = np.random.Generator(np.random.Philox(key=515))
     kicked = np.array(sets) + 1e-7 * (rng.standard_normal((len(sets), 2)) + 1j)
     groups.clear()
-    steps = spectrum._polish(params, kicked)[3]
+    steps = spectrum._polish(params, kicked, _all_real(kicked))[3]
     (group,) = groups
     assert group["jacobians"] >= steps.max() >= 2
     assert group["ratios"] == 1 + group["jacobians"]
+
+
+def _padded(sets, pad):
+    """One stack of the root sets, each set's roots first and then pads of
+    the value ``pad`` up to the largest set, and its mask of roots."""
+    degrees = np.array([len(s) for s in sets])
+    real = np.arange(degrees.max(initial=0)) < degrees[:, None]
+    roots = np.full(real.shape, pad, dtype=complex)
+    roots[real] = np.concatenate([np.zeros(0), *sets])
+    return roots, real
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    n_sites=st.integers(2, 5),
+    picks=st.lists(st.integers(0, 63), min_size=1, max_size=12),
+    scale=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5]),
+    key=st.integers(0, 2**32 - 1),
+    pad=st.sampled_from([0.0, np.nan, 1e12]),
+)
+def test_padded_polish_is_the_per_degree_polish_bit_for_bit(
+    n_sites, picks, scale, key, pad
+):
+    # a mixed-degree stack of kicked root sets of both auxiliary
+    # polynomials, sets without roots included, in any order
+    params = cached_params(n_sites, 0)
+    records = cached_spectrum(n_sites, 0)
+    sets = [rec.bethe_roots for rec in records] + [rec.q_minus_roots for rec in records]
+    rng = np.random.Generator(np.random.Philox(key=key))
+    kicked = []
+    for k in picks:
+        roots = sets[k % len(sets)]
+        kick = rng.standard_normal(roots.size) + 1j * rng.standard_normal(roots.size)
+        kicked.append(roots + scale * kick)
+    roots, real = _padded(kicked, pad)
+    polished, raw, worst, steps = spectrum._polish(params, roots, real)
+    degrees = real.sum(axis=-1)
+    for r in set(degrees.tolist()):
+        members = np.flatnonzero(degrees == r)
+        stack = np.array([kicked[k] for k in members]).reshape(members.size, r)
+        expected = _reference_polish(params, stack)
+        got = (polished[members, :r], raw[members], worst[members], steps[members])
+        for value, want in zip(got, expected, strict=True):
+            assert value.tobytes() == want.tobytes()
+
+
+def test_a_newton_trial_on_a_lattice_node_raises(monkeypatch):
+    params = cached_params(3, 0)
+    records = cached_spectrum(3, 0)
+    one = next(rec.bethe_roots for rec in records if rec.n_roots == 1) + 1e-7
+    two = next(rec.bethe_roots for rec in records if rec.n_roots == 2)
+    roots, real = _padded([one, two, []], 0.0)
+    jacobian = spectrum.gaudin_matrix
+
+    def towards_node(params, current, mask):
+        # the one-root set's Jacobian row sends its step onto node 1
+        jac = jacobian(params, current, mask)
+        excess = determinants._bethe_ratios(params, -1.0, current, mask) - 1.0
+        jac[0, 0] = [excess[0, 0] / (current[0, 0] - params.xi[0]), 0.0]
+        return jac
+
+    monkeypatch.setattr(spectrum, "gaudin_matrix", towards_node)
+    with pytest.raises(PoleCollisionError, match="inhomogeneity"):
+        spectrum._polish(params, roots, real)
+
+
+def test_a_padded_set_reads_the_bytes_of_the_set_alone():
+    params = cached_params(3, 0)
+    records = cached_spectrum(3, 0)
+    two = next(rec.bethe_roots for rec in records if rec.n_roots == 2)
+    # a root 1e-7 from node 1 passes its own set's guard, 1e-8 of a bound
+    # of a few units, and would fail one that counted the pads (1e-8 of 2e12)
+    near = np.array([params.xi[0] + 1e-7, two[1]])
+    roots, real = _padded([near, [0.5, 1.5, 2.5, 3.5]], 2e12)
+    ratios = determinants._bethe_ratios(params, -1.0, roots, real)
+    assert ratios[0, :2].tobytes() == determinants._bethe_ratios(params, -1.0, near).tobytes()
+    assert np.array_equal(ratios[0, 2:], [1.0, 1.0])
+    jac = gaudin_matrix(params, roots, real)[0]
+    assert jac[:2, :2].tobytes() == gaudin_matrix(params, near).tobytes()
+    assert np.array_equal(jac[2:], np.eye(4)[2:])
+    assert not jac[:2, 2:].any()
+    # the polish of a kicked set, alone and padded beside a larger set and a
+    # set without roots
+    kicked = two + 1e-7
+    alone = spectrum._polish(params, kicked[None], _all_real(kicked[None]))
+    roots, real = _padded([[], kicked, records[-1].bethe_roots], 2e12)
+    padded = spectrum._polish(params, roots, real)
+    assert padded[0][1, :2].tobytes() == alone[0][0].tobytes()
+    for value, want in zip(padded[1:], alone[1:], strict=True):
+        assert value[1:2].tobytes() == want.tobytes()
+    assert padded[1][0] == padded[2][0] == padded[3][0] == 0
 
 
 def _corrupted_collocation(monkeypatch, where, value):
@@ -492,8 +592,8 @@ def test_rebuilt_polynomial_losing_its_leading_coefficient_raises_spectrum_error
 ):
     polish = spectrum._polish
 
-    def wandering(params, roots):
-        polished, raw, worst, steps = polish(params, roots)
+    def wandering(params, roots, real):
+        polished, raw, worst, steps = polish(params, roots, real)
         # three roots of modulus about 1e4 expand past 1 / TRIM_TOL
         return 1e4 * polished, raw, worst, steps
 
