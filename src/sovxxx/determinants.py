@@ -515,9 +515,10 @@ def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None):
     # product differently from its array loops
     denom = np.multiply(rows.vandermonde, cols.vandermonde)
     # the kernel rows g K(x - y) - rho K(y - x), column points y on axis
-    # -2 and rows x on axis -1: K(x - y) is 1/(y - x - eta) - 1/(y - x), a
-    # difference of two reciprocals as in K's definition (three separate
-    # weighted terms round worse)
+    # -2 and rows x on axis -1, as eta/(y - x) (g/(y - x - eta) -
+    # rho/(y - x + eta)): K(x - y) = eta/((y - x)(y - x - eta)) and
+    # K(y - x) = eta/((y - x)(y - x + eta)) with no difference of
+    # reciprocals, which cancels for a free point far from the rows
     gaps = np.abs(diffs)
     close = gaps < guard
     coincident = np.count_nonzero(close)
@@ -528,10 +529,7 @@ def _on_shell(params: ChainParams, mu: complex, xs, ys, site=None):
                 "(neither separated nor coincident)"
             )
         diffs = np.where(close, 1.0, diffs)
-    inverse = 1.0 / diffs
-    mat = cols.g[..., None] * (1.0 / down - inverse) - rho_y[..., None] * (
-        inverse - 1.0 / up
-    )
+    mat = eta / diffs * (cols.g[..., None] / down - rho_y[..., None] / up)
     if coincident:
         to_xi = xs[..., None] - xi
         g_prime = rows.g * np.sum(1.0 / (to_xi + eta) - 1.0 / to_xi, axis=-1)

@@ -7,6 +7,7 @@ import warnings
 from dataclasses import replace
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -526,6 +527,49 @@ def test_on_shell_determinants_match_entrywise_reference():
             ref = pref * np.linalg.det(mat) / (vandermonde(xs) * vandermonde(ys[::-1]))
             value = gen_slavnov_determinant(params, -1.0, xs, ys)
             assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def _on_shell_at_60_digits(params, xs, ys):
+    """The square on-shell determinant by its entry formula, g K(x - y) -
+    rho K(y - x) with K(u) = 1/u - 1/(u + eta) at mu = -1, times
+    prod (x - y + eta) over V(xs) V(reversed ys), in 60-digit mpmath from
+    the same double inputs."""
+    with mpmath.workdps(60):
+        eta = mpmath.mpc(params.eta)
+        xi = [mpmath.mpc(v) for v in params.xi]
+        xs = [mpmath.mpc(v) for v in xs]
+        ys = [mpmath.mpc(v) for v in ys]
+
+        def kernel(u):
+            return 1 / u - 1 / (u + eta)
+
+        def vandermonde_of(points):
+            return mpmath.fprod(
+                points[a] - points[b] for a in range(len(points)) for b in range(a)
+            )
+
+        mat = mpmath.matrix(len(xs), len(ys))
+        for k, y in enumerate(ys):
+            g = -mpmath.fprod(y - v + eta for v in xi) / mpmath.fprod(y - v for v in xi)
+            rho = mpmath.fprod((y - x + eta) / (y - x - eta) for x in xs)
+            for j, x in enumerate(xs):
+                mat[j, k] = g * kernel(x - y) - rho * kernel(y - x)
+        pref = mpmath.fprod(x - y + eta for x in xs for y in ys)
+        value = pref * mpmath.det(mat) / (vandermonde_of(xs) * vandermonde_of(ys[::-1]))
+        return complex(value)
+
+
+@pytest.mark.parametrize("y", [1e8, 1e16])
+def test_on_shell_kernel_keeps_its_digits_for_a_far_free_point(y):
+    # K's two reciprocals agree to about 16 digits at y = 1e16, so their
+    # difference in double precision would keep none of the kernel's
+    params = cached_params(3, 0)
+    for r in (1, 2):
+        rec = next(rec for rec in cached_spectrum(3, 0) if rec.n_roots == r)
+        ys = np.array([y, 0.3 + 0.1j][:r])
+        ref = _on_shell_at_60_digits(params, rec.bethe_roots, ys)
+        value = slavnov_determinant(params, -1.0, rec.bethe_roots, ys)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 # ------------------------------------------- per-point reference routes
