@@ -505,23 +505,29 @@ def test_padded_polish_is_the_per_degree_polish_bit_for_bit(
             assert value.tobytes() == want.tobytes()
 
 
-def test_a_newton_trial_on_a_lattice_node_raises(monkeypatch):
+@pytest.mark.parametrize(
+    "target, message", [("node", "inhomogeneity"), ("shifted root", "shifted point")]
+)
+def test_a_newton_trial_on_a_pole_raises(monkeypatch, target, message):
     params = cached_params(3, 0)
     records = cached_spectrum(3, 0)
-    one = next(rec.bethe_roots for rec in records if rec.n_roots == 1) + 1e-7
-    two = next(rec.bethe_roots for rec in records if rec.n_roots == 2)
-    roots, real = _padded([one, two, []], 0.0)
+    two = next(rec.bethe_roots for rec in records if rec.n_roots == 2) + 1e-7
+    three = next(rec.bethe_roots for rec in records if rec.n_roots == 3)
+    roots, real = _padded([two, three, []], 0.0)
+    pole = params.xi[0] if target == "node" else two[1] + params.eta
     jacobian = spectrum.gaudin_matrix
 
-    def towards_node(params, current, mask):
-        # the one-root set's Jacobian row sends its step onto node 1
+    def towards_pole(params, current, mask):
+        # the two-root set's step sends its first root onto the pole of
+        # ``_row_weights``' node guard or of rho, and leaves its second root
+        # and its pad where they are
         jac = jacobian(params, current, mask)
         excess = determinants._bethe_ratios(params, -1.0, current, mask) - 1.0
-        jac[0, 0] = [excess[0, 0] / (current[0, 0] - params.xi[0]), 0.0]
+        jac[0] = np.diag([excess[0, 0] / (current[0, 0] - pole), 1e300, 1.0])
         return jac
 
-    monkeypatch.setattr(spectrum, "gaudin_matrix", towards_node)
-    with pytest.raises(PoleCollisionError, match="inhomogeneity"):
+    monkeypatch.setattr(spectrum, "gaudin_matrix", towards_pole)
+    with pytest.raises(PoleCollisionError, match=message):
         spectrum._polish(params, roots, real)
 
 
@@ -534,7 +540,8 @@ def test_a_padded_set_reads_the_bytes_of_the_set_alone():
     near = np.array([params.xi[0] + 1e-7, two[1]])
     roots, real = _padded([near, [0.5, 1.5, 2.5, 3.5]], 2e12)
     ratios = determinants._bethe_ratios(params, -1.0, roots, real)
-    assert ratios[0, :2].tobytes() == determinants._bethe_ratios(params, -1.0, near).tobytes()
+    alone = determinants._bethe_ratios(params, -1.0, near)
+    assert ratios[0, :2].tobytes() == alone.tobytes()
     assert np.array_equal(ratios[0, 2:], [1.0, 1.0])
     jac = gaudin_matrix(params, roots, real)[0]
     assert jac[:2, :2].tobytes() == gaudin_matrix(params, near).tobytes()
@@ -544,7 +551,8 @@ def test_a_padded_set_reads_the_bytes_of_the_set_alone():
     # set without roots
     kicked = two + 1e-7
     alone = spectrum._polish(params, kicked[None], _all_real(kicked[None]))
-    roots, real = _padded([[], kicked, records[-1].bethe_roots], 2e12)
+    three = next(rec.bethe_roots for rec in records if rec.n_roots == 3)
+    roots, real = _padded([[], kicked, three], 2e12)
     padded = spectrum._polish(params, roots, real)
     assert padded[0][1, :2].tobytes() == alone[0][0].tobytes()
     for value, want in zip(padded[1:], alone[1:], strict=True):
